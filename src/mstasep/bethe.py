@@ -10,7 +10,9 @@ The tensor-grid sum is evaluated by contracting, per permutation, the grid
 of amplitude-column values against one matrix of weighted node powers per
 dimension.  That regrouping is algebraically identical to summing the
 integrand node by node (the tests check this against a literal node loop)
-but shares all work between targets.  Grid slabs are processed in a fixed
+but shares all work between targets.  The two-site factors along each
+permutation's reduced word are applied by :class:`rmatrix.SlotAction`, the
+batched form of the factor ``rmatrix`` owns.  Grid slabs are processed in a fixed
 order and reduced sequentially, so a result at a given node count is
 reproducible bit for bit; the optional thread pool only maps slabs to
 workers, it never changes the reduction order.
@@ -35,7 +37,7 @@ from .core import (
     enumerate_sn,
     validate_state,
 )
-from .rmatrix import SectorMatrix, SpectralPoint, chain_factors, contour_bound
+from .rmatrix import SectorMatrix, SlotAction, SpectralPoint, chain_factors, contour_bound
 
 MAX_PARTICLES_DEFAULT = 4
 MAX_PARTICLES_HARD = 6
@@ -183,43 +185,6 @@ def bethe_sum(
 # ---------------------------------------------------------------------------
 
 
-class _SlotAction:
-    """Index arrays that apply an embedded two-site factor to column batches."""
-
-    __slots__ = ("lt", "eq", "gt", "swap_of_lt", "b_all")
-
-    def __init__(self, block: WordBlock, slot: int, rates: RateTable):
-        lt, eq, gt, swap = [], [], [], []
-        for r, w in enumerate(block.words):
-            i, j = w[slot - 1], w[slot]
-            if i < j:
-                lt.append(r)
-                partner = w[: slot - 1] + (j, i) + w[slot + 1 :]
-                swap.append(block.lookup[partner])
-            elif i == j:
-                eq.append(r)
-            else:
-                gt.append(r)
-        self.lt = np.array(lt, dtype=np.intp)
-        self.eq = np.array(eq, dtype=np.intp)
-        self.gt = np.array(gt, dtype=np.intp)
-        self.swap_of_lt = np.array(swap, dtype=np.intp)
-        self.b_all = np.array([rates.rate(w[slot - 1]) for w in block.words])
-
-    def apply(self, xb: np.ndarray, xa: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Left-multiply a (batch, dim) stack of columns by the factor."""
-        bl = self.b_all
-        inv = 1.0 / (1.0 - bl * xa[:, None])
-        s = -(1.0 - bl * xb[:, None]) * inv
-        out = np.empty_like(v)
-        out[:, self.gt] = -v[:, self.gt]
-        out[:, self.eq] = s[:, self.eq] * v[:, self.eq]
-        lt = self.lt
-        t_vals = (self.b_all[lt] * (xb - xa)[:, None]) * inv[:, lt]
-        out[:, lt] = s[:, lt] * v[:, lt] + t_vals * v[:, self.swap_of_lt]
-        return out
-
-
 def _contour_nodes(radius: float, m: int) -> np.ndarray:
     return radius * np.exp(2j * np.pi * np.arange(m) / m)
 
@@ -235,7 +200,7 @@ def _slab_moments(
     b: int,
     nodes: np.ndarray,
     factors: list[tuple[int, int, int]],
-    actions: dict[int, _SlotAction],
+    actions: dict[int, SlotAction],
     weighted_powers: list[np.ndarray],
     nu_idx: int,
     n: int,
@@ -281,7 +246,7 @@ def _grid_values(
     y = np.array(initial.positions)
     x_arr = np.array([tg.positions for tg in targets])
     rows = np.array([sector.index(tg.species) for tg in targets], dtype=np.intp)
-    actions = {slot: _SlotAction(sector, slot, rates) for slot in range(1, n)}
+    actions = {slot: SlotAction(sector, slot, rates) for slot in range(1, n)}
     vals = np.zeros(len(targets), dtype=complex)
 
     for elem in perms:
@@ -371,8 +336,8 @@ def transition_matrix(
     validate_state(initial, rates)
     for tg in targets:
         validate_state(tg, rates)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     n = len(initial)
     if n > MAX_PARTICLES_HARD:
         raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES_HARD})")

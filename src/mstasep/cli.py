@@ -5,7 +5,8 @@ rejected so typos surface immediately.  Probabilities are printed with 17
 significant digits so output files can be compared across implementations.
 
 Exit codes: 0 success or pass, 1 verification failure, 2 configuration
-error, 3 quadrature failed to converge.
+error (also a contour radius or time the spectral route rejects), 3
+quadrature failed to converge.
 """
 
 from __future__ import annotations
@@ -108,8 +109,10 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError(f"bad rates: {exc}") from exc
     initial = _parse_state(data["initial"], "initial")
     time = data["time"]
-    if not isinstance(time, (int, float)) or time < 0:
-        raise ConfigError("time must be a nonnegative number")
+    if isinstance(time, bool) or not isinstance(time, (int, float)):
+        raise ConfigError("time must be a number")
+    if not 0 <= time <= sys.float_info.max:  # also false for NaN
+        raise ConfigError(f"time must be finite and nonnegative, got {time}")
     raw_targets = data["targets"]
     targets: tuple[ParticleState, ...] | str
     if raw_targets == "window":
@@ -246,6 +249,9 @@ def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = Non
     except bethe.NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except (bethe.ContourInvalid, bethe.OverflowRisk) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     rows = []
     for state, res in zip(targets, results):
         row = _state_row(state)

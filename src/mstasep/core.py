@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -58,8 +59,8 @@ class ParticleState:
     species: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(int(x) for x in self.positions))
-        object.__setattr__(self, "species", tuple(int(s) for s in self.species))
+        object.__setattr__(self, "positions", tuple(map(operator.index, self.positions)))
+        object.__setattr__(self, "species", tuple(map(operator.index, self.species)))
         if len(self.positions) != len(self.species):
             raise ValueError(
                 f"{len(self.positions)} positions but {len(self.species)} species labels"
@@ -95,9 +96,10 @@ class WordBlock:
     are tuples of 1-based species labels.
     """
 
-    __slots__ = ("words", "lookup")
+    __slots__ = ("words", "lookup", "_slot_tables")
 
     def __init__(self, words: Iterable[Sequence[int]]):
+        self._slot_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.words: tuple[tuple[int, ...], ...] = tuple(tuple(w) for w in words)
         if not self.words:
             raise ValueError("word block must contain at least one word")
@@ -118,6 +120,36 @@ class WordBlock:
 
     def index(self, word: Sequence[int]) -> int:
         return self.lookup[tuple(word)]
+
+    def slot_table(self, slot: int) -> tuple[tuple[int, ...], ...]:
+        """Rows classed by the letters (i, j) at 1-based slots (slot, slot+1).
+
+        Returns ``(descending, equal, ascending, partner, equal_letter,
+        ascending_letter)``: rows with i > j, i == j and i < j, the row of each
+        ascending row with i and j swapped, and the i of each equal and
+        ascending row.  Cached per slot; raises ValueError for a bad slot or a
+        block not closed under the exchange.
+        """
+        if slot not in self._slot_tables:
+            if not 1 <= slot < self.word_length:
+                raise ValueError(f"slot {slot} outside 1..{self.word_length - 1}")
+            desc, eq, asc, partner, eq_letter, asc_letter = rows = ([], [], [], [], [], [])
+            for r, w in enumerate(self.words):
+                i, j = w[slot - 1], w[slot]
+                if i > j:
+                    desc.append(r)
+                elif i == j:
+                    eq.append(r)
+                    eq_letter.append(i)
+                else:
+                    swapped = w[: slot - 1] + (j, i) + w[slot + 1 :]
+                    if swapped not in self.lookup:
+                        raise ValueError(f"block lacks {swapped}: not closed under the exchange")
+                    asc.append(r)
+                    partner.append(self.lookup[swapped])
+                    asc_letter.append(i)
+            self._slot_tables[slot] = tuple(map(tuple, rows))
+        return self._slot_tables[slot]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({len(self.words)} words of length {self.word_length})"

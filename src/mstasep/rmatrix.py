@@ -8,6 +8,12 @@ acts on one word block (sector) at a time; the full tensor-product
 operators are block-diagonal across sectors, which the test-suite checks
 rather than assumes.
 
+The factor has one encoding.  :meth:`WordBlock.slot_table` in ``core`` classes
+the rows of a block at a slot, and :func:`amplitudes` is the only S/T
+expression.  :func:`embed_T_l` builds the dense factor from the two (and
+:func:`build_R` is its N = 2 case); :class:`SlotAction` applies the same
+factor to batches of grid points for the kernel in ``bethe``.
+
 Spectral index arguments (``beta``, ``alpha``, ...) are 1-based positions
 into a :class:`SpectralPoint`; species arguments are 1-based labels into a
 :class:`RateTable`.
@@ -83,28 +89,31 @@ class SectorMatrix:
         object.__setattr__(self, "entries", entries)
 
 
+def amplitudes(b, xi_beta, xi_alpha):
+    """Pass-through and exchange amplitudes (S, T) of a species with rate b.
+
+    Plain operators in division form: Python scalars and broadcast numpy
+    arrays get the same expression, so the dense and grid factors agree.
+    """
+    denom = 1.0 - b * xi_alpha
+    return -(1.0 - b * xi_beta) / denom, b * (xi_beta - xi_alpha) / denom
+
+
+def _species_amplitudes(species: int, xi_beta: complex, xi_alpha: complex, rates: RateTable):
+    b = rates.rate(species)
+    if abs(1.0 - b * xi_alpha) < POLE_THRESHOLD * max(1.0, b):
+        raise PoleOnContour(f"1 - b*xi vanished for species {species} at xi={xi_alpha}")
+    return amplitudes(b, xi_beta, xi_alpha)
+
+
 def amplitude_S(species: int, xi_beta: complex, xi_alpha: complex, rates: RateTable) -> complex:
     """Pass-through amplitude -(1 - b*xi_beta)/(1 - b*xi_alpha)."""
-    b = rates.rate(species)
-    denom = 1.0 - b * xi_alpha
-    if abs(denom) < POLE_THRESHOLD * max(1.0, b):
-        raise PoleOnContour(f"1 - b*xi vanished for species {species} at xi={xi_alpha}")
-    return -(1.0 - b * xi_beta) / denom
+    return _species_amplitudes(species, xi_beta, xi_alpha, rates)[0]
 
 
 def amplitude_T(species: int, xi_beta: complex, xi_alpha: complex, rates: RateTable) -> complex:
     """Exchange amplitude b*(xi_beta - xi_alpha)/(1 - b*xi_alpha)."""
-    b = rates.rate(species)
-    denom = 1.0 - b * xi_alpha
-    if abs(denom) < POLE_THRESHOLD * max(1.0, b):
-        raise PoleOnContour(f"1 - b*xi vanished for species {species} at xi={xi_alpha}")
-    return b * (xi_beta - xi_alpha) / denom
-
-
-def _as_pair_block(pairs: WordBlock | Iterable[Sequence[int]]) -> WordBlock:
-    if isinstance(pairs, WordBlock):
-        return pairs
-    return WordBlock(pairs)
+    return _species_amplitudes(species, xi_beta, xi_alpha, rates)[1]
 
 
 def build_R(
@@ -117,24 +126,13 @@ def build_R(
     """Two-site matrix restricted to a block of species pairs.
 
     Row (i, j): diagonal S(i) when i <= j, diagonal -1 when i > j, and the
-    exchange entry T(i) in column (j, i) when i < j.  The block should be
+    exchange entry T(i) in column (j, i) when i < j.  The block must be
     closed under swapping pairs, which every sector block is.
     """
-    block = _as_pair_block(pair_block)
+    block = pair_block if isinstance(pair_block, WordBlock) else WordBlock(pair_block)
     if block.word_length != 2:
         raise ValueError("build_R expects a block of species pairs")
-    xb, xa = sp.xi[beta - 1], sp.xi[alpha - 1]
-    out = np.zeros((block.dim, block.dim), dtype=complex)
-    for r, (i, j) in enumerate(block.words):
-        if i > j:
-            out[r, r] = -1.0
-            continue
-        out[r, r] = amplitude_S(i, xb, xa, rates)
-        if i < j:
-            c = block.lookup.get((j, i))
-            if c is not None:
-                out[r, c] = amplitude_T(i, xb, xa, rates)
-    return SectorMatrix(block, out)
+    return embed_T_l(1, beta, alpha, sp, rates, block)
 
 
 def embed_T_l(
@@ -149,25 +147,41 @@ def embed_T_l(
 
     Identity on all other slots: entry (w, w') vanishes unless w' is w or w
     with the two slots swapped, and on those the entry is the corresponding
-    R entry.  ``slot`` is 1-based, 1 <= slot <= N-1.
+    R entry.  ``slot`` is 1-based, 1 <= slot <= N-1.  A block not closed
+    under the exchange raises ValueError.
     """
-    n = block.word_length
-    if not 1 <= slot <= n - 1:
-        raise ValueError(f"slot {slot} outside 1..{n - 1}")
+    desc, eq, asc, partner, eq_letter, asc_letter = block.slot_table(slot)
     xb, xa = sp.xi[beta - 1], sp.xi[alpha - 1]
+    amps = {s: _species_amplitudes(s, xb, xa, rates) for s in {*eq_letter, *asc_letter}}
     out = np.zeros((block.dim, block.dim), dtype=complex)
-    for r, w in enumerate(block.words):
-        i, j = w[slot - 1], w[slot]
-        if i > j:
-            out[r, r] = -1.0
-            continue
-        out[r, r] = amplitude_S(i, xb, xa, rates)
-        if i < j:
-            partner = w[: slot - 1] + (j, i) + w[slot + 1 :]
-            c = block.lookup.get(partner)
-            if c is not None:
-                out[r, c] = amplitude_T(i, xb, xa, rates)
+    for r in desc:
+        out[r, r] = -1.0
+    for r, s in zip(eq, eq_letter):
+        out[r, r] = amps[s][0]
+    for r, c, s in zip(asc, partner, asc_letter):
+        out[r, r], out[r, c] = amps[s]
     return SectorMatrix(block, out)
+
+
+class SlotAction:
+    """The factor at one slot applied over a grid batch, with S and T once per species."""
+
+    def __init__(self, block: WordBlock, slot: int, rates: RateTable):
+        self.desc, self.eq, self.asc, self.partner, eq_letter, asc_letter = (
+            np.array(rows, dtype=np.intp) for rows in block.slot_table(slot)
+        )
+        self.eq_col, self.asc_col = eq_letter - 1, asc_letter - 1  # columns of b
+        self.b = np.array(rates.rates)
+
+    def apply(self, xb: np.ndarray, xa: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Left-multiply a (batch, dim) stack of columns by the factor at each point."""
+        s, t = amplitudes(self.b, xb[:, None], xa[:, None])
+        out = np.empty_like(v)
+        out[:, self.desc] = -v[:, self.desc]
+        out[:, self.eq] = s[:, self.eq_col] * v[:, self.eq]
+        asc = self.asc
+        out[:, asc] = s[:, self.asc_col] * v[:, asc] + t[:, self.asc_col] * v[:, self.partner]
+        return out
 
 
 def chain_factors(sigma: PermutationElem) -> list[tuple[int, int, int]]:
@@ -199,9 +213,7 @@ def build_A_sigma(
     of reduced word is a consequence of the consistency relations and is
     covered by tests, not assumed here.
     """
-    acc = np.eye(block.dim, dtype=complex)
-    for slot, beta, alpha in chain_factors(sigma):
-        acc = embed_T_l(slot, beta, alpha, sp, rates, block).entries @ acc
+    acc, _ = product_along_slots([slot for slot, _, _ in chain_factors(sigma)], sp, rates, block)
     return SectorMatrix(block, acc)
 
 
@@ -223,9 +235,8 @@ def build_all_A(
         if elem.is_identity:
             out[elem.image] = np.eye(block.dim, dtype=complex)
             continue
-        w = elem.pred.image
-        factor = embed_T_l(elem.slot, w[elem.slot], w[elem.slot - 1], sp, rates, block)
-        out[elem.image] = factor.entries @ out[w]
+        factor = embed_T_l(*chain_factors(elem)[-1], sp, rates, block)
+        out[elem.image] = factor.entries @ out[elem.pred.image]
     return {image: SectorMatrix(block, m) for image, m in out.items()}
 
 

@@ -280,6 +280,12 @@ def test_overflow_guard_raised():
         )
 
 
+def test_non_finite_time_rejected():
+    state = ParticleState((0, 1), (2, 1))
+    with pytest.raises(ValueError, match="finite"):
+        transition_probability(state, state, math.nan, RateTable((1.0, 2.0)))
+
+
 def test_not_converged_raised_at_cap():
     rt = RateTable((1.0, 2.0))
     with pytest.raises(NotConverged):

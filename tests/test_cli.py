@@ -68,6 +68,11 @@ def test_window_targets_round_trip():
         {"rates": [1.0, -2.0]},
         {"initial": {"positions": [1, 1], "species": [1, 2]}},
         {"initial": {"positions": [0, 1], "species": [1, 5]}},
+        {"time": True},
+        {"time": float("nan")},
+        {"time": float("inf")},
+        {"initial": {"positions": [0.9, 1], "species": [2, 1]}},
+        {"initial": {"positions": [0, 1], "species": ["2", 1]}},
     ],
 )
 def test_bad_configs_rejected(patch):
@@ -208,6 +213,21 @@ def test_cmd_prob_not_converged_exit_code(tmp_path):
     out_path = tmp_path / "never.csv"
     assert cmd_prob(cfg, out=str(out_path)) == 3
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"spectral": {"radius": 0.6}},  # outside the admissible disk (0.5) of rates (1, 2)
+        {"time": 1000.0},  # t/radius far past the overflow guard
+    ],
+)
+def test_cmd_prob_contour_config_exit_code(tmp_path, capsys, patch):
+    cfg = parse_config(minimal_config(**patch))
+    out_path = tmp_path / "never.csv"
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_CONFIG
+    assert not out_path.exists()
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_main_verify_and_prob_paths(tmp_path):

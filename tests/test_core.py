@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,16 @@ def test_validate_state_rejects_species_out_of_range():
 def test_state_length_mismatch_rejected_at_construction():
     with pytest.raises(ValueError):
         ParticleState((0, 1, 2), (1, 2))
+
+
+def test_state_rejects_non_integer_labels():
+    with pytest.raises(TypeError):
+        ParticleState((0.9, 1), (1, 2))
+    with pytest.raises(TypeError):
+        ParticleState((0, 1), ("2", 1))
+    state = ParticleState(np.arange(2), (np.int64(2), 1))
+    assert state == ParticleState((0, 1), (2, 1))
+    assert all(type(v) is int for v in state.positions + state.species)
 
 
 def test_build_sector_two_species():

@@ -20,7 +20,7 @@ from mstasep import (
     enumerate_sn,
 )
 from mstasep.core import inversions
-from mstasep.rmatrix import chain_factors, product_along_slots
+from mstasep.rmatrix import SlotAction, all_sectors, chain_factors, product_along_slots
 
 
 def test_amplitude_S_coincident_points_is_minus_one():
@@ -295,3 +295,34 @@ def test_inverse_relation_property(seed):
         fwd = embed_T_l(slot, 1, 2, sp, rt, block).entries
         bwd = embed_T_l(slot, 2, 1, sp, rt, block).entries
         assert np.max(np.abs(fwd @ bwd - np.eye(block.dim))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_slot_action_matches_dense_factor(n):
+    # the grid kernel's factor applied to identity columns is the dense factor
+    rng = np.random.default_rng(200 + n)
+    rt = draw_rates(rng, n)
+    points = [draw_point(rng, n, rt) for _ in range(4)]
+    for block in all_sectors(n):
+        for slot in range(1, n):
+            action = SlotAction(block, slot, rt)
+            for beta, alpha in [(2, 1), (1, 2), (n, 1)]:
+                xb = np.repeat([sp.xi[beta - 1] for sp in points], block.dim)
+                xa = np.repeat([sp.xi[alpha - 1] for sp in points], block.dim)
+                cols = np.tile(np.eye(block.dim, dtype=complex), (len(points), 1))
+                got = action.apply(xb, xa, cols).reshape(len(points), block.dim, block.dim)
+                for sp, g in zip(points, got):
+                    want = embed_T_l(slot, beta, alpha, sp, rt, block).entries.T
+                    assert np.all(np.abs(g - want) <= 1e-15 * np.abs(want))
+
+
+def test_factor_rejects_block_not_closed_under_exchange():
+    rt = RateTable((1.0, 2.0, 0.5))
+    sp = SpectralPoint((0.1, 0.2j, -0.15))
+    with pytest.raises(ValueError, match="closed"):
+        build_R(2, 1, sp, rt, [(1, 2)])
+    block = WordBlock([(1, 2, 3), (2, 1, 3)])
+    with pytest.raises(ValueError, match="closed"):
+        embed_T_l(2, 3, 2, sp, rt, block)
+    with pytest.raises(ValueError, match="closed"):
+        SlotAction(block, 2, rt)
