@@ -23,7 +23,6 @@ from .core import (
     ParticleState,
     PermutationElem,
     RateTable,
-    SectorIndex,
     SpeciesOutOfRange,
     WordBlock,
     build_sector,
@@ -65,7 +64,6 @@ __all__ = [
     "PoleOnContour",
     "ProbabilityResult",
     "RateTable",
-    "SectorIndex",
     "SectorMatrix",
     "SpeciesOutOfRange",
     "SpectralParams",

@@ -16,11 +16,17 @@ batched form of the factor ``rmatrix`` owns.  Grid slabs are processed in a fixe
 order and reduced sequentially, so a result at a given node count is
 reproducible bit for bit; the optional thread pool only maps slabs to
 workers, it never changes the reduction order.
+
+Targets enter as one table built per call: (T, N) position and word arrays,
+the support mask, and the sector rows, rate-power constants and per-axis
+distinct positions of the targets inside the support; every later stage reads it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,7 +37,6 @@ from .core import (
     ParticleState,
     PermutationElem,
     RateTable,
-    SectorIndex,
     WordBlock,
     build_sector,
     enumerate_sn,
@@ -70,8 +75,9 @@ class SpectralParams:
     """Contour radius and quadrature controls.
 
     ``radius=None`` picks half the admissible bound at call time, once the
-    rates are known.  Node counts are powers of two so refinement can
-    double them.
+    rates are known.  ``radius`` and ``adapt_tol`` must be finite positive
+    real numbers (bools raise TypeError).  Node counts are powers of two so
+    refinement can double them.
     """
 
     radius: Optional[float] = None
@@ -80,16 +86,18 @@ class SpectralParams:
     max_nodes: int = 256
 
     def __post_init__(self):
-        if self.radius is not None and not self.radius > 0:
-            raise ValueError("radius must be positive")
+        for name in ("adapt_tol",) if self.radius is None else ("radius", "adapt_tol"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {v!r}")
+            if not 0 < v <= sys.float_info.max:  # also false for NaN
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         for name in ("nodes_per_dim", "max_nodes"):
             m = getattr(self, name)
             if m < 4 or m & (m - 1):
                 raise ValueError(f"{name} must be a power of two, at least 4; got {m}")
         if self.max_nodes < self.nodes_per_dim:
             raise ValueError("max_nodes must be >= nodes_per_dim")
-        if not self.adapt_tol > 0:
-            raise ValueError("adapt_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,7 @@ def integrand(
     target: ParticleState,
     t: float,
     rates: RateTable,
-    sector: SectorIndex,
+    sector: WordBlock,
     amplitude: SectorMatrix,
 ) -> complex:
     """Scalar integrand of one permutation at one spectral point.
@@ -228,87 +236,59 @@ def _slab_moments(
 
 def _grid_values(
     initial: ParticleState,
-    targets: list[ParticleState],
+    axes: list[tuple[np.ndarray, np.ndarray]],
+    rows: np.ndarray,
     t: float,
     rates: RateTable,
-    sector: SectorIndex,
+    sector: WordBlock,
     perms: list[PermutationElem],
     m: int,
     radius: float,
     threads: int,
 ) -> np.ndarray:
-    """Sum over permutations of the quadrature value per target (constants excluded)."""
+    """Sum over permutations of the quadrature value per target (constants excluded).
+
+    ``axes[i]`` holds the distinct values of the targets' i-th positions and
+    each target's index into them; ``rows`` holds each target's word row.
+    """
     n = len(initial)
     dim = sector.dim
     nodes = _contour_nodes(radius, m)
     u = nodes / m * np.exp(t / nodes)  # node weight times time factor, per dimension
     nu_idx = sector.index(initial.species)
-    y = np.array(initial.positions)
-    x_arr = np.array([tg.positions for tg in targets])
-    rows = np.array([sector.index(tg.species) for tg in targets], dtype=np.intp)
+    y = initial.positions
     actions = {slot: SlotAction(sector, slot, rates) for slot in range(1, n)}
-    vals = np.zeros(len(targets), dtype=complex)
+    vals = np.zeros(len(rows), dtype=complex)
 
     for elem in perms:
         inv = np.argsort(np.array(elem.image))  # inv[k] = i with sigma(i) = k+1
-        expo = x_arr[:, inv] - y[None, :] - 1  # (targets, dims)
-        uniq, idx = [], []
-        for d in range(n):
-            un, ix = np.unique(expo[:, d], return_inverse=True)
-            uniq.append(un)
-            idx.append(ix)
-        weighted = [u[:, None] * nodes[:, None] ** un[None, :] for un in uniq]
+        idx = [axes[i][1] for i in inv]
+        weighted = [
+            u[:, None] * nodes[:, None] ** (axes[i][0] - y[k] - 1)[None, :]
+            for k, i in enumerate(inv)
+        ]
         if elem.is_identity:
             # identity amplitude: the grid sum factorizes into column sums
             colsums = [w.sum(axis=0) for w in weighted]
-            prod = np.ones(len(targets), dtype=complex)
+            prod = np.ones(len(rows), dtype=complex)
             for d in range(n):
                 prod *= colsums[d][idx[d]]
             vals += np.where(rows == nu_idx, prod, 0.0)
             continue
         factors = chain_factors(elem)
-        mom_shape = tuple(len(un) for un in uniq) + (dim,)
-        mom = np.zeros(mom_shape, dtype=complex)
+        mom = np.zeros(tuple(w.shape[1] for w in weighted) + (dim,), dtype=complex)
         ranges = _slab_ranges(m, n, dim)
+        args = (nodes, factors, actions, weighted, nu_idx, n, dim)
         if threads > 1 and len(ranges) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(
-                        _slab_moments, a, b, nodes, factors, actions, weighted, nu_idx, n, dim
-                    )
-                    for a, b in ranges
-                ]
-                for fut in futures:  # fixed reduction order
-                    mom += fut.result()
+                # map yields in slab order, so the reduction order stays fixed
+                for part in pool.map(lambda r: _slab_moments(*r, *args), ranges):
+                    mom += part
         else:
             for a, b in ranges:
-                mom += _slab_moments(a, b, nodes, factors, actions, weighted, nu_idx, n, dim)
+                mom += _slab_moments(a, b, *args)
         vals += mom[tuple(idx) + (rows,)]
     return vals
-
-
-def _target_constants(
-    initial: ParticleState, targets: list[ParticleState], t: float, rates: RateTable
-) -> np.ndarray:
-    """Rate-power prefactor per target, including the word-independent decay."""
-    decay = math.exp(-t * sum(rates.rate(s) for s in initial.species))
-    out = np.empty(len(targets))
-    y_factor = 1.0
-    for s, yv in zip(initial.species, initial.positions):
-        y_factor *= rates.rate(s) ** (-yv)
-    for j, tg in enumerate(targets):
-        c = decay * y_factor
-        for s, xv in zip(tg.species, tg.positions):
-            c *= rates.rate(s) ** xv
-        out[j] = c
-    return out
-
-
-def _is_support_zero(initial: ParticleState, target: ParticleState) -> bool:
-    """Exactly-zero targets: wrong species multiset, or a position moved left."""
-    if sorted(target.species) != sorted(initial.species):
-        return True
-    return any(xv < yv for xv, yv in zip(target.positions, initial.positions))
 
 
 def transition_matrix(
@@ -325,7 +305,9 @@ def transition_matrix(
     All targets share the spectral grid, so the amplitude columns are built
     once per node tuple regardless of how many targets are requested.
     Targets outside the support (different species multiset, or any ordered
-    position below its initial value) come back as exact zeros.
+    position below its initial value) come back as exact zeros.  Targets are
+    validated one by one, then held as the target table the module docstring
+    describes.  An empty target list runs every guard and returns ``[]``.
 
     Node counts double from ``nodes_per_dim`` until the largest change over
     targets drops below ``adapt_tol``; hitting ``max_nodes`` without
@@ -352,47 +334,59 @@ def transition_matrix(
     if t > 0 and t / radius > OVERFLOW_EXPONENT:
         raise OverflowRisk(f"t/radius = {t / radius:g} would overflow the time factor")
 
-    results: list[Optional[ProbabilityResult]] = [None] * len(targets)
-    quad_targets, quad_slots = [], []
-    for j, tg in enumerate(targets):
-        if _is_support_zero(initial, tg):
-            results[j] = ProbabilityResult(value=0.0, raw=0j, est_error=0.0, nodes_used=0)
-        else:
-            quad_targets.append(tg)
-            quad_slots.append(j)
-    if quad_targets:
+    # the target table: (T, N) positions and words, the support mask, and for
+    # the quadrature targets their sector rows, rate-power constants and the
+    # distinct values of each position axis with each target's index into them
+    x = np.array([tg.positions for tg in targets], dtype=np.int64).reshape(-1, n)
+    words = np.array([tg.species for tg in targets], dtype=np.int64).reshape(-1, n)
+    quad = (np.sort(words, axis=1) == sorted(initial.species)).all(axis=1)
+    quad &= (x >= initial.positions).all(axis=1)
+    final = np.zeros(len(targets), dtype=complex)
+    errs = np.zeros(len(targets))
+    m = 0
+    if quad.any():
         sector = build_sector(initial.species)
         perms = enumerate_sn(n)
-        consts = _target_constants(initial, quad_targets, t, rates)
+        rows = np.array([sector.index(w) for w in words[quad].tolist()], dtype=np.intp)
+        axes = [np.unique(col, return_inverse=True) for col in x[quad].T]
+        y_factor = 1.0
+        for s, yv in zip(initial.species, initial.positions):
+            y_factor *= rates.rate(s) ** (-yv)
+        decay = math.exp(-t * sum(map(rates.rate, initial.species)))
+        consts = np.full(len(rows), decay * y_factor)
+        for k, (ux, ix) in enumerate(axes):
+            # Python's float ** int (np.power can differ in the last ulp), once per
+            # species and distinct position, then gathered per target
+            powers = [[rates.rate(s) ** v for v in ux.tolist()] for s in range(1, n + 1)]
+            consts *= np.array(powers)[words[quad, k] - 1, ix]
 
         def probe(m):
             return consts * _grid_values(
-                initial, quad_targets, t, rates, sector, perms, m, radius, threads
+                initial, axes, rows, t, rates, sector, perms, m, radius, threads
             )
 
         m = params.nodes_per_dim
         prev = probe(m)
         if params.max_nodes == m:
-            final, errs = prev, np.zeros(len(quad_targets))
+            final[quad] = prev
         else:
             while True:
                 m *= 2
                 cur = probe(m)
-                errs = np.abs(cur - prev)
-                if errs.max() < params.adapt_tol:
-                    final = cur
+                delta = np.abs(cur - prev)
+                if delta.max() < params.adapt_tol:
+                    final[quad], errs[quad] = cur, delta
                     break
                 if m >= params.max_nodes:
                     raise NotConverged(
-                        f"{m} nodes per dimension reached with delta {errs.max():.3e} "
+                        f"{m} nodes per dimension reached with delta {delta.max():.3e} "
                         f"(tolerance {params.adapt_tol:.3e})"
                     )
                 prev = cur
-        for val, err, j in zip(final, errs, quad_slots):
-            results[j] = ProbabilityResult(
-                value=float(val.real), raw=complex(val), est_error=float(err), nodes_used=m
-            )
-    return results  # type: ignore[return-value]
+    return [
+        ProbabilityResult(float(v.real), complex(v), float(e), int(k))
+        for v, e, k in zip(final, errs, np.where(quad, m, 0))
+    ]
 
 
 def transition_probability(

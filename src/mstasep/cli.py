@@ -5,8 +5,9 @@ rejected so typos surface immediately.  Probabilities are printed with 17
 significant digits so output files can be compared across implementations.
 
 Exit codes: 0 success or pass, 1 verification failure, 2 configuration
-error (also a contour radius or time the spectral route rejects), 3
-quadrature failed to converge.
+error (also a particle count, contour radius or time the spectral route
+rejects; ``prob`` checks these before enumerating a window), 3 quadrature
+failed to converge.
 """
 
 from __future__ import annotations
@@ -84,7 +85,10 @@ def _parse_state(obj, where: str) -> ParticleState:
         raise ConfigError(f"{where} must be an object with positions and species")
     _require_keys(obj, {"positions", "species"}, {"positions", "species"}, where)
     try:
-        return ParticleState(tuple(obj["positions"]), tuple(obj["species"]))
+        positions, species = tuple(obj["positions"]), tuple(obj["species"])
+        if bool in map(type, positions + species):  # ParticleState would read them as 0/1
+            raise TypeError("positions and species must be integers, not true/false")
+        return ParticleState(positions, species)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad state in {where}: {exc}") from exc
 
@@ -146,6 +150,8 @@ def parse_config(text: str) -> JobConfig:
         if out_fmt is not None and out_fmt not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {out_fmt!r}")
         out_path = out_obj.get("path")
+        if out_path is not None and not isinstance(out_path, str):
+            raise ConfigError(f"output path must be a string, got {out_path!r}")
     cfg = JobConfig(
         rates=rates,
         initial=initial,
@@ -241,6 +247,11 @@ def _state_row(state: ParticleState) -> dict:
 
 def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = None, threads: int = 1) -> int:
     """Compute one row per target and write them in target order."""
+    try:  # the spectral guards, before any window is enumerated
+        bethe.transition_matrix(cfg.initial, [], cfg.time, cfg.rates, params=cfg.spectral)
+    except (ValueError, bethe.OverflowRisk) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     targets = resolve_targets(cfg)
     try:
         results = bethe.transition_matrix(
@@ -249,9 +260,6 @@ def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = Non
     except bethe.NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except (bethe.ContourInvalid, bethe.OverflowRisk) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     rows = []
     for state, res in zip(targets, results):
         row = _state_row(state)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -27,16 +29,23 @@ class SpeciesOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class RateTable:
-    """Jump rates per species, species labelled 1..N."""
+    """Jump rates per species, species labelled 1..N.
+
+    Rates must be real numbers (bools and strings raise TypeError), finite
+    and strictly positive; they are stored as floats.
+    """
 
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(b) for b in self.rates))
-        if len(self.rates) == 0:
+        rates = tuple(self.rates)
+        if len(rates) == 0:
             raise ValueError("rate table must not be empty")
-        if any(not b > 0.0 for b in self.rates):
-            raise ValueError(f"jump rates must be strictly positive, got {self.rates}")
+        if any(isinstance(b, bool) or not isinstance(b, numbers.Real) for b in rates):
+            raise TypeError(f"jump rates must be real numbers, got {rates}")
+        if any(not 0 < b <= sys.float_info.max for b in rates):  # also false for NaN
+            raise ValueError(f"jump rates must be finite and strictly positive, got {rates}")
+        object.__setattr__(self, "rates", tuple(float(b) for b in rates))
 
     @property
     def n_species(self) -> int:
@@ -155,26 +164,17 @@ class WordBlock:
         return f"{type(self).__name__}({len(self.words)} words of length {self.word_length})"
 
 
-class SectorIndex(WordBlock):
-    """All distinct permutations of one species multiset, in lexicographic order."""
-
-    __slots__ = ("multiset",)
-
-    def __init__(self, multiset: Sequence[int]):
-        self.multiset: tuple[int, ...] = tuple(sorted(int(s) for s in multiset))
-        super().__init__(sorted(set(itertools.permutations(self.multiset))))
-
-
-def build_sector(multiset: Sequence[int]) -> SectorIndex:
+def build_sector(multiset: Sequence[int]) -> WordBlock:
     """Sector (multiset block) for a species multiset with entries in 1..N.
 
-    The block size is the multinomial coefficient of the multiset.
+    The block lists every distinct permutation of the multiset in
+    lexicographic order; its size is the multinomial coefficient.
     """
     ms = sorted(int(s) for s in multiset)
     n = len(ms)
     if any(not 1 <= s <= n for s in ms):
         raise SpeciesOutOfRange(f"multiset {ms} has labels outside 1..{n}")
-    return SectorIndex(ms)
+    return WordBlock(sorted(set(itertools.permutations(ms))))
 
 
 def sector_size(multiset: Sequence[int]) -> int:

@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     PermutationElem,
     RateTable,
-    SectorIndex,
     WordBlock,
     build_sector,
     enumerate_sn,
@@ -263,7 +262,7 @@ def product_along_slots(
     return acc, image
 
 
-def all_sectors(n: int) -> list[SectorIndex]:
+def all_sectors(n: int) -> list[WordBlock]:
     """Every multiset sector of n-letter words over species {1..n}."""
     return [build_sector(ms) for ms in combinations_with_replacement(range(1, n + 1), n)]
 

@@ -239,6 +239,25 @@ def test_threads_do_not_change_values():
         assert a.raw == b.raw  # identical slab order, identical bits
 
 
+def test_thread_pool_over_several_slabs(monkeypatch):
+    from mstasep import bethe
+
+    rng = np.random.default_rng(37)
+    rt = draw_rates(rng, 3)
+    initial = ParticleState((0, 1, 2), (3, 1, 2))
+    targets = [ParticleState((0, 1, 3), (1, 3, 2)), ParticleState((0, 1, 2), (1, 2, 3))]
+    params = SpectralParams(nodes_per_dim=16, max_nodes=16)
+    assert len(bethe._slab_ranges(16, 3, 6)) == 1
+    single = transition_matrix(initial, targets, 0.4, rt, params=params)
+    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", 5 * 16**2 * 6 * 64)  # five grid rows per slab
+    assert len(bethe._slab_ranges(16, 3, 6)) >= 2
+    serial = transition_matrix(initial, targets, 0.4, rt, params=params, threads=1)
+    threaded = transition_matrix(initial, targets, 0.4, rt, params=params, threads=2)
+    for a, b, ref in zip(serial, threaded, single):
+        assert a.raw == b.raw  # the pool keeps the slab reduction order
+        assert abs(a.raw - ref.raw) <= 1e-14 * abs(ref.raw)
+
+
 def test_refinement_reports_error_and_converges():
     rt = RateTable((0.9, 1.6))
     initial = ParticleState((0, 1), (2, 1))

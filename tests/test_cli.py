@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mstasep import ParticleState, RateTable, transition_matrix
 from mstasep.cli import (
@@ -73,6 +75,16 @@ def test_window_targets_round_trip():
         {"time": float("inf")},
         {"initial": {"positions": [0.9, 1], "species": [2, 1]}},
         {"initial": {"positions": [0, 1], "species": ["2", 1]}},
+        {"rates": [True, 2.0]},
+        {"rates": ["1", 2.0]},
+        {"rates": [1e400, 2.0]},
+        {"spectral": {"adapt_tol": True}},
+        {"spectral": {"adapt_tol": 1e400}},
+        {"spectral": {"radius": True}},
+        {"spectral": {"radius": float("nan")}},
+        {"output": {"path": 1}},
+        {"initial": {"positions": [0, True], "species": [2, 1]}},
+        {"targets": [{"positions": [0, 1], "species": [True, 2]}]},
     ],
 )
 def test_bad_configs_rejected(patch):
@@ -220,6 +232,11 @@ def test_cmd_prob_not_converged_exit_code(tmp_path):
     [
         {"spectral": {"radius": 0.6}},  # outside the admissible disk (0.5) of rates (1, 2)
         {"time": 1000.0},  # t/radius far past the overflow guard
+        {  # five particles: past the default particle limit
+            "rates": [1.0, 1.2, 1.4, 1.6, 1.8],
+            "initial": {"positions": [0, 1, 2, 3, 4], "species": [5, 4, 3, 2, 1]},
+            "targets": [{"positions": [0, 1, 2, 3, 4], "species": [1, 2, 3, 4, 5]}],
+        },
     ],
 )
 def test_cmd_prob_contour_config_exit_code(tmp_path, capsys, patch):
@@ -256,3 +273,94 @@ def test_job_config_is_frozen():
     assert isinstance(cfg, JobConfig)
     with pytest.raises(AttributeError):
         cfg.time = 1.0
+
+
+def test_cmd_prob_guards_run_before_window_enumeration(tmp_path, monkeypatch, capsys):
+    import mstasep.oracle as oracle_mod
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("window enumerated before the guards ran")
+
+    monkeypatch.setattr(oracle_mod, "build_generator", no_window)
+    cfg = parse_config(
+        json.dumps(
+            {
+                "rates": [1.0, 2.0, 1.5],
+                "initial": {"positions": [0, 1, 2], "species": [3, 2, 1]},
+                "time": 200,
+                "targets": "window",
+            }
+        )
+    )
+    out_path = tmp_path / "never.csv"
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_CONFIG
+    assert not out_path.exists()
+    assert "t/radius" in capsys.readouterr().err
+
+
+# every key of a full config, including list entries, as a path into the JSON tree
+_CONFIG_PATHS = [
+    ("rates",),
+    ("rates", 0),
+    ("initial",),
+    ("initial", "positions"),
+    ("initial", "positions", 1),
+    ("initial", "species"),
+    ("initial", "species", 0),
+    ("time",),
+    ("targets",),
+    ("targets", 0),
+    ("targets", 0, "positions"),
+    ("targets", 0, "species", 1),
+    ("spectral",),
+    ("spectral", "radius"),
+    ("spectral", "nodes_per_dim"),
+    ("spectral", "adapt_tol"),
+    ("spectral", "max_nodes"),
+    ("output",),
+    ("output", "format"),
+    ("output", "path"),
+]
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**1000, max_value=2**1400)  # JSON integers past float range
+    | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_CONFIG_PATHS), _json_values, min_size=1, max_size=3))
+def test_parse_config_fuzz(substitutions):
+    data = json.loads(
+        minimal_config(
+            spectral={"radius": 0.2, "nodes_per_dim": 16, "adapt_tol": 1e-8, "max_nodes": 64},
+            output={"format": "csv", "path": "out.csv"},
+        )
+    )
+
+    def holds(node, key):
+        if isinstance(node, dict):
+            return isinstance(key, str) and key in node
+        return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+    # parents first; a key whose parent was already replaced is skipped
+    for path, value in sorted(substitutions.items(), key=lambda kv: len(kv[0])):
+        node = data
+        for key in path[:-1]:
+            node = node[key] if holds(node, key) else None
+        if holds(node, path[-1]):
+            node[path[-1]] = value
+    try:
+        cfg = parse_config(json.dumps(data))
+    except ConfigError:
+        return
+    assert isinstance(cfg, JobConfig)
+    text = canonical_config(cfg)
+    assert canonical_config(parse_config(text)) == text

@@ -27,6 +27,17 @@ def test_rate_table_rejects_nonpositive():
         RateTable(())
 
 
+def test_rate_table_rejects_coerced_values_keeps_numpy_scalars():
+    for bad in ((True, 2.0), ("1", 2.0)):
+        with pytest.raises(TypeError):
+            RateTable(bad)
+    for bad in ((float("inf"), 2.0), (float("nan"), 2.0), (10**400, 2.0)):
+        with pytest.raises(ValueError):
+            RateTable(bad)
+    rt = RateTable((np.int64(1), np.float32(0.5), np.float64(2.0)))
+    assert rt.rates == (1.0, 0.5, 2.0) and all(type(b) is float for b in rt.rates)
+
+
 def test_rate_table_lookup_is_one_based():
     rt = RateTable((0.5, 2.0))
     assert rt.rate(1) == 0.5
