@@ -10,12 +10,22 @@ The tensor-grid sum is evaluated by contracting, per permutation, the grid
 of amplitude-column values against one matrix of weighted node powers per
 dimension.  That regrouping is algebraically identical to summing the
 integrand node by node (the tests check this against a literal node loop)
-but shares all work between targets.  The two-site factors along each
-permutation's reduced word are applied by :class:`rmatrix.SlotAction`, the
-batched form of the factor ``rmatrix`` owns.  Grid slabs are processed in a fixed
-order and reduced sequentially, so a result at a given node count is
-reproducible bit for bit; the optional thread pool only maps slabs to
-workers, it never changes the reduction order.
+but shares all work between targets.
+
+The grid is cut into slabs of rows along its first axis.  Inside a slab the
+amplitude columns are built by walking the predecessor tree of
+``enumerate_sn`` depth first from the identity column: each permutation
+applies one two-site factor, the last of its reduced word, to its parent's
+columns through :class:`rmatrix.SlotAction`, so a slab costs N! - 1 factor
+applications; the identity term needs no columns, its grid sum factorizes
+into column sums.  Columns are held as (dim, *slab) arrays, one contiguous
+array per word row.  A parent's last child overwrites the parent's columns in
+place and children are visited smallest subtree first, so at most N - 1
+column arrays are alive at once (2, 3, 4, 5 at N = 3, 4, 5, 6).  Each slab
+returns every permutation's per-target moments; these are summed over slabs
+in slab order, then over permutations in enumeration order, so a result at
+a given node count is reproducible bit for bit.  The optional thread pool
+only maps slabs to workers, it never changes the reduction order.
 
 Targets enter as one table built per call: (T, N) position and word arrays,
 the support mask, and the sector rows, rate-power constants and per-axis
@@ -53,6 +63,11 @@ OVERFLOW_EXPONENT = 700.0
 # target bytes for one slab of amplitude-column values
 _SLAB_BUDGET_BYTES = 2.0e8
 
+# largest node count per dimension SpectralParams accepts
+MAX_NODES_PER_DIM = 4096
+
+_INT64 = np.iinfo(np.int64)
+
 
 class ContourInvalid(ValueError):
     """Contour radius conflicts with the pole locations of the integrand."""
@@ -76,8 +91,9 @@ class SpectralParams:
 
     ``radius=None`` picks half the admissible bound at call time, once the
     rates are known.  ``radius`` and ``adapt_tol`` must be finite positive
-    real numbers (bools raise TypeError).  Node counts are powers of two so
-    refinement can double them.
+    real numbers (bools raise TypeError).  Node counts are integers (bools and
+    floats raise TypeError) and powers of two from 4 to ``MAX_NODES_PER_DIM``,
+    so refinement can double them.
     """
 
     radius: Optional[float] = None
@@ -94,8 +110,12 @@ class SpectralParams:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         for name in ("nodes_per_dim", "max_nodes"):
             m = getattr(self, name)
-            if m < 4 or m & (m - 1):
-                raise ValueError(f"{name} must be a power of two, at least 4; got {m}")
+            if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {m!r}")
+            if not 4 <= m <= MAX_NODES_PER_DIM or m & (m - 1):
+                raise ValueError(
+                    f"{name} must be a power of two from 4 to {MAX_NODES_PER_DIM}; got {m}"
+                )
         if self.max_nodes < self.nodes_per_dim:
             raise ValueError("max_nodes must be >= nodes_per_dim")
 
@@ -193,45 +213,86 @@ def bethe_sum(
 # ---------------------------------------------------------------------------
 
 
+def _positions_array(states: Sequence[ParticleState], n: int) -> np.ndarray:
+    """(len(states), n) int64 positions; a position past int64 raises ValueError."""
+    try:
+        return np.array([s.positions for s in states], dtype=np.int64).reshape(-1, n)
+    except OverflowError:
+        bad = next(x for s in states for x in s.positions if not _INT64.min <= x <= _INT64.max)
+        raise ValueError(f"position {bad} outside the int64 range") from None
+
+
 def _contour_nodes(radius: float, m: int) -> np.ndarray:
     return radius * np.exp(2j * np.pi * np.arange(m) / m)
 
 
 def _slab_ranges(m: int, n: int, dim: int) -> list[tuple[int, int]]:
-    per_row = m ** (n - 1) * dim * 16 * 4  # v, out and temporaries
+    # n - 1 live column arrays on the tree walk plus the contraction's copy, at least four
+    per_row = m ** (n - 1) * dim * 16 * max(4, n)
     s = max(1, min(m, int(_SLAB_BUDGET_BYTES / max(per_row, 1))))
     return [(a, min(a + s, m)) for a in range(0, m, s)]
+
+
+def _walk_tree(perms: list[PermutationElem]) -> list[list[int]]:
+    """Children of each permutation in the predecessor tree, smallest subtree first.
+
+    Indices are positions in ``perms``, whose breadth-first order lists every
+    parent before its children.
+    """
+    pos = {elem.image: k for k, elem in enumerate(perms)}
+    parent = [None if elem.is_identity else pos[elem.pred.image] for elem in perms]
+    size = [1] * len(perms)
+    for k in range(len(perms) - 1, 0, -1):
+        size[parent[k]] += size[k]
+    children: list[list[int]] = [[] for _ in perms]
+    for k in sorted(range(1, len(perms)), key=size.__getitem__):
+        children[parent[k]].append(k)
+    return children
 
 
 def _slab_moments(
     a: int,
     b: int,
     nodes: np.ndarray,
-    factors: list[tuple[int, int, int]],
+    children: list[list[int]],
+    steps: list[tuple],
     actions: dict[int, SlotAction],
-    weighted_powers: list[np.ndarray],
     nu_idx: int,
     n: int,
     dim: int,
+    n_targets: int,
 ) -> np.ndarray:
-    """Moment contribution of grid rows [a, b) for one permutation."""
+    """Per-target moments of grid rows [a, b), one row per permutation.
+
+    Walks the predecessor tree depth first from the identity column: each
+    permutation applies its last factor to its parent's columns, and a
+    parent's last child does so in place.  The identity's row stays zero.
+    """
     m = len(nodes)
-    shape = (b - a,) + (m,) * (n - 1)
-    batch = (b - a) * m ** (n - 1)
-    xi = []
-    for d in range(n):
-        src = nodes[a:b] if d == 0 else nodes
-        view = src.reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
-        xi.append(np.broadcast_to(view, shape).ravel())
-    v = np.zeros((batch, dim), dtype=complex)
-    v[:, nu_idx] = 1.0
-    for slot, beta, alpha in factors:
-        v = actions[slot].apply(xi[beta - 1], xi[alpha - 1], v)
-    arr = v.reshape(shape + (dim,))
-    for d in range(n, 1, -1):  # the k_d axis sits at position d-1 at this step
-        arr = np.tensordot(arr, weighted_powers[d - 1], axes=([d - 1], [0]))
-    arr = np.tensordot(arr, weighted_powers[0][a:b], axes=([0], [0]))
-    return arr.transpose(tuple(range(arr.ndim))[::-1])
+    xi = [
+        (nodes[a:b] if d == 0 else nodes).reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
+        for d in range(n)
+    ]
+    moments = np.zeros((len(children), n_targets), dtype=complex)
+
+    def visit(k: int, v: np.ndarray) -> None:
+        for j, c in enumerate(children[k]):
+            (slot, beta, alpha), weighted, gather = steps[c]
+            last = j == len(children[k]) - 1
+            w = actions[slot].apply(xi[beta - 1], xi[alpha - 1], v, out=v if last else None)
+            # contract point-major with dim last: BLAS rounding can depend on where a
+            # row sits in the matrix, so the matrices keep this one row order
+            arr = np.moveaxis(w, 0, -1)  # (rows, m, ..., m, dim)
+            for d in range(n, 1, -1):  # the k_d axis sits at position d-1 at this step
+                arr = np.tensordot(arr, weighted[d - 1], axes=([d - 1], [0]))
+            arr = np.tensordot(arr, weighted[0][a:b], axes=([0], [0]))
+            moments[c] = arr.T[gather]
+            visit(c, w)
+
+    root = np.zeros((dim, b - a) + (m,) * (n - 1), dtype=complex)
+    root[nu_idx] = 1.0
+    visit(0, root)
+    return moments
 
 
 def _grid_values(
@@ -258,36 +319,43 @@ def _grid_values(
     nu_idx = sector.index(initial.species)
     y = initial.positions
     actions = {slot: SlotAction(sector, slot, rates) for slot in range(1, n)}
-    vals = np.zeros(len(rows), dtype=complex)
-
+    # node weights times powers of grid axis k against target axis i, built once per pair
+    pair_weights = {
+        (k, i): u[:, None] * nodes[:, None] ** (ux - y[k] - 1)[None, :]
+        for k in range(n)
+        for i, (ux, _) in enumerate(axes)
+    }
+    steps = []
     for elem in perms:
         inv = np.argsort(np.array(elem.image))  # inv[k] = i with sigma(i) = k+1
-        idx = [axes[i][1] for i in inv]
-        weighted = [
-            u[:, None] * nodes[:, None] ** (axes[i][0] - y[k] - 1)[None, :]
-            for k, i in enumerate(inv)
-        ]
+        steps.append((
+            None if elem.is_identity else chain_factors(elem)[-1],
+            [pair_weights[k, i] for k, i in enumerate(inv)],
+            tuple(axes[i][1] for i in inv) + (rows,),
+        ))
+
+    ranges = _slab_ranges(m, n, dim)
+    args = (nodes, _walk_tree(perms), steps, actions, nu_idx, n, dim, len(rows))
+    moments = np.zeros((len(perms), len(rows)), dtype=complex)
+    if threads > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            # map yields in slab order, so the reduction order stays fixed
+            for part in pool.map(lambda r: _slab_moments(*r, *args), ranges):
+                moments += part
+    else:
+        for a, b in ranges:
+            moments += _slab_moments(a, b, *args)
+
+    vals = np.zeros(len(rows), dtype=complex)
+    for elem, (_, weighted, gather), mom in zip(perms, steps, moments):
         if elem.is_identity:
             # identity amplitude: the grid sum factorizes into column sums
-            colsums = [w.sum(axis=0) for w in weighted]
             prod = np.ones(len(rows), dtype=complex)
-            for d in range(n):
-                prod *= colsums[d][idx[d]]
+            for w, ix in zip(weighted, gather):
+                prod *= w.sum(axis=0)[ix]
             vals += np.where(rows == nu_idx, prod, 0.0)
-            continue
-        factors = chain_factors(elem)
-        mom = np.zeros(tuple(w.shape[1] for w in weighted) + (dim,), dtype=complex)
-        ranges = _slab_ranges(m, n, dim)
-        args = (nodes, factors, actions, weighted, nu_idx, n, dim)
-        if threads > 1 and len(ranges) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                # map yields in slab order, so the reduction order stays fixed
-                for part in pool.map(lambda r: _slab_moments(*r, *args), ranges):
-                    mom += part
         else:
-            for a, b in ranges:
-                mom += _slab_moments(a, b, *args)
-        vals += mom[tuple(idx) + (rows,)]
+            vals += mom
     return vals
 
 
@@ -307,7 +375,9 @@ def transition_matrix(
     Targets outside the support (different species multiset, or any ordered
     position below its initial value) come back as exact zeros.  Targets are
     validated one by one, then held as the target table the module docstring
-    describes.  An empty target list runs every guard and returns ``[]``.
+    describes; a position outside the int64 range, in the initial state or any
+    target, raises ValueError.  An empty target list runs every guard and
+    returns ``[]``.
 
     Node counts double from ``nodes_per_dim`` until the largest change over
     targets drops below ``adapt_tol``; hitting ``max_nodes`` without
@@ -337,10 +407,11 @@ def transition_matrix(
     # the target table: (T, N) positions and words, the support mask, and for
     # the quadrature targets their sector rows, rate-power constants and the
     # distinct values of each position axis with each target's index into them
-    x = np.array([tg.positions for tg in targets], dtype=np.int64).reshape(-1, n)
+    positions = _positions_array([initial, *targets], n)
+    y, x = positions[0], positions[1:]
     words = np.array([tg.species for tg in targets], dtype=np.int64).reshape(-1, n)
     quad = (np.sort(words, axis=1) == sorted(initial.species)).all(axis=1)
-    quad &= (x >= initial.positions).all(axis=1)
+    quad &= (x >= y).all(axis=1)
     final = np.zeros(len(targets), dtype=complex)
     errs = np.zeros(len(targets))
     m = 0

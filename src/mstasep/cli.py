@@ -88,7 +88,9 @@ def _parse_state(obj, where: str) -> ParticleState:
         positions, species = tuple(obj["positions"]), tuple(obj["species"])
         if bool in map(type, positions + species):  # ParticleState would read them as 0/1
             raise TypeError("positions and species must be integers, not true/false")
-        return ParticleState(positions, species)
+        state = ParticleState(positions, species)
+        bethe._positions_array([state], len(state))  # the int64 range the spectral route needs
+        return state
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad state in {where}: {exc}") from exc
 
@@ -152,6 +154,8 @@ def parse_config(text: str) -> JobConfig:
         out_path = out_obj.get("path")
         if out_path is not None and not isinstance(out_path, str):
             raise ConfigError(f"output path must be a string, got {out_path!r}")
+        if out_path == "":
+            raise ConfigError("output path must not be empty; use '-' for standard output")
     cfg = JobConfig(
         rates=rates,
         initial=initial,
@@ -238,6 +242,11 @@ def _write_rows(rows: list[dict], fmt: str, path: str) -> None:
             handle.write(text)
 
 
+def _output_path(out: Optional[str], cfg: JobConfig) -> str:
+    """``--out``, else the config's output path, else standard output."""
+    return next(p for p in (out, cfg.output_path, "-") if p is not None)
+
+
 def _state_row(state: ParticleState) -> dict:
     return {
         "positions": ";".join(str(x) for x in state.positions),
@@ -267,7 +276,7 @@ def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = Non
             value=res.value, est_error=res.est_error, nodes_used=res.nodes_used
         )
         rows.append(row)
-    _write_rows(rows, fmt or cfg.output_format or "csv", out or cfg.output_path or "-")
+    _write_rows(rows, fmt or cfg.output_format or "csv", _output_path(out, cfg))
     return EXIT_OK
 
 
@@ -292,7 +301,7 @@ def cmd_simulate(
             count=count,
         )
         rows.append(row)
-    _write_rows(rows, fmt or cfg.output_format or "csv", out or cfg.output_path or "-")
+    _write_rows(rows, fmt or cfg.output_format or "csv", _output_path(out, cfg))
     return EXIT_OK
 
 
@@ -477,6 +486,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.out == "":
+            raise ConfigError("--out must not be empty; use '-' for standard output")
         if args.command == "prob":
             if args.config is None:
                 raise ConfigError("prob requires --config")

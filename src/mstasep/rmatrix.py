@@ -166,20 +166,37 @@ class SlotAction:
     """The factor at one slot applied over a grid batch, with S and T once per species."""
 
     def __init__(self, block: WordBlock, slot: int, rates: RateTable):
-        self.desc, self.eq, self.asc, self.partner, eq_letter, asc_letter = (
-            np.array(rows, dtype=np.intp) for rows in block.slot_table(slot)
-        )
-        self.eq_col, self.asc_col = eq_letter - 1, asc_letter - 1  # columns of b
+        self.desc, self.eq, self.asc, self.partner, eq_letter, asc_letter = block.slot_table(slot)
+        self.eq_col = tuple(s - 1 for s in eq_letter)  # species axis of the S/T table
+        self.asc_col = tuple(s - 1 for s in asc_letter)
         self.b = np.array(rates.rates)
 
-    def apply(self, xb: np.ndarray, xa: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Left-multiply a (batch, dim) stack of columns by the factor at each point."""
-        s, t = amplitudes(self.b, xb[:, None], xa[:, None])
-        out = np.empty_like(v)
-        out[:, self.desc] = -v[:, self.desc]
-        out[:, self.eq] = s[:, self.eq_col] * v[:, self.eq]
-        asc = self.asc
-        out[:, asc] = s[:, self.asc_col] * v[:, asc] + t[:, self.asc_col] * v[:, self.partner]
+    def apply(
+        self, xb: np.ndarray, xa: np.ndarray, v: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Left-multiply columns held as (dim, *points) by the factor at each point.
+
+        Each word row ``v[r]`` is one array over the points, and ``xb``/``xa``
+        broadcast against it, so S and T form an (N, *broadcast) table with
+        one entry per species and distinct spectral pair.  Rows are written
+        one by one, with no gathers.  ``out`` may be ``v`` itself: ascending
+        rows are formed first from their still untouched descending partners,
+        and the descending rows are negated last.
+        """
+        b = self.b.reshape((-1,) + (1,) * max(np.ndim(xb), np.ndim(xa)))
+        s, t = amplitudes(b, xb, xa)
+        if out is None:
+            out = np.empty_like(v)
+        tv = np.empty_like(v[0])
+        # S and T stay the first operand: numpy may round a*b and b*a differently
+        for r, p, c in zip(self.asc, self.partner, self.asc_col):
+            np.multiply(t[c], v[p], out=tv)
+            np.multiply(s[c], v[r], out=out[r])
+            np.add(out[r], tv, out=out[r])
+        for r, c in zip(self.eq, self.eq_col):
+            np.multiply(s[c], v[r], out=out[r])
+        for r in self.desc:
+            np.negative(v[r], out=out[r])
         return out
 
 

@@ -258,6 +258,45 @@ def test_thread_pool_over_several_slabs(monkeypatch):
         assert abs(a.raw - ref.raw) <= 1e-14 * abs(ref.raw)
 
 
+@pytest.mark.parametrize("n, apps", [(3, 5), (4, 23)])
+def test_kernel_applies_one_factor_per_permutation(monkeypatch, n, apps):
+    # the tree walk builds each non-identity amplitude column from its parent's
+    from mstasep import bethe
+    from mstasep.rmatrix import SlotAction
+
+    calls = []
+    apply = SlotAction.apply
+    monkeypatch.setattr(
+        SlotAction, "apply", lambda self, *a, **k: calls.append(1) or apply(self, *a, **k)
+    )
+    rt = draw_rates(np.random.default_rng(41), n)
+    initial = ParticleState(tuple(range(n)), tuple(range(n, 0, -1)))
+    params = SpectralParams(nodes_per_dim=4, max_nodes=4)
+    transition_matrix(initial, [initial], 0.3, rt, params=params)
+    assert len(calls) == apps * len(bethe._slab_ranges(4, n, math.factorial(n)))
+
+
+def test_thread_pool_over_several_slabs_four_particles(monkeypatch):
+    from mstasep import bethe
+
+    rt = draw_rates(np.random.default_rng(43), 4)
+    initial = ParticleState((0, 1, 2, 3), (4, 2, 1, 3))
+    targets = [
+        ParticleState((0, 1, 2, 4), (2, 4, 1, 3)),
+        ParticleState((1, 2, 3, 5), (4, 1, 3, 2)),
+        ParticleState((0, 2, 3, 4), (4, 2, 1, 3)),
+    ]
+    params = SpectralParams(nodes_per_dim=8, max_nodes=8)
+    single = transition_matrix(initial, targets, 0.3, rt, params=params)
+    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", 3 * 8**3 * 24 * 64)  # three grid rows per slab
+    assert len(bethe._slab_ranges(8, 4, 24)) >= 3
+    serial = transition_matrix(initial, targets, 0.3, rt, params=params, threads=1)
+    threaded = transition_matrix(initial, targets, 0.3, rt, params=params, threads=2)
+    for a, b, ref in zip(serial, threaded, single):
+        assert a.raw == b.raw  # the pool keeps the slab reduction order
+        assert abs(a.raw - ref.raw) <= 1e-14 * abs(ref.raw)
+
+
 def test_refinement_reports_error_and_converges():
     rt = RateTable((0.9, 1.6))
     initial = ParticleState((0, 1), (2, 1))
@@ -297,6 +336,15 @@ def test_overflow_guard_raised():
             rt,
             params=SpectralParams(radius=0.4),
         )
+
+
+def test_positions_beyond_int64_rejected():
+    rt = RateTable((1.0, 2.0))
+    initial = ParticleState((0, 1), (2, 1))
+    with pytest.raises(ValueError, match=str(10**20)):
+        transition_matrix(initial, [ParticleState((0, 10**20), (1, 2))], 0.5, rt)
+    with pytest.raises(ValueError, match=str(-(2**63) - 1)):
+        transition_matrix(ParticleState((-(2**63) - 1, 0), (2, 1)), [], 0.5, rt)
 
 
 def test_non_finite_time_rejected():
@@ -399,6 +447,15 @@ def test_spectral_params_validation():
         SpectralParams(adapt_tol=0.0)
     with pytest.raises(ValueError):
         SpectralParams(radius=-0.1)
+    with pytest.raises(ValueError, match="4096"):
+        SpectralParams(nodes_per_dim=2**40, max_nodes=2**41)
+    with pytest.raises(ValueError, match="max_nodes"):
+        SpectralParams(max_nodes=8192)
+    with pytest.raises(TypeError, match="nodes_per_dim"):
+        SpectralParams(nodes_per_dim=True)
+    with pytest.raises(TypeError, match="max_nodes"):
+        SpectralParams(max_nodes=32.0)
+    assert SpectralParams(nodes_per_dim=np.int64(16), max_nodes=4096).max_nodes == 4096
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,12 @@ def test_window_targets_round_trip():
         {"output": {"path": 1}},
         {"initial": {"positions": [0, True], "species": [2, 1]}},
         {"targets": [{"positions": [0, 1], "species": [True, 2]}]},
+        {"targets": [{"positions": [0, 10**20], "species": [1, 2]}]},
+        {"initial": {"positions": [-(2**63) - 1, 1], "species": [2, 1]}},
+        {"spectral": {"nodes_per_dim": 2**40, "max_nodes": 2**41}},
+        {"spectral": {"nodes_per_dim": True}},
+        {"spectral": {"max_nodes": 32.0}},
+        {"output": {"path": ""}},
     ],
 )
 def test_bad_configs_rejected(patch):
@@ -216,6 +222,14 @@ def test_main_config_error_exit_code(tmp_path):
     assert main(["prob", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["prob", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
     assert main(["simulate", "--config", str(bad), "--samples", "5"]) == EXIT_CONFIG
+
+
+def test_main_empty_out_path_exit_code(tmp_path, capsys):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(minimal_config())
+    assert main(["prob", "--config", str(cfg_path), "--out", ""]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.out == ""
 
 
 def test_cmd_prob_not_converged_exit_code(tmp_path):

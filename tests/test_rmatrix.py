@@ -310,10 +310,14 @@ def test_slot_action_matches_dense_factor(n):
                 xb = np.repeat([sp.xi[beta - 1] for sp in points], block.dim)
                 xa = np.repeat([sp.xi[alpha - 1] for sp in points], block.dim)
                 cols = np.tile(np.eye(block.dim, dtype=complex), (len(points), 1))
-                got = action.apply(xb, xa, cols).reshape(len(points), block.dim, block.dim)
+                got = action.apply(xb, xa, cols.T).T.reshape(len(points), block.dim, block.dim)
                 for sp, g in zip(points, got):
                     want = embed_T_l(slot, beta, alpha, sp, rt, block).entries.T
                     assert np.all(np.abs(g - want) <= 1e-15 * np.abs(want))
+                # in place: ascending rows read their descending partners before those change
+                v = np.ascontiguousarray(cols.T)
+                assert action.apply(xb, xa, v, out=v) is v
+                assert v.T.reshape(got.shape).tobytes() == got.tobytes()
 
 
 def test_factor_rejects_block_not_closed_under_exchange():
