@@ -21,22 +21,23 @@ applications; the identity term needs no columns, its grid sum factorizes
 into column sums.  Columns are held as (dim, *slab) arrays, one contiguous
 array per word row.  A parent's last child overwrites the parent's columns in
 place and children are visited smallest subtree first, so at most N - 1
-column arrays are alive at once (2, 3, 4, 5 at N = 3, 4, 5, 6).  Each slab
-returns every permutation's per-target moments; these are summed over slabs
-in slab order, then over permutations in enumeration order, so a result at
-a given node count is reproducible bit for bit.  The optional thread pool
-only maps slabs to workers, it never changes the reduction order.
+column arrays are alive at once (2, 3, 4, 5 at N = 3, 4, 5, 6).  Columns are
+contracted where they lie; each slab adds its per-target moments in tree-walk
+order, the slab sums are added in slab order and the identity term last.  This
+fixed order gives the same bits at a given node count on repeated calls and for
+any ``threads`` (the pool only maps slabs to workers).
 
 Targets enter as one table built per call: (T, N) position and word arrays,
 the support mask, and the sector rows, rate-power constants and per-axis
 distinct positions of the targets inside the support; every later stage reads it.
+Positions are taken relative to the start's leftmost site: the value is
+translation invariant, and a start far from the origin then overflows nothing.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -50,6 +51,7 @@ from .core import (
     WordBlock,
     build_sector,
     enumerate_sn,
+    finite_positive,
     validate_state,
 )
 from .rmatrix import SectorMatrix, SlotAction, SpectralPoint, chain_factors, contour_bound
@@ -78,7 +80,7 @@ class NotConverged(RuntimeError):
 
 
 class OverflowRisk(ArithmeticError):
-    """t/radius is large enough that the time factor overflows float64."""
+    """A time factor, rate power or node power overflows float64, or a displacement int64."""
 
 
 class ZeroSpectralValue(ValueError):
@@ -106,7 +108,7 @@ class SpectralParams:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise TypeError(f"{name} must be a real number, got {v!r}")
-            if not 0 < v <= sys.float_info.max:  # also false for NaN
+            if not finite_positive(v):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         for name in ("nodes_per_dim", "max_nodes"):
             m = getattr(self, name)
@@ -227,7 +229,7 @@ def _contour_nodes(radius: float, m: int) -> np.ndarray:
 
 
 def _slab_ranges(m: int, n: int, dim: int) -> list[tuple[int, int]]:
-    # n - 1 live column arrays on the tree walk plus the contraction's copy, at least four
+    # n - 1 live column arrays on the tree walk plus contraction intermediates, at least four
     per_row = m ** (n - 1) * dim * 16 * max(4, n)
     s = max(1, min(m, int(_SLAB_BUDGET_BYTES / max(per_row, 1))))
     return [(a, min(a + s, m)) for a in range(0, m, s)]
@@ -260,43 +262,40 @@ def _slab_moments(
     nu_idx: int,
     n: int,
     dim: int,
-    n_targets: int,
 ) -> np.ndarray:
-    """Per-target moments of grid rows [a, b), one row per permutation.
+    """Per-target sum over the non-identity permutations of grid rows [a, b).
 
     Walks the predecessor tree depth first from the identity column: each
     permutation applies its last factor to its parent's columns, and a
-    parent's last child does so in place.  The identity's row stays zero.
+    parent's last child does so in place.  Moments are added in walk order.
     """
-    m = len(nodes)
     xi = [
         (nodes[a:b] if d == 0 else nodes).reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
         for d in range(n)
     ]
-    moments = np.zeros((len(children), n_targets), dtype=complex)
+    total = 0.0
 
     def visit(k: int, v: np.ndarray) -> None:
+        nonlocal total
         for j, c in enumerate(children[k]):
             (slot, beta, alpha), weighted, gather = steps[c]
             last = j == len(children[k]) - 1
             w = actions[slot].apply(xi[beta - 1], xi[alpha - 1], v, out=v if last else None)
-            # contract point-major with dim last: BLAS rounding can depend on where a
-            # row sits in the matrix, so the matrices keep this one row order
-            arr = np.moveaxis(w, 0, -1)  # (rows, m, ..., m, dim)
-            for d in range(n, 1, -1):  # the k_d axis sits at position d-1 at this step
-                arr = np.tensordot(arr, weighted[d - 1], axes=([d - 1], [0]))
-            arr = np.tensordot(arr, weighted[0][a:b], axes=([0], [0]))
-            moments[c] = arr.T[gather]
+            arr = w  # (dim, rows, m, ..., m): grid axis k_d sits at position d
+            for d in range(n, 1, -1):
+                arr = np.tensordot(arr, weighted[d - 1], axes=([d], [0]))
+            total += np.tensordot(arr, weighted[0][a:b], axes=([1], [0])).T[gather]
             visit(c, w)
 
-    root = np.zeros((dim, b - a) + (m,) * (n - 1), dtype=complex)
+    root = np.zeros((dim, b - a) + (len(nodes),) * (n - 1), dtype=complex)
     root[nu_idx] = 1.0
     visit(0, root)
-    return moments
+    return total
 
 
 def _grid_values(
-    initial: ParticleState,
+    y: np.ndarray,
+    nu_idx: int,
     axes: list[tuple[np.ndarray, np.ndarray]],
     rows: np.ndarray,
     t: float,
@@ -309,54 +308,44 @@ def _grid_values(
 ) -> np.ndarray:
     """Sum over permutations of the quadrature value per target (constants excluded).
 
-    ``axes[i]`` holds the distinct values of the targets' i-th positions and
-    each target's index into them; ``rows`` holds each target's word row.
+    Positions are relative to the start's leftmost site: ``y`` is the start's,
+    ``axes[i]`` the distinct i-th target positions with each target's index
+    into them.  ``nu_idx`` and ``rows`` are the start's and targets' word rows.
     """
-    n = len(initial)
+    n = len(y)
     dim = sector.dim
     nodes = _contour_nodes(radius, m)
     u = nodes / m * np.exp(t / nodes)  # node weight times time factor, per dimension
-    nu_idx = sector.index(initial.species)
-    y = initial.positions
     actions = {slot: SlotAction(sector, slot, rates) for slot in range(1, n)}
     # node weights times powers of grid axis k against target axis i, built once per pair
-    pair_weights = {
-        (k, i): u[:, None] * nodes[:, None] ** (ux - y[k] - 1)[None, :]
-        for k in range(n)
-        for i, (ux, _) in enumerate(axes)
-    }
-    steps = []
-    for elem in perms:
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair_weights = {
+            (k, i): u[:, None] * nodes[:, None] ** (ux - y[k] - 1)[None, :]
+            for k in range(n)
+            for i, (ux, _) in enumerate(axes)
+        }
+    if not all(np.isfinite(w).all() for w in pair_weights.values()):
+        raise OverflowRisk(f"node powers overflow at radius {radius:g}: the start spans {y[-1]} sites")
+    steps = [None]  # perms[0] is the identity, whose term is the column sums below
+    for elem in perms[1:]:
         inv = np.argsort(np.array(elem.image))  # inv[k] = i with sigma(i) = k+1
         steps.append((
-            None if elem.is_identity else chain_factors(elem)[-1],
+            chain_factors(elem)[-1],
             [pair_weights[k, i] for k, i in enumerate(inv)],
             tuple(axes[i][1] for i in inv) + (rows,),
         ))
 
     ranges = _slab_ranges(m, n, dim)
-    args = (nodes, _walk_tree(perms), steps, actions, nu_idx, n, dim, len(rows))
-    moments = np.zeros((len(perms), len(rows)), dtype=complex)
+    args = (nodes, _walk_tree(perms), steps, actions, nu_idx, n, dim)
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # map yields in slab order, so the reduction order stays fixed
-            for part in pool.map(lambda r: _slab_moments(*r, *args), ranges):
-                moments += part
+            parts = list(pool.map(lambda r: _slab_moments(*r, *args), ranges))
     else:
-        for a, b in ranges:
-            moments += _slab_moments(a, b, *args)
-
-    vals = np.zeros(len(rows), dtype=complex)
-    for elem, (_, weighted, gather), mom in zip(perms, steps, moments):
-        if elem.is_identity:
-            # identity amplitude: the grid sum factorizes into column sums
-            prod = np.ones(len(rows), dtype=complex)
-            for w, ix in zip(weighted, gather):
-                prod *= w.sum(axis=0)[ix]
-            vals += np.where(rows == nu_idx, prod, 0.0)
-        else:
-            vals += mom
-    return vals
+        parts = [_slab_moments(a, b, *args) for a, b in ranges]
+    # identity amplitude: the grid sum factorizes into column sums
+    ident = np.prod([pair_weights[k, k].sum(axis=0)[ix] for k, (_, ix) in enumerate(axes)], axis=0)
+    return sum(parts) + np.where(rows == nu_idx, ident, 0.0)
 
 
 def transition_matrix(
@@ -388,8 +377,14 @@ def transition_matrix(
     validate_state(initial, rates)
     for tg in targets:
         validate_state(tg, rates)
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise TypeError(f"time must be a real number, got {t!r}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
+        raise TypeError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     n = len(initial)
     if n > MAX_PARTICLES_HARD:
         raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES_HARD})")
@@ -419,21 +414,24 @@ def transition_matrix(
         sector = build_sector(initial.species)
         perms = enumerate_sn(n)
         rows = np.array([sector.index(w) for w in words[quad].tolist()], dtype=np.intp)
-        axes = [np.unique(col, return_inverse=True) for col in x[quad].T]
-        y_factor = 1.0
-        for s, yv in zip(initial.species, initial.positions):
-            y_factor *= rates.rate(s) ** (-yv)
+        # positions relative to the start's leftmost site; each x - y[0] >= 0 must fit int64
+        far = (x[quad] > _INT64.max + min(int(y[0]), 0)).any(axis=1)
+        xq, y = x[quad] - y[0], y - y[0]
+        axes = [np.unique(col, return_inverse=True) for col in xq.T]
+        nu_idx = sector.index(initial.species)
+        b = np.array(rates.rates)
         decay = math.exp(-t * sum(map(rates.rate, initial.species)))
-        consts = np.full(len(rows), decay * y_factor)
-        for k, (ux, ix) in enumerate(axes):
-            # Python's float ** int (np.power can differ in the last ulp), once per
-            # species and distinct position, then gathered per target
-            powers = [[rates.rate(s) ** v for v in ux.tolist()] for s in range(1, n + 1)]
-            consts *= np.array(powers)[words[quad, k] - 1, ix]
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_factor = np.prod(b[np.array(initial.species) - 1] ** -y)
+            consts = decay * y_factor * np.prod(b[words[quad] - 1] ** xq, axis=1)
+        far |= ~np.isfinite(consts)
+        if far.any():
+            tg = targets[np.flatnonzero(quad)[far.argmax()]]
+            raise OverflowRisk(f"target {tg} is too far from the start: x - y[0] or b**x overflows")
 
         def probe(m):
             return consts * _grid_values(
-                initial, axes, rows, t, rates, sector, perms, m, radius, threads
+                y, nu_idx, axes, rows, t, rates, sector, perms, m, radius, threads
             )
 
         m = params.nodes_per_dim

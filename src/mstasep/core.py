@@ -27,6 +27,14 @@ class SpeciesOutOfRange(ValueError):
     """A species label lies outside {1..N}."""
 
 
+def finite_positive(v: numbers.Real) -> bool:
+    """0 < v < inf, compared as a float (a float32 cast of the float maximum overflows)."""
+    try:
+        return 0 < float(v) <= sys.float_info.max  # also false for NaN
+    except OverflowError:  # an int past the float range
+        return False
+
+
 @dataclass(frozen=True)
 class RateTable:
     """Jump rates per species, species labelled 1..N.
@@ -43,7 +51,7 @@ class RateTable:
             raise ValueError("rate table must not be empty")
         if any(isinstance(b, bool) or not isinstance(b, numbers.Real) for b in rates):
             raise TypeError(f"jump rates must be real numbers, got {rates}")
-        if any(not 0 < b <= sys.float_info.max for b in rates):  # also false for NaN
+        if not all(map(finite_positive, rates)):
             raise ValueError(f"jump rates must be finite and strictly positive, got {rates}")
         object.__setattr__(self, "rates", tuple(float(b) for b in rates))
 

@@ -188,7 +188,6 @@ class SlotAction:
         if out is None:
             out = np.empty_like(v)
         tv = np.empty_like(v[0])
-        # S and T stay the first operand: numpy may round a*b and b*a differently
         for r, p, c in zip(self.asc, self.partner, self.asc_col):
             np.multiply(t[c], v[p], out=tv)
             np.multiply(s[c], v[r], out=out[r])

@@ -347,6 +347,79 @@ def test_positions_beyond_int64_rejected():
         transition_matrix(ParticleState((-(2**63) - 1, 0), (2, 1)), [], 0.5, rt)
 
 
+def test_far_target_rate_power_raises_overflow_risk():
+    # 2.0 ** 2000 overflows float64; the error names the target
+    with pytest.raises(OverflowRisk, match="2000"):
+        transition_matrix(
+            ParticleState((0, 1), (2, 1)), [ParticleState((0, 2000), (1, 2))], 0.5,
+            RateTable((1.0, 2.0)),
+        )
+
+
+def test_far_start_is_translated_to_the_origin():
+    # constants and node powers are taken relative to the start's leftmost site
+    rt = RateTable((1.0, 2.0))
+    params = SpectralParams(nodes_per_dim=16, max_nodes=16)
+    far, near = -(2**62), 0
+    a = transition_matrix(
+        ParticleState((far, far + 1), (2, 1)),
+        [ParticleState((far, far + 2), (1, 2)), ParticleState((far + 1, far + 3), (2, 1))],
+        0.5, rt, params=params,
+    )
+    b = transition_matrix(
+        ParticleState((near, near + 1), (2, 1)),
+        [ParticleState((near, near + 2), (1, 2)), ParticleState((near + 1, near + 3), (2, 1))],
+        0.5, rt, params=params,
+    )
+    assert [r.raw for r in a] == [r.raw for r in b]
+    assert all(math.isfinite(r.value) for r in a)
+
+
+def test_displacement_beyond_int64_raises_overflow_risk():
+    # x - y[0] = 2**62 + 2**63 would wrap in int64 and give NaN
+    start = ParticleState((-(2**63), -(2**63) + 1), (1, 2))
+    target = ParticleState((-(2**63), 2**62), (1, 2))
+    params = SpectralParams(nodes_per_dim=16, max_nodes=16)
+    with pytest.raises(OverflowRisk, match=str(2**62)):
+        transition_matrix(start, [target], 0.5, RateTable((1.0, 1.0)), params=params)
+
+
+def test_spread_start_node_powers_raise_overflow_risk():
+    # xi ** (x_1 - y_2 - 1) at |xi| = 0.5 overflows for a start spanning 2000 sites
+    start = ParticleState((0, 2000), (2, 1))
+    params = SpectralParams(nodes_per_dim=16, max_nodes=16)
+    with pytest.raises(OverflowRisk, match="2000 sites"):
+        transition_matrix(start, [start], 0.5, RateTable((1.0, 1.0)), params=params)
+
+
+def test_time_and_threads_type_checked():
+    state = ParticleState((0, 1), (2, 1))
+    rt = RateTable((1.0, 2.0))
+    with pytest.raises(TypeError, match="time"):
+        transition_matrix(state, [state], True, rt)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            transition_matrix(state, [state], 0.5, rt, threads=bad)
+    with pytest.raises(TypeError, match="threads"):
+        transition_matrix(state, [state], 0.5, rt, threads=True)
+
+
+def test_spectral_params_compare_numpy_scalars_as_floats():
+    # a float32 radius is compared as a float: no overflow warning from a float32 cast
+    assert SpectralParams(radius=np.float32(0.2)).radius == np.float32(0.2)
+    with pytest.raises(ValueError, match="radius"):
+        SpectralParams(radius=10**400)
+
+
+def test_repeated_calls_give_identical_bits():
+    rt = RateTable((0.9, 1.6, 1.2))
+    initial = ParticleState((0, 1, 3), (3, 1, 2))
+    targets = [ParticleState((0, 2, 3), (1, 3, 2)), ParticleState((1, 2, 4), (3, 2, 1))]
+    params = SpectralParams(nodes_per_dim=16, max_nodes=16)
+    runs = [transition_matrix(initial, targets, 0.4, rt, params=params) for _ in range(2)]
+    assert [r.raw for r in runs[0]] == [r.raw for r in runs[1]]
+
+
 def test_non_finite_time_rejected():
     state = ParticleState((0, 1), (2, 1))
     with pytest.raises(ValueError, match="finite"):

@@ -232,6 +232,23 @@ def test_main_empty_out_path_exit_code(tmp_path, capsys):
     assert captured.err.startswith("config error: ") and captured.out == ""
 
 
+def test_main_threads_below_one_exit_code(tmp_path, capsys):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(minimal_config())
+    assert main(["prob", "--config", str(cfg_path), "--threads", "0"]) == EXIT_CONFIG
+    assert main(["verify", "oracle", "--trials", "1", "--threads", "-3"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.out == ""
+
+
+def test_cmd_prob_rejects_threads_below_one(tmp_path, capsys):
+    cfg = parse_config(minimal_config(targets="window"))
+    out_path = tmp_path / "never.csv"
+    assert cmd_prob(cfg, out=str(out_path), threads=0) == EXIT_CONFIG
+    assert not out_path.exists()
+    assert "threads" in capsys.readouterr().err
+
+
 def test_cmd_prob_not_converged_exit_code(tmp_path):
     cfg = parse_config(
         minimal_config(spectral={"nodes_per_dim": 4, "max_nodes": 8, "adapt_tol": 1e-18})
@@ -250,6 +267,12 @@ def test_cmd_prob_not_converged_exit_code(tmp_path):
             "rates": [1.0, 1.2, 1.4, 1.6, 1.8],
             "initial": {"positions": [0, 1, 2, 3, 4], "species": [5, 4, 3, 2, 1]},
             "targets": [{"positions": [0, 1, 2, 3, 4], "species": [1, 2, 3, 4, 5]}],
+        },
+        {  # 10.0 ** 400 overflows: the main call raises OverflowRisk
+            "rates": [1.0, 10.0],
+            "initial": {"positions": [0, 1], "species": [1, 2]},
+            "time": 30.0,
+            "targets": [{"positions": [0, 400], "species": [1, 2]}],
         },
     ],
 )
