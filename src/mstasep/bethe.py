@@ -27,9 +27,13 @@ order, the slab sums are added in slab order and the identity term last.  This
 fixed order gives the same bits at a given node count on repeated calls and for
 any ``threads`` (the pool only maps slabs to workers).
 
-Targets enter as one table built per call: (T, N) position and word arrays,
-the support mask, and the sector rows, rate-power constants and per-axis
-distinct positions of the targets inside the support; every later stage reads it.
+Targets enter as one table: :func:`transition_arrays` takes (T, N) int64
+position and word arrays, validates them as a whole and builds the support
+mask and, for the targets inside the support, the sector rows (one
+``searchsorted`` of mixed-radix word codes), rate-power constants and per-axis
+distinct positions; every later stage reads it.  :func:`transition_matrix` is
+a thin wrapper that turns a list of states into those arrays and the returned
+arrays into one :class:`ProbabilityResult` per target.
 Positions are taken relative to the start's leftmost site: the value is
 translation invariant, and a start far from the origin then overflows nothing.
 """
@@ -45,9 +49,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    NonIncreasingPositions,
     ParticleState,
     PermutationElem,
     RateTable,
+    SpeciesOutOfRange,
     WordBlock,
     build_sector,
     enumerate_sn,
@@ -215,13 +221,27 @@ def bethe_sum(
 # ---------------------------------------------------------------------------
 
 
-def _positions_array(states: Sequence[ParticleState], n: int) -> np.ndarray:
-    """(len(states), n) int64 positions; a position past int64 raises ValueError."""
+def _int64_rows(rows, n: int, error: type[ValueError], what: str) -> np.ndarray:
+    """(len(rows), n) int64 array; an entry past int64 raises ``error`` naming it."""
     try:
-        return np.array([s.positions for s in states], dtype=np.int64).reshape(-1, n)
+        return np.array(rows, dtype=np.int64).reshape(-1, n)
     except OverflowError:
-        bad = next(x for s in states for x in s.positions if not _INT64.min <= x <= _INT64.max)
-        raise ValueError(f"position {bad} outside the int64 range") from None
+        bad = next(v for row in rows for v in row if not _INT64.min <= v <= _INT64.max)
+        raise error(f"{what} {bad} outside the int64 range") from None
+
+
+def state_arrays(states: Sequence[ParticleState], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(len(states), n) int64 position and word arrays of a list of states.
+
+    A state with other than n particles, or a species label past int64,
+    raises SpeciesOutOfRange; a position past int64 raises ValueError.
+    """
+    bad = next((s for s in states if len(s) != n), None)
+    if bad is not None:
+        raise SpeciesOutOfRange(f"state {bad} has {len(bad)} particles, not {n}")
+    positions = _int64_rows([s.positions for s in states], n, ValueError, "position")
+    words = _int64_rows([s.species for s in states], n, SpeciesOutOfRange, "species label")
+    return positions, words
 
 
 def _contour_nodes(radius: float, m: int) -> np.ndarray:
@@ -348,25 +368,37 @@ def _grid_values(
     return sum(parts) + np.where(rows == nu_idx, ident, 0.0)
 
 
-def transition_matrix(
+def _describe(positions: np.ndarray, words: np.ndarray, k: int) -> str:
+    x, w = tuple(positions[k].tolist()), tuple(words[k].tolist())
+    return f"target {k} (positions {x}, species {w})"
+
+
+def transition_arrays(
     initial: ParticleState,
-    targets: Sequence[ParticleState],
+    positions: np.ndarray,
+    words: np.ndarray,
     t: float,
     rates: RateTable,
     params: Optional[SpectralParams] = None,
     threads: int = 1,
     allow_large: bool = False,
-) -> list[ProbabilityResult]:
-    """Transition probabilities from one state to many targets at time t.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transition probabilities from one state to the targets of a table, as arrays.
+
+    ``positions`` and ``words`` are (T, N) int64 arrays, row k the positions
+    and species word of target k.  Returns ``(value, raw, est_error,
+    nodes_used)``, one entry per target with the meaning of the
+    :class:`ProbabilityResult` fields.
 
     All targets share the spectral grid, so the amplitude columns are built
     once per node tuple regardless of how many targets are requested.
     Targets outside the support (different species multiset, or any ordered
-    position below its initial value) come back as exact zeros.  Targets are
-    validated one by one, then held as the target table the module docstring
-    describes; a position outside the int64 range, in the initial state or any
-    target, raises ValueError.  An empty target list runs every guard and
-    returns ``[]``.
+    position below its initial value) come back as exact zeros.  The table is
+    validated as a whole: positions not strictly increasing raise
+    NonIncreasingPositions and species labels outside 1..N or another shape
+    SpeciesOutOfRange, each naming the first bad target; a position of the
+    initial state outside the int64 range raises ValueError.  An empty table
+    runs every guard and returns empty arrays.
 
     Node counts double from ``nodes_per_dim`` until the largest change over
     targets drops below ``adapt_tol``; hitting ``max_nodes`` without
@@ -375,8 +407,27 @@ def transition_matrix(
     """
     params = params or SpectralParams()
     validate_state(initial, rates)
-    for tg in targets:
-        validate_state(tg, rates)
+    n = len(initial)
+    y = _int64_rows([initial.positions], n, ValueError, "position")[0]
+    positions, words = np.asarray(positions), np.asarray(words)
+    if positions.dtype != np.int64 or words.dtype != np.int64:
+        raise TypeError(
+            f"positions and words must be int64 arrays, got {positions.dtype} and {words.dtype}"
+        )
+    if positions.ndim != 2 or positions.shape[1:] != (n,) or words.shape != positions.shape:
+        raise SpeciesOutOfRange(
+            f"targets must be (T, {n}) arrays for {n} species, got {positions.shape} and {words.shape}"
+        )
+    bad = (positions[:, 1:] <= positions[:, :-1]).any(axis=1)
+    if bad.any():
+        raise NonIncreasingPositions(
+            f"{_describe(positions, words, bad.argmax())}: positions are not strictly increasing"
+        )
+    bad = ((words < 1) | (words > n)).any(axis=1)
+    if bad.any():
+        raise SpeciesOutOfRange(
+            f"{_describe(positions, words, bad.argmax())}: species labels outside 1..{n}"
+        )
     if isinstance(t, bool) or not isinstance(t, numbers.Real):
         raise TypeError(f"time must be a real number, got {t!r}")
     if not (math.isfinite(t) and t >= 0):
@@ -385,7 +436,6 @@ def transition_matrix(
         raise TypeError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    n = len(initial)
     if n > MAX_PARTICLES_HARD:
         raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES_HARD})")
     if n > MAX_PARTICLES_DEFAULT and not allow_large:
@@ -399,21 +449,21 @@ def transition_matrix(
     if t > 0 and t / radius > OVERFLOW_EXPONENT:
         raise OverflowRisk(f"t/radius = {t / radius:g} would overflow the time factor")
 
-    # the target table: (T, N) positions and words, the support mask, and for
-    # the quadrature targets their sector rows, rate-power constants and the
-    # distinct values of each position axis with each target's index into them
-    positions = _positions_array([initial, *targets], n)
-    y, x = positions[0], positions[1:]
-    words = np.array([tg.species for tg in targets], dtype=np.int64).reshape(-1, n)
+    # the target table: the support mask, and for the quadrature targets their
+    # sector rows, rate-power constants and the distinct values of each
+    # position axis with each target's index into them
+    x = positions
     quad = (np.sort(words, axis=1) == sorted(initial.species)).all(axis=1)
     quad &= (x >= y).all(axis=1)
-    final = np.zeros(len(targets), dtype=complex)
-    errs = np.zeros(len(targets))
+    final = np.zeros(len(x), dtype=complex)
+    errs = np.zeros(len(x))
     m = 0
     if quad.any():
         sector = build_sector(initial.species)
         perms = enumerate_sn(n)
-        rows = np.array([sector.index(w) for w in words[quad].tolist()], dtype=np.intp)
+        # sector rows by mixed-radix word codes: the lexicographic word order is the code order
+        radix = n ** np.arange(n - 1, -1, -1)
+        rows = np.searchsorted((np.array(sector.words) - 1) @ radix, (words[quad] - 1) @ radix)
         # positions relative to the start's leftmost site; each x - y[0] >= 0 must fit int64
         far = (x[quad] > _INT64.max + min(int(y[0]), 0)).any(axis=1)
         xq, y = x[quad] - y[0], y - y[0]
@@ -426,8 +476,10 @@ def transition_matrix(
             consts = decay * y_factor * np.prod(b[words[quad] - 1] ** xq, axis=1)
         far |= ~np.isfinite(consts)
         if far.any():
-            tg = targets[np.flatnonzero(quad)[far.argmax()]]
-            raise OverflowRisk(f"target {tg} is too far from the start: x - y[0] or b**x overflows")
+            k = np.flatnonzero(quad)[far.argmax()]
+            raise OverflowRisk(
+                f"{_describe(x, words, k)} is too far from the start: x - y[0] or b**x overflows"
+            )
 
         def probe(m):
             return consts * _grid_values(
@@ -452,10 +504,30 @@ def transition_matrix(
                         f"(tolerance {params.adapt_tol:.3e})"
                     )
                 prev = cur
-    return [
-        ProbabilityResult(float(v.real), complex(v), float(e), int(k))
-        for v, e, k in zip(final, errs, np.where(quad, m, 0))
-    ]
+    return final.real.copy(), final, errs, np.where(quad, m, 0)
+
+
+def transition_matrix(
+    initial: ParticleState,
+    targets: Sequence[ParticleState],
+    t: float,
+    rates: RateTable,
+    params: Optional[SpectralParams] = None,
+    threads: int = 1,
+    allow_large: bool = False,
+) -> list[ProbabilityResult]:
+    """Transition probabilities from one state to many targets at time t.
+
+    A thin wrapper over :func:`transition_arrays`: the targets become its
+    position and word arrays (see :func:`state_arrays` for the errors that
+    raises), and its arrays one :class:`ProbabilityResult` per target.
+    """
+    positions, words = state_arrays(targets, rates.n_species)
+    value, raw, errs, nodes = transition_arrays(
+        initial, positions, words, t, rates, params=params, threads=threads, allow_large=allow_large
+    )
+    columns = (value.tolist(), raw.tolist(), errs.tolist(), nodes.tolist())
+    return [ProbabilityResult(*r) for r in zip(*columns)]
 
 
 def transition_probability(

@@ -4,11 +4,20 @@ Job configuration lives in a single JSON file; unknown keys anywhere are
 rejected so typos surface immediately.  Probabilities are printed with 17
 significant digits so output files can be compared across implementations.
 
+``prob`` holds its targets as (T, N) int64 position and word arrays from
+start to finish: explicit targets in config order, or the ``"window"``
+states listed directly by :func:`core.window_states`, never through the
+Markov-chain oracle.  It hands them to :func:`bethe.transition_arrays` and
+writes the rows from the returned columns.
+
 Exit codes: 0 success or pass, 1 verification failure, 2 configuration
 error (also a particle count, contour radius or time the spectral route
 rejects, ``prob`` checking these before enumerating a window; a target so
 far from the start that the spectral route overflows; ``--threads`` below
-1), 3 quadrature failed to converge.
+1; ``--samples`` below 1; a negative ``--seed`` for ``simulate`` or
+``verify``; a ``verify`` run with ``--trials`` below 1 or a ``--size`` too
+small for its suite to check anything or too large for it), 3 quadrature
+failed to converge.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,7 +39,9 @@ from .core import (
     RateTable,
     SpeciesOutOfRange,
     build_sector,
+    default_window,
     validate_state,
+    window_states,
 )
 from .rmatrix import (
     SpectralPoint,
@@ -90,7 +100,7 @@ def _parse_state(obj, where: str) -> ParticleState:
         if bool in map(type, positions + species):  # ParticleState would read them as 0/1
             raise TypeError("positions and species must be integers, not true/false")
         state = ParticleState(positions, species)
-        bethe._positions_array([state], len(state))  # the int64 range the spectral route needs
+        bethe.state_arrays([state], len(state))  # the int64 range the spectral route needs
         return state
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad state in {where}: {exc}") from exc
@@ -210,31 +220,52 @@ def canonical_config(cfg: JobConfig) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def resolve_targets(cfg: JobConfig) -> list[ParticleState]:
-    """Explicit target list, or every reachable state in the default window."""
+def target_arrays(cfg: JobConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(T, N) int64 positions and words of the job's targets.
+
+    Explicit targets keep their config order.  ``"window"`` lists every state
+    reachable from the start inside the default window, sorted by (positions,
+    species); the window's right edge past int64 raises ValueError.
+    """
     if isinstance(cfg.targets, tuple):
-        return list(cfg.targets)
-    window = oracle.default_window(cfg.initial, cfg.rates, cfg.time)
-    gen = oracle.build_generator(cfg.initial, cfg.rates, window)
-    return list(gen.states)
+        return bethe.state_arrays(cfg.targets, len(cfg.initial))
+    _, hi = default_window(cfg.initial, cfg.rates, cfg.time)
+    return window_states(cfg.initial, hi)
 
 
-def _format_sig(x: float) -> str:
-    return f"{x:.17g}"
+def resolve_targets(cfg: JobConfig) -> list[ParticleState]:
+    """The job's targets as states: a list wrapper over :func:`target_arrays`."""
+    positions, words = target_arrays(cfg)
+    return [ParticleState(x, w) for x, w in zip(positions.tolist(), words.tolist())]
 
 
-def _write_rows(rows: list[dict], fmt: str, path: str) -> None:
-    columns = list(rows[0].keys()) if rows else ["positions", "species", "value", "est_error", "nodes_used"]
+def _joined(table: np.ndarray, sep: str) -> list[str]:
+    """Each row's integers joined by ``sep``."""
+    fmt = sep.join(["%d"] * table.shape[1])
+    return [fmt % row for row in map(tuple, table.tolist())]
+
+
+def _write_columns(
+    positions: np.ndarray, words: np.ndarray, columns: dict[str, np.ndarray], fmt: str, path: str
+) -> None:
+    """One row per state: its positions and species, then ``columns`` in order.
+
+    CSV prints floats with 17 significant digits; JSON writes a list of objects.
+    """
+    keys = ["positions", "species", *columns]
+    cells = [_joined(positions, ";"), _joined(words, ",")]
     if fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        cells += [col.tolist() for col in columns.values()]
+        text = json.dumps([dict(zip(keys, row)) for row in zip(*cells)], indent=2) + "\n"
     else:
+        cells += [
+            [f"{v:.17g}" for v in col.tolist()] if col.dtype.kind == "f" else col.tolist()
+            for col in columns.values()
+        ]
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [_format_sig(v) if isinstance(v, float) else v for v in row.values()]
-            )
+        writer.writerow(keys)
+        writer.writerows(zip(*cells))
         text = buf.getvalue()
     if path == "-":
         sys.stdout.write(text)
@@ -248,26 +279,23 @@ def _output_path(out: Optional[str], cfg: JobConfig) -> str:
     return next(p for p in (out, cfg.output_path, "-") if p is not None)
 
 
-def _state_row(state: ParticleState) -> dict:
-    return {
-        "positions": ";".join(str(x) for x in state.positions),
-        "species": ",".join(str(s) for s in state.species),
-    }
-
-
 def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = None, threads: int = 1) -> int:
-    """Compute one row per target and write them in target order."""
-    try:  # the spectral guards, before any window is enumerated
+    """Compute one row per target and write them in target order.
+
+    Explicit targets keep their config order; window targets are sorted by
+    (positions, species), as ``simulate`` sorts its rows.
+    """
+    try:  # the spectral guards, then the targets: no window is enumerated for a rejected job
         bethe.transition_matrix(
             cfg.initial, [], cfg.time, cfg.rates, params=cfg.spectral, threads=threads
         )
+        positions, words = target_arrays(cfg)
     except (ValueError, bethe.OverflowRisk) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    targets = resolve_targets(cfg)
     try:
-        results = bethe.transition_matrix(
-            cfg.initial, targets, cfg.time, cfg.rates, params=cfg.spectral, threads=threads
+        value, _, est_error, nodes_used = bethe.transition_arrays(
+            cfg.initial, positions, words, cfg.time, cfg.rates, params=cfg.spectral, threads=threads
         )
     except bethe.OverflowRisk as exc:  # a target far from the start
         print(f"config error: {exc}", file=sys.stderr)
@@ -275,14 +303,8 @@ def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = Non
     except bethe.NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    rows = []
-    for state, res in zip(targets, results):
-        row = _state_row(state)
-        row.update(
-            value=res.value, est_error=res.est_error, nodes_used=res.nodes_used
-        )
-        rows.append(row)
-    _write_rows(rows, fmt or cfg.output_format or "csv", _output_path(out, cfg))
+    columns = {"value": value, "est_error": est_error, "nodes_used": nodes_used}
+    _write_columns(positions, words, columns, fmt or cfg.output_format or "csv", _output_path(out, cfg))
     return EXIT_OK
 
 
@@ -294,20 +316,22 @@ def cmd_simulate(
     fmt: Optional[str] = None,
 ) -> int:
     """Empirical distribution from exact simulation, one row per observed state."""
+    if n_samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {n_samples}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
     counts = oracle.gillespie(cfg.initial, cfg.rates, cfg.time, n_samples, seed)
-    rows = []
-    for state in sorted(counts, key=lambda s: (s.positions, s.species)):
-        count = counts[state]
-        freq = count / n_samples
-        row = _state_row(state)
-        row.update(
-            value=freq,
-            est_error=4.0 * math.sqrt(freq * (1.0 - freq) / n_samples),
-            nodes_used=n_samples,
-            count=count,
-        )
-        rows.append(row)
-    _write_rows(rows, fmt or cfg.output_format or "csv", _output_path(out, cfg))
+    states = sorted(counts, key=lambda s: (s.positions, s.species))
+    positions, words = bethe.state_arrays(states, len(cfg.initial))
+    count = np.array([counts[s] for s in states])
+    freq = count / n_samples
+    columns = {
+        "value": freq,
+        "est_error": 4.0 * np.sqrt(freq * (1.0 - freq) / n_samples),
+        "nodes_used": np.full(len(states), n_samples),
+        "count": count,
+    }
+    _write_columns(positions, words, columns, fmt or cfg.output_format or "csv", _output_path(out, cfg))
     return EXIT_OK
 
 
@@ -358,9 +382,7 @@ def _suite_oracle(size: int, seed: int, trials: int, threads: int) -> float:
         for word in words:
             initial = ParticleState(initial_positions, word)
             for t in times:
-                gen = oracle.build_generator(
-                    initial, rates, oracle.default_window(initial, rates, t)
-                )
+                gen = oracle.build_generator(initial, rates, default_window(initial, rates, t))
                 probs, _ = oracle.matrix_exponential_row(gen, initial, t)
                 results = bethe.transition_matrix(
                     initial, list(gen.states), t, rates, threads=threads
@@ -371,6 +393,8 @@ def _suite_oracle(size: int, seed: int, trials: int, threads: int) -> float:
 
 
 def _suite_stochastic(size: int, seed: int, trials: int, threads: int) -> float:
+    if size > bethe.MAX_PARTICLES_DEFAULT:  # checked before a window is enumerated
+        raise ConfigError(f"stochastic suite supports size up to {bethe.MAX_PARTICLES_DEFAULT}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     t = 1.0
@@ -378,11 +402,9 @@ def _suite_stochastic(size: int, seed: int, trials: int, threads: int) -> float:
         rates = _draw_rates(rng, size)
         word = tuple(rng.integers(1, size + 1, size=size))
         initial = ParticleState(tuple(range(size)), word)
-        gen = oracle.build_generator(initial, rates, oracle.default_window(initial, rates, t))
-        results = bethe.transition_matrix(
-            initial, list(gen.states), t, rates, threads=threads
-        )
-        worst = max(worst, abs(1.0 - sum(r.value for r in results)))
+        positions, words = window_states(initial, default_window(initial, rates, t)[1])
+        value = bethe.transition_arrays(initial, positions, words, t, rates, threads=threads)[0]
+        worst = max(worst, abs(1.0 - sum(value.tolist())))
     return worst
 
 
@@ -413,12 +435,13 @@ def _suite_boundary(size: int, seed: int, trials: int, threads: int) -> float:
     return worst
 
 
+# runner, default size, default trials, and the smallest size with anything to check
 _SUITE_RUNNERS = {
-    "yang-baxter": (_suite_welldef, 3, 100),  # the same braid relation under its usual name
-    "welldef": (_suite_welldef, 3, 100),
-    "oracle": (_suite_oracle, 2, 3),
-    "stochastic": (_suite_stochastic, 2, 5),
-    "boundary": (_suite_boundary, 2, 50),
+    "yang-baxter": (_suite_welldef, 3, 100, 3),  # the same braid relation under its usual name
+    "welldef": (_suite_welldef, 3, 100, 3),  # a braid needs slots i, i+1 and i+2
+    "oracle": (_suite_oracle, 2, 3, 2),
+    "stochastic": (_suite_stochastic, 2, 5, 1),
+    "boundary": (_suite_boundary, 2, 50, 2),  # an adjacent pair needs two particles
 }
 
 
@@ -432,9 +455,15 @@ def cmd_verify(
     """Run one named property suite and report max residual against its tolerance."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    runner, default_size, default_trials = _SUITE_RUNNERS[suite]
+    runner, default_size, default_trials, min_size = _SUITE_RUNNERS[suite]
     size = default_size if size is None else size
     trials = default_trials if trials is None else trials
+    if size < min_size:
+        raise ConfigError(f"{suite} needs --size of at least {min_size}, got {size}")
+    if trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
     residual = runner(size, seed, trials, threads)
     tol = SUITE_TOLERANCES[suite]
     passed = residual < tol

@@ -5,7 +5,9 @@ with a species word.  All operator matrices built elsewhere act on one
 *sector*: the block of species words sharing a multiset, listed
 lexicographically.  Elements of the symmetric group are enumerated
 breadth-first from the identity so that every element carries a canonical
-reduced word back to the identity.
+reduced word back to the identity.  The states reachable inside a lattice
+window are listed directly from the words reachable by overtaking swaps,
+each with a floor below which its positions cannot lie.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+_INT64 = np.iinfo(np.int64)
 
 
 class NonIncreasingPositions(ValueError):
@@ -185,14 +191,6 @@ def build_sector(multiset: Sequence[int]) -> WordBlock:
     return WordBlock(sorted(set(itertools.permutations(ms))))
 
 
-def sector_size(multiset: Sequence[int]) -> int:
-    """Multinomial coefficient: number of distinct words over the multiset."""
-    n = math.factorial(len(multiset))
-    for _, group in itertools.groupby(sorted(multiset)):
-        n //= math.factorial(sum(1 for _ in group))
-    return n
-
-
 @dataclass(frozen=True)
 class PermutationElem:
     """A permutation in one-line notation with its canonical predecessor link.
@@ -221,15 +219,6 @@ class PermutationElem:
             elem = elem.pred
         out.reverse()
         return out
-
-
-def inversions(word: Sequence[int]) -> int:
-    return sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
 
 
 def enumerate_sn(n: int) -> list[PermutationElem]:
@@ -262,3 +251,76 @@ def enumerate_sn(n: int) -> list[PermutationElem]:
                         next_frontier.append(child)
         frontier = next_frontier
     return elems
+
+
+# ---------------------------------------------------------------------------
+# the states reachable inside a lattice window
+# ---------------------------------------------------------------------------
+
+
+def default_window(initial: ParticleState, rates: RateTable, t: float) -> tuple[int, int]:
+    """Window sized so the mass beyond the right edge is negligible.
+
+    The rightmost particle's displacement is dominated by a Poisson count
+    at the largest rate; ten standard deviations plus a constant margin
+    push the tail below 1e-9.
+    """
+    bmax = max(rates.rates)
+    margin = math.ceil(bmax * t + 10.0 * math.sqrt(bmax * t) + 10.0)
+    return min(initial.positions), max(initial.positions) + margin
+
+
+def word_floors(initial: ParticleState) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every word reachable from the start by overtaking swaps, with its position floor.
+
+    A swap at slot i exchanges the descending letters at slots (i, i+1) and
+    needs those two particles adjacent, so it raises the floor z_i to
+    max(z_i, z_{i+1} - 1); the start's floor is its own positions.  The
+    floor does not depend on the path: each pair of particles swaps at most
+    once, so the paths to a word are the reduced words of one permutation,
+    commuting swaps touch different entries and both sides of a braid move
+    give the same floor.  Words come in breadth-first order.
+    """
+    floors = {initial.species: initial.positions}
+    words = [initial.species]
+    for w in words:  # grows while it is walked: a breadth-first queue
+        z = floors[w]
+        for i in range(len(w) - 1):
+            if w[i] > w[i + 1]:
+                swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+                if swapped not in floors:
+                    floors[swapped] = z[:i] + (max(z[i], z[i + 1] - 1),) + z[i + 1 :]
+                    words.append(swapped)
+    return floors
+
+
+def _increasing_rows(floor: Sequence[int], hi: int) -> np.ndarray:
+    """Strictly increasing int64 rows x >= floor with x[-1] <= hi, in lexicographic order."""
+    n = len(floor)
+    rows = np.arange(floor[0], hi - n + 2, dtype=np.int64)[:, None]
+    for i in range(1, n):
+        low = np.maximum(rows[:, -1] + 1, floor[i])
+        count = np.maximum(hi - (n - 1 - i) - low + 1, 0)
+        rows = np.repeat(rows, count, axis=0)
+        col = np.repeat(low - (np.cumsum(count) - count), count) + np.arange(len(rows))
+        rows = np.column_stack([rows, col])
+    return rows
+
+
+def window_states(initial: ParticleState, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every state reachable from ``initial`` with no particle right of site ``hi``.
+
+    Particles only move right, so a window's left edge never binds.  A state
+    (x, w) is reachable iff w is reachable by overtaking swaps and x is
+    strictly increasing with floor(w) <= x componentwise and x_N <= hi (see
+    :func:`word_floors`).  Returns (T, N) int64 position and word arrays,
+    sorted by (positions, species).  An edge outside the int64 range raises
+    ValueError.
+    """
+    if hi >= _INT64.max:  # x_N + 1 must fit int64 too
+        raise ValueError(f"window edge {hi} outside the int64 range")
+    blocks = [(_increasing_rows(z, hi), w) for w, z in word_floors(initial).items()]
+    positions = np.concatenate([x for x, _ in blocks])
+    words = np.concatenate([np.tile(np.array(w, dtype=np.int64), (len(x), 1)) for x, w in blocks])
+    order = np.lexsort(np.column_stack([positions, words]).T[::-1])
+    return positions[order], words[order]

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .core import ParticleState, RateTable, WordBlock, validate_state
+# default_window is imported so that callers of the oracle can keep finding it here
+from .core import ParticleState, RateTable, WordBlock, default_window, validate_state
 
 
 class WindowTooSmall(ValueError):
@@ -46,18 +47,6 @@ class TrajectorySample:
     seed: int
     final_state: ParticleState
     jump_count: int
-
-
-def default_window(initial: ParticleState, rates: RateTable, t: float) -> tuple[int, int]:
-    """Window sized so the mass beyond the right edge is negligible.
-
-    The rightmost particle's displacement is dominated by a Poisson count
-    at the largest rate; ten standard deviations plus a constant margin
-    push the tail below 1e-9.
-    """
-    bmax = max(rates.rates)
-    margin = math.ceil(bmax * t + 10.0 * math.sqrt(bmax * t) + 10.0)
-    return min(initial.positions), max(initial.positions) + margin
 
 
 def _moves(state: ParticleState, rates: RateTable):

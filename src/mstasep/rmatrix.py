@@ -67,13 +67,6 @@ def contour_bound(rates: RateTable) -> float:
     return min(min(rates.rates), 1.0 / max(rates.rates))
 
 
-def validate_spectral_point(sp: SpectralPoint, rates: RateTable) -> None:
-    bound = contour_bound(rates)
-    for z in sp.xi:
-        if not abs(z) < bound:
-            raise ValueError(f"|xi|={abs(z):g} outside the admissible disk (radius {bound:g})")
-
-
 @dataclass(frozen=True)
 class SectorMatrix:
     """Dense complex matrix labelled by the words of one block."""

@@ -26,7 +26,8 @@ from mstasep import (
     transition_matrix,
     transition_probability,
 )
-from mstasep.bethe import bethe_sum, rate_power_diag
+from mstasep.bethe import bethe_sum, rate_power_diag, transition_arrays
+from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange
 from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
 
 
@@ -619,3 +620,38 @@ def test_time_derivative_matches_generator():
         defects.append(np.max(np.abs(fd - forward)))
     assert defects[1] < 1e-3
     assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.25)
+
+
+def test_target_table_validated_as_a_whole():
+    rt = RateTable((1.0, 2.0))
+    start = ParticleState((0, 1), (2, 1))
+    good = ParticleState((0, 2), (1, 2))
+    with pytest.raises(NonIncreasingPositions, match=r"target 2 \(positions \(3, 3\)"):
+        bad = [ParticleState((3, 3), (1, 2)), ParticleState((4, 4), (1, 2))]
+        transition_matrix(start, [good, good, *bad], 0.5, rt)
+    with pytest.raises(SpeciesOutOfRange, match=r"target 1 \(positions \(0, 3\), species \(3, 1\)"):
+        transition_matrix(start, [good, ParticleState((0, 3), (3, 1))], 0.5, rt)
+    with pytest.raises(SpeciesOutOfRange, match="3 particles"):
+        transition_matrix(start, [good, ParticleState((0, 1, 2), (1, 2, 1))], 0.5, rt)
+    with pytest.raises(SpeciesOutOfRange, match=str(2**70)):
+        transition_matrix(start, [ParticleState((0, 1), (1, 2**70))], 0.5, rt)
+    positions, words = np.array([[0, 2]]), np.array([[1, 2]])
+    with pytest.raises(TypeError, match="int64"):
+        transition_arrays(start, positions.astype(float), words, 0.5, rt)
+    with pytest.raises(SpeciesOutOfRange, match="arrays"):
+        transition_arrays(start, positions, words[:, :1], 0.5, rt)
+
+
+def test_transition_arrays_match_the_list_wrapper():
+    rt = RateTable((0.9, 1.6, 1.2))
+    start = ParticleState((0, 1, 3), (3, 1, 2))
+    targets = [ParticleState((0, 2, 3), (1, 3, 2)), ParticleState((-1, 2, 4), (3, 2, 1)),
+               ParticleState((1, 2, 4), (3, 2, 1)), ParticleState((0, 1, 3), (3, 1, 2))]
+    params = SpectralParams(nodes_per_dim=16, max_nodes=32)
+    positions = np.array([tg.positions for tg in targets])
+    words = np.array([tg.species for tg in targets])
+    value, raw, est_error, nodes_used = transition_arrays(start, positions, words, 0.4, rt, params=params)
+    results = transition_matrix(start, targets, 0.4, rt, params=params)
+    assert value.tolist() == [r.value for r in results] and raw.tolist() == [r.raw for r in results]
+    assert est_error.tolist() == [r.est_error for r in results]
+    assert nodes_used.tolist() == [r.nodes_used for r in results] == [32, 0, 32, 32]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstasep import ParticleState, RateTable, transition_matrix
+from mstasep import ParticleState, RateTable, build_generator, default_window, transition_matrix
 from mstasep.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -401,3 +401,107 @@ def test_parse_config_fuzz(substitutions):
     assert isinstance(cfg, JobConfig)
     text = canonical_config(cfg)
     assert canonical_config(parse_config(text)) == text
+
+
+@pytest.mark.parametrize(
+    "rates, start, time",
+    [
+        ([1.0, 2.0], {"positions": [0, 2], "species": [2, 1]}, 0.6),
+        ([1.3, 0.8, 2.0], {"positions": [0, 1, 3], "species": [3, 1, 2]}, 0.3),
+    ],
+)
+def test_cmd_prob_window_skips_the_oracle_with_identical_rows(tmp_path, monkeypatch, rates, start, time):
+    import mstasep.oracle as oracle_mod
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("prob built the Markov chain")
+
+    cfg = parse_config(json.dumps({"rates": rates, "initial": start, "time": time, "targets": "window"}))
+    out_path = tmp_path / "rows.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_mod, "build_generator", no_oracle)
+        assert cmd_prob(cfg, out=str(out_path)) == EXIT_OK
+    rows = list(csv.DictReader(out_path.open(newline="")))
+    keys = [
+        (tuple(map(int, r["positions"].split(";"))), tuple(map(int, r["species"].split(","))))
+        for r in rows
+    ]
+    assert keys == sorted(keys)  # window rows come sorted by (positions, species)
+    states = build_generator(cfg.initial, cfg.rates, default_window(cfg.initial, cfg.rates, time)).states
+    assert set(keys) == {(s.positions, s.species) for s in states}
+    results = transition_matrix(cfg.initial, list(states), time, cfg.rates)
+    by_state = {(s.positions, s.species): res for s, res in zip(states, results)}
+    for key, row in zip(keys, rows):
+        res = by_state[key]
+        assert float(row["value"]) == res.value and float(row["est_error"]) == res.est_error
+        assert int(row["nodes_used"]) == res.nodes_used
+
+
+def test_cmd_prob_explicit_targets_keep_config_order(tmp_path):
+    targets = [
+        {"positions": [1, 3], "species": [1, 2]},
+        {"positions": [0, 1], "species": [2, 1]},
+        {"positions": [0, 2], "species": [1, 2]},
+    ]
+    cfg = parse_config(minimal_config(targets=targets))
+    out_path = tmp_path / "rows.csv"
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_OK
+    rows = list(csv.DictReader(out_path.open(newline="")))
+    assert [r["positions"] for r in rows] == ["1;3", "0;1", "0;2"]
+    assert [r["species"] for r in rows] == ["1,2", "2,1", "1,2"]
+
+
+def test_cmd_prob_guards_run_before_window_states(tmp_path, monkeypatch, capsys):
+    import mstasep.cli as cli_mod
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("window enumerated before the guards ran")
+
+    monkeypatch.setattr(cli_mod, "window_states", no_window)
+    job = {
+        "rates": [1.0, 2.0, 1.5],
+        "initial": {"positions": [0, 1, 2], "species": [3, 2, 1]},
+        "time": 200,
+        "targets": "window",
+    }
+    out_path = tmp_path / "never.csv"
+    assert cmd_prob(parse_config(json.dumps(job)), out=str(out_path)) == EXIT_CONFIG
+    assert not out_path.exists()
+    assert "t/radius" in capsys.readouterr().err
+    # the patch is live: a job that passes the guards reaches the enumerator
+    job["time"] = 0.5
+    with pytest.raises(AssertionError, match="window enumerated"):
+        cmd_prob(parse_config(json.dumps(job)), out=str(out_path))
+
+
+def test_cmd_prob_window_edge_past_int64_exit_code(tmp_path, capsys):
+    cfg = parse_config(
+        minimal_config(initial={"positions": [2**63 - 3, 2**63 - 2], "species": [2, 1]}, targets="window")
+    )
+    out_path = tmp_path / "never.csv"
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_CONFIG
+    assert not out_path.exists()
+    assert "int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "{config}", "--samples", "0"],
+        ["simulate", "--config", "{config}", "--samples", "10", "--seed", "-1"],
+        ["verify", "welldef", "--trials", "2", "--seed", "-1"],
+        ["verify", "welldef", "--trials", "0"],
+        ["verify", "welldef", "--size", "2"],
+        ["verify", "boundary", "--size", "1"],
+        ["verify", "stochastic", "--size", "5"],
+    ],
+)
+def test_main_rejects_arguments_that_check_nothing_or_crash(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(minimal_config())
+    out_path = tmp_path / "never.csv"
+    argv = [a.format(config=cfg_path) for a in argv] + ["--out", str(out_path)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.out == ""
+    assert not out_path.exists()

@@ -11,11 +11,13 @@ from mstasep import (
     ParticleState,
     RateTable,
     SpeciesOutOfRange,
+    build_generator,
     build_sector,
     enumerate_sn,
     validate_state,
 )
-from mstasep.core import inversions, sector_size
+from helpers import inversions, sector_size
+from mstasep.core import window_states, word_floors
 
 
 def test_rate_table_rejects_nonpositive():
@@ -164,3 +166,51 @@ def test_enumerate_sn_chains_reconstruct_elements(n):
         assert tuple(word) == elem.image
         assert depth == inversions(elem.image)
         assert elem.parity == (-1) ** depth
+
+
+def _path_floors(initial):
+    """The floor each swap path from the start reaches, grouped by the word it ends on."""
+    floors = {}
+    stack = [(initial.species, initial.positions)]
+    while stack:
+        w, z = stack.pop()
+        floors.setdefault(w, set()).add(z)
+        for i in range(len(w) - 1):
+            if w[i] > w[i + 1]:
+                swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+                stack.append((swapped, z[:i] + (max(z[i], z[i + 1] - 1),) + z[i + 1 :]))
+    return floors
+
+
+@given(st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_window_states_match_the_generator(n, data):
+    word = tuple(data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n)))
+    start = tuple(sorted(data.draw(st.sets(st.integers(-3, 6), min_size=n, max_size=n))))
+    hi = start[-1] + data.draw(st.integers(0, 5))
+    initial = ParticleState(start, word)
+    positions, words = window_states(initial, hi)
+    assert positions.dtype == words.dtype == np.int64 and positions.shape == words.shape
+    rows = [tuple(x) + tuple(w) for x, w in zip(positions.tolist(), words.tolist())]
+    assert rows == sorted(set(rows))  # sorted by (positions, species), no duplicates
+    gen = build_generator(initial, RateTable((1.0,) * n), (start[0], hi))
+    assert {(r[:n], r[n:]) for r in rows} == {(s.positions, s.species) for s in gen.states}
+    # every path to a word reaches one floor, the one the enumerator uses
+    paths = _path_floors(initial)
+    floors = word_floors(initial)
+    assert set(paths) == set(floors)
+    for w, found in paths.items():
+        lowest = tuple(min(z[i] for z in found) for i in range(n))
+        assert lowest in found and floors[w] == lowest
+
+
+def test_window_states_of_the_descending_three_species_start():
+    positions, words = window_states(ParticleState((0, 1, 2), (3, 2, 1)), 27)
+    assert len(positions) == len(words) == 19656
+    assert len(word_floors(ParticleState((0, 1, 2), (3, 2, 1)))) == 6
+
+
+def test_window_states_edge_past_int64_rejected():
+    start = ParticleState((2**63 - 3, 2**63 - 2), (2, 1))
+    with pytest.raises(ValueError, match="int64"):
+        window_states(start, 2**63 + 40)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import draw_point, draw_rates
+from helpers import draw_point, draw_rates, inversions
 from mstasep import (
     PoleOnContour,
     RateTable,
@@ -19,7 +19,6 @@ from mstasep import (
     embed_T_l,
     enumerate_sn,
 )
-from mstasep.core import inversions
 from mstasep.rmatrix import SlotAction, all_sectors, chain_factors, product_along_slots
 
 
@@ -64,7 +63,7 @@ def test_spectral_point_rejects_zero():
 
 
 def test_validate_spectral_point_enforces_admissible_disk():
-    from mstasep.rmatrix import validate_spectral_point
+    from helpers import validate_spectral_point
 
     rt = RateTable((1.0, 2.0))  # admissible radius: min(1, 1/2) = 0.5
     validate_spectral_point(SpectralPoint((0.2j, -0.4)), rt)
