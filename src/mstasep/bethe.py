@@ -56,6 +56,7 @@ from .core import (
     SpeciesOutOfRange,
     WordBlock,
     build_sector,
+    check_time,
     enumerate_sn,
     finite_positive,
     validate_state,
@@ -428,10 +429,7 @@ def transition_arrays(
         raise SpeciesOutOfRange(
             f"{_describe(positions, words, bad.argmax())}: species labels outside 1..{n}"
         )
-    if isinstance(t, bool) or not isinstance(t, numbers.Real):
-        raise TypeError(f"time must be a real number, got {t!r}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    check_time(t)
     if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
         raise TypeError(f"threads must be an integer, got {threads!r}")
     if threads < 1:

@@ -384,11 +384,10 @@ def _suite_oracle(size: int, seed: int, trials: int, threads: int) -> float:
             for t in times:
                 gen = oracle.build_generator(initial, rates, default_window(initial, rates, t))
                 probs, _ = oracle.matrix_exponential_row(gen, initial, t)
-                results = bethe.transition_matrix(
-                    initial, list(gen.states), t, rates, threads=threads
+                value, _, _, _ = bethe.transition_arrays(
+                    initial, gen.positions, gen.words, t, rates, threads=threads
                 )
-                dev = max(abs(r.value - p) for r, p in zip(results, probs))
-                worst = max(worst, dev)
+                worst = max(worst, float(np.abs(value - probs).max()))
     return worst
 
 

@@ -41,6 +41,18 @@ def finite_positive(v: numbers.Real) -> bool:
         return False
 
 
+def check_time(t: numbers.Real) -> None:
+    """Raise TypeError unless t is a real number (a bool is not), ValueError unless finite and >= 0."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise TypeError(f"time must be a real number, got {t!r}")
+    try:
+        ok = math.isfinite(t) and t >= 0
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+
+
 @dataclass(frozen=True)
 class RateTable:
     """Jump rates per species, species labelled 1..N.

@@ -5,29 +5,123 @@ right at rate b_l when the target site is empty, and trades places with a
 right neighbour of strictly smaller species at the same rate b_l.  From
 those primitives this module builds the truncated-window generator, solves
 the forward equations by uniformization, and draws exact trajectories.
+
+The generator is built on arrays: the window's states come from
+:func:`core.window_states` as (S, N) int64 position and word tables sorted by
+(positions, species), each state's jumps are column masks of those tables,
+and destination rows are found by binary search on one integer key per state.
+Gillespie trajectories walk plain (positions, species) tuples.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
 
 # default_window is imported so that callers of the oracle can keep finding it here
-from .core import ParticleState, RateTable, WordBlock, default_window, validate_state
+from .core import (
+    ParticleState,
+    RateTable,
+    WordBlock,
+    check_time,
+    default_window,
+    validate_state,
+    window_states,
+)
+
+_INT64 = np.iinfo(np.int64)
 
 
 class WindowTooSmall(ValueError):
     """The requested lattice window does not contain the initial state."""
 
 
+class WindowTooWide(ValueError):
+    """The window is too wide for its states' integer keys to fit int64."""
+
+
+class _StateList(Sequence[ParticleState]):
+    """Read-only view of (S, N) position and word tables as ParticleStates, built when read."""
+
+    __slots__ = ("_positions", "_words")
+
+    def __init__(self, positions: np.ndarray, words: np.ndarray):
+        self._positions, self._words = positions, words
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        return ParticleState(tuple(self._positions[k].tolist()), tuple(self._words[k].tolist()))
+
+    def __iter__(self) -> Iterator[ParticleState]:
+        for x, w in zip(self._positions.tolist(), self._words.tolist()):
+            yield ParticleState(tuple(x), tuple(w))
+
+
+class _StateIndex(Mapping[ParticleState, int]):
+    """Row of each window state, by binary search on its integer key.
+
+    The key reads (positions - lo, word - 1) as the digits of one mixed-radix
+    integer, positions first: radix hi - lo + 1 for a position, N for a
+    letter.  Keys therefore sort as the rows do, by (positions, species).
+    """
+
+    __slots__ = ("_lo", "_hi", "_n", "_keys", "_states")
+
+    def __init__(self, lo: int, hi: int, n: int, keys: np.ndarray, states: _StateList):
+        self._lo, self._hi, self._n, self._keys, self._states = lo, hi, n, keys, states
+
+    def __getitem__(self, state) -> int:
+        n = self._n
+        if not (
+            isinstance(state, ParticleState)
+            and len(state) == n
+            and all(self._lo <= x <= self._hi for x in state.positions)
+            and all(1 <= w <= n for w in state.species)
+        ):
+            raise KeyError(state)
+        code = _state_keys(
+            np.array([state.positions]), np.array([state.species]), self._lo, self._hi
+        )[0]
+        k = int(np.searchsorted(self._keys, code))
+        if k == len(self._keys) or self._keys[k] != code:
+            raise KeyError(state)
+        return k
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self) -> Iterator[ParticleState]:
+        return iter(self._states)
+
+
+def _state_keys(positions: np.ndarray, words: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Mixed-radix int64 key of each row of (k, N) position and word tables (see _StateIndex)."""
+    n = words.shape[1]
+    keys = np.zeros(len(positions), dtype=np.int64)
+    for j in range(n):
+        keys = keys * (hi - lo + 1) + (positions[:, j] - lo)
+    for j in range(n):
+        keys = keys * n + (words[:, j] - 1)
+    return keys
+
+
 @dataclass(frozen=True)
 class GeneratorWindow:
     """CTMC generator on the states reachable inside a lattice window.
+
+    ``positions`` and ``words`` are read-only (S, N) int64 tables, row k the
+    k-th state, sorted by (positions, species).  ``states`` views them as
+    ParticleStates, each built only when read; ``index`` maps a ParticleState
+    to its row in O(log S) and raises KeyError for a state outside the window.
 
     Rows of ``rate_matrix`` sum to zero except where a rightmost particle
     sits at the window edge; there the deficit equals ``leak_rates``, the
@@ -36,10 +130,15 @@ class GeneratorWindow:
 
     lo: int
     hi: int
-    states: tuple[ParticleState, ...]
-    index: dict[ParticleState, int]
+    positions: np.ndarray
+    words: np.ndarray
+    index: Mapping[ParticleState, int]
     rate_matrix: sparse.csr_matrix
     leak_rates: np.ndarray
+
+    @property
+    def states(self) -> Sequence[ParticleState]:
+        return _StateList(self.positions, self.words)
 
 
 @dataclass(frozen=True)
@@ -49,26 +148,10 @@ class TrajectorySample:
     jump_count: int
 
 
-def _moves(state: ParticleState, rates: RateTable):
-    """Enabled jumps from a state: (rate, successor) pairs, in particle order.
-
-    A hop off the lattice is not a concern here; windows are enforced by the
-    caller.  Successors keep positions sorted because a blocked or swapping
-    particle never overtakes.
-    """
-    pos, spc = state.positions, state.species
-    n = len(pos)
-    out = []
-    for i in range(n):
-        b = rates.rate(spc[i])
-        if i + 1 < n and pos[i + 1] == pos[i] + 1:
-            if spc[i] > spc[i + 1]:  # overtaking swap, positions unchanged
-                new_spc = spc[:i] + (spc[i + 1], spc[i]) + spc[i + 2 :]
-                out.append((b, ParticleState(pos, new_spc)))
-            continue  # blocked by an equal or stronger species
-        new_pos = pos[:i] + (pos[i] + 1,) + pos[i + 1 :]
-        out.append((b, ParticleState(new_pos, spc)))
-    return out
+def _window_edge(v) -> int:
+    if isinstance(v, bool):
+        raise TypeError(f"window edges must be integers, got {v!r}")
+    return operator.index(v)
 
 
 def build_generator(
@@ -76,52 +159,69 @@ def build_generator(
 ) -> GeneratorWindow:
     """Generator over every state reachable from ``initial`` within the window.
 
-    States are enumerated breadth-first, so the ordering is deterministic.
-    Jumps that would carry a particle past the right edge contribute to the
-    diagonal and to ``leak_rates`` but have no destination column.
+    ``window`` is a pair of integer sites (lo, hi); a float or bool edge
+    raises TypeError, and a window not holding the start raises
+    WindowTooSmall.  States are listed by :func:`core.window_states`, sorted by
+    (positions, species).  A window whose keys (see :class:`GeneratorWindow`)
+    could pass int64, (hi - lo + 1)**N * N**N > 2**63, raises WindowTooWide
+    before any array is built.
+
+    Each particle's hop or overtaking swap is one column mask over all states.
+    The diagonal sums the enabled rates particle by particle, left to right.
+    A hop past ``hi`` adds to the diagonal and to ``leak_rates`` but has no
+    destination column.
     """
     validate_state(initial, rates)
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = (_window_edge(v) for v in window)
     if not (lo <= min(initial.positions) and max(initial.positions) <= hi):
         raise WindowTooSmall(f"initial positions {initial.positions} outside [{lo}, {hi}]")
+    n = len(initial)
+    radix = hi - lo + 1
+    if lo < _INT64.min:
+        raise ValueError(f"window edge {lo} outside the int64 range")
+    if radix**n * n**n > 2**63:
+        raise WindowTooWide(f"window [{lo}, {hi}] too wide to key {n}-particle states in int64")
 
-    states: list[ParticleState] = [initial]
-    index: dict[ParticleState, int] = {initial: 0}
-    rows, cols, vals = [], [], []
-    leak: list[float] = []
-    queue = deque([initial])
-    while queue:
-        state = queue.popleft()
-        r = index[state]
-        out_rate = 0.0
-        leaked = 0.0
-        for rate, nxt in _moves(state, rates):
-            out_rate += rate
-            if max(nxt.positions) > hi:
-                leaked += rate
-                continue
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-                queue.append(nxt)
-            rows.append(r)
-            cols.append(index[nxt])
-            vals.append(rate)
-        rows.append(r)
-        cols.append(r)
-        vals.append(-out_rate)
-        leak.append(leaked)  # BFS processes states in discovery order, so r == len(leak)
-    dim = len(states)
-    q = sparse.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))), shape=(dim, dim)
-    )
+    positions, words = window_states(initial, hi)
+    positions.setflags(write=False)
+    words.setflags(write=False)
+    keys = _state_keys(positions, words, lo, hi)
+    b = np.array(rates.rates)[words - 1]
+    dim = len(keys)
+    out_rate = np.zeros(dim)
+    rows, dest, vals = [], [], []
+    for i in range(n):
+        # a successor's key is the state's plus a fixed step: a hop adds one to position
+        # digit i, a swap exchanges word digits i and i + 1
+        if i + 1 < n:
+            adjacent = positions[:, i + 1] == positions[:, i] + 1
+            swap = adjacent & (words[:, i] > words[:, i + 1])
+            hop = ~adjacent
+            weight = n ** (n - 1 - i) - n ** (n - 2 - i)
+            rows.append(np.flatnonzero(swap))
+            dest.append(keys[swap] + (words[swap, i + 1] - words[swap, i]) * weight)
+            vals.append(b[swap, i])
+            moves = swap | hop
+        else:
+            hop = positions[:, i] < hi
+            moves = True
+        rows.append(np.flatnonzero(hop))
+        dest.append(keys[hop] + radix ** (n - 1 - i) * n**n)
+        vals.append(b[hop, i])
+        out_rate += np.where(moves, b[:, i], 0.0)
+    leak = np.where(positions[:, -1] == hi, b[:, -1], 0.0)
+    diag = np.arange(dim)
+    cols = np.searchsorted(keys, np.concatenate(dest))
+    rows, cols = np.concatenate(rows + [diag]), np.concatenate([cols, diag])
+    q = sparse.csr_matrix((np.concatenate(vals + [-out_rate]), (rows, cols)), shape=(dim, dim))
     return GeneratorWindow(
         lo=lo,
         hi=hi,
-        states=tuple(states),
-        index=index,
+        positions=positions,
+        words=words,
+        index=_StateIndex(lo, hi, n, keys, _StateList(positions, words)),
         rate_matrix=q,
-        leak_rates=np.array(leak),
+        leak_rates=leak,
     )
 
 
@@ -133,11 +233,12 @@ def matrix_exponential_row(
     Poisson-weighted powers of the substochastic kernel I + Q/lam keep all
     arithmetic nonnegative.  The series stops once the remaining Poisson
     tail drops below ``tol``.  Returns the probability vector over
-    ``gen.states`` and the leaked-mass estimate 1 - sum(entries).
+    ``gen.states`` and the leaked-mass estimate 1 - sum(entries).  A time
+    that is not a real number raises TypeError, one not finite and
+    nonnegative ValueError.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    dim = len(gen.states)
+    check_time(t)
+    dim = gen.rate_matrix.shape[0]
     out = np.zeros(dim)
     out[gen.index[initial]] = 1.0
     if t == 0.0:
@@ -166,32 +267,54 @@ def matrix_exponential_row(
 
 
 def _run_jumps(initial: ParticleState, rates: RateTable, t: float, rng) -> tuple[ParticleState, int]:
-    state = initial
+    """Final state and jump count of one trajectory, walked on (positions, species) tuples.
+
+    Enabled jumps are listed in particle order and summed left to right; a
+    blocked or swapping particle never overtakes, so positions stay sorted.
+    """
+    pos, spc = initial.positions, initial.species
+    b = rates.rates
+    n = len(pos)
     jumps = 0
     clock = 0.0
     while True:
-        moves = _moves(state, rates)
-        total = sum(rate for rate, _ in moves)
+        move_rates, slots = [], []  # slot i hops particle i, slot ~i swaps it with particle i + 1
+        for i in range(n):
+            if i + 1 < n and pos[i + 1] == pos[i] + 1:
+                if spc[i] > spc[i + 1]:  # overtaking swap, positions unchanged
+                    move_rates.append(b[spc[i] - 1])
+                    slots.append(~i)
+                continue  # blocked by an equal or stronger species
+            move_rates.append(b[spc[i] - 1])
+            slots.append(i)
+        total = sum(move_rates)
         clock += rng.exponential(1.0 / total)
         if clock > t:
-            return state, jumps
+            return ParticleState(pos, spc), jumps
         pick = rng.random() * total
         acc = 0.0
-        for rate, nxt in moves:
+        for rate, i in zip(move_rates, slots):
             acc += rate
             if pick < acc:
-                state = nxt
                 break
-        else:  # guard against roundoff at pick ~ total
-            state = moves[-1][1]
+        # past the loop unbroken (roundoff at pick ~ total), the last move fires
+        if i < 0:
+            i = ~i
+            spc = spc[:i] + (spc[i + 1], spc[i]) + spc[i + 2 :]
+        else:
+            pos = pos[:i] + (pos[i] + 1,) + pos[i + 1 :]
         jumps += 1
 
 
 def sample_trajectory(
     initial: ParticleState, rates: RateTable, t: float, seed: int
 ) -> TrajectorySample:
-    """One exact trajectory, reproducible from its integer seed."""
+    """One exact trajectory, reproducible from its integer seed.
+
+    ``t`` is checked as in :func:`matrix_exponential_row`.
+    """
     validate_state(initial, rates)
+    check_time(t)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     final, jumps = _run_jumps(initial, rates, t, rng)
     return TrajectorySample(seed=seed, final_state=final, jump_count=jumps)
@@ -204,9 +327,10 @@ def gillespie(
 
     Each trajectory gets its own generator spawned from one seed sequence,
     so results are reproducible and trajectories stay independent even if
-    run in parallel.
+    run in parallel.  ``t`` is checked as in :func:`matrix_exponential_row`.
     """
     validate_state(initial, rates)
+    check_time(t)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     counts: dict[ParticleState, int] = {}

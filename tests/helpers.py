@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
+import scipy.sparse as sparse
 
-from mstasep import RateTable, SpectralPoint, contour_bound
+from mstasep import ParticleState, RateTable, SpectralPoint, contour_bound
 
 
 def draw_rates(rng, n, lo=0.5, hi=2.0):
@@ -42,3 +44,58 @@ def inversions(word):
         for j in range(i + 1, len(word))
         if word[i] > word[j]
     )
+
+
+def _moves(state, rates):
+    """Enabled jumps from a state: (rate, successor) pairs, in particle order."""
+    pos, spc = state.positions, state.species
+    n = len(pos)
+    out = []
+    for i in range(n):
+        b = rates.rate(spc[i])
+        if i + 1 < n and pos[i + 1] == pos[i] + 1:
+            if spc[i] > spc[i + 1]:  # overtaking swap, positions unchanged
+                new_spc = spc[:i] + (spc[i + 1], spc[i]) + spc[i + 2 :]
+                out.append((b, ParticleState(pos, new_spc)))
+            continue  # blocked by an equal or stronger species
+        new_pos = pos[:i] + (pos[i] + 1,) + pos[i + 1 :]
+        out.append((b, ParticleState(new_pos, spc)))
+    return out
+
+
+def reference_generator(initial, rates, window):
+    """Breadth-first window generator from the jump rules, one state at a time.
+
+    Returns ``(states, rate_matrix, leak_rates)`` with states in discovery
+    order; an independent reference for ``build_generator``.
+    """
+    hi = window[1]
+    states = [initial]
+    index = {initial: 0}
+    rows, cols, vals = [], [], []
+    leak = []
+    queue = deque([initial])
+    while queue:
+        state = queue.popleft()
+        r = index[state]
+        out_rate = 0.0
+        leaked = 0.0
+        for rate, nxt in _moves(state, rates):
+            out_rate += rate
+            if max(nxt.positions) > hi:
+                leaked += rate
+                continue
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+                queue.append(nxt)
+            rows.append(r)
+            cols.append(index[nxt])
+            vals.append(rate)
+        rows.append(r)
+        cols.append(r)
+        vals.append(-out_rate)
+        leak.append(leaked)  # states are processed in discovery order, so r == len(leak)
+    dim = len(states)
+    q = sparse.csr_matrix((np.array(vals), (np.array(rows), np.array(cols))), shape=(dim, dim))
+    return tuple(states), q, np.array(leak)

@@ -427,6 +427,12 @@ def test_non_finite_time_rejected():
         transition_probability(state, state, math.nan, RateTable((1.0, 2.0)))
 
 
+def test_time_past_the_float_range_rejected():
+    state = ParticleState((0, 1), (2, 1))
+    with pytest.raises(ValueError, match="finite"):
+        transition_probability(state, state, 10**400, RateTable((1.0, 2.0)))
+
+
 def test_not_converged_raised_at_cap():
     rt = RateTable((1.0, 2.0))
     with pytest.raises(NotConverged):

@@ -11,12 +11,11 @@ from mstasep import (
     ParticleState,
     RateTable,
     SpeciesOutOfRange,
-    build_generator,
     build_sector,
     enumerate_sn,
     validate_state,
 )
-from helpers import inversions, sector_size
+from helpers import inversions, reference_generator, sector_size
 from mstasep.core import window_states, word_floors
 
 
@@ -193,8 +192,8 @@ def test_window_states_match_the_generator(n, data):
     assert positions.dtype == words.dtype == np.int64 and positions.shape == words.shape
     rows = [tuple(x) + tuple(w) for x, w in zip(positions.tolist(), words.tolist())]
     assert rows == sorted(set(rows))  # sorted by (positions, species), no duplicates
-    gen = build_generator(initial, RateTable((1.0,) * n), (start[0], hi))
-    assert {(r[:n], r[n:]) for r in rows} == {(s.positions, s.species) for s in gen.states}
+    states, _, _ = reference_generator(initial, RateTable((1.0,) * n), (start[0], hi))
+    assert {(r[:n], r[n:]) for r in rows} == {(s.positions, s.species) for s in states}
     # every path to a word reaches one floor, the one the enumerator uses
     paths = _path_floors(initial)
     floors = word_floors(initial)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_generator
 from mstasep import (
     ParticleState,
     RateTable,
@@ -15,7 +18,8 @@ from mstasep import (
     matrix_exponential_row,
     sample_trajectory,
 )
-from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
+from mstasep import oracle
+from mstasep.oracle import WindowTooWide, hop_rate_diag, swap_gain_matrix, swap_loss_diag
 
 B1, B2 = 0.8, 1.7
 RT2 = RateTable((B1, B2))
@@ -73,6 +77,111 @@ def test_generator_conserves_species_multiset():
 def test_window_too_small_raises():
     with pytest.raises(WindowTooSmall):
         build_generator(ParticleState((0, 5), (1, 2)), RT2, (0, 4))
+
+
+@given(st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_generator_matches_the_reference_bfs(n, data):
+    word = tuple(data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n)))
+    start = tuple(sorted(data.draw(st.sets(st.integers(-3, 6), min_size=n, max_size=n))))
+    lo = start[0] - data.draw(st.integers(0, 2))
+    hi = start[-1] + data.draw(st.integers(0, 5))
+    rates = RateTable(tuple(data.draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))))
+    initial = ParticleState(start, word)
+    gen = build_generator(initial, rates, (lo, hi))
+    ref_states, ref_matrix, ref_leak = reference_generator(initial, rates, (lo, hi))
+    assert set(gen.states) == set(ref_states) and len(gen.states) == len(ref_states)
+    assert len(gen.index) == len(gen.states)
+    for k, state in enumerate(gen.states):
+        assert gen.index[state] == k and state in gen.index
+    perm = np.array([gen.index[s] for s in ref_states])
+    permuted = gen.rate_matrix[perm][:, perm]
+    assert permuted.nnz == ref_matrix.nnz and (permuted != ref_matrix).nnz == 0
+    assert np.array_equal(gen.leak_rates[perm], ref_leak)
+    outside = [
+        ParticleState(tuple(range(hi + 1 - n + 1, hi + 2)), word),  # rightmost particle past hi
+        ParticleState(tuple(range(lo - n, lo)), word),  # left of the window
+        ParticleState(start, (n + 1,) * n),  # species outside 1..N
+    ]
+    for state in outside:
+        assert state not in gen.index
+        with pytest.raises(KeyError):
+            gen.index[state]
+
+
+def test_state_views_read_the_tables():
+    initial = ParticleState((0, 1, 3), (3, 1, 2))
+    gen = build_generator(initial, RateTable((1.0, 1.5, 0.7)), (0, 6))
+    assert gen.positions.dtype == gen.words.dtype == np.int64
+    assert not gen.positions.flags.writeable and not gen.words.flags.writeable
+    rows = [(tuple(x), tuple(w)) for x, w in zip(gen.positions.tolist(), gen.words.tolist())]
+    assert rows == sorted(rows)  # (positions, species) order
+    assert gen.states[-1] == ParticleState(*rows[-1])
+    assert gen.states[1:3] == tuple(gen.states)[1:3]
+    assert gen.rate_matrix.shape == (len(gen.states), len(gen.states))
+    assert gen.index[initial] == rows.index(((0, 1, 3), (3, 1, 2)))
+    assert "not a state" not in gen.index
+    with pytest.raises(KeyError):
+        gen.index[ParticleState((0, 1, 2), (3, 1, 2))]  # in the window's span, not reachable
+
+
+def test_window_too_wide_for_int64_keys_raises_before_enumeration(monkeypatch):
+    def no_states(*args, **kwargs):
+        raise AssertionError("window enumerated before the key range was checked")
+
+    monkeypatch.setattr(oracle, "window_states", no_states)
+    initial = ParticleState((0, 1, 2, 3), (4, 3, 2, 1))
+    rates = RateTable((1.0, 1.2, 0.9, 1.1))
+    # (hi - lo + 1)**4 * 4**4 passes 2**63 once hi - lo + 1 exceeds 2**13.75
+    with pytest.raises(WindowTooWide, match="int64"):
+        build_generator(initial, rates, (0, 2**14))
+    with pytest.raises(WindowTooWide):
+        build_generator(initial, rates, (-(2**62), 3))
+    far = ParticleState((-(2**63) - 2,), (1,))
+    with pytest.raises(ValueError, match="int64"):
+        build_generator(far, RateTable((1.0,)), (-(2**63) - 3, -(2**63)))
+    with pytest.raises(AssertionError, match="enumerated"):  # the patch is live
+        build_generator(initial, rates, (0, 2**13))
+
+
+@pytest.mark.parametrize("window", [(0.7, 5.9), (0, 5.0), (True, 5), (0, np.float64(5))])
+def test_window_edges_must_be_integers(window):
+    with pytest.raises(TypeError):
+        build_generator(ParticleState((1, 2), (2, 1)), RT2, window)
+
+
+def test_window_edges_accept_numpy_integers():
+    state = ParticleState((1, 2), (2, 1))
+    gen = build_generator(state, RT2, (np.int64(1), np.int32(5)))
+    assert (gen.lo, gen.hi) == (1, 5) and type(gen.hi) is int
+
+
+BAD_TIMES = [
+    (True, TypeError),
+    ("0.5", TypeError),
+    (0.5j, TypeError),
+    (math.nan, ValueError),
+    (math.inf, ValueError),
+    (-0.1, ValueError),
+    (-(10**400), ValueError),
+    (10**400, ValueError),
+]
+
+
+@pytest.mark.parametrize("t, error", BAD_TIMES)
+def test_oracle_time_checked_at_every_entry_point(monkeypatch, t, error):
+    def no_jumps(*args, **kwargs):
+        raise AssertionError("a trajectory started")
+
+    monkeypatch.setattr(oracle, "_run_jumps", no_jumps)
+    state = ParticleState((0, 1), (2, 1))
+    gen = build_generator(state, RT2, (0, 8))
+    with pytest.raises(error, match="time"):
+        gillespie(state, RT2, t, 1, seed=0)
+    with pytest.raises(error, match="time"):
+        sample_trajectory(state, RT2, t, seed=0)
+    with pytest.raises(error, match="time"):
+        matrix_exponential_row(gen, state, t)
 
 
 def test_expm_row_at_time_zero_is_indicator():
