@@ -41,7 +41,6 @@ from .oracle import (
 )
 from .rmatrix import (
     PoleOnContour,
-    SectorMatrix,
     SpectralPoint,
     amplitude_S,
     amplitude_T,
@@ -64,7 +63,6 @@ __all__ = [
     "PoleOnContour",
     "ProbabilityResult",
     "RateTable",
-    "SectorMatrix",
     "SpeciesOutOfRange",
     "SpectralParams",
     "SpectralPoint",

@@ -28,10 +28,11 @@ fixed order gives the same bits at a given node count on repeated calls and for
 any ``threads`` (the pool only maps slabs to workers).
 
 Targets enter as one table: :func:`transition_arrays` takes (T, N) int64
-position and word arrays, validates them as a whole and builds the support
-mask and, for the targets inside the support, the sector rows (one
-``searchsorted`` of mixed-radix word codes), rate-power constants and per-axis
-distinct positions; every later stage reads it.  :func:`transition_matrix` is
+position and word arrays, validates them as a whole with
+:func:`core.check_table` and builds the support mask and, for the targets
+inside the support, the sector rows (one ``searchsorted`` of
+:func:`core.word_codes`), rate-power constants and per-axis distinct
+positions; every later stage reads it.  :func:`transition_matrix` is
 a thin wrapper that turns a list of states into those arrays and the returned
 arrays into one :class:`ProbabilityResult` per target.
 Positions are taken relative to the start's leftmost site: the value is
@@ -41,7 +42,6 @@ translation invariant, and a start far from the origin then overflows nothing.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -49,19 +49,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    NonIncreasingPositions,
     ParticleState,
     PermutationElem,
     RateTable,
-    SpeciesOutOfRange,
     WordBlock,
+    _describe,
     build_sector,
+    check_int,
+    check_real,
+    check_table,
     check_time,
     enumerate_sn,
     finite_positive,
+    state_arrays,
     validate_state,
+    word_codes,
 )
-from .rmatrix import SectorMatrix, SlotAction, SpectralPoint, chain_factors, contour_bound
+from .rmatrix import SlotAction, SpectralPoint, chain_factors, contour_bound
 
 MAX_PARTICLES_DEFAULT = 4
 MAX_PARTICLES_HARD = 6
@@ -112,15 +116,11 @@ class SpectralParams:
 
     def __post_init__(self):
         for name in ("adapt_tol",) if self.radius is None else ("radius", "adapt_tol"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {v!r}")
+            v = check_real(getattr(self, name), name)
             if not finite_positive(v):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         for name in ("nodes_per_dim", "max_nodes"):
-            m = getattr(self, name)
-            if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {m!r}")
+            m = check_int(getattr(self, name), name)
             if not 4 <= m <= MAX_NODES_PER_DIM or m & (m - 1):
                 raise ValueError(
                     f"{name} must be a power of two from 4 to {MAX_NODES_PER_DIM}; got {m}"
@@ -167,17 +167,17 @@ def integrand(
     t: float,
     rates: RateTable,
     sector: WordBlock,
-    amplitude: SectorMatrix,
+    amplitude: np.ndarray,
 ) -> complex:
     """Scalar integrand of one permutation at one spectral point.
 
-    ``amplitude`` must be the matrix attached to ``sigma`` at ``sp``; it is
-    a parameter so batch callers can reuse it across targets.
+    ``amplitude`` must be the matrix :func:`rmatrix.build_A_sigma` attaches to
+    ``sigma`` at ``sp``; it is a parameter so batch callers can reuse it.
     """
     x, pi = target.positions, target.species
     y, nu = initial.positions, initial.species
     val = complex(np.exp(epsilon(pi, sp, rates) * t))
-    val *= amplitude.entries[sector.index(pi), sector.index(nu)]
+    val *= amplitude[sector.index(pi), sector.index(nu)]
     for i in range(len(x)):
         val *= rates.rate(pi[i]) ** x[i] * rates.rate(nu[i]) ** (-y[i])
     for i, k in enumerate(sigma.image):
@@ -201,7 +201,7 @@ def bethe_sum(
     sp: SpectralPoint,
     rates: RateTable,
     sector: WordBlock,
-    amplitudes: dict[tuple[int, ...], SectorMatrix],
+    amplitudes: dict[tuple[int, ...], np.ndarray],
 ) -> np.ndarray:
     """Spatial part of the spectral solution, summed over the symmetric group.
 
@@ -213,36 +213,13 @@ def bethe_sum(
     total = np.zeros((sector.dim, sector.dim), dtype=complex)
     for image, amp in amplitudes.items():
         phase = complex(np.prod([sp.xi[image[i] - 1] ** positions[i] for i in range(n)]))
-        total += diag[:, None] * amp.entries * phase
+        total += diag[:, None] * amp * phase
     return total
 
 
 # ---------------------------------------------------------------------------
 # batched evaluation over the tensor grid of contour nodes
 # ---------------------------------------------------------------------------
-
-
-def _int64_rows(rows, n: int, error: type[ValueError], what: str) -> np.ndarray:
-    """(len(rows), n) int64 array; an entry past int64 raises ``error`` naming it."""
-    try:
-        return np.array(rows, dtype=np.int64).reshape(-1, n)
-    except OverflowError:
-        bad = next(v for row in rows for v in row if not _INT64.min <= v <= _INT64.max)
-        raise error(f"{what} {bad} outside the int64 range") from None
-
-
-def state_arrays(states: Sequence[ParticleState], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(len(states), n) int64 position and word arrays of a list of states.
-
-    A state with other than n particles, or a species label past int64,
-    raises SpeciesOutOfRange; a position past int64 raises ValueError.
-    """
-    bad = next((s for s in states if len(s) != n), None)
-    if bad is not None:
-        raise SpeciesOutOfRange(f"state {bad} has {len(bad)} particles, not {n}")
-    positions = _int64_rows([s.positions for s in states], n, ValueError, "position")
-    words = _int64_rows([s.species for s in states], n, SpeciesOutOfRange, "species label")
-    return positions, words
 
 
 def _contour_nodes(radius: float, m: int) -> np.ndarray:
@@ -369,11 +346,6 @@ def _grid_values(
     return sum(parts) + np.where(rows == nu_idx, ident, 0.0)
 
 
-def _describe(positions: np.ndarray, words: np.ndarray, k: int) -> str:
-    x, w = tuple(positions[k].tolist()), tuple(words[k].tolist())
-    return f"target {k} (positions {x}, species {w})"
-
-
 def transition_arrays(
     initial: ParticleState,
     positions: np.ndarray,
@@ -395,11 +367,11 @@ def transition_arrays(
     once per node tuple regardless of how many targets are requested.
     Targets outside the support (different species multiset, or any ordered
     position below its initial value) come back as exact zeros.  The table is
-    validated as a whole: positions not strictly increasing raise
-    NonIncreasingPositions and species labels outside 1..N or another shape
-    SpeciesOutOfRange, each naming the first bad target; a position of the
-    initial state outside the int64 range raises ValueError.  An empty table
-    runs every guard and returns empty arrays.
+    validated as a whole by :func:`core.check_table`: positions not strictly
+    increasing raise NonIncreasingPositions and species labels outside 1..N or
+    another shape SpeciesOutOfRange, each naming the first bad target; a
+    position of the initial state outside the int64 range raises ValueError.
+    An empty table runs every guard and returns empty arrays.
 
     Node counts double from ``nodes_per_dim`` until the largest change over
     targets drops below ``adapt_tol``; hitting ``max_nodes`` without
@@ -409,30 +381,11 @@ def transition_arrays(
     params = params or SpectralParams()
     validate_state(initial, rates)
     n = len(initial)
-    y = _int64_rows([initial.positions], n, ValueError, "position")[0]
+    y = np.array(initial.positions, dtype=np.int64)
     positions, words = np.asarray(positions), np.asarray(words)
-    if positions.dtype != np.int64 or words.dtype != np.int64:
-        raise TypeError(
-            f"positions and words must be int64 arrays, got {positions.dtype} and {words.dtype}"
-        )
-    if positions.ndim != 2 or positions.shape[1:] != (n,) or words.shape != positions.shape:
-        raise SpeciesOutOfRange(
-            f"targets must be (T, {n}) arrays for {n} species, got {positions.shape} and {words.shape}"
-        )
-    bad = (positions[:, 1:] <= positions[:, :-1]).any(axis=1)
-    if bad.any():
-        raise NonIncreasingPositions(
-            f"{_describe(positions, words, bad.argmax())}: positions are not strictly increasing"
-        )
-    bad = ((words < 1) | (words > n)).any(axis=1)
-    if bad.any():
-        raise SpeciesOutOfRange(
-            f"{_describe(positions, words, bad.argmax())}: species labels outside 1..{n}"
-        )
+    check_table(positions, words, n)
     check_time(t)
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
-        raise TypeError(f"threads must be an integer, got {threads!r}")
-    if threads < 1:
+    if check_int(threads, "threads") < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if n > MAX_PARTICLES_HARD:
         raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES_HARD})")
@@ -459,9 +412,8 @@ def transition_arrays(
     if quad.any():
         sector = build_sector(initial.species)
         perms = enumerate_sn(n)
-        # sector rows by mixed-radix word codes: the lexicographic word order is the code order
-        radix = n ** np.arange(n - 1, -1, -1)
-        rows = np.searchsorted((np.array(sector.words) - 1) @ radix, (words[quad] - 1) @ radix)
+        # sector rows by word codes: the lexicographic word order is the code order
+        rows = np.searchsorted(word_codes(np.array(sector.words), n), word_codes(words[quad], n))
         # positions relative to the start's leftmost site; each x - y[0] >= 0 must fit int64
         far = (x[quad] > _INT64.max + min(int(y[0]), 0)).any(axis=1)
         xq, y = x[quad] - y[0], y - y[0]
@@ -517,7 +469,7 @@ def transition_matrix(
     """Transition probabilities from one state to many targets at time t.
 
     A thin wrapper over :func:`transition_arrays`: the targets become its
-    position and word arrays (see :func:`state_arrays` for the errors that
+    position and word arrays (see :func:`core.state_arrays` for the errors that
     raises), and its arrays one :class:`ProbabilityResult` per target.
     """
     positions, words = state_arrays(targets, rates.n_species)

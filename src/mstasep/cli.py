@@ -15,9 +15,9 @@ error (also a particle count, contour radius or time the spectral route
 rejects, ``prob`` checking these before enumerating a window; a target so
 far from the start that the spectral route overflows; ``--threads`` below
 1; ``--samples`` below 1; a negative ``--seed`` for ``simulate`` or
-``verify``; a ``verify`` run with ``--trials`` below 1 or a ``--size`` too
-small for its suite to check anything or too large for it), 3 quadrature
-failed to converge.
+``verify``; a ``verify`` run with ``--trials`` below 1 or a ``--size``
+outside its suite's range: yang-baxter and welldef 3 to 6, oracle 2 to 3,
+stochastic 1 to 4, boundary 2 to 5), 3 quadrature failed to converge.
 """
 
 from __future__ import annotations
@@ -27,19 +27,20 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import bethe, oracle
 from .core import (
-    NonIncreasingPositions,
     ParticleState,
     RateTable,
-    SpeciesOutOfRange,
     build_sector,
+    check_table,
+    check_time,
     default_window,
+    state_arrays,
     validate_state,
     window_states,
 )
@@ -96,12 +97,7 @@ def _parse_state(obj, where: str) -> ParticleState:
         raise ConfigError(f"{where} must be an object with positions and species")
     _require_keys(obj, {"positions", "species"}, {"positions", "species"}, where)
     try:
-        positions, species = tuple(obj["positions"]), tuple(obj["species"])
-        if bool in map(type, positions + species):  # ParticleState would read them as 0/1
-            raise TypeError("positions and species must be integers, not true/false")
-        state = ParticleState(positions, species)
-        bethe.state_arrays([state], len(state))  # the int64 range the spectral route needs
-        return state
+        return ParticleState(tuple(obj["positions"]), tuple(obj["species"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad state in {where}: {exc}") from exc
 
@@ -125,17 +121,25 @@ def parse_config(text: str) -> JobConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad rates: {exc}") from exc
     initial = _parse_state(data["initial"], "initial")
+    try:
+        validate_state(initial, rates)
+    except ValueError as exc:
+        raise ConfigError(f"bad state in initial: {exc}") from exc
     time = data["time"]
-    if isinstance(time, bool) or not isinstance(time, (int, float)):
-        raise ConfigError("time must be a number")
-    if not 0 <= time <= sys.float_info.max:  # also false for NaN
-        raise ConfigError(f"time must be finite and nonnegative, got {time}")
+    try:
+        check_time(time)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     raw_targets = data["targets"]
     targets: tuple[ParticleState, ...] | str
     if raw_targets == "window":
         targets = "window"
     elif isinstance(raw_targets, list):
         targets = tuple(_parse_state(tg, f"targets[{i}]") for i, tg in enumerate(raw_targets))
+        try:
+            check_table(*state_arrays(targets, rates.n_species), rates.n_species)
+        except ValueError as exc:
+            raise ConfigError(f"bad targets: {exc}") from exc
     else:
         raise ConfigError('targets must be "window" or a list of states')
     spectral_obj = data.get("spectral", {})
@@ -145,12 +149,7 @@ def parse_config(text: str) -> JobConfig:
         spectral_obj, {"radius", "nodes_per_dim", "adapt_tol", "max_nodes"}, set(), "spectral"
     )
     try:
-        spectral = bethe.SpectralParams(
-            radius=spectral_obj.get("radius"),
-            nodes_per_dim=spectral_obj.get("nodes_per_dim", 32),
-            adapt_tol=spectral_obj.get("adapt_tol", 1e-8),
-            max_nodes=spectral_obj.get("max_nodes", 256),
-        )
+        spectral = bethe.SpectralParams(**spectral_obj)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad spectral parameters: {exc}") from exc
     out_fmt = out_path = None
@@ -167,7 +166,7 @@ def parse_config(text: str) -> JobConfig:
             raise ConfigError(f"output path must be a string, got {out_path!r}")
         if out_path == "":
             raise ConfigError("output path must not be empty; use '-' for standard output")
-    cfg = JobConfig(
+    return JobConfig(
         rates=rates,
         initial=initial,
         time=float(time),
@@ -176,14 +175,6 @@ def parse_config(text: str) -> JobConfig:
         output_format=out_fmt,
         output_path=out_path,
     )
-    try:
-        validate_state(cfg.initial, cfg.rates)
-        if isinstance(cfg.targets, tuple):
-            for tg in cfg.targets:
-                validate_state(tg, cfg.rates)
-    except (NonIncreasingPositions, SpeciesOutOfRange) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def canonical_config(cfg: JobConfig) -> str:
@@ -203,12 +194,7 @@ def canonical_config(cfg: JobConfig) -> str:
         else [
             {"positions": list(tg.positions), "species": list(tg.species)} for tg in cfg.targets
         ],
-        "spectral": {
-            "radius": cfg.spectral.radius,
-            "nodes_per_dim": cfg.spectral.nodes_per_dim,
-            "adapt_tol": cfg.spectral.adapt_tol,
-            "max_nodes": cfg.spectral.max_nodes,
-        },
+        "spectral": asdict(cfg.spectral),
     }
     if cfg.output_format is not None or cfg.output_path is not None:
         out: dict = {}
@@ -228,7 +214,7 @@ def target_arrays(cfg: JobConfig) -> tuple[np.ndarray, np.ndarray]:
     species); the window's right edge past int64 raises ValueError.
     """
     if isinstance(cfg.targets, tuple):
-        return bethe.state_arrays(cfg.targets, len(cfg.initial))
+        return state_arrays(cfg.targets, len(cfg.initial))
     _, hi = default_window(cfg.initial, cfg.rates, cfg.time)
     return window_states(cfg.initial, hi)
 
@@ -290,14 +276,10 @@ def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = Non
             cfg.initial, [], cfg.time, cfg.rates, params=cfg.spectral, threads=threads
         )
         positions, words = target_arrays(cfg)
-    except (ValueError, bethe.OverflowRisk) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         value, _, est_error, nodes_used = bethe.transition_arrays(
             cfg.initial, positions, words, cfg.time, cfg.rates, params=cfg.spectral, threads=threads
         )
-    except bethe.OverflowRisk as exc:  # a target far from the start
+    except (ValueError, bethe.OverflowRisk) as exc:  # also a target far from the start
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except bethe.NotConverged as exc:
@@ -322,7 +304,7 @@ def cmd_simulate(
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
     counts = oracle.gillespie(cfg.initial, cfg.rates, cfg.time, n_samples, seed)
     states = sorted(counts, key=lambda s: (s.positions, s.species))
-    positions, words = bethe.state_arrays(states, len(cfg.initial))
+    positions, words = state_arrays(states, len(cfg.initial))
     count = np.array([counts[s] for s in states])
     freq = count / n_samples
     columns = {
@@ -372,9 +354,7 @@ def _suite_oracle(size: int, seed: int, trials: int, threads: int) -> float:
     words = {
         2: [(1, 1), (1, 2), (2, 1), (2, 2)],
         3: [(1, 2, 3), (3, 2, 1), (2, 1, 2)],
-    }.get(size)
-    if words is None:
-        raise ConfigError("oracle suite supports size 2 or 3")
+    }[size]
     times = (0.1, 0.5, 1.0)
     worst = 0.0
     for _ in range(trials):
@@ -392,8 +372,6 @@ def _suite_oracle(size: int, seed: int, trials: int, threads: int) -> float:
 
 
 def _suite_stochastic(size: int, seed: int, trials: int, threads: int) -> float:
-    if size > bethe.MAX_PARTICLES_DEFAULT:  # checked before a window is enumerated
-        raise ConfigError(f"stochastic suite supports size up to {bethe.MAX_PARTICLES_DEFAULT}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     t = 1.0
@@ -434,13 +412,14 @@ def _suite_boundary(size: int, seed: int, trials: int, threads: int) -> float:
     return worst
 
 
-# runner, default size, default trials, and the smallest size with anything to check
+# runner, default size, default trials, the smallest size with anything to check,
+# and the largest size it runs: dense sector matrices and windows grow like N!
 _SUITE_RUNNERS = {
-    "yang-baxter": (_suite_welldef, 3, 100, 3),  # the same braid relation under its usual name
-    "welldef": (_suite_welldef, 3, 100, 3),  # a braid needs slots i, i+1 and i+2
-    "oracle": (_suite_oracle, 2, 3, 2),
-    "stochastic": (_suite_stochastic, 2, 5, 1),
-    "boundary": (_suite_boundary, 2, 50, 2),  # an adjacent pair needs two particles
+    "yang-baxter": (_suite_welldef, 3, 100, 3, 6),  # the same braid relation under its usual name
+    "welldef": (_suite_welldef, 3, 100, 3, 6),  # a braid needs slots i, i+1 and i+2
+    "oracle": (_suite_oracle, 2, 3, 2, 3),  # the start words are listed for 2 and 3
+    "stochastic": (_suite_stochastic, 2, 5, 1, bethe.MAX_PARTICLES_DEFAULT),
+    "boundary": (_suite_boundary, 2, 50, 2, 5),  # an adjacent pair needs two particles
 }
 
 
@@ -454,11 +433,11 @@ def cmd_verify(
     """Run one named property suite and report max residual against its tolerance."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    runner, default_size, default_trials, min_size = _SUITE_RUNNERS[suite]
+    runner, default_size, default_trials, min_size, max_size = _SUITE_RUNNERS[suite]
     size = default_size if size is None else size
     trials = default_trials if trials is None else trials
-    if size < min_size:
-        raise ConfigError(f"{suite} needs --size of at least {min_size}, got {size}")
+    if not min_size <= size <= max_size:
+        raise ConfigError(f"{suite} needs --size from {min_size} to {max_size}, got {size}")
     if trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {trials}")
     if seed < 0:

@@ -8,6 +8,11 @@ breadth-first from the identity so that every element carries a canonical
 reduced word back to the identity.  The states reachable inside a lattice
 window are listed directly from the words reachable by overtaking swaps,
 each with a floor below which its positions cannot lie.
+
+Each input rule is written once, here: :func:`check_int`, :func:`check_real`
+and :func:`check_time` for scalars (a bool is neither integer nor real), and
+:func:`check_table` for (T, N) int64 state tables, which :func:`validate_state`
+applies to one state, so positions fit int64 on every route.
 """
 
 from __future__ import annotations
@@ -33,6 +38,23 @@ class SpeciesOutOfRange(ValueError):
     """A species label lies outside {1..N}."""
 
 
+def check_int(v, name: str) -> int:
+    """``operator.index(v)``; a bool, float or other non-integer raises TypeError naming ``name``."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {v!r}")
+
+
+def check_real(v, name: str) -> numbers.Real:
+    """``v``; raise TypeError naming ``name`` unless it is a real number (a bool is not)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {v!r}")
+    return v
+
+
 def finite_positive(v: numbers.Real) -> bool:
     """0 < v < inf, compared as a float (a float32 cast of the float maximum overflows)."""
     try:
@@ -43,13 +65,8 @@ def finite_positive(v: numbers.Real) -> bool:
 
 def check_time(t: numbers.Real) -> None:
     """Raise TypeError unless t is a real number (a bool is not), ValueError unless finite and >= 0."""
-    if isinstance(t, bool) or not isinstance(t, numbers.Real):
-        raise TypeError(f"time must be a real number, got {t!r}")
-    try:
-        ok = math.isfinite(t) and t >= 0
-    except OverflowError:  # an int past the float range
-        ok = False
-    if not ok:
+    check_real(t, "time")
+    if not (t == 0 or finite_positive(t)):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
 
 
@@ -64,11 +81,9 @@ class RateTable:
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        rates = tuple(self.rates)
+        rates = tuple(check_real(b, "a jump rate") for b in self.rates)
         if len(rates) == 0:
             raise ValueError("rate table must not be empty")
-        if any(isinstance(b, bool) or not isinstance(b, numbers.Real) for b in rates):
-            raise TypeError(f"jump rates must be real numbers, got {rates}")
         if not all(map(finite_positive, rates)):
             raise ValueError(f"jump rates must be finite and strictly positive, got {rates}")
         object.__setattr__(self, "rates", tuple(float(b) for b in rates))
@@ -94,8 +109,8 @@ class ParticleState:
     species: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(map(operator.index, self.positions)))
-        object.__setattr__(self, "species", tuple(map(operator.index, self.species)))
+        object.__setattr__(self, "positions", tuple(check_int(x, "a position") for x in self.positions))
+        object.__setattr__(self, "species", tuple(check_int(s, "a species label") for s in self.species))
         if len(self.positions) != len(self.species):
             raise ValueError(
                 f"{len(self.positions)} positions but {len(self.species)} species labels"
@@ -105,23 +120,75 @@ class ParticleState:
         return len(self.positions)
 
 
-def validate_state(state: ParticleState, rates: RateTable) -> None:
-    """Check a state against the exclusion and species-range invariants.
+def _int64_rows(rows, n: int, error: type[ValueError], what: str) -> np.ndarray:
+    """(len(rows), n) int64 array; an entry past int64 raises ``error`` naming it."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, n)
+    except OverflowError:
+        bad = next(v for row in rows for v in row if not _INT64.min <= v <= _INT64.max)
+        raise error(f"{what} {bad} outside the int64 range") from None
 
-    Raises NonIncreasingPositions or SpeciesOutOfRange; returns None when
-    the state is admissible for an ``rates.n_species``-particle system.
+
+def state_arrays(states: Sequence[ParticleState], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(len(states), n) int64 position and word arrays of a list of states.
+
+    A state with other than n particles, or a species label past int64,
+    raises SpeciesOutOfRange; a position past int64 raises ValueError.
+    """
+    bad = next((s for s in states if len(s) != n), None)
+    if bad is not None:
+        raise SpeciesOutOfRange(f"state {bad} has {len(bad)} particles, not {n}")
+    positions = _int64_rows([s.positions for s in states], n, ValueError, "position")
+    words = _int64_rows([s.species for s in states], n, SpeciesOutOfRange, "species label")
+    return positions, words
+
+
+def _describe(positions: np.ndarray, words: np.ndarray, k: int) -> str:
+    x, w = tuple(positions[k].tolist()), tuple(words[k].tolist())
+    return f"{f'target {k}' if len(positions) > 1 else 'state'} (positions {x}, species {w})"
+
+
+def check_table(positions: np.ndarray, words: np.ndarray, n: int) -> None:
+    """Check (T, n) position and word tables against the exclusion and species-range rules.
+
+    Arrays other than int64 raise TypeError and another shape SpeciesOutOfRange.
+    Positions not strictly increasing raise NonIncreasingPositions and species
+    labels outside 1..n SpeciesOutOfRange, each naming the first bad row.
+    """
+    if positions.dtype != np.int64 or words.dtype != np.int64:
+        raise TypeError(
+            f"positions and words must be int64 arrays, got {positions.dtype} and {words.dtype}"
+        )
+    if positions.ndim != 2 or positions.shape[1:] != (n,) or words.shape != positions.shape:
+        raise SpeciesOutOfRange(
+            f"states must be (T, {n}) arrays for {n} species, got {positions.shape} and {words.shape}"
+        )
+    bad = (positions[:, 1:] <= positions[:, :-1]).any(axis=1)
+    if bad.any():
+        raise NonIncreasingPositions(
+            f"{_describe(positions, words, bad.argmax())}: positions are not strictly increasing"
+        )
+    bad = ((words < 1) | (words > n)).any(axis=1)
+    if bad.any():
+        raise SpeciesOutOfRange(
+            f"{_describe(positions, words, bad.argmax())}: species labels outside 1..{n}"
+        )
+
+
+def validate_state(state: ParticleState, rates: RateTable) -> None:
+    """Check a state as a one-row table (see :func:`state_arrays` and :func:`check_table`).
+
+    Raises NonIncreasingPositions or SpeciesOutOfRange, or ValueError for a
+    position past int64; returns None when the state is admissible for an
+    ``rates.n_species``-particle system.
     """
     n = rates.n_species
-    if len(state) != n:
-        raise SpeciesOutOfRange(
-            f"state has {len(state)} particles but the rate table declares {n} species"
-        )
-    for a, b in zip(state.positions, state.positions[1:]):
-        if a >= b:
-            raise NonIncreasingPositions(f"positions {state.positions} are not strictly increasing")
-    for s in state.species:
-        if not 1 <= s <= n:
-            raise SpeciesOutOfRange(f"species label {s} outside 1..{n}")
+    check_table(*state_arrays([state], n), n)
+
+
+def word_codes(words: np.ndarray, n: int) -> np.ndarray:
+    """Mixed-radix code of each row of a (T, n) word table (letter s is digit s - 1), in word order."""
+    return (words - 1) @ (n ** np.arange(n - 1, -1, -1))
 
 
 class WordBlock:
@@ -275,8 +342,9 @@ def default_window(initial: ParticleState, rates: RateTable, t: float) -> tuple[
 
     The rightmost particle's displacement is dominated by a Poisson count
     at the largest rate; ten standard deviations plus a constant margin
-    push the tail below 1e-9.
+    push the tail below 1e-9.  ``t`` is checked by :func:`check_time`.
     """
+    check_time(t)
     bmax = max(rates.rates)
     margin = math.ceil(bmax * t + 10.0 * math.sqrt(bmax * t) + 10.0)
     return min(initial.positions), max(initial.positions) + margin

@@ -16,7 +16,6 @@ Gillespie trajectories walk plain (positions, species) tuples.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -28,10 +27,14 @@ from .core import (
     ParticleState,
     RateTable,
     WordBlock,
+    check_int,
+    check_table,
     check_time,
     default_window,
+    state_arrays,
     validate_state,
     window_states,
+    word_codes,
 )
 
 _INT64 = np.iinfo(np.int64)
@@ -80,17 +83,16 @@ class _StateIndex(Mapping[ParticleState, int]):
         self._lo, self._hi, self._n, self._keys, self._states = lo, hi, n, keys, states
 
     def __getitem__(self, state) -> int:
-        n = self._n
-        if not (
-            isinstance(state, ParticleState)
-            and len(state) == n
-            and all(self._lo <= x <= self._hi for x in state.positions)
-            and all(1 <= w <= n for w in state.species)
-        ):
+        if not isinstance(state, ParticleState):
             raise KeyError(state)
-        code = _state_keys(
-            np.array([state.positions]), np.array([state.species]), self._lo, self._hi
-        )[0]
+        try:
+            positions, words = state_arrays([state], self._n)
+            check_table(positions, words, self._n)
+        except ValueError:
+            raise KeyError(state) from None
+        if not self._lo <= positions[0, 0] <= positions[0, -1] <= self._hi:
+            raise KeyError(state)
+        code = _state_keys(positions, words, self._lo, self._hi)[0]
         k = int(np.searchsorted(self._keys, code))
         if k == len(self._keys) or self._keys[k] != code:
             raise KeyError(state)
@@ -109,9 +111,7 @@ def _state_keys(positions: np.ndarray, words: np.ndarray, lo: int, hi: int) -> n
     keys = np.zeros(len(positions), dtype=np.int64)
     for j in range(n):
         keys = keys * (hi - lo + 1) + (positions[:, j] - lo)
-    for j in range(n):
-        keys = keys * n + (words[:, j] - 1)
-    return keys
+    return keys * n**n + word_codes(words, n)
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,6 @@ class TrajectorySample:
     jump_count: int
 
 
-def _window_edge(v) -> int:
-    if isinstance(v, bool):
-        raise TypeError(f"window edges must be integers, got {v!r}")
-    return operator.index(v)
-
-
 def build_generator(
     initial: ParticleState, rates: RateTable, window: Sequence[int]
 ) -> GeneratorWindow:
@@ -172,7 +166,7 @@ def build_generator(
     destination column.
     """
     validate_state(initial, rates)
-    lo, hi = (_window_edge(v) for v in window)
+    lo, hi = (check_int(v, "a window edge") for v in window)
     if not (lo <= min(initial.positions) and max(initial.positions) <= hi):
         raise WindowTooSmall(f"initial positions {initial.positions} outside [{lo}, {hi}]")
     n = len(initial)
@@ -266,8 +260,8 @@ def matrix_exponential_row(
     return out, float(1.0 - out.sum())
 
 
-def _run_jumps(initial: ParticleState, rates: RateTable, t: float, rng) -> tuple[ParticleState, int]:
-    """Final state and jump count of one trajectory, walked on (positions, species) tuples.
+def _run_jumps(initial: ParticleState, rates: RateTable, t: float, rng) -> tuple[tuple, tuple, int]:
+    """Final positions, species and jump count of one trajectory, walked on tuples.
 
     Enabled jumps are listed in particle order and summed left to right; a
     blocked or swapping particle never overtakes, so positions stay sorted.
@@ -290,7 +284,7 @@ def _run_jumps(initial: ParticleState, rates: RateTable, t: float, rng) -> tuple
         total = sum(move_rates)
         clock += rng.exponential(1.0 / total)
         if clock > t:
-            return ParticleState(pos, spc), jumps
+            return pos, spc, jumps
         pick = rng.random() * total
         acc = 0.0
         for rate, i in zip(move_rates, slots):
@@ -316,8 +310,8 @@ def sample_trajectory(
     validate_state(initial, rates)
     check_time(t)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    final, jumps = _run_jumps(initial, rates, t, rng)
-    return TrajectorySample(seed=seed, final_state=final, jump_count=jumps)
+    pos, spc, jumps = _run_jumps(initial, rates, t, rng)
+    return TrajectorySample(seed=seed, final_state=ParticleState(pos, spc), jump_count=jumps)
 
 
 def gillespie(
@@ -327,18 +321,19 @@ def gillespie(
 
     Each trajectory gets its own generator spawned from one seed sequence,
     so results are reproducible and trajectories stay independent even if
-    run in parallel.  ``t`` is checked as in :func:`matrix_exponential_row`.
+    run in parallel.  ``t`` is checked as in :func:`matrix_exponential_row`,
+    ``n_samples`` by :func:`core.check_int`.
     """
     validate_state(initial, rates)
     check_time(t)
-    if n_samples < 1:
+    if check_int(n_samples, "n_samples") < 1:
         raise ValueError("n_samples must be at least 1")
-    counts: dict[ParticleState, int] = {}
+    counts: dict[tuple, int] = {}
     for child in np.random.SeedSequence(seed).spawn(n_samples):
         rng = np.random.default_rng(child)
-        final, _ = _run_jumps(initial, rates, t, rng)
-        counts[final] = counts.get(final, 0) + 1
-    return counts
+        pos, spc, _ = _run_jumps(initial, rates, t, rng)
+        counts[pos, spc] = counts.get((pos, spc), 0) + 1
+    return {ParticleState(*final): c for final, c in counts.items()}
 
 
 # Boundary-equation ingredients on a word block.  These never feed the

@@ -14,6 +14,10 @@ expression.  :func:`embed_T_l` builds the dense factor from the two (and
 :func:`build_R` is its N = 2 case); :class:`SlotAction` applies the same
 factor to batches of grid points for the kernel in ``bethe``.
 
+:func:`product_along_slots` is the one dense product; :func:`build_A_sigma`,
+:func:`build_all_A` and :func:`consistency_residuals` call it.  Dense matrices
+are plain (dim, dim) complex arrays in the block's word order.
+
 Spectral index arguments (``beta``, ``alpha``, ...) are 1-based positions
 into a :class:`SpectralPoint`; species arguments are 1-based labels into a
 :class:`RateTable`.
@@ -21,6 +25,7 @@ into a :class:`SpectralPoint`; species arguments are 1-based labels into a
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
@@ -45,14 +50,14 @@ class PoleOnContour(ArithmeticError):
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """One tuple of spectral values, one per quadrature dimension."""
+    """One tuple of spectral values, one per quadrature dimension: finite and nonzero."""
 
     xi: tuple[complex, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "xi", tuple(complex(z) for z in self.xi))
-        if any(z == 0 for z in self.xi):
-            raise ValueError("spectral values must be nonzero")
+        if not all(z != 0 and cmath.isfinite(z) for z in self.xi):
+            raise ValueError(f"spectral values must be finite and nonzero, got {self.xi}")
 
     def __len__(self) -> int:
         return len(self.xi)
@@ -65,20 +70,6 @@ def contour_bound(rates: RateTable) -> float:
     respects the radius < b_l convention for rates below one.
     """
     return min(min(rates.rates), 1.0 / max(rates.rates))
-
-
-@dataclass(frozen=True)
-class SectorMatrix:
-    """Dense complex matrix labelled by the words of one block."""
-
-    sector: WordBlock
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.sector.dim, self.sector.dim):
-            raise ValueError(f"entries shape {entries.shape} != block dim {self.sector.dim}")
-        object.__setattr__(self, "entries", entries)
 
 
 def amplitudes(b, xi_beta, xi_alpha):
@@ -114,7 +105,7 @@ def build_R(
     sp: SpectralPoint,
     rates: RateTable,
     pair_block: WordBlock | Iterable[Sequence[int]],
-) -> SectorMatrix:
+) -> np.ndarray:
     """Two-site matrix restricted to a block of species pairs.
 
     Row (i, j): diagonal S(i) when i <= j, diagonal -1 when i > j, and the
@@ -134,7 +125,7 @@ def embed_T_l(
     sp: SpectralPoint,
     rates: RateTable,
     block: WordBlock,
-) -> SectorMatrix:
+) -> np.ndarray:
     """Two-site matrix acting on slots (slot, slot+1) of N-letter words.
 
     Identity on all other slots: entry (w, w') vanishes unless w' is w or w
@@ -152,7 +143,7 @@ def embed_T_l(
         out[r, r] = amps[s][0]
     for r, c, s in zip(asc, partner, asc_letter):
         out[r, r], out[r, c] = amps[s]
-    return SectorMatrix(block, out)
+    return out
 
 
 class SlotAction:
@@ -213,39 +204,23 @@ def build_A_sigma(
     sp: SpectralPoint,
     rates: RateTable,
     block: WordBlock,
-) -> SectorMatrix:
+) -> np.ndarray:
     """Amplitude matrix of a permutation: ordered product of embedded R factors.
 
-    The identity gets the identity matrix; each predecessor link contributes
-    one embedded factor multiplied on the left.  Independence from the choice
-    of reduced word is a consequence of the consistency relations and is
-    covered by tests, not assumed here.
+    The product of :func:`product_along_slots` along the reduced word that the
+    predecessor links spell, so the identity gets the identity matrix.
+    Independence from the choice of reduced word is a consequence of the
+    consistency relations and is covered by tests, not assumed here.
     """
-    acc, _ = product_along_slots([slot for slot, _, _ in chain_factors(sigma)], sp, rates, block)
-    return SectorMatrix(block, acc)
+    return product_along_slots([slot for slot, _, _ in chain_factors(sigma)], sp, rates, block)[0]
 
 
 def build_all_A(
-    sp: SpectralPoint,
-    rates: RateTable,
-    block: WordBlock,
-    perms: Optional[list[PermutationElem]] = None,
-) -> dict[tuple[int, ...], SectorMatrix]:
-    """Amplitude matrices for a whole symmetric group, reusing predecessors.
-
-    The BFS order of ``enumerate_sn`` guarantees each predecessor product is
-    already available, so every group element costs one matrix product.
-    """
-    if perms is None:
-        perms = enumerate_sn(block.word_length)
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for elem in perms:
-        if elem.is_identity:
-            out[elem.image] = np.eye(block.dim, dtype=complex)
-            continue
-        factor = embed_T_l(*chain_factors(elem)[-1], sp, rates, block)
-        out[elem.image] = factor.entries @ out[elem.pred.image]
-    return {image: SectorMatrix(block, m) for image, m in out.items()}
+    sp: SpectralPoint, rates: RateTable, block: WordBlock
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Amplitude matrices of the whole symmetric group, keyed by one-line image."""
+    perms = enumerate_sn(block.word_length)
+    return {elem.image: build_A_sigma(elem, sp, rates, block) for elem in perms}
 
 
 def product_along_slots(
@@ -266,7 +241,7 @@ def product_along_slots(
     acc = np.eye(block.dim, dtype=complex)
     for slot in slots:
         beta, alpha = image[slot], image[slot - 1]
-        acc = embed_T_l(slot, beta, alpha, sp, rates, block).entries @ acc
+        acc = embed_T_l(slot, beta, alpha, sp, rates, block) @ acc
         image = image[: slot - 1] + (image[slot], image[slot - 1]) + image[slot + 1 :]
     return acc, image
 
@@ -279,36 +254,26 @@ def all_sectors(n: int) -> list[WordBlock]:
 def consistency_residuals(sp: SpectralPoint, rates: RateTable, n: int) -> dict[str, float]:
     """Max entrywise residual of the three operator consistency relations.
 
-    ``commutation``: factors at slots at distance >= 2 commute (vacuous for
-    n < 4).  ``yang_baxter``: the braid relation at adjacent slots.
-    ``inverse``: the factor with swapped labels is a two-sided inverse.
-    Each relation is evaluated on every multiset sector, which together
-    cover the full tensor-product space.
+    Each relation compares the products of :func:`product_along_slots` along
+    two transposition words for one group element.  ``commutation``: (i, j)
+    against (j, i) for slots at distance >= 2 (vacuous for n < 4).
+    ``yang_baxter``: the braid (i, i+1, i) against (i+1, i, i+1).
+    ``inverse``: (i, i) against the empty word, the factor with swapped labels
+    being a two-sided inverse.  Each relation is evaluated on every multiset
+    sector, which together cover the full tensor-product space.
     """
     if len(sp) < n:
         raise ValueError("spectral point needs at least n entries")
-    res = {"commutation": 0.0, "yang_baxter": 0.0, "inverse": 0.0}
-    sectors = all_sectors(n)
-
-    def emb(slot, beta, alpha, block):
-        return embed_T_l(slot, beta, alpha, sp, rates, block).entries
-
-    for block in sectors:
-        eye = np.eye(block.dim)
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                left = emb(i, 1, 2, block) @ emb(j, 3, 4, block)
-                right = emb(j, 3, 4, block) @ emb(i, 1, 2, block)
-                res["commutation"] = max(res["commutation"], np.max(np.abs(left - right)))
-            # Braid relation at adjacent slots.  The labels bind to the
-            # orientation j = i + 1 (the instance the amplitude recursion
-            # needs); the mirrored instance follows by taking inverses and
-            # relabelling, it is not a separate identity with these labels.
-            j = i + 1
-            if j <= n - 1 and n >= 3:
-                lhs = emb(i, 3, 2, block) @ emb(j, 3, 1, block) @ emb(i, 2, 1, block)
-                rhs = emb(j, 2, 1, block) @ emb(i, 3, 1, block) @ emb(j, 3, 2, block)
-                res["yang_baxter"] = max(res["yang_baxter"], np.max(np.abs(lhs - rhs)))
-            prod = emb(i, 1, 2, block) @ emb(i, 2, 1, block)
-            res["inverse"] = max(res["inverse"], np.max(np.abs(prod - eye)))
+    relations = {
+        "commutation": [((i, j), (j, i)) for i in range(1, n) for j in range(i + 2, n)],
+        "yang_baxter": [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)],
+        "inverse": [((i, i), ()) for i in range(1, n)],
+    }
+    res = dict.fromkeys(relations, 0.0)
+    for block in all_sectors(n):
+        for name, pairs in relations.items():
+            for left, right in pairs:
+                lhs, _ = product_along_slots(left, sp, rates, block)
+                rhs, _ = product_along_slots(right, sp, rates, block)
+                res[name] = max(res[name], float(np.max(np.abs(lhs - rhs))))
     return res

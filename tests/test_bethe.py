@@ -546,7 +546,7 @@ def test_spectral_params_validation():
 def plane_wave(x, sp, rates, sector, amp, image):
     """One spectral mode: rate-power diagonal times amplitude times node powers."""
     phase = np.prod([sp.xi[image[i] - 1] ** x[i] for i in range(len(x))])
-    return rate_power_diag(x, sector, rates)[:, None] * amp.entries * phase
+    return rate_power_diag(x, sector, rates)[:, None] * amp * phase
 
 
 @pytest.mark.parametrize("n,multiset", [(2, (1, 2)), (2, (2, 2)), (3, (1, 2, 3)), (3, (1, 2, 2))])

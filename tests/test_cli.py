@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstasep import ParticleState, RateTable, build_generator, default_window, transition_matrix
+from helpers import reference_generator
+from mstasep import ParticleState, RateTable, default_window, transition_matrix
 from mstasep.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -204,6 +205,23 @@ def test_verify_suites_pass_quickly():
     assert cmd_verify("oracle", size=2, seed=0, trials=1) == EXIT_OK
 
 
+@pytest.mark.parametrize("suite, largest", [
+    ("yang-baxter", 6), ("welldef", 6), ("oracle", 3), ("stochastic", 4), ("boundary", 5),
+])
+def test_verify_sizes_are_capped(monkeypatch, capsys, suite, largest):
+    import mstasep.cli as cli_mod
+
+    def never(*args):
+        raise AssertionError("the suite ran")
+
+    _, *limits = cli_mod._SUITE_RUNNERS[suite]
+    monkeypatch.setitem(cli_mod._SUITE_RUNNERS, suite, (never, *limits))
+    assert main(["verify", suite, "--size", str(largest + 1), "--trials", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    with pytest.raises(AssertionError, match="the suite ran"):  # the patch is live
+        main(["verify", suite, "--size", str(largest), "--trials", "1"])
+
+
 def test_verify_failure_exit_code(monkeypatch):
     import mstasep.cli as cli_mod
 
@@ -312,29 +330,6 @@ def test_job_config_is_frozen():
         cfg.time = 1.0
 
 
-def test_cmd_prob_guards_run_before_window_enumeration(tmp_path, monkeypatch, capsys):
-    import mstasep.oracle as oracle_mod
-
-    def no_window(*args, **kwargs):
-        raise AssertionError("window enumerated before the guards ran")
-
-    monkeypatch.setattr(oracle_mod, "build_generator", no_window)
-    cfg = parse_config(
-        json.dumps(
-            {
-                "rates": [1.0, 2.0, 1.5],
-                "initial": {"positions": [0, 1, 2], "species": [3, 2, 1]},
-                "time": 200,
-                "targets": "window",
-            }
-        )
-    )
-    out_path = tmp_path / "never.csv"
-    assert cmd_prob(cfg, out=str(out_path)) == EXIT_CONFIG
-    assert not out_path.exists()
-    assert "t/radius" in capsys.readouterr().err
-
-
 # every key of a full config, including list entries, as a path into the JSON tree
 _CONFIG_PATHS = [
     ("rates",),
@@ -427,7 +422,7 @@ def test_cmd_prob_window_skips_the_oracle_with_identical_rows(tmp_path, monkeypa
         for r in rows
     ]
     assert keys == sorted(keys)  # window rows come sorted by (positions, species)
-    states = build_generator(cfg.initial, cfg.rates, default_window(cfg.initial, cfg.rates, time)).states
+    states, _, _ = reference_generator(cfg.initial, cfg.rates, default_window(cfg.initial, cfg.rates, time))
     assert set(keys) == {(s.positions, s.species) for s in states}
     results = transition_matrix(cfg.initial, list(states), time, cfg.rates)
     by_state = {(s.positions, s.species): res for s, res in zip(states, results)}

@@ -12,6 +12,7 @@ from mstasep import (
     RateTable,
     SpeciesOutOfRange,
     build_sector,
+    default_window,
     enumerate_sn,
     validate_state,
 )
@@ -76,6 +77,20 @@ def test_state_rejects_non_integer_labels():
     state = ParticleState(np.arange(2), (np.int64(2), 1))
     assert state == ParticleState((0, 1), (2, 1))
     assert all(type(v) is int for v in state.positions + state.species)
+
+
+def test_state_rejects_bools():
+    # once read as positions (0, 1) with species (1, 2)
+    with pytest.raises(TypeError, match="position"):
+        ParticleState((False, True), (1, 2))
+    with pytest.raises(TypeError, match="species"):
+        ParticleState((0, 1), (True, 2))
+
+
+@pytest.mark.parametrize("t, error", [(math.nan, ValueError), (-1, ValueError), (True, TypeError)])
+def test_default_window_checks_the_time(t, error):
+    with pytest.raises(error, match="time"):
+        default_window(ParticleState((0, 1), (2, 1)), RateTable((1.0, 2.0)), t)
 
 
 def test_build_sector_two_species():

@@ -251,6 +251,12 @@ def test_gillespie_time_zero_returns_initial():
     assert counts == {initial: 50}
 
 
+@pytest.mark.parametrize("n_samples", [True, 2.5, np.float64(3.0)])
+def test_gillespie_sample_count_must_be_an_integer(n_samples):
+    with pytest.raises(TypeError, match="n_samples"):
+        gillespie(ParticleState((0, 1), (2, 1)), RT2, 0.5, n_samples, seed=0)
+
+
 def test_gillespie_reproducible_and_seed_sensitive():
     initial = ParticleState((0, 1), (2, 1))
     a = gillespie(initial, RT2, 1.0, 300, seed=42)

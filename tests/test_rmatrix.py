@@ -62,6 +62,13 @@ def test_spectral_point_rejects_zero():
         SpectralPoint((0.1, 0.0))
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.1, float("-inf"))])
+def test_spectral_point_rejects_non_finite(bad):
+    # a NaN once gave all-zero consistency residuals, since max(0.0, nan) is 0.0
+    with pytest.raises(ValueError, match="finite"):
+        SpectralPoint((bad, 0.1, 0.2j))
+
+
 def test_validate_spectral_point_enforces_admissible_disk():
     from helpers import validate_spectral_point
 
@@ -76,15 +83,15 @@ def test_build_R_coincident_points_is_minus_identity():
     sp = SpectralPoint((0.2j, 0.2j))
     block = WordBlock([(1, 1), (1, 2), (2, 1), (2, 2)])
     mat = build_R(1, 2, sp, rt, block)
-    assert np.allclose(mat.entries, -np.eye(4), atol=1e-15)
+    assert np.allclose(mat, -np.eye(4), atol=1e-15)
 
 
 def test_build_R_single_species_block():
     rt = RateTable((1.0, 2.0))
     sp = SpectralPoint((0.1, 0.2j))
     mat = build_R(2, 1, sp, rt, [(2, 2)])
-    assert mat.entries.shape == (1, 1)
-    assert mat.entries[0, 0] == amplitude_S(2, 0.2j, 0.1, rt)
+    assert mat.shape == (1, 1)
+    assert mat[0, 0] == amplitude_S(2, 0.2j, 0.1, rt)
 
 
 def test_build_R_mixed_pair_block_structure():
@@ -98,7 +105,7 @@ def test_build_R_mixed_pair_block_structure():
             [0.0, -1.0],
         ]
     )
-    assert np.allclose(mat.entries, expected, atol=1e-15)
+    assert np.allclose(mat, expected, atol=1e-15)
 
 
 def test_embed_matches_R_for_two_particles():
@@ -106,8 +113,8 @@ def test_embed_matches_R_for_two_particles():
     sp = SpectralPoint((0.11, 0.07 - 0.12j))
     block = build_sector([1, 2])
     assert np.allclose(
-        embed_T_l(1, 2, 1, sp, rt, block).entries,
-        build_R(2, 1, sp, rt, block).entries,
+        embed_T_l(1, 2, 1, sp, rt, block),
+        build_R(2, 1, sp, rt, block),
     )
 
 
@@ -117,7 +124,7 @@ def test_embed_coincident_points_is_minus_identity():
     block = build_sector([1, 2, 3])
     for slot in (1, 2):
         mat = embed_T_l(slot, 3, 1, sp, rt, block)
-        assert np.allclose(mat.entries, -np.eye(6), atol=1e-15)
+        assert np.allclose(mat, -np.eye(6), atol=1e-15)
 
 
 def test_embed_exchange_entry_three_particles():
@@ -126,7 +133,7 @@ def test_embed_exchange_entry_three_particles():
     rt = RateTable((0.6, 1.1, 1.9))
     sp = SpectralPoint((0.1 + 0.05j, -0.12j, 0.08))
     block = build_sector([1, 2, 3])
-    mat = embed_T_l(2, 1, 3, sp, rt, block).entries
+    mat = embed_T_l(2, 1, 3, sp, rt, block)
     r, c = block.index((1, 2, 3)), block.index((1, 3, 2))
     assert mat[r, c] == amplitude_T(2, sp.xi[0], sp.xi[2], rt)
     # words differing in the untouched first slot stay uncoupled
@@ -140,7 +147,7 @@ def test_A_identity_is_identity():
     sp = draw_point(rng, 3, rt)
     block = build_sector([1, 2, 3])
     ident = next(e for e in enumerate_sn(3) if e.is_identity)
-    assert np.array_equal(build_A_sigma(ident, sp, rt, block).entries, np.eye(6))
+    assert np.array_equal(build_A_sigma(ident, sp, rt, block), np.eye(6))
 
 
 def test_A_single_swap_two_particles():
@@ -148,7 +155,7 @@ def test_A_single_swap_two_particles():
     sp = SpectralPoint((0.05 - 0.1j, 0.2j))
     block = build_sector([1, 2])
     swap = next(e for e in enumerate_sn(2) if not e.is_identity)
-    got = build_A_sigma(swap, sp, rt, block).entries
+    got = build_A_sigma(swap, sp, rt, block)
     xb, xa = sp.xi[1], sp.xi[0]  # labels read off the identity: (2, 1)
     expected = np.array(
         [
@@ -164,7 +171,7 @@ def test_A_collapses_to_sign_at_coincident_points():
     sp = SpectralPoint((0.1j, 0.1j, 0.1j))
     block = build_sector([1, 1, 2])
     for elem in enumerate_sn(3):
-        got = build_A_sigma(elem, sp, rt, block).entries
+        got = build_A_sigma(elem, sp, rt, block)
         sign = (-1) ** inversions(elem.image)
         assert np.allclose(got, sign * np.eye(block.dim), atol=1e-14)
         assert sign == elem.parity
@@ -179,13 +186,13 @@ def test_A_conserves_species_multiset_on_sector_union():
     sec_a, sec_b = build_sector([1, 1, 2]), build_sector([1, 2, 2])
     union = WordBlock(sec_a.words + sec_b.words)
     longest = next(e for e in enumerate_sn(3) if e.image == (3, 2, 1))
-    mat = build_A_sigma(longest, sp, rt, union).entries
+    mat = build_A_sigma(longest, sp, rt, union)
     da = sec_a.dim
     assert np.all(mat[:da, da:] == 0)
     assert np.all(mat[da:, :da] == 0)
     # and the diagonal blocks equal the per-sector builds
-    assert np.allclose(mat[:da, :da], build_A_sigma(longest, sp, rt, sec_a).entries)
-    assert np.allclose(mat[da:, da:], build_A_sigma(longest, sp, rt, sec_b).entries)
+    assert np.allclose(mat[:da, :da], build_A_sigma(longest, sp, rt, sec_a))
+    assert np.allclose(mat[da:, da:], build_A_sigma(longest, sp, rt, sec_b))
 
 
 def test_well_definedness_longest_element_s3():
@@ -279,7 +286,7 @@ def test_build_all_A_matches_individual_builds():
     amps = build_all_A(sp, rt, block)
     for elem in enumerate_sn(3):
         assert np.allclose(
-            amps[elem.image].entries, build_A_sigma(elem, sp, rt, block).entries, atol=1e-14
+            amps[elem.image], build_A_sigma(elem, sp, rt, block), atol=1e-14
         )
 
 
@@ -291,8 +298,8 @@ def test_inverse_relation_property(seed):
     sp = draw_point(rng, 3, rt)
     block = build_sector(sorted(rng.integers(1, 4, size=3)))
     for slot in (1, 2):
-        fwd = embed_T_l(slot, 1, 2, sp, rt, block).entries
-        bwd = embed_T_l(slot, 2, 1, sp, rt, block).entries
+        fwd = embed_T_l(slot, 1, 2, sp, rt, block)
+        bwd = embed_T_l(slot, 2, 1, sp, rt, block)
         assert np.max(np.abs(fwd @ bwd - np.eye(block.dim))) < 1e-12
 
 
@@ -311,7 +318,7 @@ def test_slot_action_matches_dense_factor(n):
                 cols = np.tile(np.eye(block.dim, dtype=complex), (len(points), 1))
                 got = action.apply(xb, xa, cols.T).T.reshape(len(points), block.dim, block.dim)
                 for sp, g in zip(points, got):
-                    want = embed_T_l(slot, beta, alpha, sp, rt, block).entries.T
+                    want = embed_T_l(slot, beta, alpha, sp, rt, block).T
                     assert np.all(np.abs(g - want) <= 1e-15 * np.abs(want))
                 # in place: ascending rows read their descending partners before those change
                 v = np.ascontiguousarray(cols.T)
