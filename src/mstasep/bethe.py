@@ -94,10 +94,6 @@ class OverflowRisk(ArithmeticError):
     """A time factor, rate power or node power overflows float64, or a displacement int64."""
 
 
-class ZeroSpectralValue(ValueError):
-    """A spectral value of zero was passed where 1/xi is needed."""
-
-
 @dataclass(frozen=True)
 class SpectralParams:
     """Contour radius and quadrature controls.
@@ -151,12 +147,9 @@ def default_radius(rates: RateTable) -> float:
     return 0.5 * contour_bound(rates)
 
 
-def epsilon(pi: Sequence[int], sp: SpectralPoint | Sequence[complex], rates: RateTable) -> complex:
+def epsilon(pi: Sequence[int], sp: SpectralPoint, rates: RateTable) -> complex:
     """Exponent of the time factor: sum of 1/xi_k minus the total jump rate of the word."""
-    xi = sp.xi if isinstance(sp, SpectralPoint) else tuple(sp)
-    if any(z == 0 for z in xi):
-        raise ZeroSpectralValue("spectral values must be nonzero")
-    return sum(1.0 / z for z in xi) - sum(rates.rate(s) for s in pi)
+    return sum(1.0 / z for z in sp.xi) - sum(rates.rate(s) for s in pi)
 
 
 def integrand(

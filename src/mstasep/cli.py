@@ -11,13 +11,14 @@ Markov-chain oracle.  It hands them to :func:`bethe.transition_arrays` and
 writes the rows from the returned columns.
 
 Exit codes: 0 success or pass, 1 verification failure, 2 configuration
-error (also a particle count, contour radius or time the spectral route
-rejects, ``prob`` checking these before enumerating a window; a target so
-far from the start that the spectral route overflows; ``--threads`` below
-1; ``--samples`` below 1; a negative ``--seed`` for ``simulate`` or
-``verify``; a ``verify`` run with ``--trials`` below 1 or a ``--size``
-outside its suite's range: yang-baxter and welldef 3 to 6, oracle 2 to 3,
-stochastic 1 to 4, boundary 2 to 5), 3 quadrature failed to converge.
+error (also an output path that cannot be written; a particle count,
+contour radius or time the spectral route rejects, ``prob`` checking these
+before enumerating a window; a target so far from the start that the
+spectral route overflows; ``--threads`` below 1; ``--samples`` below 1; a
+negative ``--seed`` for ``simulate`` or ``verify``; a ``verify`` run with
+``--trials`` below 1 or a ``--size`` outside its suite's range: yang-baxter
+and welldef 3 to 6, oracle 2 to 3, stochastic 1 to 4, boundary 2 to 5), 3
+quadrature failed to converge.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
-
-SUITES = ("yang-baxter", "welldef", "oracle", "stochastic", "boundary")
 
 SUITE_TOLERANCES = {
     "yang-baxter": 1e-12,
@@ -237,6 +236,7 @@ def _write_columns(
     """One row per state: its positions and species, then ``columns`` in order.
 
     CSV prints floats with 17 significant digits; JSON writes a list of objects.
+    A path that cannot be written raises ConfigError.
     """
     keys = ["positions", "species", *columns]
     cells = [_joined(positions, ";"), _joined(words, ",")]
@@ -256,8 +256,11 @@ def _write_columns(
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _output_path(out: Optional[str], cfg: JobConfig) -> str:
@@ -421,6 +424,7 @@ _SUITE_RUNNERS = {
     "stochastic": (_suite_stochastic, 2, 5, 1, bethe.MAX_PARTICLES_DEFAULT),
     "boundary": (_suite_boundary, 2, 50, 2, 5),  # an adjacent pair needs two particles
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def cmd_verify(

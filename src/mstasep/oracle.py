@@ -305,10 +305,12 @@ def sample_trajectory(
 ) -> TrajectorySample:
     """One exact trajectory, reproducible from its integer seed.
 
-    ``t`` is checked as in :func:`matrix_exponential_row`.
+    ``t`` is checked as in :func:`matrix_exponential_row`, ``seed`` by
+    :func:`core.check_int`.
     """
     validate_state(initial, rates)
     check_time(t)
+    seed = check_int(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pos, spc, jumps = _run_jumps(initial, rates, t, rng)
     return TrajectorySample(seed=seed, final_state=ParticleState(pos, spc), jump_count=jumps)
@@ -322,14 +324,14 @@ def gillespie(
     Each trajectory gets its own generator spawned from one seed sequence,
     so results are reproducible and trajectories stay independent even if
     run in parallel.  ``t`` is checked as in :func:`matrix_exponential_row`,
-    ``n_samples`` by :func:`core.check_int`.
+    ``n_samples`` and ``seed`` by :func:`core.check_int`.
     """
     validate_state(initial, rates)
     check_time(t)
     if check_int(n_samples, "n_samples") < 1:
         raise ValueError("n_samples must be at least 1")
     counts: dict[tuple, int] = {}
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
+    for child in np.random.SeedSequence(check_int(seed, "seed")).spawn(n_samples):
         rng = np.random.default_rng(child)
         pos, spc, _ = _run_jumps(initial, rates, t, rng)
         counts[pos, spc] = counts.get((pos, spc), 0) + 1

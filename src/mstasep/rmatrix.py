@@ -10,9 +10,10 @@ rather than assumes.
 
 The factor has one encoding.  :meth:`WordBlock.slot_table` in ``core`` classes
 the rows of a block at a slot, and :func:`amplitudes` is the only S/T
-expression.  :func:`embed_T_l` builds the dense factor from the two (and
-:func:`build_R` is its N = 2 case); :class:`SlotAction` applies the same
-factor to batches of grid points for the kernel in ``bethe``.
+expression.  :func:`embed_T_l` builds the dense factor from the two (at
+``slot=1`` of a block of species pairs it is the two-site matrix ``R``
+itself); :class:`SlotAction` applies the same factor to batches of grid
+points for the kernel in ``bethe``.
 
 :func:`product_along_slots` is the one dense product; :func:`build_A_sigma`,
 :func:`build_all_A` and :func:`consistency_residuals` call it.  Dense matrices
@@ -28,7 +29,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,35 +90,6 @@ def _species_amplitudes(species: int, xi_beta: complex, xi_alpha: complex, rates
     return amplitudes(b, xi_beta, xi_alpha)
 
 
-def amplitude_S(species: int, xi_beta: complex, xi_alpha: complex, rates: RateTable) -> complex:
-    """Pass-through amplitude -(1 - b*xi_beta)/(1 - b*xi_alpha)."""
-    return _species_amplitudes(species, xi_beta, xi_alpha, rates)[0]
-
-
-def amplitude_T(species: int, xi_beta: complex, xi_alpha: complex, rates: RateTable) -> complex:
-    """Exchange amplitude b*(xi_beta - xi_alpha)/(1 - b*xi_alpha)."""
-    return _species_amplitudes(species, xi_beta, xi_alpha, rates)[1]
-
-
-def build_R(
-    beta: int,
-    alpha: int,
-    sp: SpectralPoint,
-    rates: RateTable,
-    pair_block: WordBlock | Iterable[Sequence[int]],
-) -> np.ndarray:
-    """Two-site matrix restricted to a block of species pairs.
-
-    Row (i, j): diagonal S(i) when i <= j, diagonal -1 when i > j, and the
-    exchange entry T(i) in column (j, i) when i < j.  The block must be
-    closed under swapping pairs, which every sector block is.
-    """
-    block = pair_block if isinstance(pair_block, WordBlock) else WordBlock(pair_block)
-    if block.word_length != 2:
-        raise ValueError("build_R expects a block of species pairs")
-    return embed_T_l(1, beta, alpha, sp, rates, block)
-
-
 def embed_T_l(
     slot: int,
     beta: int,
@@ -129,9 +101,11 @@ def embed_T_l(
     """Two-site matrix acting on slots (slot, slot+1) of N-letter words.
 
     Identity on all other slots: entry (w, w') vanishes unless w' is w or w
-    with the two slots swapped, and on those the entry is the corresponding
-    R entry.  ``slot`` is 1-based, 1 <= slot <= N-1.  A block not closed
-    under the exchange raises ValueError.
+    with the two slots swapped.  With (i, j) the letters of w at the slot
+    pair, the diagonal is S(i) when i <= j and -1 when i > j, and the
+    exchange entry T(i) sits in the swapped word's column when i < j.
+    ``slot`` is 1-based, 1 <= slot <= N-1.  A block not closed under the
+    exchange raises ValueError.
     """
     desc, eq, asc, partner, eq_letter, asc_letter = block.slot_table(slot)
     xb, xa = sp.xi[beta - 1], sp.xi[alpha - 1]

@@ -17,9 +17,7 @@ from mstasep import (
     ParticleState,
     RateTable,
     SpectralParams,
-    build_all_A,
     build_generator,
-    build_sector,
     consistency_residuals,
     contour_bound,
     default_window,
@@ -30,8 +28,9 @@ from mstasep import (
 )
 from mstasep.bethe import bethe_sum
 from mstasep.cli import cmd_prob, parse_config
+from mstasep.core import build_sector
 from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
-from mstasep.rmatrix import all_sectors, product_along_slots
+from mstasep.rmatrix import all_sectors, build_all_A, product_along_slots
 
 
 def report(tag, detail):

@@ -13,22 +13,24 @@ from mstasep import (
     RateTable,
     SpectralParams,
     SpectralPoint,
-    ZeroSpectralValue,
-    build_all_A,
     build_generator,
-    build_sector,
-    default_radius,
     default_window,
     enumerate_sn,
-    epsilon,
-    integrand,
     matrix_exponential_row,
     transition_matrix,
     transition_probability,
 )
-from mstasep.bethe import bethe_sum, rate_power_diag, transition_arrays
-from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange
+from mstasep.bethe import (
+    bethe_sum,
+    default_radius,
+    epsilon,
+    integrand,
+    rate_power_diag,
+    transition_arrays,
+)
+from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange, build_sector
 from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
+from mstasep.rmatrix import build_all_A
 
 
 def test_epsilon_single_particle_zero():
@@ -45,11 +47,6 @@ def test_epsilon_symmetric_in_word_order():
     rt = RateTable((0.7, 1.9))
     sp = SpectralPoint((0.1 + 0.2j, -0.3j))
     assert epsilon((1, 2), sp, rt) == epsilon((2, 1), sp, rt)
-
-
-def test_epsilon_rejects_zero_value():
-    with pytest.raises(ZeroSpectralValue):
-        epsilon((1,), (0.0,), RateTable((1.0,)))
 
 
 def test_integrand_single_particle_closed_form():

@@ -250,6 +250,19 @@ def test_main_empty_out_path_exit_code(tmp_path, capsys):
     assert captured.err.startswith("config error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize("command", [["prob"], ["simulate", "--samples", "5"]])
+@pytest.mark.parametrize("out", ["missing_dir/x.csv", "."])
+def test_main_unwritable_out_path_exit_code(tmp_path, capsys, command, out):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(minimal_config())
+    out_path = tmp_path / out
+    assert main(command + ["--config", str(cfg_path), "--out", str(out_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {out_path}: ")
+    assert captured.out == ""
+    assert not (tmp_path / "missing_dir").exists()
+
+
 def test_main_threads_below_one_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(minimal_config())

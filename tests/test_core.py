@@ -11,13 +11,11 @@ from mstasep import (
     ParticleState,
     RateTable,
     SpeciesOutOfRange,
-    build_sector,
     default_window,
     enumerate_sn,
-    validate_state,
 )
 from helpers import inversions, reference_generator, sector_size
-from mstasep.core import window_states, word_floors
+from mstasep.core import build_sector, validate_state, window_states, word_floors
 
 
 def test_rate_table_rejects_nonpositive():

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script and the README quick start run to completion against the package sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,12 @@ def test_demo_runs(demo):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert 0.0 < namespace["res"].value < 1.0

@@ -10,16 +10,15 @@ from mstasep import (
     ParticleState,
     RateTable,
     WindowTooSmall,
-    WordBlock,
+    WindowTooWide,
     build_generator,
-    build_sector,
     default_window,
     gillespie,
     matrix_exponential_row,
-    sample_trajectory,
 )
 from mstasep import oracle
-from mstasep.oracle import WindowTooWide, hop_rate_diag, swap_gain_matrix, swap_loss_diag
+from mstasep.core import WordBlock, build_sector
+from mstasep.oracle import hop_rate_diag, sample_trajectory, swap_gain_matrix, swap_loss_diag
 
 B1, B2 = 0.8, 1.7
 RT2 = RateTable((B1, B2))
@@ -255,6 +254,23 @@ def test_gillespie_time_zero_returns_initial():
 def test_gillespie_sample_count_must_be_an_integer(n_samples):
     with pytest.raises(TypeError, match="n_samples"):
         gillespie(ParticleState((0, 1), (2, 1)), RT2, 0.5, n_samples, seed=0)
+
+
+@pytest.mark.parametrize("seed", [True, 2.5])
+def test_seed_must_be_an_integer(seed):
+    state = ParticleState((0, 1), (2, 1))
+    with pytest.raises(TypeError, match="seed"):
+        gillespie(state, RT2, 0.5, 3, seed)
+    with pytest.raises(TypeError, match="seed"):
+        sample_trajectory(state, RT2, 0.5, seed)
+
+
+def test_numpy_integer_seed_matches_python_int():
+    state = ParticleState((0, 1), (2, 1))
+    assert gillespie(state, RT2, 0.5, 50, np.int64(3)) == gillespie(state, RT2, 0.5, 50, 3)
+    sample = sample_trajectory(state, RT2, 0.5, np.int64(3))
+    assert sample == sample_trajectory(state, RT2, 0.5, 3)
+    assert type(sample.seed) is int
 
 
 def test_gillespie_reproducible_and_seed_sensitive():

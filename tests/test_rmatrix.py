@@ -8,53 +8,53 @@ from mstasep import (
     PoleOnContour,
     RateTable,
     SpectralPoint,
-    WordBlock,
-    amplitude_S,
-    amplitude_T,
-    build_A_sigma,
-    build_R,
-    build_all_A,
-    build_sector,
     consistency_residuals,
-    embed_T_l,
     enumerate_sn,
 )
-from mstasep.rmatrix import SlotAction, all_sectors, chain_factors, product_along_slots
+from mstasep.core import WordBlock, build_sector
+from mstasep.rmatrix import (
+    SlotAction,
+    all_sectors,
+    amplitudes,
+    build_A_sigma,
+    build_all_A,
+    chain_factors,
+    embed_T_l,
+    product_along_slots,
+)
 
 
 def test_amplitude_S_coincident_points_is_minus_one():
     rt = RateTable((1.3, 0.7))
-    assert amplitude_S(1, 0.1 + 0.2j, 0.1 + 0.2j, rt) == -1.0
+    assert amplitudes(rt.rate(1), 0.1 + 0.2j, 0.1 + 0.2j)[0] == -1.0
 
 
 def test_amplitude_S_vanishes_at_inverse_rate():
     rt = RateTable((2.0,))
-    assert amplitude_S(1, 0.5, 0.1, rt) == 0.0
+    assert amplitudes(rt.rate(1), 0.5, 0.1)[0] == 0.0
 
 
 def test_amplitude_S_direct_value():
     rt = RateTable((1.0, 1.0))
     # -(1 - 0.2)/(1 - 0.1)
-    assert amplitude_S(1, 0.2, 0.1, rt) == pytest.approx(-0.8 / 0.9, abs=1e-15)
+    assert amplitudes(rt.rate(1), 0.2, 0.1)[0] == pytest.approx(-0.8 / 0.9, abs=1e-15)
 
 
 def test_amplitude_T_coincident_points_is_zero():
     rt = RateTable((1.3, 0.7))
-    assert amplitude_T(2, 0.3j, 0.3j, rt) == 0.0
+    assert amplitudes(rt.rate(2), 0.3j, 0.3j)[1] == 0.0
 
 
 def test_amplitude_T_direct_value():
     rt = RateTable((1.0, 2.0))
     # 2*(0.2 - 0.1)/(1 - 2*0.1)
-    assert amplitude_T(2, 0.2, 0.1, rt) == pytest.approx(0.25, abs=1e-15)
+    assert amplitudes(rt.rate(2), 0.2, 0.1)[1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_amplitudes_raise_on_pole():
     rt = RateTable((2.0,))
     with pytest.raises(PoleOnContour):
-        amplitude_S(1, 0.1, 0.5, rt)
-    with pytest.raises(PoleOnContour):
-        amplitude_T(1, 0.1, 0.5, rt)
+        embed_T_l(1, 2, 1, SpectralPoint((0.5, 0.1)), rt, WordBlock([(1, 1)]))
 
 
 def test_spectral_point_rejects_zero():
@@ -82,40 +82,30 @@ def test_build_R_coincident_points_is_minus_identity():
     rt = RateTable((1.0, 2.0))
     sp = SpectralPoint((0.2j, 0.2j))
     block = WordBlock([(1, 1), (1, 2), (2, 1), (2, 2)])
-    mat = build_R(1, 2, sp, rt, block)
+    mat = embed_T_l(1, 1, 2, sp, rt, block)
     assert np.allclose(mat, -np.eye(4), atol=1e-15)
 
 
 def test_build_R_single_species_block():
     rt = RateTable((1.0, 2.0))
     sp = SpectralPoint((0.1, 0.2j))
-    mat = build_R(2, 1, sp, rt, [(2, 2)])
+    mat = embed_T_l(1, 2, 1, sp, rt, WordBlock([(2, 2)]))
     assert mat.shape == (1, 1)
-    assert mat[0, 0] == amplitude_S(2, 0.2j, 0.1, rt)
+    assert mat[0, 0] == amplitudes(rt.rate(2), 0.2j, 0.1)[0]
 
 
 def test_build_R_mixed_pair_block_structure():
     rt = RateTable((0.8, 1.7))
     sp = SpectralPoint((0.15 + 0.1j, -0.2j))
     xb, xa = sp.xi[1], sp.xi[0]
-    mat = build_R(2, 1, sp, rt, build_sector([1, 2]))
+    mat = embed_T_l(1, 2, 1, sp, rt, build_sector([1, 2]))
     expected = np.array(
         [
-            [amplitude_S(1, xb, xa, rt), amplitude_T(1, xb, xa, rt)],
+            list(amplitudes(rt.rate(1), xb, xa)),
             [0.0, -1.0],
         ]
     )
     assert np.allclose(mat, expected, atol=1e-15)
-
-
-def test_embed_matches_R_for_two_particles():
-    rt = RateTable((1.0, 2.0))
-    sp = SpectralPoint((0.11, 0.07 - 0.12j))
-    block = build_sector([1, 2])
-    assert np.allclose(
-        embed_T_l(1, 2, 1, sp, rt, block),
-        build_R(2, 1, sp, rt, block),
-    )
 
 
 def test_embed_coincident_points_is_minus_identity():
@@ -135,7 +125,7 @@ def test_embed_exchange_entry_three_particles():
     block = build_sector([1, 2, 3])
     mat = embed_T_l(2, 1, 3, sp, rt, block)
     r, c = block.index((1, 2, 3)), block.index((1, 3, 2))
-    assert mat[r, c] == amplitude_T(2, sp.xi[0], sp.xi[2], rt)
+    assert mat[r, c] == amplitudes(rt.rate(2), sp.xi[0], sp.xi[2])[1]
     # words differing in the untouched first slot stay uncoupled
     assert mat[r, block.index((2, 1, 3))] == 0.0
     assert mat[r, block.index((3, 1, 2))] == 0.0
@@ -159,7 +149,7 @@ def test_A_single_swap_two_particles():
     xb, xa = sp.xi[1], sp.xi[0]  # labels read off the identity: (2, 1)
     expected = np.array(
         [
-            [amplitude_S(1, xb, xa, rt), amplitude_T(1, xb, xa, rt)],
+            list(amplitudes(rt.rate(1), xb, xa)),
             [0.0, -1.0],
         ]
     )
@@ -330,7 +320,7 @@ def test_factor_rejects_block_not_closed_under_exchange():
     rt = RateTable((1.0, 2.0, 0.5))
     sp = SpectralPoint((0.1, 0.2j, -0.15))
     with pytest.raises(ValueError, match="closed"):
-        build_R(2, 1, sp, rt, [(1, 2)])
+        embed_T_l(1, 2, 1, sp, rt, WordBlock([(1, 2)]))
     block = WordBlock([(1, 2, 3), (2, 1, 3)])
     with pytest.raises(ValueError, match="closed"):
         embed_T_l(2, 3, 2, sp, rt, block)
