@@ -178,36 +178,28 @@ def integrand(
     return val
 
 
-def rate_power_diag(
-    positions: Sequence[int], sector: WordBlock, rates: RateTable
-) -> np.ndarray:
-    """Diagonal of the rate-power matrix: product of b_{w(i)}^{x_i} per word."""
-    out = np.ones(sector.dim)
-    for r, w in enumerate(sector.words):
-        for s, xv in zip(w, positions):
-            out[r] *= rates.rate(s) ** xv
-    return out
+def rate_power_diag(positions, sector: WordBlock, rates) -> np.ndarray:
+    """Diagonal of the rate-power matrix: product of b_{w(i)}^{x_i} per word, (dim, *batch)."""
+    b = np.asarray(rates, dtype=float)
+    return math.prod(b[col - 1] ** xk for col, xk in zip(np.array(sector.words).T, np.asarray(positions)))
 
 
-def bethe_sum(
-    positions: Sequence[int],
-    sp: SpectralPoint,
-    rates: RateTable,
-    sector: WordBlock,
-    amplitudes: dict[tuple[int, ...], np.ndarray],
-) -> np.ndarray:
+def bethe_sum(positions, sp, rates, sector: WordBlock, amplitudes: dict) -> np.ndarray:
     """Spatial part of the spectral solution, summed over the symmetric group.
 
     Positions may be any integers (no ordering required); this is the lattice
     function whose free evolution and adjacency conditions the tests verify.
+    Positions (n, *batch), spectral values, rates and the amplitude matrices of
+    :func:`rmatrix.build_all_A` may share a trailing batch axis.
     """
-    n = len(positions)
-    diag = rate_power_diag(positions, sector, rates)
-    total = np.zeros((sector.dim, sector.dim), dtype=complex)
-    for image, amp in amplitudes.items():
-        phase = complex(np.prod([sp.xi[image[i] - 1] ** positions[i] for i in range(n)]))
-        total += diag[:, None] * amp * phase
-    return total
+    x, xi = np.asarray(positions), np.asarray(sp)
+    # math.prod multiplies whole batch rows, here and in rate_power_diag, so an entry's bits do not
+    # depend on the batch it sits in
+    waves = sum(
+        amp * math.prod(xi[k - 1] ** xk for k, xk in zip(image, x))
+        for image, amp in amplitudes.items()
+    )
+    return rate_power_diag(x, sector, rates)[:, None] * waves
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +299,8 @@ def _grid_values(
     dim = sector.dim
     nodes = _contour_nodes(radius, m)
     u = nodes / m * np.exp(t / nodes)  # node weight times time factor, per dimension
-    actions = {slot: SlotAction(sector, slot, rates) for slot in range(1, n)}
+    b = np.asarray(rates, dtype=float).reshape((-1,) + (1,) * n)  # broadcast over the grid axes
+    actions = {slot: SlotAction(sector, slot, b) for slot in range(1, n)}
     # node weights times powers of grid axis k against target axis i, built once per pair
     with np.errstate(over="ignore", invalid="ignore"):
         pair_weights = {

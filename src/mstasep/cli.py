@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -45,26 +46,12 @@ from .core import (
     validate_state,
     window_states,
 )
-from .rmatrix import (
-    SpectralPoint,
-    all_sectors,
-    build_all_A,
-    contour_bound,
-    product_along_slots,
-)
+from .rmatrix import build_all_A, contour_bound, relation_residual
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
-
-SUITE_TOLERANCES = {
-    "yang-baxter": 1e-12,
-    "welldef": 1e-12,
-    "oracle": 1e-6,
-    "stochastic": 1e-6,
-    "boundary": 1e-10,
-}
 
 
 class ConfigError(ValueError):
@@ -329,26 +316,28 @@ def _draw_rates(rng: np.random.Generator, n: int) -> RateTable:
     return RateTable(tuple(rng.uniform(0.5, 2.0, size=n)))
 
 
-def _draw_point(rng: np.random.Generator, n: int, rates: RateTable) -> SpectralPoint:
-    mags = rng.uniform(0.2, 0.9, size=n) * contour_bound(rates)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return SpectralPoint(tuple(mags * np.exp(1j * phases)))
+def _draw_trials(rng: np.random.Generator, n: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral values and rates of every trial as (n, trials) arrays, each point in its disk."""
+    b = rng.uniform(0.5, 2.0, size=(n, trials))
+    mags = rng.uniform(0.2, 0.9, size=(n, trials)) * contour_bound(b)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, trials))
+    return mags * np.exp(1j * phases), b
+
+
+def _trial_chunks(trials: int, arrays: int, dim: int) -> list[slice]:
+    """Slices of the trial axis that keep ``arrays`` (dim, dim, chunk) complex arrays in the budget."""
+    chunk = max(1, int(bethe._SLAB_BUDGET_BYTES // (arrays * dim * dim * 16)))
+    return [slice(a, a + chunk) for a in range(0, trials, chunk)]
 
 
 def _suite_welldef(size: int, seed: int, trials: int, threads: int) -> float:
     """Braid relation: the factor products along (i, i+1, i) and (i+1, i, i+1) agree."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        rates = _draw_rates(rng, size)
-        sp = _draw_point(rng, size, rates)
-        for block in all_sectors(size):
-            for i in range(1, size - 1):
-                left, im_left = product_along_slots((i, i + 1, i), sp, rates, block)
-                right, im_right = product_along_slots((i + 1, i, i + 1), sp, rates, block)
-                assert im_left == im_right
-                worst = max(worst, float(np.max(np.abs(left - right))))
-    return worst
+    xi, b = _draw_trials(np.random.default_rng(seed), size, trials)
+    # both products and their difference, at the largest sector (dim size!)
+    return max(
+        relation_residual("yang_baxter", xi[:, k], b[:, k], size)
+        for k in _trial_chunks(trials, 4, math.factorial(size))
+    )
 
 
 def _suite_oracle(size: int, seed: int, trials: int, threads: int) -> float:
@@ -388,41 +377,60 @@ def _suite_stochastic(size: int, seed: int, trials: int, threads: int) -> float:
     return worst
 
 
-def _suite_boundary(size: int, seed: int, trials: int, threads: int) -> float:
-    rng = np.random.default_rng(seed)
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over the leading axes, one per batch entry, so its bits ignore the batch size."""
+    a, b = (np.ascontiguousarray(np.moveaxis(m, -1, 0)) for m in (a, b))
+    return np.moveaxis(a @ b, 0, -1)
+
+
+def _boundary_residual(xi: np.ndarray, b: np.ndarray, base: np.ndarray, sector) -> float:
+    """Worst adjacency residual of a batch of trials in one sector, relative to the summed |terms|."""
+    amps = build_all_A(xi, b, sector)
+    mags = {image: np.abs(a) for image, a in amps.items()}
     worst = 0.0
-    for _ in range(trials):
-        rates = _draw_rates(rng, size)
-        sp = _draw_point(rng, size, rates)
-        word = tuple(sorted(rng.integers(1, size + 1, size=size)))
-        sector = build_sector(word)
-        amps = build_all_A(sp, rates, sector)
-        base = [int(v) for v in rng.integers(-3, 4, size=size)]
-        for slot in range(1, size):
-            x = list(base)
-            x[slot] = x[slot - 1] + 1  # adjacent pair at the tested slot
-            merged = list(x)
-            merged[slot] = merged[slot - 1]
-            lhs = oracle.hop_rate_diag(sector, rates, slot + 1) @ bethe.bethe_sum(
-                merged, sp, rates, sector, amps
-            )
-            gain = oracle.swap_gain_matrix(sector, rates, slot)
-            loss = oracle.swap_loss_diag(sector, rates, slot)
-            hop = oracle.hop_rate_diag(sector, rates, slot)
-            rhs = (gain + hop - loss) @ bethe.bethe_sum(x, sp, rates, sector, amps)
-            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
+    for slot in range(1, len(base)):
+        x = base.copy()
+        x[slot] = x[slot - 1] + 1  # adjacent pair at the tested slot
+        merged = x.copy()
+        merged[slot] = merged[slot - 1]
+        hop = oracle.hop_rate_diag(sector, b, slot + 1)
+        gain, loss = oracle.swap_gain_matrix(sector, b, slot), oracle.swap_loss_diag(sector, b, slot)
+        currents = gain + oracle.hop_rate_diag(sector, b, slot) - loss
+        lhs = _matmul(hop, bethe.bethe_sum(merged, xi, b, sector, amps))
+        rhs = _matmul(currents, bethe.bethe_sum(x, xi, b, sector, amps))
+        # the same sums over |terms|: rounding in lhs - rhs grows with these, not with the result
+        scale = _matmul(np.abs(hop), bethe.bethe_sum(merged, np.abs(xi), b, sector, mags))
+        scale += _matmul(np.abs(currents), bethe.bethe_sum(x, np.abs(xi), b, sector, mags))
+        res = np.abs(lhs - rhs).max(axis=(0, 1)) / np.abs(scale).max(axis=(0, 1))
+        worst = max(worst, float(res.max()))
     return worst
 
 
-# runner, default size, default trials, the smallest size with anything to check,
-# and the largest size it runs: dense sector matrices and windows grow like N!
+def _suite_boundary(size: int, seed: int, trials: int, threads: int) -> float:
+    """Adjacency condition of the Bethe sum, trials grouped by sector and checked a group at once."""
+    rng = np.random.default_rng(seed)
+    xi, b = _draw_trials(rng, size, trials)
+    multisets = np.sort(rng.integers(1, size + 1, size=(trials, size)), axis=1)
+    base = rng.integers(-3, 4, size=(size, trials))
+    worst = 0.0
+    for multiset in np.unique(multisets, axis=0):
+        sector = build_sector(multiset.tolist())
+        group = np.flatnonzero((multisets == multiset).all(axis=1))
+        # the amplitude matrices and their magnitudes, and one slot's sums and products
+        for k in _trial_chunks(len(group), 2 * math.factorial(size) + 8, sector.dim):
+            g = group[k]
+            worst = max(worst, _boundary_residual(xi[:, g], b[:, g], base[:, g], sector))
+    return worst
+
+
+# runner, default size, default trials, the smallest size with anything to check, the largest
+# size it runs (dense sector matrices and windows grow like N!) and the max residual's tolerance
 _SUITE_RUNNERS = {
-    "yang-baxter": (_suite_welldef, 3, 100, 3, 6),  # the same braid relation under its usual name
-    "welldef": (_suite_welldef, 3, 100, 3, 6),  # a braid needs slots i, i+1 and i+2
-    "oracle": (_suite_oracle, 2, 3, 2, 3),  # the start words are listed for 2 and 3
-    "stochastic": (_suite_stochastic, 2, 5, 1, bethe.MAX_PARTICLES_DEFAULT),
-    "boundary": (_suite_boundary, 2, 50, 2, 5),  # an adjacent pair needs two particles
+    "yang-baxter": (_suite_welldef, 3, 100, 3, 6, 1e-12),  # the braid relation under its usual name
+    "welldef": (_suite_welldef, 3, 100, 3, 6, 1e-12),  # a braid needs slots i, i+1 and i+2
+    "oracle": (_suite_oracle, 2, 3, 2, 3, 1e-6),  # the start words are listed for 2 and 3
+    "stochastic": (_suite_stochastic, 2, 5, 1, bethe.MAX_PARTICLES_DEFAULT, 1e-6),
+    "boundary": (_suite_boundary, 2, 50, 2, 5, 1e-10),  # an adjacent pair needs two particles
 }
 SUITES = tuple(_SUITE_RUNNERS)
 
@@ -437,7 +445,7 @@ def cmd_verify(
     """Run one named property suite and report max residual against its tolerance."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    runner, default_size, default_trials, min_size, max_size = _SUITE_RUNNERS[suite]
+    runner, default_size, default_trials, min_size, max_size, tol = _SUITE_RUNNERS[suite]
     size = default_size if size is None else size
     trials = default_trials if trials is None else trials
     if not min_size <= size <= max_size:
@@ -447,7 +455,6 @@ def cmd_verify(
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
     residual = runner(size, seed, trials, threads)
-    tol = SUITE_TOLERANCES[suite]
     passed = residual < tol
     status = "PASS" if passed else "FAIL"
     print(

@@ -96,6 +96,10 @@ class RateTable:
         """Rate of a 1-based species label."""
         return self.rates[species - 1]
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The rates as an (N,) array: batched code takes a table or an (N, *batch) array."""
+        return np.array(self.rates, dtype=dtype)
+
 
 @dataclass(frozen=True)
 class ParticleState:

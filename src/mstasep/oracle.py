@@ -341,33 +341,36 @@ def gillespie(
 # Boundary-equation ingredients on a word block.  These never feed the
 # generator above (it works from the jump rules directly); they exist so the
 # spectral solution can be checked against the lattice equations it must
-# satisfy where particles sit next to each other.
+# satisfy where particles sit next to each other.  Each takes the rates as a
+# RateTable or an (N, *batch) array and returns (dim, dim, *batch) matrices.
 
 
-def hop_rate_diag(block: WordBlock, rates: RateTable, slot: int) -> np.ndarray:
+def _diag(d: np.ndarray) -> np.ndarray:
+    return np.eye(len(d)).reshape((len(d),) * 2 + (1,) * (d.ndim - 1)) * d[:, None]
+
+
+def hop_rate_diag(block: WordBlock, rates, slot: int) -> np.ndarray:
     """Diagonal matrix of the rate of the species at a 1-based slot."""
-    return np.diag([rates.rate(w[slot - 1]) for w in block.words]).astype(float)
+    return _diag(np.asarray(rates, dtype=float)[np.array(block.words)[:, slot - 1] - 1])
 
 
-def swap_gain_matrix(block: WordBlock, rates: RateTable, slot: int) -> np.ndarray:
+def swap_gain_matrix(block: WordBlock, rates, slot: int) -> np.ndarray:
     """Current into a word from the word with slots (slot, slot+1) swapped.
 
     Row w gains from swap(w) at the rate of the larger species now sitting
-    on the right, for ascending rows only.
+    on the right, for ascending rows only.  A block not closed under the
+    exchange raises ValueError.
     """
-    out = np.zeros((block.dim, block.dim))
-    for r, w in enumerate(block.words):
-        i, j = w[slot - 1], w[slot]
-        if i < j:
-            partner = w[: slot - 1] + (j, i) + w[slot + 1 :]
-            c = block.lookup.get(partner)
-            if c is not None:
-                out[r, c] = rates.rate(j)
+    b = np.asarray(rates, dtype=float)
+    _, _, asc, partner, _, _ = block.slot_table(slot)
+    out = np.zeros((block.dim, block.dim) + b.shape[1:])
+    out[list(asc), list(partner)] = b[np.array(block.words)[list(asc), slot] - 1]
     return out
 
 
-def swap_loss_diag(block: WordBlock, rates: RateTable, slot: int) -> np.ndarray:
+def swap_loss_diag(block: WordBlock, rates, slot: int) -> np.ndarray:
     """Current out of a word whose slot pair is descending (a swap can fire)."""
-    return np.diag(
-        [rates.rate(w[slot - 1]) if w[slot - 1] > w[slot] else 0.0 for w in block.words]
-    )
+    w = np.array(block.words)
+    d = np.asarray(rates, dtype=float)[w[:, slot - 1] - 1]
+    d[w[:, slot - 1] <= w[:, slot]] = 0.0
+    return _diag(d)

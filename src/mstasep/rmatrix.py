@@ -8,16 +8,17 @@ acts on one word block (sector) at a time; the full tensor-product
 operators are block-diagonal across sectors, which the test-suite checks
 rather than assumes.
 
-The factor has one encoding.  :meth:`WordBlock.slot_table` in ``core`` classes
-the rows of a block at a slot, and :func:`amplitudes` is the only S/T
-expression.  :func:`embed_T_l` builds the dense factor from the two (at
-``slot=1`` of a block of species pairs it is the two-site matrix ``R``
-itself); :class:`SlotAction` applies the same factor to batches of grid
-points for the kernel in ``bethe``.
-
-:func:`product_along_slots` is the one dense product; :func:`build_A_sigma`,
-:func:`build_all_A` and :func:`consistency_residuals` call it.  Dense matrices
-are plain (dim, dim) complex arrays in the block's word order.
+The factor has one encoding and one implementation: :meth:`WordBlock.slot_table`
+in ``core`` classes the rows of a block at a slot, :func:`amplitudes` is the
+only S/T expression, and only :meth:`SlotAction.apply` writes them into rows,
+on the kernel's grid columns and on the dense path's identity columns (at
+``slot=1`` of a block of species pairs that gives the two-site matrix ``R``).
+:func:`product_along_slots` is the one dense product; :func:`build_A_sigma` and
+:func:`consistency_residuals` call it, and :func:`build_all_A` applies one
+factor per permutation to its predecessor's matrix, as the kernel does.  Each
+takes a :class:`SpectralPoint` or an (n, *batch) complex array of spectral
+values and a ``RateTable`` or an (N, *batch) float array of rates, and returns
+(dim, dim, *batch) complex matrices in the block's word order.
 
 Spectral index arguments (``beta``, ``alpha``, ...) are 1-based positions
 into a :class:`SpectralPoint`; species arguments are 1-based labels into a
@@ -33,13 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    PermutationElem,
-    RateTable,
-    WordBlock,
-    build_sector,
-    enumerate_sn,
-)
+from .core import PermutationElem, WordBlock, build_sector, enumerate_sn
 
 # |1 - b*xi| below this (scaled by max(1, b)) counts as sitting on a pole.
 POLE_THRESHOLD = 1e-13
@@ -63,14 +58,20 @@ class SpectralPoint:
     def __len__(self) -> int:
         return len(self.xi)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The values as an (n,) array: batched code takes a point or an (n, *batch) array."""
+        return np.array(self.xi, dtype=dtype)
 
-def contour_bound(rates: RateTable) -> float:
+
+def contour_bound(rates) -> float | np.ndarray:
     """Largest admissible contour radius.
 
     Keeps every amplitude pole 1/b_l strictly outside the circle and also
-    respects the radius < b_l convention for rates below one.
+    respects the radius < b_l convention for rates below one.  An (N, *batch)
+    array of rates gives one bound per batch entry.
     """
-    return min(min(rates.rates), 1.0 / max(rates.rates))
+    b = np.asarray(rates, dtype=float)
+    return np.minimum(b.min(axis=0), 1.0 / b.max(axis=0))
 
 
 def amplitudes(b, xi_beta, xi_alpha):
@@ -83,66 +84,35 @@ def amplitudes(b, xi_beta, xi_alpha):
     return -(1.0 - b * xi_beta) / denom, b * (xi_beta - xi_alpha) / denom
 
 
-def _species_amplitudes(species: int, xi_beta: complex, xi_alpha: complex, rates: RateTable):
-    b = rates.rate(species)
-    if abs(1.0 - b * xi_alpha) < POLE_THRESHOLD * max(1.0, b):
-        raise PoleOnContour(f"1 - b*xi vanished for species {species} at xi={xi_alpha}")
-    return amplitudes(b, xi_beta, xi_alpha)
-
-
-def embed_T_l(
-    slot: int,
-    beta: int,
-    alpha: int,
-    sp: SpectralPoint,
-    rates: RateTable,
-    block: WordBlock,
-) -> np.ndarray:
-    """Two-site matrix acting on slots (slot, slot+1) of N-letter words.
-
-    Identity on all other slots: entry (w, w') vanishes unless w' is w or w
-    with the two slots swapped.  With (i, j) the letters of w at the slot
-    pair, the diagonal is S(i) when i <= j and -1 when i > j, and the
-    exchange entry T(i) sits in the swapped word's column when i < j.
-    ``slot`` is 1-based, 1 <= slot <= N-1.  A block not closed under the
-    exchange raises ValueError.
-    """
-    desc, eq, asc, partner, eq_letter, asc_letter = block.slot_table(slot)
-    xb, xa = sp.xi[beta - 1], sp.xi[alpha - 1]
-    amps = {s: _species_amplitudes(s, xb, xa, rates) for s in {*eq_letter, *asc_letter}}
-    out = np.zeros((block.dim, block.dim), dtype=complex)
-    for r in desc:
-        out[r, r] = -1.0
-    for r, s in zip(eq, eq_letter):
-        out[r, r] = amps[s][0]
-    for r, c, s in zip(asc, partner, asc_letter):
-        out[r, r], out[r, c] = amps[s]
-    return out
-
-
 class SlotAction:
-    """The factor at one slot applied over a grid batch, with S and T once per species."""
+    """The factor at one slot applied to a batch of columns.
 
-    def __init__(self, block: WordBlock, slot: int, rates: RateTable):
+    ``b`` holds the rates as an (N, *batch) array broadcasting against the
+    spectral values; the kernel passes (N, 1, ..., 1).  S and T are formed
+    only for the letters the slot table uses, so no other species' pole is
+    ever evaluated.
+    """
+
+    def __init__(self, block: WordBlock, slot: int, b: np.ndarray):
         self.desc, self.eq, self.asc, self.partner, eq_letter, asc_letter = block.slot_table(slot)
-        self.eq_col = tuple(s - 1 for s in eq_letter)  # species axis of the S/T table
-        self.asc_col = tuple(s - 1 for s in asc_letter)
-        self.b = np.array(rates.rates)
+        self.letters = sorted({*eq_letter, *asc_letter})
+        col = {s: k for k, s in enumerate(self.letters)}  # letter axis of the S/T table
+        self.eq_col = tuple(col[s] for s in eq_letter)
+        self.asc_col = tuple(col[s] for s in asc_letter)
+        self.b = b[[s - 1 for s in self.letters]]
 
     def apply(
         self, xb: np.ndarray, xa: np.ndarray, v: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Left-multiply columns held as (dim, *points) by the factor at each point.
 
-        Each word row ``v[r]`` is one array over the points, and ``xb``/``xa``
-        broadcast against it, so S and T form an (N, *broadcast) table with
-        one entry per species and distinct spectral pair.  Rows are written
-        one by one, with no gathers.  ``out`` may be ``v`` itself: ascending
-        rows are formed first from their still untouched descending partners,
-        and the descending rows are negated last.
+        ``xb``, ``xa`` and the rates broadcast against each word row ``v[r]``,
+        so S and T form a (letters, *points) table.  Rows are written one by
+        one, with no gathers.  ``out`` may be ``v`` itself: ascending rows are
+        formed first from their still untouched descending partners, and the
+        descending rows are negated last.
         """
-        b = self.b.reshape((-1,) + (1,) * max(np.ndim(xb), np.ndim(xa)))
-        s, t = amplitudes(b, xb, xa)
+        s, t = amplitudes(self.b, xb, xa)
         if out is None:
             out = np.empty_like(v)
         tv = np.empty_like(v[0])
@@ -173,13 +143,8 @@ def chain_factors(sigma: PermutationElem) -> list[tuple[int, int, int]]:
     return factors
 
 
-def build_A_sigma(
-    sigma: PermutationElem,
-    sp: SpectralPoint,
-    rates: RateTable,
-    block: WordBlock,
-) -> np.ndarray:
-    """Amplitude matrix of a permutation: ordered product of embedded R factors.
+def build_A_sigma(sigma: PermutationElem, sp, rates, block: WordBlock) -> np.ndarray:
+    """Amplitude matrix of a permutation: ordered product of two-site factors.
 
     The product of :func:`product_along_slots` along the reduced word that the
     predecessor links spell, so the identity gets the identity matrix.
@@ -189,33 +154,50 @@ def build_A_sigma(
     return product_along_slots([slot for slot, _, _ in chain_factors(sigma)], sp, rates, block)[0]
 
 
-def build_all_A(
-    sp: SpectralPoint, rates: RateTable, block: WordBlock
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Amplitude matrices of the whole symmetric group, keyed by one-line image."""
+def build_all_A(sp, rates, block: WordBlock) -> dict[tuple[int, ...], np.ndarray]:
+    """Amplitude matrices of the whole symmetric group, keyed by one-line image.
+
+    Walks :func:`core.enumerate_sn`, which lists every permutation after its
+    predecessor, and applies one factor, the last of the permutation's
+    reduced word, to the predecessor's matrix: N! - 1 factor applications,
+    as in the kernel.
+    """
+    xi, b = np.asarray(sp, dtype=complex), np.asarray(rates, dtype=float)
+    actions = {slot: SlotAction(block, slot, b) for slot in range(1, block.word_length)}
     perms = enumerate_sn(block.word_length)
-    return {elem.image: build_A_sigma(elem, sp, rates, block) for elem in perms}
+    amps = {perms[0].image: product_along_slots((), xi, b, block)[0]}
+    for elem in perms[1:]:
+        slot, beta, alpha = chain_factors(elem)[-1]
+        amps[elem.image] = _step(actions[slot], xi, beta, alpha, amps[elem.pred.image])
+    return amps
 
 
-def product_along_slots(
-    slots: Sequence[int],
-    sp: SpectralPoint,
-    rates: RateTable,
-    block: WordBlock,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Multiply embedded factors along an explicit transposition word.
+def _step(action: SlotAction, xi: np.ndarray, beta: int, alpha: int, v, out=None) -> np.ndarray:
+    """One factor on dense (dim, dim, *batch) columns; a pole of a letter it uses raises."""
+    b, xa = action.b, xi[alpha - 1]
+    near = np.abs(1.0 - b * xa) < POLE_THRESHOLD * np.maximum(1.0, b)
+    if near.any():
+        raise PoleOnContour(f"1 - b*xi vanished for species {action.letters[np.argwhere(near)[0][0]]}")
+    return action.apply(xi[beta - 1], xa, v, out=out)
+
+
+def product_along_slots(slots: Sequence[int], sp, rates, block: WordBlock) -> tuple[np.ndarray, tuple]:
+    """Multiply two-site factors along an explicit transposition word.
 
     Starts at the identity permutation and applies the slots left to right,
-    reading the labels off the running permutation.  Returns the product and
-    the permutation reached, so two words for the same element can be
-    compared entrywise.
+    reading the labels off the running permutation, each factor in place on
+    the running columns.  Returns the product, (dim, dim, *batch), and the
+    permutation reached, so two words for the same element can be compared
+    entrywise.  A pole of a letter a factor uses, at any batch entry, raises
+    :class:`PoleOnContour`.
     """
-    n = block.word_length
-    image = tuple(range(1, n + 1))
-    acc = np.eye(block.dim, dtype=complex)
+    xi, b = np.asarray(sp, dtype=complex), np.asarray(rates, dtype=float)
+    acc = np.zeros((block.dim,) * 2 + np.broadcast_shapes(xi.shape[1:], b.shape[1:]), dtype=complex)
+    acc[np.arange(block.dim), np.arange(block.dim)] = 1.0
+    image = tuple(range(1, block.word_length + 1))
     for slot in slots:
         beta, alpha = image[slot], image[slot - 1]
-        acc = embed_T_l(slot, beta, alpha, sp, rates, block) @ acc
+        _step(SlotAction(block, slot, b), xi, beta, alpha, acc, out=acc)
         image = image[: slot - 1] + (image[slot], image[slot - 1]) + image[slot + 1 :]
     return acc, image
 
@@ -225,7 +207,28 @@ def all_sectors(n: int) -> list[WordBlock]:
     return [build_sector(ms) for ms in combinations_with_replacement(range(1, n + 1), n)]
 
 
-def consistency_residuals(sp: SpectralPoint, rates: RateTable, n: int) -> dict[str, float]:
+def relation_residual(relation: str, sp, rates, n: int) -> float:
+    """Max entrywise residual of one relation of :func:`consistency_residuals`.
+
+    Memory grows like (n!)**2 complex numbers per batch entry; callers split large batches.
+    """
+    if len(np.asarray(sp)) < n:
+        raise ValueError("spectral point needs at least n entries")
+    pairs = {
+        "commutation": [((i, j), (j, i)) for i in range(1, n) for j in range(i + 2, n)],
+        "yang_baxter": [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)],
+        "inverse": [((i, i), ()) for i in range(1, n)],
+    }[relation]
+    worst = 0.0
+    for block in all_sectors(n):
+        for left, right in pairs:
+            lhs, _ = product_along_slots(left, sp, rates, block)
+            rhs, _ = product_along_slots(right, sp, rates, block)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def consistency_residuals(sp, rates, n: int) -> dict[str, float]:
     """Max entrywise residual of the three operator consistency relations.
 
     Each relation compares the products of :func:`product_along_slots` along
@@ -234,20 +237,7 @@ def consistency_residuals(sp: SpectralPoint, rates: RateTable, n: int) -> dict[s
     ``yang_baxter``: the braid (i, i+1, i) against (i+1, i, i+1).
     ``inverse``: (i, i) against the empty word, the factor with swapped labels
     being a two-sided inverse.  Each relation is evaluated on every multiset
-    sector, which together cover the full tensor-product space.
+    sector, which together cover the full tensor-product space, and at every
+    batch entry.
     """
-    if len(sp) < n:
-        raise ValueError("spectral point needs at least n entries")
-    relations = {
-        "commutation": [((i, j), (j, i)) for i in range(1, n) for j in range(i + 2, n)],
-        "yang_baxter": [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)],
-        "inverse": [((i, i), ()) for i in range(1, n)],
-    }
-    res = dict.fromkeys(relations, 0.0)
-    for block in all_sectors(n):
-        for name, pairs in relations.items():
-            for left, right in pairs:
-                lhs, _ = product_along_slots(left, sp, rates, block)
-                rhs, _ = product_along_slots(right, sp, rates, block)
-                res[name] = max(res[name], float(np.max(np.abs(lhs - rhs))))
-    return res
+    return {name: relation_residual(name, sp, rates, n) for name in ("commutation", "yang_baxter", "inverse")}

@@ -225,8 +225,58 @@ def test_verify_sizes_are_capped(monkeypatch, capsys, suite, largest):
 def test_verify_failure_exit_code(monkeypatch):
     import mstasep.cli as cli_mod
 
-    monkeypatch.setitem(cli_mod.SUITE_TOLERANCES, "yang-baxter", 1e-30)
+    *entry, _ = cli_mod._SUITE_RUNNERS["yang-baxter"]
+    monkeypatch.setitem(cli_mod._SUITE_RUNNERS, "yang-baxter", (*entry, 1e-30))
     assert cmd_verify("yang-baxter", size=3, seed=0, trials=2) == EXIT_VERIFY_FAIL
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_verify_boundary_five_particles_passes(seed):
+    # the summed terms reach about 1e4 times the result; the residual is scaled by them
+    assert cmd_verify("boundary", size=5, seed=seed) == EXIT_OK
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_verify_boundary_fails_on_a_wrong_factor(monkeypatch, capsys, size):
+    from mstasep import rmatrix
+
+    amplitudes = rmatrix.amplitudes
+
+    def wrong(b, xb, xa):
+        s, t = amplitudes(b, xb, xa)
+        return s, t * (1 + 1e-6)
+
+    monkeypatch.setattr(rmatrix, "amplitudes", wrong)
+    assert cmd_verify("boundary", size=size, seed=0, trials=5) == EXIT_VERIFY_FAIL
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite, size, trials, budget, inner", [
+    ("welldef", 4, 7, 2 * 4 * 24 * 24 * 16, "relation_residual"),  # two trials per chunk
+    ("boundary", 3, 40, (2 * 6 + 8) * 6 * 6 * 16, "_boundary_residual"),  # one per chunk at dim 6
+])
+def test_verify_chunks_match_one_batch(monkeypatch, suite, size, trials, budget, inner):
+    # a small budget splits the trial axis: same residual, no factor applied to a larger array
+    import mstasep.cli as cli_mod
+    from mstasep import bethe
+    from mstasep.rmatrix import SlotAction
+
+    runner = cli_mod._SUITE_RUNNERS[suite][0]
+    calls = []
+    checked = getattr(cli_mod, inner)
+    monkeypatch.setattr(cli_mod, inner, lambda *a: calls.append(1) or checked(*a))
+    whole = runner(size, 5, trials, 1)
+    unsplit = len(calls)
+    calls.clear()
+    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", budget)
+    sizes = []
+    apply = SlotAction.apply
+    monkeypatch.setattr(
+        SlotAction, "apply", lambda self, xb, xa, v, **k: sizes.append(v.nbytes) or apply(self, xb, xa, v, **k)
+    )
+    assert runner(size, 5, trials, 1) == whole
+    assert len(calls) > unsplit
+    assert max(sizes) <= budget
 
 
 def test_verify_unknown_suite():

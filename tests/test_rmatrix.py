@@ -19,9 +19,15 @@ from mstasep.rmatrix import (
     build_A_sigma,
     build_all_A,
     chain_factors,
-    embed_T_l,
     product_along_slots,
 )
+
+
+def dense_factor(slot, beta, alpha, sp, rt, block):
+    """The factor at ``slot`` as a dense matrix: SlotAction.apply on identity columns."""
+    xi = np.asarray(sp)
+    eye = np.eye(block.dim, dtype=complex)
+    return SlotAction(block, slot, np.asarray(rt)).apply(xi[beta - 1], xi[alpha - 1], eye)
 
 
 def test_amplitude_S_coincident_points_is_minus_one():
@@ -54,7 +60,29 @@ def test_amplitude_T_direct_value():
 def test_amplitudes_raise_on_pole():
     rt = RateTable((2.0,))
     with pytest.raises(PoleOnContour):
-        embed_T_l(1, 2, 1, SpectralPoint((0.5, 0.1)), rt, WordBlock([(1, 1)]))
+        product_along_slots((1,), SpectralPoint((0.5, 0.1)), rt, WordBlock([(1, 1)]))
+
+
+def test_pole_of_one_trial_in_a_batch_raises():
+    # slot 1 from the identity reads xa = xi_1; only the second trial has 1 - 2*xa = 0
+    b = np.full((1, 3), 2.0)
+    xi = np.array([[0.1, 0.5, 0.2j], [0.3, 0.1, -0.1]])
+    with pytest.raises(PoleOnContour, match="species 1"):
+        product_along_slots((1,), xi, b, WordBlock([(1, 1)]))
+    with pytest.raises(PoleOnContour):
+        build_all_A(xi, b, WordBlock([(1, 1)]))
+    product_along_slots((1,), xi[:, [0, 2]], b[:, [0, 2]], WordBlock([(1, 1)]))
+
+
+def test_pole_of_a_species_absent_from_the_block_is_ignored():
+    # species 1 has its pole at xa = 0.5, but the block only holds species 2
+    rt = RateTable((2.0, 1.0))
+    sp = SpectralPoint((0.5, 0.1))
+    got, _ = product_along_slots((1,), sp, rt, WordBlock([(2, 2)]))
+    assert got[0, 0] == amplitudes(1.0, 0.1, 0.5)[0]
+    # a descending pair uses no letter: -1 whatever the poles
+    got, _ = product_along_slots((1,), sp, RateTable((1.0, 2.0)), WordBlock([(2, 1)]))
+    assert got[0, 0] == -1.0
 
 
 def test_spectral_point_rejects_zero():
@@ -82,14 +110,14 @@ def test_build_R_coincident_points_is_minus_identity():
     rt = RateTable((1.0, 2.0))
     sp = SpectralPoint((0.2j, 0.2j))
     block = WordBlock([(1, 1), (1, 2), (2, 1), (2, 2)])
-    mat = embed_T_l(1, 1, 2, sp, rt, block)
+    mat = dense_factor(1, 1, 2, sp, rt, block)
     assert np.allclose(mat, -np.eye(4), atol=1e-15)
 
 
 def test_build_R_single_species_block():
     rt = RateTable((1.0, 2.0))
     sp = SpectralPoint((0.1, 0.2j))
-    mat = embed_T_l(1, 2, 1, sp, rt, WordBlock([(2, 2)]))
+    mat = dense_factor(1, 2, 1, sp, rt, WordBlock([(2, 2)]))
     assert mat.shape == (1, 1)
     assert mat[0, 0] == amplitudes(rt.rate(2), 0.2j, 0.1)[0]
 
@@ -98,7 +126,7 @@ def test_build_R_mixed_pair_block_structure():
     rt = RateTable((0.8, 1.7))
     sp = SpectralPoint((0.15 + 0.1j, -0.2j))
     xb, xa = sp.xi[1], sp.xi[0]
-    mat = embed_T_l(1, 2, 1, sp, rt, build_sector([1, 2]))
+    mat = dense_factor(1, 2, 1, sp, rt, build_sector([1, 2]))
     expected = np.array(
         [
             list(amplitudes(rt.rate(1), xb, xa)),
@@ -113,7 +141,7 @@ def test_embed_coincident_points_is_minus_identity():
     sp = SpectralPoint((0.1j, 0.1j, 0.1j))
     block = build_sector([1, 2, 3])
     for slot in (1, 2):
-        mat = embed_T_l(slot, 3, 1, sp, rt, block)
+        mat = dense_factor(slot, 3, 1, sp, rt, block)
         assert np.allclose(mat, -np.eye(6), atol=1e-15)
 
 
@@ -123,9 +151,10 @@ def test_embed_exchange_entry_three_particles():
     rt = RateTable((0.6, 1.1, 1.9))
     sp = SpectralPoint((0.1 + 0.05j, -0.12j, 0.08))
     block = build_sector([1, 2, 3])
-    mat = embed_T_l(2, 1, 3, sp, rt, block)
+    mat = dense_factor(2, 1, 3, sp, rt, block)
     r, c = block.index((1, 2, 3)), block.index((1, 3, 2))
-    assert mat[r, c] == amplitudes(rt.rate(2), sp.xi[0], sp.xi[2])[1]
+    b, xi = np.asarray(rt), np.asarray(sp)  # numpy's complex division, as the factor's
+    assert mat[r, c] == amplitudes(b[1], xi[0], xi[2])[1]
     # words differing in the untouched first slot stay uncoupled
     assert mat[r, block.index((2, 1, 3))] == 0.0
     assert mat[r, block.index((3, 1, 2))] == 0.0
@@ -288,27 +317,27 @@ def test_inverse_relation_property(seed):
     sp = draw_point(rng, 3, rt)
     block = build_sector(sorted(rng.integers(1, 4, size=3)))
     for slot in (1, 2):
-        fwd = embed_T_l(slot, 1, 2, sp, rt, block)
-        bwd = embed_T_l(slot, 2, 1, sp, rt, block)
+        fwd = dense_factor(slot, 1, 2, sp, rt, block)
+        bwd = dense_factor(slot, 2, 1, sp, rt, block)
         assert np.max(np.abs(fwd @ bwd - np.eye(block.dim))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_slot_action_matches_dense_factor(n):
-    # the grid kernel's factor applied to identity columns is the dense factor
+    # the factor applied to columns of several points at once is each point's dense factor
     rng = np.random.default_rng(200 + n)
     rt = draw_rates(rng, n)
     points = [draw_point(rng, n, rt) for _ in range(4)]
     for block in all_sectors(n):
         for slot in range(1, n):
-            action = SlotAction(block, slot, rt)
+            action = SlotAction(block, slot, np.asarray(rt)[:, None])  # one point axis
             for beta, alpha in [(2, 1), (1, 2), (n, 1)]:
                 xb = np.repeat([sp.xi[beta - 1] for sp in points], block.dim)
                 xa = np.repeat([sp.xi[alpha - 1] for sp in points], block.dim)
                 cols = np.tile(np.eye(block.dim, dtype=complex), (len(points), 1))
                 got = action.apply(xb, xa, cols.T).T.reshape(len(points), block.dim, block.dim)
                 for sp, g in zip(points, got):
-                    want = embed_T_l(slot, beta, alpha, sp, rt, block).T
+                    want = dense_factor(slot, beta, alpha, sp, rt, block).T
                     assert np.all(np.abs(g - want) <= 1e-15 * np.abs(want))
                 # in place: ascending rows read their descending partners before those change
                 v = np.ascontiguousarray(cols.T)
@@ -320,9 +349,49 @@ def test_factor_rejects_block_not_closed_under_exchange():
     rt = RateTable((1.0, 2.0, 0.5))
     sp = SpectralPoint((0.1, 0.2j, -0.15))
     with pytest.raises(ValueError, match="closed"):
-        embed_T_l(1, 2, 1, sp, rt, WordBlock([(1, 2)]))
+        product_along_slots((1,), sp, rt, WordBlock([(1, 2)]))
     block = WordBlock([(1, 2, 3), (2, 1, 3)])
     with pytest.raises(ValueError, match="closed"):
-        embed_T_l(2, 3, 2, sp, rt, block)
+        product_along_slots((2,), sp, rt, block)
     with pytest.raises(ValueError, match="closed"):
-        SlotAction(block, 2, rt)
+        SlotAction(block, 2, np.asarray(rt))
+
+
+@pytest.mark.parametrize("n, apps", [(3, 5), (4, 23)])
+def test_build_all_A_applies_one_factor_per_permutation(monkeypatch, n, apps):
+    # each permutation's matrix is its predecessor's times one factor
+    calls = []
+    apply = SlotAction.apply
+    monkeypatch.setattr(
+        SlotAction, "apply", lambda self, *a, **k: calls.append(1) or apply(self, *a, **k)
+    )
+    rng = np.random.default_rng(31)
+    rt = draw_rates(rng, n)
+    amps = build_all_A(draw_point(rng, n, rt), rt, build_sector(range(1, n + 1)))
+    assert len(amps) == apps + 1
+    assert len(calls) == apps
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_batch_matches_loop_over_the_same_draws(n):
+    rng = np.random.default_rng(300 + n)
+    rates = [draw_rates(rng, n) for _ in range(5)]
+    points = [draw_point(rng, n, rt) for rt in rates]
+    xi = np.stack([np.asarray(sp) for sp in points], axis=-1)  # (n, trials)
+    b = np.stack([np.asarray(rt) for rt in rates], axis=-1)
+    block = build_sector([1, 2, 2, 3][:n] if n == 4 else [1, 2, 3])
+    word = (1, 2, 1, 3, 2, 1)[: 3 if n == 3 else 6]
+    batch, image = product_along_slots(word, xi, b, block)
+    assert batch.shape == (block.dim, block.dim, len(points))
+    all_batch = build_all_A(xi, b, block)
+    for k, (sp, rt) in enumerate(zip(points, rates)):
+        one, one_image = product_along_slots(word, sp, rt, block)
+        assert one_image == image
+        assert np.all(np.abs(batch[..., k] - one) <= 1e-14 * np.abs(one))
+        for key, mat in build_all_A(sp, rt, block).items():
+            assert np.all(np.abs(all_batch[key][..., k] - mat) <= 1e-14 * np.abs(mat))
+    res = consistency_residuals(xi, b, n)
+    assert res == {
+        name: max(consistency_residuals(sp, rt, n)[name] for sp, rt in zip(points, rates))
+        for name in res
+    }
