@@ -7,7 +7,7 @@ from the primitive jump rules.
 The root exports the calls the README, the demos and the benchmark make, the
 types they pass or get back, and the exceptions those calls raise.  The
 building blocks (the dense amplitude matrices, the scalar integrand, word
-blocks, single trajectories) are imported from their modules.
+blocks) are imported from their modules.
 """
 
 from .bethe import (
@@ -63,4 +63,4 @@ __all__ = [
     "transition_probability",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

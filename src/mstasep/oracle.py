@@ -1,16 +1,16 @@
 """Ground truth for transition probabilities, independent of any spectral formula.
 
-The jump rules are encoded directly: a particle of species l hops one site
-right at rate b_l when the target site is empty, and trades places with a
-right neighbour of strictly smaller species at the same rate b_l.  From
-those primitives this module builds the truncated-window generator, solves
-the forward equations by uniformization, and draws exact trajectories.
+The jump rules are encoded once, in :func:`_jump_masks`: a particle of
+species l hops one site right at rate b_l when the target site is empty, and
+trades places with a right neighbour of strictly smaller species at the same
+rate b_l.  From those masks this module builds the truncated-window
+generator, solves the forward equations by uniformization, and draws exact
+trajectories.
 
-The generator is built on arrays: the window's states come from
-:func:`core.window_states` as (S, N) int64 position and word tables sorted by
-(positions, species), each state's jumps are column masks of those tables,
-and destination rows are found by binary search on one integer key per state.
-Gillespie trajectories walk plain (positions, species) tuples.
+Both work on (S, N) int64 position and word tables.  The generator's states
+come from :func:`core.window_states`, sorted by (positions, species), and
+destination rows are found by binary search on one integer key per state.
+Gillespie holds every sample as one row and steps all rows in lockstep.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from .core import (
     RateTable,
     WordBlock,
     check_int,
+    check_real,
     check_table,
     check_time,
     default_window,
+    finite_positive,
     state_arrays,
     validate_state,
     window_states,
@@ -38,6 +40,9 @@ from .core import (
 )
 
 _INT64 = np.iinfo(np.int64)
+
+# bytes of step arrays one chunk of Gillespie samples may hold
+_STEP_BUDGET_BYTES = 1 << 24
 
 
 class WindowTooSmall(ValueError):
@@ -141,11 +146,21 @@ class GeneratorWindow:
         return _StateList(self.positions, self.words)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    seed: int
-    final_state: ParticleState
-    jump_count: int
+def _jump_masks(positions: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The jump rules: which particles of (S, N) position and word tables may move.
+
+    Returns (S, N) boolean masks ``hop`` and ``swap``.  Particle i may hop one
+    site right when that site is empty; the rightmost particle always may, a
+    window edge being the caller's to apply.  It may swap with particle i + 1
+    when they are adjacent and the right one is of strictly smaller species;
+    an adjacent equal or stronger neighbour blocks it.  Either move fires at
+    rate ``b[words - 1]``.
+    """
+    adjacent = np.zeros(positions.shape, dtype=bool)
+    adjacent[:, :-1] = positions[:, 1:] == positions[:, :-1] + 1
+    swap = adjacent.copy()
+    swap[:, :-1] &= words[:, :-1] > words[:, 1:]
+    return ~adjacent, swap
 
 
 def build_generator(
@@ -160,7 +175,7 @@ def build_generator(
     could pass int64, (hi - lo + 1)**N * N**N > 2**63, raises WindowTooWide
     before any array is built.
 
-    Each particle's hop or overtaking swap is one column mask over all states.
+    The hop and swap masks of :func:`_jump_masks` give each state's moves.
     The diagonal sums the enabled rates particle by particle, left to right.
     A hop past ``hi`` adds to the diagonal and to ``leak_rates`` but has no
     destination column.
@@ -181,33 +196,25 @@ def build_generator(
     words.setflags(write=False)
     keys = _state_keys(positions, words, lo, hi)
     b = np.array(rates.rates)[words - 1]
-    dim = len(keys)
-    out_rate = np.zeros(dim)
-    rows, dest, vals = [], [], []
-    for i in range(n):
-        # a successor's key is the state's plus a fixed step: a hop adds one to position
-        # digit i, a swap exchanges word digits i and i + 1
-        if i + 1 < n:
-            adjacent = positions[:, i + 1] == positions[:, i] + 1
-            swap = adjacent & (words[:, i] > words[:, i + 1])
-            hop = ~adjacent
-            weight = n ** (n - 1 - i) - n ** (n - 2 - i)
-            rows.append(np.flatnonzero(swap))
-            dest.append(keys[swap] + (words[swap, i + 1] - words[swap, i]) * weight)
-            vals.append(b[swap, i])
-            moves = swap | hop
-        else:
-            hop = positions[:, i] < hi
-            moves = True
-        rows.append(np.flatnonzero(hop))
-        dest.append(keys[hop] + radix ** (n - 1 - i) * n**n)
-        vals.append(b[hop, i])
-        out_rate += np.where(moves, b[:, i], 0.0)
+    hop, swap = _jump_masks(positions, words)
+    out_rate = np.where(hop | swap, b, 0.0).sum(axis=1)
     leak = np.where(positions[:, -1] == hi, b[:, -1], 0.0)
+    hop[:, -1] &= positions[:, -1] < hi
+    # a successor's key is the state's plus a fixed step: a hop of particle i adds one
+    # to position digit i, a swap exchanges word digits i and i + 1
+    hop_step = np.array([radix ** (n - 1 - i) * n**n for i in range(n)], dtype=np.int64)
+    swap_step = np.array([n ** (n - 1 - i) - n ** (n - 2 - i) for i in range(n - 1)], dtype=np.int64)
+    h_row, h_i = np.nonzero(hop)
+    s_row, s_i = np.nonzero(swap)
+    dest = np.concatenate(
+        [keys[h_row] + hop_step[h_i], keys[s_row] + (words[s_row, s_i + 1] - words[s_row, s_i]) * swap_step[s_i]]
+    )
+    dim = len(keys)
     diag = np.arange(dim)
-    cols = np.searchsorted(keys, np.concatenate(dest))
-    rows, cols = np.concatenate(rows + [diag]), np.concatenate([cols, diag])
-    q = sparse.csr_matrix((np.concatenate(vals + [-out_rate]), (rows, cols)), shape=(dim, dim))
+    rows = np.concatenate([h_row, s_row, diag])
+    cols = np.concatenate([np.searchsorted(keys, dest), diag])
+    vals = np.concatenate([b[h_row, h_i], b[s_row, s_i], -out_rate])
+    q = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
     return GeneratorWindow(
         lo=lo,
         hi=hi,
@@ -226,12 +233,15 @@ def matrix_exponential_row(
 
     Poisson-weighted powers of the substochastic kernel I + Q/lam keep all
     arithmetic nonnegative.  The series stops once the remaining Poisson
-    tail drops below ``tol``.  Returns the probability vector over
-    ``gen.states`` and the leaked-mass estimate 1 - sum(entries).  A time
-    that is not a real number raises TypeError, one not finite and
-    nonnegative ValueError.
+    tail drops below ``tol``, or once the Poisson weight underflows to zero
+    (the tail estimate has a roundoff floor).  Returns the probability vector
+    over ``gen.states`` and the leaked-mass estimate 1 - sum(entries).  A time
+    or ``tol`` that is not a real number raises TypeError; a time not finite
+    and nonnegative, or a ``tol`` not finite and positive, ValueError.
     """
     check_time(t)
+    if not finite_positive(check_real(tol, "tol")):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     dim = gen.rate_matrix.shape[0]
     out = np.zeros(dim)
     out[gen.index[initial]] = 1.0
@@ -251,7 +261,7 @@ def matrix_exponential_row(
         remaining = 1.0 - weight
         out = weight * v
         k = 0
-        while remaining > tol / steps:
+        while remaining > tol / steps and weight > 0.0:
             v = kernel_t @ v
             k += 1
             weight *= mu / k
@@ -260,60 +270,34 @@ def matrix_exponential_row(
     return out, float(1.0 - out.sum())
 
 
-def _run_jumps(initial: ParticleState, rates: RateTable, t: float, rng) -> tuple[tuple, tuple, int]:
-    """Final positions, species and jump count of one trajectory, walked on tuples.
+def _advance(positions: np.ndarray, words: np.ndarray, b: np.ndarray, t: float, rng) -> np.ndarray:
+    """Final states of k trajectories run in lockstep to time t, as (k, 2N) [positions | word] rows.
 
-    Enabled jumps are listed in particle order and summed left to right; a
-    blocked or swapping particle never overtakes, so positions stay sorted.
+    Every live row draws one exponential holding time and one uniform per step.
+    Rows whose clock passes t drop out; each other row fires the particle its
+    uniform picks through the cumulative sum of enabled rates.  Rows are
+    returned in no fixed order.
     """
-    pos, spc = initial.positions, initial.species
-    b = rates.rates
-    n = len(pos)
-    jumps = 0
-    clock = 0.0
-    while True:
-        move_rates, slots = [], []  # slot i hops particle i, slot ~i swaps it with particle i + 1
-        for i in range(n):
-            if i + 1 < n and pos[i + 1] == pos[i] + 1:
-                if spc[i] > spc[i + 1]:  # overtaking swap, positions unchanged
-                    move_rates.append(b[spc[i] - 1])
-                    slots.append(~i)
-                continue  # blocked by an equal or stronger species
-            move_rates.append(b[spc[i] - 1])
-            slots.append(i)
-        total = sum(move_rates)
-        clock += rng.exponential(1.0 / total)
-        if clock > t:
-            return pos, spc, jumps
-        pick = rng.random() * total
-        acc = 0.0
-        for rate, i in zip(move_rates, slots):
-            acc += rate
-            if pick < acc:
-                break
-        # past the loop unbroken (roundoff at pick ~ total), the last move fires
-        if i < 0:
-            i = ~i
-            spc = spc[:i] + (spc[i + 1], spc[i]) + spc[i + 2 :]
-        else:
-            pos = pos[:i] + (pos[i] + 1,) + pos[i + 1 :]
-        jumps += 1
-
-
-def sample_trajectory(
-    initial: ParticleState, rates: RateTable, t: float, seed: int
-) -> TrajectorySample:
-    """One exact trajectory, reproducible from its integer seed.
-
-    ``t`` is checked as in :func:`matrix_exponential_row`, ``seed`` by
-    :func:`core.check_int`.
-    """
-    validate_state(initial, rates)
-    check_time(t)
-    seed = check_int(seed, "seed")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pos, spc, jumps = _run_jumps(initial, rates, t, rng)
-    return TrajectorySample(seed=seed, final_state=ParticleState(pos, spc), jump_count=jumps)
+    clock = np.zeros(len(positions))
+    done = []
+    while len(positions):
+        hop, swap = _jump_masks(positions, words)
+        cum = np.cumsum(np.where(hop | swap, b[words - 1], 0.0), axis=1)
+        clock += rng.standard_exponential(len(clock)) / cum[:, -1]
+        pick = rng.random(len(clock)) * cum[:, -1]
+        over = clock > t
+        done.append(np.hstack([positions[over], words[over]]))
+        live = ~over
+        positions, words, clock, cum, swap, pick = (a[live] for a in (positions, words, clock, cum, swap, pick))
+        # the first particle whose cumulative rate passes the uniform; past every one
+        # (roundoff at pick ~ total), the rightmost, which can always hop
+        i = np.minimum((cum <= pick[:, None]).sum(axis=1), words.shape[1] - 1)
+        row = np.arange(len(i))
+        swapped = swap[row, i]
+        positions[row[~swapped], i[~swapped]] += 1
+        row, i = row[swapped], i[swapped]
+        words[row, i], words[row, i + 1] = words[row, i + 1], words[row, i]
+    return np.concatenate(done)
 
 
 def gillespie(
@@ -321,21 +305,31 @@ def gillespie(
 ) -> dict[ParticleState, int]:
     """Empirical distribution of the state at time t from exact simulation.
 
-    Each trajectory gets its own generator spawned from one seed sequence,
-    so results are reproducible and trajectories stay independent even if
-    run in parallel.  ``t`` is checked as in :func:`matrix_exponential_row`,
-    ``n_samples`` and ``seed`` by :func:`core.check_int`.
+    All samples step in lockstep on (samples, N) arrays, drawing from one
+    ``np.random.default_rng(seed)``, so counts are reproducible per seed.  They
+    advance in chunks of a fixed size set by ``_STEP_BUDGET_BYTES``, so memory
+    stays bounded for any ``n_samples``.  ``t`` is checked as in
+    :func:`matrix_exponential_row`, ``n_samples`` and ``seed`` by
+    :func:`core.check_int`.
     """
     validate_state(initial, rates)
     check_time(t)
     if check_int(n_samples, "n_samples") < 1:
         raise ValueError("n_samples must be at least 1")
-    counts: dict[tuple, int] = {}
-    for child in np.random.SeedSequence(check_int(seed, "seed")).spawn(n_samples):
-        rng = np.random.default_rng(child)
-        pos, spc, _ = _run_jumps(initial, rates, t, rng)
-        counts[pos, spc] = counts.get((pos, spc), 0) + 1
-    return {ParticleState(*final): c for final, c in counts.items()}
+    rng = np.random.default_rng(check_int(seed, "seed"))
+    n = len(initial)
+    start, word = state_arrays([initial], n)
+    b = np.array(rates.rates)
+    chunk = max(1, _STEP_BUDGET_BYTES // (64 * n))  # about 64 bytes of step arrays per particle
+    counts: dict[ParticleState, int] = {}
+    for first in range(0, n_samples, chunk):
+        k = min(chunk, n_samples - first)
+        final = _advance(start.repeat(k, axis=0), word.repeat(k, axis=0), b, t, rng)
+        rows, seen = np.unique(final, axis=0, return_counts=True)
+        for r, c in zip(rows.tolist(), seen.tolist()):
+            state = ParticleState(tuple(r[:n]), tuple(r[n:]))
+            counts[state] = counts.get(state, 0) + c
+    return counts
 
 
 # Boundary-equation ingredients on a word block.  These never feed the

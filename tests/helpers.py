@@ -63,6 +63,26 @@ def _moves(state, rates):
     return out
 
 
+def chi_square_pvalue(counts, probs, n):
+    """Goodness of fit of sample counts to probabilities, keyed alike.
+
+    States expected at least five times get a cell each; the rest, and any
+    sampled state missing from ``probs``, share one pooled cell.
+    """
+    from scipy.stats import chi2
+
+    ranked = sorted(probs, key=probs.get, reverse=True)
+    cells = [[counts.get(s, 0), n * probs[s]] for s in ranked if n * probs[s] >= 5]
+    rest = [n - sum(c[0] for c in cells), n - sum(c[1] for c in cells)]
+    if rest[1] >= 5 or not cells:
+        cells.append(rest)
+    else:
+        cells[-1][0] += rest[0]
+        cells[-1][1] += rest[1]
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    return float(chi2.sf(stat, len(cells) - 1))
+
+
 def reference_generator(initial, rates, window):
     """Breadth-first window generator from the jump rules, one state at a time.
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_generator
+from helpers import chi_square_pvalue, reference_generator
 from mstasep import (
     ParticleState,
     RateTable,
@@ -18,7 +18,7 @@ from mstasep import (
 )
 from mstasep import oracle
 from mstasep.core import WordBlock, build_sector
-from mstasep.oracle import hop_rate_diag, sample_trajectory, swap_gain_matrix, swap_loss_diag
+from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
 
 B1, B2 = 0.8, 1.7
 RT2 = RateTable((B1, B2))
@@ -71,6 +71,23 @@ def test_generator_conserves_species_multiset():
     gen = build_generator(state, RateTable((1.0, 1.5, 0.7)), (0, 8))
     for s in gen.states:
         assert sorted(s.species) == [1, 2, 2]
+
+
+def test_generator_bits_match_the_reference_on_n4_descending_window():
+    initial = ParticleState((0, 1, 2, 3), (4, 3, 2, 1))
+    rates = RateTable((1.0, 0.7, 1.9, 2.0))
+    window = default_window(initial, rates, 0.15)
+    gen = build_generator(initial, rates, window)
+    ref_states, ref_matrix, ref_leak = reference_generator(initial, rates, window)
+    row = {s: k for k, s in enumerate(ref_states)}
+    order = np.array([row[s] for s in gen.states])
+    ref = ref_matrix[order][:, order].tocsr()
+    ref.sort_indices()
+    q = gen.rate_matrix
+    assert q.has_sorted_indices and len(order) == len(ref_states)
+    assert q.data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(q.indices, ref.indices) and np.array_equal(q.indptr, ref.indptr)
+    assert gen.leak_rates.tobytes() == ref_leak[order].tobytes()
 
 
 def test_window_too_small_raises():
@@ -172,15 +189,33 @@ def test_oracle_time_checked_at_every_entry_point(monkeypatch, t, error):
     def no_jumps(*args, **kwargs):
         raise AssertionError("a trajectory started")
 
-    monkeypatch.setattr(oracle, "_run_jumps", no_jumps)
+    monkeypatch.setattr(oracle, "_advance", no_jumps)
     state = ParticleState((0, 1), (2, 1))
     gen = build_generator(state, RT2, (0, 8))
     with pytest.raises(error, match="time"):
         gillespie(state, RT2, t, 1, seed=0)
     with pytest.raises(error, match="time"):
-        sample_trajectory(state, RT2, t, seed=0)
-    with pytest.raises(error, match="time"):
         matrix_exponential_row(gen, state, t)
+
+
+@pytest.mark.parametrize(
+    "tol, error", [(0.0, ValueError), (math.nan, ValueError), (math.inf, ValueError), (True, TypeError)]
+)
+def test_expm_row_rejects_a_bad_tol(tol, error):
+    state = ParticleState((0, 1), (2, 1))
+    gen = build_generator(state, RateTable((1.0, 2.0)), (0, 8))
+    with pytest.raises(error, match="tol"):
+        matrix_exponential_row(gen, state, 0.5, tol=tol)
+
+
+def test_expm_row_below_the_roundoff_floor_terminates():
+    # the tail estimate stalls near 1e-16; the series ends once the Poisson weight underflows
+    state = ParticleState((0, 1), (2, 1))
+    gen = build_generator(state, RateTable((1.0, 2.0)), (0, 8))
+    probs, leaked = matrix_exponential_row(gen, state, 0.5, tol=1e-17)
+    default, default_leaked = matrix_exponential_row(gen, state, 0.5)
+    assert np.allclose(probs, default, rtol=0, atol=1e-12)
+    assert abs(leaked - default_leaked) < 1e-12
 
 
 def test_expm_row_at_time_zero_is_indicator():
@@ -261,16 +296,11 @@ def test_seed_must_be_an_integer(seed):
     state = ParticleState((0, 1), (2, 1))
     with pytest.raises(TypeError, match="seed"):
         gillespie(state, RT2, 0.5, 3, seed)
-    with pytest.raises(TypeError, match="seed"):
-        sample_trajectory(state, RT2, 0.5, seed)
 
 
 def test_numpy_integer_seed_matches_python_int():
     state = ParticleState((0, 1), (2, 1))
     assert gillespie(state, RT2, 0.5, 50, np.int64(3)) == gillespie(state, RT2, 0.5, 50, 3)
-    sample = sample_trajectory(state, RT2, 0.5, np.int64(3))
-    assert sample == sample_trajectory(state, RT2, 0.5, 3)
-    assert type(sample.seed) is int
 
 
 def test_gillespie_reproducible_and_seed_sensitive():
@@ -292,15 +322,41 @@ def test_gillespie_never_produces_forbidden_word():
 def test_trajectories_never_move_left():
     initial = ParticleState((0, 3, 4), (3, 1, 2))
     rt = RateTable((0.9, 1.4, 1.1))
-    for seed in range(100):
-        sample = sample_trajectory(initial, rt, 0.8, seed)
-        assert all(
-            xf >= x0 for xf, x0 in zip(sample.final_state.positions, initial.positions)
-        )
-        assert sorted(sample.final_state.species) == [1, 2, 3]
-        assert sample.jump_count >= sum(
-            xf - x0 for xf, x0 in zip(sample.final_state.positions, initial.positions)
-        )
+    counts = gillespie(initial, rt, 0.8, 2000, seed=0)
+    assert sum(counts.values()) == 2000
+    for state in counts:
+        assert all(xf >= x0 for xf, x0 in zip(state.positions, initial.positions))
+        assert all(a < b for a, b in zip(state.positions, state.positions[1:]))
+        assert sorted(state.species) == [1, 2, 3]
+
+
+def _expm_probs(initial, rates, t):
+    gen = build_generator(initial, rates, default_window(initial, rates, t))
+    probs, _ = matrix_exponential_row(gen, initial, t)
+    return dict(zip(gen.states, probs))
+
+
+@pytest.mark.parametrize(
+    "start, word",
+    [((0, 1, 2), (3, 2, 1)), ((0, 1, 5), (3, 1, 2))],  # swaps from the start; a gap
+)
+def test_gillespie_chi_square_against_expm(start, word):
+    initial, rt, t, n = ParticleState(start, word), RateTable((2.0, 1.3, 0.7)), 0.8, 20_000
+    counts = gillespie(initial, rt, t, n, seed=1)
+    assert chi_square_pvalue(counts, _expm_probs(initial, rt, t), n) > 1e-6
+
+
+def test_gillespie_runs_past_one_chunk(monkeypatch):
+    initial, rt, t, n = ParticleState((0, 1, 2), (3, 2, 1)), RateTable((2.0, 1.3, 0.7)), 0.8, 5000
+    # 700 samples a chunk: seven full chunks and one of 100
+    monkeypatch.setattr(oracle, "_STEP_BUDGET_BYTES", 64 * 3 * 700)
+    chunks = []
+    advance = oracle._advance
+    monkeypatch.setattr(oracle, "_advance", lambda x, *rest: chunks.append(len(x)) or advance(x, *rest))
+    counts = gillespie(initial, rt, t, n, seed=2)
+    assert chunks == [700] * 7 + [100]
+    assert sum(counts.values()) == n
+    assert chi_square_pvalue(counts, _expm_probs(initial, rt, t), n) > 1e-6
 
 
 def test_gillespie_total_variation_against_expm():
