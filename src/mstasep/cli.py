@@ -292,7 +292,11 @@ def cmd_simulate(
         raise ConfigError(f"--samples must be at least 1, got {n_samples}")
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    counts = oracle.gillespie(cfg.initial, cfg.rates, cfg.time, n_samples, seed)
+    try:
+        counts = oracle.gillespie(cfg.initial, cfg.rates, cfg.time, n_samples, seed)
+    except ValueError as exc:  # a hop past the int64 maximum
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     states = sorted(counts, key=lambda s: (s.positions, s.species))
     positions, words = state_arrays(states, len(cfg.initial))
     count = np.array([counts[s] for s in states])

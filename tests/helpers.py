@@ -1,13 +1,23 @@
 """Shared draw helpers for randomized tests, and small references only tests use."""
 
+import importlib.util
 import itertools
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
 
 from mstasep import ParticleState, RateTable, SpectralPoint, contour_bound
+
+# the benchmark's goodness-of-fit criterion for sampled counts, so tests and benchmark judge alike
+_spec = importlib.util.spec_from_file_location(
+    "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+)
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+chi_square_pvalue = _workloads.chi_square_pvalue
 
 
 def draw_rates(rng, n, lo=0.5, hi=2.0):
@@ -61,26 +71,6 @@ def _moves(state, rates):
         new_pos = pos[:i] + (pos[i] + 1,) + pos[i + 1 :]
         out.append((b, ParticleState(new_pos, spc)))
     return out
-
-
-def chi_square_pvalue(counts, probs, n):
-    """Goodness of fit of sample counts to probabilities, keyed alike.
-
-    States expected at least five times get a cell each; the rest, and any
-    sampled state missing from ``probs``, share one pooled cell.
-    """
-    from scipy.stats import chi2
-
-    ranked = sorted(probs, key=probs.get, reverse=True)
-    cells = [[counts.get(s, 0), n * probs[s]] for s in ranked if n * probs[s] >= 5]
-    rest = [n - sum(c[0] for c in cells), n - sum(c[1] for c in cells)]
-    if rest[1] >= 5 or not cells:
-        cells.append(rest)
-    else:
-        cells[-1][0] += rest[0]
-        cells[-1][1] += rest[1]
-    stat = sum((o - e) ** 2 / e for o, e in cells)
-    return float(chi2.sf(stat, len(cells) - 1))
 
 
 def reference_generator(initial, rates, window):

@@ -542,6 +542,14 @@ def test_cmd_prob_window_edge_past_int64_exit_code(tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
+def test_cmd_simulate_hop_past_int64_exit_code(tmp_path, capsys):
+    cfg = parse_config(minimal_config(initial={"positions": [2**63 - 2, 2**63 - 1], "species": [2, 1]}, time=5.0))
+    out_path = tmp_path / "never.csv"
+    assert cmd_simulate(cfg, n_samples=10, seed=0, out=str(out_path)) == EXIT_CONFIG
+    assert not out_path.exists()
+    assert "int64" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

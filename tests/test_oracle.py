@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ def test_gillespie_chi_square_against_expm(start, word):
 def test_gillespie_runs_past_one_chunk(monkeypatch):
     initial, rt, t, n = ParticleState((0, 1, 2), (3, 2, 1)), RateTable((2.0, 1.3, 0.7)), 0.8, 5000
     # 700 samples a chunk: seven full chunks and one of 100
-    monkeypatch.setattr(oracle, "_STEP_BUDGET_BYTES", 64 * 3 * 700)
+    monkeypatch.setattr(oracle, "_STEP_BUDGET_BYTES", 64 * 4 * 700)
     chunks = []
     advance = oracle._advance
     monkeypatch.setattr(oracle, "_advance", lambda x, *rest: chunks.append(len(x)) or advance(x, *rest))
@@ -357,6 +358,26 @@ def test_gillespie_runs_past_one_chunk(monkeypatch):
     assert chunks == [700] * 7 + [100]
     assert sum(counts.values()) == n
     assert chi_square_pvalue(counts, _expm_probs(initial, rt, t), n) > 1e-6
+
+
+def test_gillespie_memory_stays_in_the_step_budget(monkeypatch):
+    # 20,000 samples a chunk, three chunks; one chunk of 60,000 would peak near 11 MB
+    budget = 64 * 4 * 20_000
+    monkeypatch.setattr(oracle, "_STEP_BUDGET_BYTES", budget)
+    tracemalloc.start()
+    try:
+        gillespie(ParticleState((0, 1, 2), (3, 2, 1)), RateTable((2.0, 1.3, 0.7)), 0.8, 60_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
+def test_gillespie_hop_past_int64_raises():
+    initial = ParticleState((2**63 - 2, 2**63 - 1), (2, 1))
+    with pytest.raises(ValueError, match="int64"):
+        gillespie(initial, RT2, 5.0, 10, seed=0)
+    assert gillespie(initial, RT2, 0.0, 10, seed=0) == {initial: 10}
 
 
 def test_gillespie_total_variation_against_expm():
