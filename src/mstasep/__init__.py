@@ -6,8 +6,8 @@ from the primitive jump rules.
 
 The root exports the calls the README, the demos and the benchmark make, the
 types they pass or get back, and the exceptions those calls raise.  The
-building blocks (the dense amplitude matrices, the scalar integrand, word
-blocks) are imported from their modules.
+building blocks (the stacked amplitude matrices, the Bethe sum at one
+spectral point, word blocks) are imported from their modules.
 """
 
 from .bethe import (

@@ -6,11 +6,14 @@ pole 1/b_l outside; the trapezoid rule on equispaced nodes then converges
 geometrically, and doubling the node count until two successive values
 agree gives a computable error estimate.
 
-The tensor-grid sum is evaluated by contracting, per permutation, the grid
-of amplitude-column values against one matrix of weighted node powers per
-dimension.  That regrouping is algebraically identical to summing the
-integrand node by node (the tests check this against a literal node loop)
-but shares all work between targets.
+At one spectral point the sum over the symmetric group is :func:`bethe_sum`:
+the amplitude matrices of :func:`rmatrix.build_all_A`, stacked on a leading
+permutation axis, contracted with the plane-wave phases in one product.  The
+tensor-grid sum is evaluated instead by contracting, per permutation, the
+grid of amplitude-column values against one matrix of weighted node powers
+per dimension.  That regrouping is algebraically identical to summing
+:func:`bethe_sum` node tuple by node tuple (the tests check this against that
+literal grid sum) but shares all work between targets.
 
 The grid is cut into slabs of rows along its first axis.  Inside a slab the
 amplitude columns are built by walking the predecessor tree of
@@ -41,6 +44,7 @@ translation invariant, and a start far from the origin then overflows nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,7 +69,7 @@ from .core import (
     validate_state,
     word_codes,
 )
-from .rmatrix import SlotAction, SpectralPoint, chain_factors, contour_bound
+from .rmatrix import SlotAction, chain_factors, contour_bound
 
 MAX_PARTICLES_DEFAULT = 4
 MAX_PARTICLES_HARD = 6
@@ -147,59 +151,48 @@ def default_radius(rates: RateTable) -> float:
     return 0.5 * contour_bound(rates)
 
 
-def epsilon(pi: Sequence[int], sp: SpectralPoint, rates: RateTable) -> complex:
-    """Exponent of the time factor: sum of 1/xi_k minus the total jump rate of the word."""
-    return sum(1.0 / z for z in sp.xi) - sum(rates.rate(s) for s in pi)
-
-
-def integrand(
-    sigma: PermutationElem,
-    sp: SpectralPoint,
-    initial: ParticleState,
-    target: ParticleState,
-    t: float,
-    rates: RateTable,
-    sector: WordBlock,
-    amplitude: np.ndarray,
-) -> complex:
-    """Scalar integrand of one permutation at one spectral point.
-
-    ``amplitude`` must be the matrix :func:`rmatrix.build_A_sigma` attaches to
-    ``sigma`` at ``sp``; it is a parameter so batch callers can reuse it.
-    """
-    x, pi = target.positions, target.species
-    y, nu = initial.positions, initial.species
-    val = complex(np.exp(epsilon(pi, sp, rates) * t))
-    val *= amplitude[sector.index(pi), sector.index(nu)]
-    for i in range(len(x)):
-        val *= rates.rate(pi[i]) ** x[i] * rates.rate(nu[i]) ** (-y[i])
-    for i, k in enumerate(sigma.image):
-        val *= sp.xi[k - 1] ** (x[i] - y[k - 1] - 1)
-    return val
-
-
 def rate_power_diag(positions, sector: WordBlock, rates) -> np.ndarray:
     """Diagonal of the rate-power matrix: product of b_{w(i)}^{x_i} per word, (dim, *batch)."""
-    b = np.asarray(rates, dtype=float)
-    return math.prod(b[col - 1] ** xk for col, xk in zip(np.array(sector.words).T, np.asarray(positions)))
+    b, words = np.asarray(rates, dtype=float), np.array(sector.words).T
+    return math.prod(_int_power(b[col - 1], xk) for col, xk in zip(words, np.asarray(positions)))
 
 
-def bethe_sum(positions, sp, rates, sector: WordBlock, amplitudes: dict) -> np.ndarray:
+def _int_power(base: np.ndarray, exp) -> np.ndarray:
+    """base**exp for integer exponents, with bits that do not depend on the batch an entry sits in.
+
+    numpy's complex power multiplies out an integer exponent element by element, while its
+    float power takes a vector path only where both operands are contiguous.  A real base
+    gets the real part.
+    """
+    power = np.power(base, exp, dtype=complex)
+    return power if np.iscomplexobj(base) else power.real
+
+
+def bethe_sum(positions, sp, rates, sector: WordBlock, amplitudes: np.ndarray) -> np.ndarray:
     """Spatial part of the spectral solution, summed over the symmetric group.
 
     Positions may be any integers (no ordering required); this is the lattice
     function whose free evolution and adjacency conditions the tests verify.
-    Positions (n, *batch), spectral values, rates and the amplitude matrices of
-    :func:`rmatrix.build_all_A` may share a trailing batch axis.
+    Positions (n, *batch), spectral values, rates and the (N!, dim, dim, *batch)
+    amplitude matrices of :func:`rmatrix.build_all_A` may share a trailing batch
+    axis.  The plane-wave phases of all permutations, (N!, *batch), are
+    contracted against the amplitudes in one product.
     """
     x, xi = np.asarray(positions), np.asarray(sp)
+    images = _image_rows(len(x))
     # math.prod multiplies whole batch rows, here and in rate_power_diag, so an entry's bits do not
     # depend on the batch it sits in
-    waves = sum(
-        amp * math.prod(xi[k - 1] ** xk for k, xk in zip(image, x))
-        for image, amp in amplitudes.items()
-    )
+    phases = math.prod(_int_power(xi[images[:, i]], x[i]) for i in range(len(x)))
+    waves = np.einsum("pij...,p...->ij...", amplitudes, phases)
     return rate_power_diag(x, sector, rates)[:, None] * waves
+
+
+@functools.cache
+def _image_rows(n: int) -> np.ndarray:
+    """Zero-based one-line images of :func:`core.enumerate_sn`, (n!, n): row p is permutation p."""
+    rows = np.array([elem.image for elem in enumerate_sn(n)]) - 1
+    rows.flags.writeable = False
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +211,7 @@ def _slab_ranges(m: int, n: int, dim: int) -> list[tuple[int, int]]:
     return [(a, min(a + s, m)) for a in range(0, m, s)]
 
 
-def _walk_tree(perms: list[PermutationElem]) -> list[list[int]]:
+def _walk_tree(perms: tuple[PermutationElem, ...]) -> list[list[int]]:
     """Children of each permutation in the predecessor tree, smallest subtree first.
 
     Indices are positions in ``perms``, whose breadth-first order lists every
@@ -284,7 +277,7 @@ def _grid_values(
     t: float,
     rates: RateTable,
     sector: WordBlock,
-    perms: list[PermutationElem],
+    perms: tuple[PermutationElem, ...],
     m: int,
     radius: float,
     threads: int,

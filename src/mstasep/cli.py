@@ -390,7 +390,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _boundary_residual(xi: np.ndarray, b: np.ndarray, base: np.ndarray, sector) -> float:
     """Worst adjacency residual of a batch of trials in one sector, relative to the summed |terms|."""
     amps = build_all_A(xi, b, sector)
-    mags = {image: np.abs(a) for image, a in amps.items()}
+    mags = np.abs(amps)
     worst = 0.0
     for slot in range(1, len(base)):
         x = base.copy()

@@ -17,6 +17,7 @@ applies to one state, so positions fit int64 on every route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -304,12 +305,13 @@ class PermutationElem:
         return out
 
 
-def enumerate_sn(n: int) -> list[PermutationElem]:
-    """Breadth-first enumeration of the symmetric group on {1..n}.
+@functools.cache
+def enumerate_sn(n: int) -> tuple[PermutationElem, ...]:
+    """Breadth-first enumeration of the symmetric group on {1..n}, built once per n.
 
     Starts at the identity; children are produced by swapping an ascent at
     slot i, which raises the inversion count by one.  Each element appears
-    once, linked to the first parent that reached it, so the list comes out
+    once, linked to the first parent that reached it, so the tuple comes out
     sorted by inversion count with the identity first.
     """
     if n < 1:
@@ -333,7 +335,7 @@ def enumerate_sn(n: int) -> list[PermutationElem]:
                         elems.append(child)
                         next_frontier.append(child)
         frontier = next_frontier
-    return elems
+    return tuple(elems)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ in ``core`` classes the rows of a block at a slot, :func:`amplitudes` is the
 only S/T expression, and only :meth:`SlotAction.apply` writes them into rows,
 on the kernel's grid columns and on the dense path's identity columns (at
 ``slot=1`` of a block of species pairs that gives the two-site matrix ``R``).
-:func:`product_along_slots` is the one dense product; :func:`build_A_sigma` and
-:func:`consistency_residuals` call it, and :func:`build_all_A` applies one
-factor per permutation to its predecessor's matrix, as the kernel does.  Each
-takes a :class:`SpectralPoint` or an (n, *batch) complex array of spectral
-values and a ``RateTable`` or an (N, *batch) float array of rates, and returns
-(dim, dim, *batch) complex matrices in the block's word order.
+:func:`product_along_slots` is the one dense product along a transposition
+word, and :func:`consistency_residuals` calls it; :func:`build_all_A` applies
+one factor per permutation to its predecessor's matrix, as the kernel does,
+and stacks the N! matrices on a leading axis in :func:`core.enumerate_sn`
+order.  Each takes a :class:`SpectralPoint` or an (n, *batch) complex array of
+spectral values and a ``RateTable`` or an (N, *batch) float array of rates,
+and returns (dim, dim, *batch) complex matrices in the block's word order.
 
 Spectral index arguments (``beta``, ``alpha``, ...) are 1-based positions
 into a :class:`SpectralPoint`; species arguments are 1-based labels into a
@@ -143,32 +144,24 @@ def chain_factors(sigma: PermutationElem) -> list[tuple[int, int, int]]:
     return factors
 
 
-def build_A_sigma(sigma: PermutationElem, sp, rates, block: WordBlock) -> np.ndarray:
-    """Amplitude matrix of a permutation: ordered product of two-site factors.
-
-    The product of :func:`product_along_slots` along the reduced word that the
-    predecessor links spell, so the identity gets the identity matrix.
-    Independence from the choice of reduced word is a consequence of the
-    consistency relations and is covered by tests, not assumed here.
-    """
-    return product_along_slots([slot for slot, _, _ in chain_factors(sigma)], sp, rates, block)[0]
-
-
-def build_all_A(sp, rates, block: WordBlock) -> dict[tuple[int, ...], np.ndarray]:
-    """Amplitude matrices of the whole symmetric group, keyed by one-line image.
+def build_all_A(sp, rates, block: WordBlock) -> np.ndarray:
+    """Amplitude matrices of the whole symmetric group, (N!, dim, dim, *batch) in enumerate_sn order.
 
     Walks :func:`core.enumerate_sn`, which lists every permutation after its
     predecessor, and applies one factor, the last of the permutation's
     reduced word, to the predecessor's matrix: N! - 1 factor applications,
-    as in the kernel.
+    as in the kernel.  The identity gets the identity matrix.
     """
     xi, b = np.asarray(sp, dtype=complex), np.asarray(rates, dtype=float)
     actions = {slot: SlotAction(block, slot, b) for slot in range(1, block.word_length)}
     perms = enumerate_sn(block.word_length)
-    amps = {perms[0].image: product_along_slots((), xi, b, block)[0]}
-    for elem in perms[1:]:
+    pos = {elem.image: k for k, elem in enumerate(perms)}
+    ident = product_along_slots((), xi, b, block)[0]
+    amps = np.empty((len(perms),) + ident.shape, dtype=complex)
+    amps[0] = ident
+    for k, elem in enumerate(perms[1:], 1):
         slot, beta, alpha = chain_factors(elem)[-1]
-        amps[elem.image] = _step(actions[slot], xi, beta, alpha, amps[elem.pred.image])
+        _step(actions[slot], xi, beta, alpha, amps[pos[elem.pred.image]], out=amps[k])
     return amps
 
 

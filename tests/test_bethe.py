@@ -20,91 +20,63 @@ from mstasep import (
     transition_matrix,
     transition_probability,
 )
-from mstasep.bethe import (
-    bethe_sum,
-    default_radius,
-    epsilon,
-    integrand,
-    rate_power_diag,
-    transition_arrays,
-)
+from mstasep.bethe import bethe_sum, default_radius, rate_power_diag, transition_arrays
 from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange, build_sector
 from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
 from mstasep.rmatrix import build_all_A
 
 
-def test_epsilon_single_particle_zero():
-    assert epsilon((1,), SpectralPoint((1.0,)), RateTable((1.0,))) == 0.0
-
-
-def test_epsilon_direct_sum():
-    rt = RateTable((1.0, 2.0))
-    sp = SpectralPoint((0.5, 0.25))
-    assert epsilon((1, 2), sp, rt) == pytest.approx(2.0 + 4.0 - 3.0)
-
-
-def test_epsilon_symmetric_in_word_order():
-    rt = RateTable((0.7, 1.9))
-    sp = SpectralPoint((0.1 + 0.2j, -0.3j))
-    assert epsilon((1, 2), sp, rt) == epsilon((2, 1), sp, rt)
-
-
-def test_integrand_single_particle_closed_form():
+def test_bethe_sum_single_particle_closed_form():
+    # one particle: the identity alone, b**x * xi**x
     rt = RateTable((1.4,))
     sector = build_sector([1])
     sp = SpectralPoint((0.21 - 0.08j,))
-    (elem,) = enumerate_sn(1)
+    got = bethe_sum([4], sp, rt, sector, build_all_A(sp, rt, sector))
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(1.4**4 * sp.xi[0] ** 4, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bethe_sum_is_the_sum_over_permutations(n):
+    # the one contraction against the definition, term by term:
+    # diag(b**x) A_sigma prod_i xi_sigma(i)**x_i summed over sigma
+    rng = np.random.default_rng(40 + n)
+    rt = draw_rates(rng, n)
+    sp = draw_point(rng, n, rt)
+    sector = build_sector(sorted(rng.integers(1, n + 1, size=n)))
     amps = build_all_A(sp, rt, sector)
-    t, x, y = 0.9, 4, 1
-    got = integrand(
-        elem, sp, ParticleState((y,), (1,)), ParticleState((x,), (1,)), t, rt, sector,
-        amps[elem.image],
+    x = [int(v) for v in rng.integers(-3, 4, size=n)]
+    want = sum(
+        amp * np.prod([sp.xi[k - 1] ** xk for k, xk in zip(elem.image, x)])
+        for elem, amp in zip(enumerate_sn(n), amps)
     )
-    xi = sp.xi[0]
-    expected = np.exp((1.0 / xi - 1.4) * t) * 1.4 ** (x - y) * xi ** (x - y - 1)
-    assert got == pytest.approx(expected, rel=1e-13)
+    want = np.diag(rate_power_diag(x, sector, rt)) @ want
+    got = bethe_sum(x, sp, rt, sector, amps)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_integrand_time_zero_identity_term():
-    rt = RateTable((0.9, 1.1))
-    sector = build_sector([1, 2])
-    sp = SpectralPoint((0.14, -0.2j))
-    ident = next(e for e in enumerate_sn(2) if e.is_identity)
-    amps = build_all_A(sp, rt, sector)
-    state = ParticleState((2, 5), (1, 2))
-    got = integrand(ident, sp, state, state, 0.0, rt, sector, amps[ident.image])
-    assert got == pytest.approx(1.0 / (sp.xi[0] * sp.xi[1]), rel=1e-13)
+def literal_grid_values(initial, targets, t, rates, m, radius):
+    """Literal tensor-grid sum: one bethe_sum call with every (target, node tuple) as a batch entry.
 
-
-def test_integrand_annihilated_entry_gives_zero():
-    rt = RateTable((0.9, 1.1))
-    sector = build_sector([1, 2])
-    sp = SpectralPoint((0.14, -0.2j))
-    ident = next(e for e in enumerate_sn(2) if e.is_identity)
-    amps = build_all_A(sp, rt, sector)
-    got = integrand(
-        ident, sp, ParticleState((0, 1), (1, 2)), ParticleState((0, 1), (2, 1)), 0.5,
-        rt, sector, amps[ident.image],
-    )
-    assert got == 0.0
-
-
-def brute_force_values(initial, targets, t, rates, m, radius):
-    """Literal tensor-grid sum: weights times integrand, node tuple by node tuple."""
+    Each node tuple contributes its trapezoid weight, exp(eps t), b_nu**-y and
+    prod_k xi_k**(-y_k - 1) times the (target word, start word) entry of the sum.
+    """
     n = len(initial)
     sector = build_sector(initial.species)
-    perms = enumerate_sn(n)
     nodes = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    totals = [0j] * len(targets)
-    for tup in itertools.product(range(m), repeat=n):
-        sp = SpectralPoint(tuple(nodes[k] for k in tup))
-        weight = np.prod([nodes[k] / m for k in tup])
-        amps = build_all_A(sp, rates, sector)
-        for elem in perms:
-            amp = amps[elem.image]
-            for j, tg in enumerate(targets):
-                totals[j] += weight * integrand(elem, sp, initial, tg, t, rates, sector, amp)
-    return totals
+    xi = np.array(list(itertools.product(nodes, repeat=n))).T  # (n, m**n)
+    y = np.array(initial.positions)
+    b = np.asarray(rates)
+    x = np.array([tg.positions for tg in targets]).T[:, :, None]  # (n, targets, 1)
+    amps = build_all_A(xi[:, None], b[:, None, None], sector)  # (n!, dim, dim, 1, m**n)
+    u = bethe_sum(x, xi[:, None], b[:, None, None], sector, amps)  # (dim, dim, targets, m**n)
+    rows = [sector.index(tg.species) for tg in targets]
+    entries = u[rows, sector.index(initial.species), np.arange(len(targets))]
+    eps = (1.0 / xi).sum(axis=0) - sum(rates.rate(s) for s in initial.species)
+    start = np.prod([rates.rate(s) ** -yk for s, yk in zip(initial.species, y)])
+    per_node = np.prod(xi / m, axis=0) * np.exp(eps * t) * start
+    per_node *= np.prod(xi ** (-y[:, None] - 1), axis=0)
+    return (entries * per_node).sum(axis=1)
 
 
 @pytest.mark.parametrize(
@@ -120,7 +92,7 @@ def test_engine_matches_literal_node_loop_two_particles(nu, targets):
     radius = default_radius(rt)
     initial = ParticleState((0, 1), nu)
     tgs = [ParticleState(p, s) for p, s in targets]
-    expected = brute_force_values(initial, tgs, 0.8, rt, 8, radius)
+    expected = literal_grid_values(initial, tgs, 0.8, rt, 8, radius)
     params = SpectralParams(radius=radius, nodes_per_dim=8, max_nodes=8)
     got = transition_matrix(initial, tgs, 0.8, rt, params=params)
     for res, exp in zip(got, expected):
@@ -138,7 +110,7 @@ def test_engine_matches_literal_node_loop_three_particles():
         ParticleState((1, 2, 4), (2, 1, 2)),
         ParticleState((0, 2, 3), (2, 2, 1)),
     ]
-    expected = brute_force_values(initial, tgs, 0.5, rt, 8, radius)
+    expected = literal_grid_values(initial, tgs, 0.5, rt, 8, radius)
     params = SpectralParams(radius=radius, nodes_per_dim=8, max_nodes=8)
     got = transition_matrix(initial, tgs, 0.5, rt, params=params)
     for res, exp in zip(got, expected):
@@ -451,7 +423,7 @@ def test_engine_matches_literal_node_loop_four_particles():
         ParticleState((0, 1, 2, 4), (1, 1, 2, 2)),
         ParticleState((0, 1, 3, 5), (2, 1, 2, 1)),
     ]
-    expected = brute_force_values(initial, tgs, 0.3, rt, 4, radius)
+    expected = literal_grid_values(initial, tgs, 0.3, rt, 4, radius)
     params = SpectralParams(radius=radius, nodes_per_dim=4, max_nodes=4)
     got = transition_matrix(initial, tgs, 0.3, rt, params=params)
     for res, exp in zip(got, expected):
@@ -555,19 +527,18 @@ def test_plane_wave_solves_free_lattice_equation(n, multiset):
         rt = draw_rates(rng, n)
         sp = draw_point(rng, n, rt)
         sector = build_sector(multiset)
-        amps = build_all_A(sp, rt, sector)
-        for elem in enumerate_sn(n):
+        # the eigenvalue: sum of 1/xi minus the total jump rate, the same for every word in the sector
+        eps = sum(1.0 / z for z in sp.xi) - sum(rt.rate(s) for s in multiset)
+        for elem, amp in zip(enumerate_sn(n), build_all_A(sp, rt, sector)):
             x = [int(v) for v in rng.integers(-3, 4, size=n)]
-            u_here = plane_wave(x, sp, rt, sector, amps[elem.image], elem.image)
+            u_here = plane_wave(x, sp, rt, sector, amp, elem.image)
             rhs = np.zeros_like(u_here)
             for j in range(1, n + 1):
                 shifted = list(x)
                 shifted[j - 1] -= 1
-                rhs += hop_rate_diag(sector, rt, j) @ plane_wave(
-                    shifted, sp, rt, sector, amps[elem.image], elem.image
-                )
+                shifted_wave = plane_wave(shifted, sp, rt, sector, amp, elem.image)
+                rhs += hop_rate_diag(sector, rt, j) @ shifted_wave
                 rhs -= hop_rate_diag(sector, rt, j) @ u_here
-            eps = epsilon(sector.words[0], sp, rt)  # same for every word in the sector
             scale = max(np.max(np.abs(u_here)), 1e-30)
             assert np.max(np.abs(eps * u_here - rhs)) / scale < 1e-10
 
@@ -658,3 +629,16 @@ def test_transition_arrays_match_the_list_wrapper():
     assert value.tolist() == [r.value for r in results] and raw.tolist() == [r.raw for r in results]
     assert est_error.tolist() == [r.est_error for r in results]
     assert nodes_used.tolist() == [r.nodes_used for r in results] == [32, 0, 32, 32]
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: a start gap that is a multiple of both probe sizes aliases"
+)
+@pytest.mark.parametrize("gap", [64, 128])
+def test_gapped_start_does_not_alias(gap):
+    # neither particle moves with probability e^(-(1 + 2) t); the 32- and 64-node probes both fold
+    # the gap's node powers onto zero and agree on a wrong value near 0
+    rt = RateTable((1.0, 2.0))
+    start = ParticleState((0, gap), (2, 1))
+    res = transition_probability(start, start, 0.5, rt)
+    assert res.value == pytest.approx(math.exp(-1.5), abs=1e-8)

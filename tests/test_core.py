@@ -141,6 +141,12 @@ def test_sector_invariants(n, data):
     assert len(set(sec.words)) == sec.dim
 
 
+def test_enumerate_sn_is_built_once_per_n():
+    # the kernel, build_all_A and bethe_sum share one immutable enumeration
+    assert isinstance(enumerate_sn(4), tuple)
+    assert enumerate_sn(4) is enumerate_sn(4)
+
+
 def test_enumerate_sn_trivial():
     elems = enumerate_sn(1)
     assert len(elems) == 1 and elems[0].image == (1,) and elems[0].is_identity

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -65,6 +67,38 @@ def test_demo_and_benchmark_imports_resolve():
     found = [(script.name, mod, name) for script in scripts for mod, name in _package_imports(script)]
     assert {"run.py", "workloads.py"} <= {script for script, _, _ in found}
     for script, mod, name in found:
-        # a name resolves as an attribute or as a submodule, as in ``from mstasep import bethe``
-        resolves = hasattr(importlib.import_module(mod), name) or find_spec(f"{mod}.{name}")
-        assert resolves, f"{script}: from {mod} import {name}"
+        assert _resolves(mod, name), f"{script}: from {mod} import {name}"
+
+
+def _resolves(mod, name):
+    """A name resolves as an attribute or as a submodule, as in ``from mstasep import bethe``."""
+    module = importlib.import_module(mod)
+    return hasattr(module, name) or (hasattr(module, "__path__") and find_spec(f"{mod}.{name}"))
+
+
+def _readme_names():
+    """(module, name) for each `module.name` in README.md and each name of its per-module import list.
+
+    Only dotted names whose first part is ``mstasep`` or one of its modules count, so config keys
+    and attributes such as ``spectral.radius`` are left alone.
+    """
+    import mstasep
+
+    text = (ROOT / "README.md").read_text()
+    modules = {info.name for info in pkgutil.iter_modules(mstasep.__path__)}
+    found = [
+        ("mstasep" if mod == "mstasep" else f"mstasep.{mod}", name)
+        for mod, name in re.findall(r"`(\w+)\.(\w+)`", text)
+        if mod == "mstasep" or mod in modules
+    ]
+    tail = text[text.index("Everything else is imported from its module"):]
+    for mod, names in re.findall(r"`(mstasep\.\w+)`\s+\(([^)]*)\)", tail[: tail.index("\n\n")]):
+        found += [(mod, name) for name in re.findall(r"`(\w+)`", names)]
+    return found
+
+
+def test_readme_names_resolve():
+    found = _readme_names()
+    assert {("mstasep.rmatrix", "build_all_A"), ("mstasep.bethe", "bethe_sum")} <= set(found)
+    for mod, name in found:
+        assert _resolves(mod, name), f"README.md names {mod}.{name}"

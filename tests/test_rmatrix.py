@@ -11,12 +11,12 @@ from mstasep import (
     consistency_residuals,
     enumerate_sn,
 )
+from mstasep.bethe import bethe_sum
 from mstasep.core import WordBlock, build_sector
 from mstasep.rmatrix import (
     SlotAction,
     all_sectors,
     amplitudes,
-    build_A_sigma,
     build_all_A,
     chain_factors,
     product_along_slots,
@@ -165,16 +165,16 @@ def test_A_identity_is_identity():
     rng = np.random.default_rng(3)
     sp = draw_point(rng, 3, rt)
     block = build_sector([1, 2, 3])
-    ident = next(e for e in enumerate_sn(3) if e.is_identity)
-    assert np.array_equal(build_A_sigma(ident, sp, rt, block), np.eye(6))
+    assert enumerate_sn(3)[0].is_identity
+    assert np.array_equal(build_all_A(sp, rt, block)[0], np.eye(6))
 
 
 def test_A_single_swap_two_particles():
     rt = RateTable((1.0, 2.0))
     sp = SpectralPoint((0.05 - 0.1j, 0.2j))
     block = build_sector([1, 2])
-    swap = next(e for e in enumerate_sn(2) if not e.is_identity)
-    got = build_A_sigma(swap, sp, rt, block)
+    assert enumerate_sn(2)[1].image == (2, 1)
+    got = build_all_A(sp, rt, block)[1]
     xb, xa = sp.xi[1], sp.xi[0]  # labels read off the identity: (2, 1)
     expected = np.array(
         [
@@ -189,8 +189,7 @@ def test_A_collapses_to_sign_at_coincident_points():
     rt = RateTable((1.0, 2.0, 0.5))
     sp = SpectralPoint((0.1j, 0.1j, 0.1j))
     block = build_sector([1, 1, 2])
-    for elem in enumerate_sn(3):
-        got = build_A_sigma(elem, sp, rt, block)
+    for elem, got in zip(enumerate_sn(3), build_all_A(sp, rt, block)):
         sign = (-1) ** inversions(elem.image)
         assert np.allclose(got, sign * np.eye(block.dim), atol=1e-14)
         assert sign == elem.parity
@@ -204,14 +203,14 @@ def test_A_conserves_species_multiset_on_sector_union():
     sp = draw_point(rng, 3, rt)
     sec_a, sec_b = build_sector([1, 1, 2]), build_sector([1, 2, 2])
     union = WordBlock(sec_a.words + sec_b.words)
-    longest = next(e for e in enumerate_sn(3) if e.image == (3, 2, 1))
-    mat = build_A_sigma(longest, sp, rt, union)
+    assert enumerate_sn(3)[-1].image == (3, 2, 1)
+    mat = build_all_A(sp, rt, union)[-1]
     da = sec_a.dim
     assert np.all(mat[:da, da:] == 0)
     assert np.all(mat[da:, :da] == 0)
     # and the diagonal blocks equal the per-sector builds
-    assert np.allclose(mat[:da, :da], build_A_sigma(longest, sp, rt, sec_a))
-    assert np.allclose(mat[da:, da:], build_A_sigma(longest, sp, rt, sec_b))
+    assert np.allclose(mat[:da, :da], build_all_A(sp, rt, sec_a)[-1])
+    assert np.allclose(mat[da:, da:], build_all_A(sp, rt, sec_b)[-1])
 
 
 def test_well_definedness_longest_element_s3():
@@ -303,10 +302,11 @@ def test_build_all_A_matches_individual_builds():
     sp = draw_point(rng, 3, rt)
     block = build_sector([1, 2, 2])
     amps = build_all_A(sp, rt, block)
-    for elem in enumerate_sn(3):
-        assert np.allclose(
-            amps[elem.image], build_A_sigma(elem, sp, rt, block), atol=1e-14
-        )
+    assert amps.shape == (6, block.dim, block.dim)
+    for elem, got in zip(enumerate_sn(3), amps):
+        want, image = product_along_slots([slot for slot, _, _ in chain_factors(elem)], sp, rt, block)
+        assert image == elem.image
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -388,8 +388,14 @@ def test_batch_matches_loop_over_the_same_draws(n):
         one, one_image = product_along_slots(word, sp, rt, block)
         assert one_image == image
         assert np.all(np.abs(batch[..., k] - one) <= 1e-14 * np.abs(one))
-        for key, mat in build_all_A(sp, rt, block).items():
-            assert np.all(np.abs(all_batch[key][..., k] - mat) <= 1e-14 * np.abs(mat))
+        mats = build_all_A(sp, rt, block)
+        assert np.all(np.abs(all_batch[..., k] - mats) <= 1e-14 * np.abs(mats))
+    # the Bethe sum's bits do not depend on the batch an entry sits in, at any positions
+    for x in rng.integers(-3, 4, size=(8, n, len(points))):
+        waves = bethe_sum(x, xi, b, block, all_batch)
+        for k, (sp, rt) in enumerate(zip(points, rates)):
+            one = bethe_sum(x[:, k], sp, rt, block, all_batch[..., k])
+            assert one.tobytes() == waves[..., k].tobytes()
     res = consistency_residuals(xi, b, n)
     assert res == {
         name: max(consistency_residuals(sp, rt, n)[name] for sp, rt in zip(points, rates))
