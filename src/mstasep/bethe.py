@@ -15,7 +15,20 @@ per dimension.  That regrouping is algebraically identical to summing
 :func:`bethe_sum` node tuple by node tuple (the tests check this against that
 literal grid sum) but shares all work between targets.
 
-The grid is cut into slabs of rows along its first axis.  Inside a slab the
+The grid is folded along its first axis.  Rates and t are real, so S, T,
+exp(t/xi) and xi**p have real coefficients, and the integrand at the
+conjugate node tuple is the conjugate of its value at the tuple.  The
+equispaced nodes r e^(2 pi i j / m) are closed under conjugation on every
+axis (whatever each axis's node count), so the grid pairs up exactly and
+the sum is real.  The kernel therefore visits rows j = 0 .. m/2 of axis 0
+only: rows 0 and m/2 sit at the real nodes r and -r, whose sub-grids are
+closed under conjugation, and keep weight 1; each row in between stands for
+itself and row m - j and gets weight 2.  These weights sit in axis 0's node
+weights, which the identity term's column sums read too.  The real part of
+the folded sum is the full grid sum, and its imaginary part is dropped.  A
+probe visits (N! - 1)(m/2 + 1) m^(N-1) grid points, against (N! - 1) m^N.
+
+These rows are cut into slabs along the first axis.  Inside a slab the
 amplitude columns are built by walking the predecessor tree of
 ``enumerate_sn`` depth first from the identity column: each permutation
 applies one two-site factor, the last of its reduced word, to its parent's
@@ -133,11 +146,13 @@ class SpectralParams:
 class ProbabilityResult:
     """One transition probability as computed.
 
-    ``raw`` keeps the complex quadrature output; ``value`` is its real part,
-    reported without clamping so quadrature noise stays visible.
-    ``est_error`` is the change in the last node doubling (0 when the value
-    is exact by a support argument, or when adaptivity was disabled by
-    setting max_nodes == nodes_per_dim).
+    ``value`` is the quadrature value, reported without clamping so
+    quadrature noise stays visible.  ``raw`` is the same number as a complex
+    with imaginary part 0: the kernel sums half of a conjugation-symmetric
+    grid and keeps the real part.  ``est_error`` is the change in the real
+    value over the last node doubling (0 when the value is exact by a support
+    argument, or when adaptivity was disabled by setting
+    max_nodes == nodes_per_dim).
     """
 
     value: float
@@ -205,10 +220,12 @@ def _contour_nodes(radius: float, m: int) -> np.ndarray:
 
 
 def _slab_ranges(m: int, n: int, dim: int) -> list[tuple[int, int]]:
+    """Slabs of the folded first axis: its rows 0 .. m/2, cut under the slab budget."""
     # n - 1 live column arrays on the tree walk plus contraction intermediates, at least four
     per_row = m ** (n - 1) * dim * 16 * max(4, n)
-    s = max(1, min(m, int(_SLAB_BUDGET_BYTES / max(per_row, 1))))
-    return [(a, min(a + s, m)) for a in range(0, m, s)]
+    rows = m // 2 + 1
+    s = max(1, min(rows, int(_SLAB_BUDGET_BYTES / max(per_row, 1))))
+    return [(a, min(a + s, rows)) for a in range(0, rows, s)]
 
 
 def _walk_tree(perms: tuple[PermutationElem, ...]) -> list[list[int]]:
@@ -282,7 +299,7 @@ def _grid_values(
     radius: float,
     threads: int,
 ) -> np.ndarray:
-    """Sum over permutations of the quadrature value per target (constants excluded).
+    """Sum over permutations of the real quadrature value per target (constants excluded).
 
     Positions are relative to the start's leftmost site: ``y`` is the start's,
     ``axes[i]`` the distinct i-th target positions with each target's index
@@ -292,12 +309,17 @@ def _grid_values(
     dim = sector.dim
     nodes = _contour_nodes(radius, m)
     u = nodes / m * np.exp(t / nodes)  # node weight times time factor, per dimension
+    # axis 0 is folded onto its rows 0 .. m/2: each row between the real nodes r and -r also
+    # stands for its conjugate row m - j, and so counts twice
+    fold = np.full(m // 2 + 1, 2.0)
+    fold[[0, -1]] = 1.0
+    axis_u = [u[: m // 2 + 1] * fold] + [u] * (n - 1)
     b = np.asarray(rates, dtype=float).reshape((-1,) + (1,) * n)  # broadcast over the grid axes
     actions = {slot: SlotAction(sector, slot, b) for slot in range(1, n)}
     # node weights times powers of grid axis k against target axis i, built once per pair
     with np.errstate(over="ignore", invalid="ignore"):
         pair_weights = {
-            (k, i): u[:, None] * nodes[:, None] ** (ux - y[k] - 1)[None, :]
+            (k, i): axis_u[k][:, None] * nodes[: len(axis_u[k]), None] ** (ux - y[k] - 1)[None, :]
             for k in range(n)
             for i, (ux, _) in enumerate(axes)
         }
@@ -322,7 +344,8 @@ def _grid_values(
         parts = [_slab_moments(a, b, *args) for a, b in ranges]
     # identity amplitude: the grid sum factorizes into column sums
     ident = np.prod([pair_weights[k, k].sum(axis=0)[ix] for k, (_, ix) in enumerate(axes)], axis=0)
-    return sum(parts) + np.where(rows == nu_idx, ident, 0.0)
+    # the conjugate rows left out carry the conjugate sum: the full grid sum is the real part
+    return (sum(parts) + np.where(rows == nu_idx, ident, 0.0)).real
 
 
 def transition_arrays(

@@ -23,7 +23,7 @@ from mstasep import (
 from mstasep.bethe import bethe_sum, default_radius, rate_power_diag, transition_arrays
 from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange, build_sector
 from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
-from mstasep.rmatrix import build_all_A
+from mstasep.rmatrix import all_sectors, build_all_A
 
 
 def test_bethe_sum_single_particle_closed_form():
@@ -53,6 +53,28 @@ def test_bethe_sum_is_the_sum_over_permutations(n):
     want = np.diag(rate_power_diag(x, sector, rt)) @ want
     got = bethe_sum(x, sp, rt, sector, amps)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bethe_sum_at_conjugate_point_is_the_conjugate(n):
+    # the identity the kernel's grid fold rests on: with real rates every amplitude and phase is a
+    # rational function with real coefficients, so the conjugate point gives the conjugate sum
+    rng = np.random.default_rng(60 + n)
+    for sector in all_sectors(n):
+        for x in [(-5, 0, 3, 9)[:n]] + [tuple(rng.integers(-8, 9, size=n)) for _ in range(3)]:
+            rt = draw_rates(rng, n)
+            sp = draw_point(rng, n, rt)
+            conj = SpectralPoint(tuple(np.conj(sp.xi)))
+            amps = build_all_A(sp, rt, sector)
+            got = bethe_sum(x, conj, rt, sector, build_all_A(conj, rt, sector))
+            want = np.conj(bethe_sum(x, sp, rt, sector, amps))
+            # the summed |terms|: |diag(b**x)| |A_sigma| |prod_i xi_sigma(i)**x_i| over sigma
+            terms = sum(
+                np.abs(amp) * abs(np.prod([sp.xi[k - 1] ** xk for k, xk in zip(elem.image, x)]))
+                for elem, amp in zip(enumerate_sn(n), amps)
+            )
+            terms = np.abs(rate_power_diag(x, sector, rt))[:, None] * terms
+            assert (np.abs(got - want) <= 1e-13 * terms).all()
 
 
 def literal_grid_values(initial, targets, t, rates, m, radius):
@@ -246,6 +268,46 @@ def test_kernel_applies_one_factor_per_permutation(monkeypatch, n, apps):
     assert len(calls) == apps * len(bethe._slab_ranges(4, n, math.factorial(n)))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_kernel_visits_rows_zero_to_half_of_the_first_axis(monkeypatch, n, m):
+    # the grid is folded along axis 0: every permutation's columns cover its rows 0 .. m/2 once
+    from mstasep import bethe
+    from mstasep.rmatrix import SlotAction
+
+    extents = []
+    apply = SlotAction.apply
+    monkeypatch.setattr(  # v is (dim, rows, m, ..., m): record its axis-0 extent
+        SlotAction, "apply", lambda self, *a, **k: extents.append(a[2].shape[1]) or apply(self, *a, **k)
+    )
+    rt = draw_rates(np.random.default_rng(47 + n), n)
+    word = tuple(range(n, 0, -1))
+    initial = ParticleState(tuple(range(n)), word)
+    targets = [
+        initial,
+        ParticleState(tuple(range(1, n + 1)), word),
+        ParticleState(tuple(range(n)), word[::-1]),
+    ]
+    params = SpectralParams(nodes_per_dim=m, max_nodes=m)
+    apps, dim = math.factorial(n) - 1, math.factorial(n)
+
+    def run():
+        extents.clear()
+        got = transition_matrix(initial, targets, 0.3, rt, params=params)
+        slabs = len(bethe._slab_ranges(m, n, dim))
+        assert len(extents) == apps * slabs
+        # with one thread slabs run in order, each walking the permutations in one fixed order
+        assert (np.array(extents).reshape(slabs, apps).sum(axis=0) == m // 2 + 1).all()
+        return got
+
+    single = run()
+    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", 1.0)  # one grid row per slab
+    assert bethe._slab_ranges(m, n, dim) == [(j, j + 1) for j in range(m // 2 + 1)]
+    for a, ref in zip(run(), single):
+        assert a.nodes_used == m and a.raw.imag == 0.0
+        assert abs(a.raw - ref.raw) <= 1e-14 * abs(ref.raw)
+
+
 def test_thread_pool_over_several_slabs_four_particles(monkeypatch):
     from mstasep import bethe
 
@@ -258,7 +320,8 @@ def test_thread_pool_over_several_slabs_four_particles(monkeypatch):
     ]
     params = SpectralParams(nodes_per_dim=8, max_nodes=8)
     single = transition_matrix(initial, targets, 0.3, rt, params=params)
-    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", 3 * 8**3 * 24 * 64)  # three grid rows per slab
+    # two grid rows per slab: slabs (0, 2), (2, 4), (4, 5) over the folded rows 0 .. 4
+    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", 2 * 8**3 * 24 * 64)
     assert len(bethe._slab_ranges(8, 4, 24)) >= 3
     serial = transition_matrix(initial, targets, 0.3, rt, params=params, threads=1)
     threaded = transition_matrix(initial, targets, 0.3, rt, params=params, threads=2)
