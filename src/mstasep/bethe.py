@@ -3,8 +3,16 @@
 Each probability is a sum over the symmetric group of N-fold integrals over
 a common circle around the origin.  The circle must keep every amplitude
 pole 1/b_l outside; the trapezoid rule on equispaced nodes then converges
-geometrically, and doubling the node count until two successive values
-agree gives a computable error estimate.
+geometrically, and raising the node count along a ladder of two rungs per
+octave (32, 48, 64, 96, ...) until two successive values agree gives a
+computable error estimate.  No rule reuses another's nodes, so the ladder
+pays (3/2)^N or (4/3)^N per confirming probe where doubling paid 2^N.
+
+The m-node rule cannot tell xi^p from xi^(p mod m), and two rules alias alike
+when a start gap is a common multiple of their node counts.  The adaptive path
+therefore starts the ladder at the first rung above the largest start gap
+max(y_k - x_i) over the targets, and raises :class:`NodeFloorExceeded` when no
+confirming rung fits under ``max_nodes``; it never returns an unconfirmed value.
 
 At one spectral point the sum over the symmetric group is :func:`bethe_sum`:
 the amplitude matrices of :func:`rmatrix.build_all_A`, stacked on a leading
@@ -104,7 +112,11 @@ class ContourInvalid(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """Node doubling hit the cap before reaching the requested tolerance."""
+    """Node refinement hit the cap before reaching the requested tolerance."""
+
+
+class NodeFloorExceeded(ValueError):
+    """The largest start gap leaves the adaptive path no confirmed rung within ``max_nodes``."""
 
 
 class OverflowRisk(ArithmeticError):
@@ -119,7 +131,9 @@ class SpectralParams:
     rates are known.  ``radius`` and ``adapt_tol`` must be finite positive
     real numbers (bools raise TypeError).  Node counts are integers (bools and
     floats raise TypeError) and powers of two from 4 to ``MAX_NODES_PER_DIM``,
-    so refinement can double them.
+    so both are rungs of the refinement ladder (see :func:`next_rung`).  The
+    adaptive path starts at ``nodes_per_dim``, or at the first rung above the
+    largest start gap if that is higher, and ends at ``max_nodes``.
     """
 
     radius: Optional[float] = None
@@ -150,15 +164,25 @@ class ProbabilityResult:
     quadrature noise stays visible.  ``raw`` is the same number as a complex
     with imaginary part 0: the kernel sums half of a conjugation-symmetric
     grid and keeps the real part.  ``est_error`` is the change in the real
-    value over the last node doubling (0 when the value is exact by a support
-    argument, or when adaptivity was disabled by setting
-    max_nodes == nodes_per_dim).
+    value over the last refinement step, from the rung before ``nodes_used``
+    (0 when the value is exact by a support argument, or when adaptivity was
+    disabled by setting max_nodes == nodes_per_dim).  ``nodes_used`` is a rung
+    of :func:`next_rung`'s ladder: a power of two or 3/2 of one (24, 48, 96,
+    192, ...), and 0 for an exact zero.
     """
 
     value: float
     raw: complex
     est_error: float
     nodes_used: int
+
+
+def next_rung(m: int) -> int:
+    """The node count after m: 3m/2 after a power of two, 4m/3 after 3/2 of one.
+
+    From 4 the ladder runs 4, 6, 8, 12, 16, 24, 32, 48, ...: every power of two is a rung.
+    """
+    return m * 3 // 2 if m & (m - 1) == 0 else m * 4 // 3
 
 
 def default_radius(rates: RateTable) -> float:
@@ -375,10 +399,15 @@ def transition_arrays(
     position of the initial state outside the int64 range raises ValueError.
     An empty table runs every guard and returns empty arrays.
 
-    Node counts double from ``nodes_per_dim`` until the largest change over
-    targets drops below ``adapt_tol``; hitting ``max_nodes`` without
-    converging raises :class:`NotConverged`.  Setting
-    ``max_nodes == nodes_per_dim`` disables adaptivity and evaluates once.
+    Node counts climb the ladder of :func:`next_rung` until the largest
+    change over targets between two rungs drops below ``adapt_tol``; hitting
+    ``max_nodes`` without converging raises :class:`NotConverged`.  The first
+    probe is the first rung at or above ``nodes_per_dim`` that exceeds the
+    largest start gap G = max(y_k - x_i) over the quadrature targets, so no
+    two probes alias a gap alike; if that rung has no confirming rung within
+    ``max_nodes``, :class:`NodeFloorExceeded` is raised before any probe.
+    Setting ``max_nodes == nodes_per_dim`` disables adaptivity, and the gap
+    floor with it, and evaluates once.
     """
     params = params or SpectralParams()
     validate_state(initial, rates)
@@ -439,12 +468,22 @@ def transition_arrays(
             )
 
         m = params.nodes_per_dim
-        prev = probe(m)
         if params.max_nodes == m:
-            final[quad] = prev
+            final[quad] = probe(m)
         else:
+            # two rules alias a gap alike when it is a common multiple of their node counts, so
+            # every probe must exceed the largest gap, and the first one needs a rung to confirm it
+            gap = int(y[-1] - xq[:, 0].min())
+            while m <= gap:
+                m = next_rung(m)
+            if next_rung(m) > params.max_nodes:
+                raise NodeFloorExceeded(
+                    f"the start gap {gap} needs a first probe above it ({m} nodes) and a rung to "
+                    f"confirm it, past max_nodes {params.max_nodes}"
+                )
+            prev = probe(m)
             while True:
-                m *= 2
+                m = next_rung(m)
                 cur = probe(m)
                 delta = np.abs(cur - prev)
                 if delta.max() < params.adapt_tol:

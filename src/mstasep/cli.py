@@ -14,18 +14,17 @@ Exit codes: 0 success or pass, 1 verification failure, 2 configuration
 error (also an output path that cannot be written; a particle count,
 contour radius or time the spectral route rejects, ``prob`` checking these
 before enumerating a window; a target so far from the start that the
-spectral route overflows; ``--threads`` below 1; ``--samples`` below 1; a
-negative ``--seed`` for ``simulate`` or ``verify``; a ``verify`` run with
-``--trials`` below 1 or a ``--size`` outside its suite's range: yang-baxter
-and welldef 3 to 6, oracle 2 to 3, stochastic 1 to 4, boundary 2 to 5), 3
-quadrature failed to converge.
+spectral route overflows; a start gap whose node floor leaves no confirming
+rung within ``max_nodes``, :class:`bethe.NodeFloorExceeded`; ``--threads``
+below 1; ``--samples`` below 1; a negative ``--seed`` for ``simulate`` or
+``verify``; a ``verify`` run with ``--trials`` below 1 or a ``--size``
+outside its suite's range: yang-baxter and welldef 3 to 6, oracle 2 to 3,
+stochastic 1 to 4, boundary 2 to 5), 3 quadrature failed to converge.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -211,10 +210,19 @@ def resolve_targets(cfg: JobConfig) -> list[ParticleState]:
     return [ParticleState(x, w) for x, w in zip(positions.tolist(), words.tolist())]
 
 
-def _joined(table: np.ndarray, sep: str) -> list[str]:
+def _cells(table: np.ndarray) -> np.ndarray:
+    """Each integer of ``table`` as a string, each distinct value formatted once."""
+    values, inverse = np.unique(table, return_inverse=True)
+    return np.array([str(v) for v in values.tolist()], dtype=str)[inverse.reshape(table.shape)]
+
+
+def _joined(table: np.ndarray, sep: str) -> np.ndarray:
     """Each row's integers joined by ``sep``."""
-    fmt = sep.join(["%d"] * table.shape[1])
-    return [fmt % row for row in map(tuple, table.tolist())]
+    cells = _cells(table)
+    joined = cells[:, 0]
+    for k in range(1, table.shape[1]):
+        joined = np.char.add(np.char.add(joined, sep), cells[:, k])
+    return joined
 
 
 def _write_columns(
@@ -222,24 +230,23 @@ def _write_columns(
 ) -> None:
     """One row per state: its positions and species, then ``columns`` in order.
 
-    CSV prints floats with 17 significant digits; JSON writes a list of objects.
-    A path that cannot be written raises ConfigError.
+    CSV prints floats with 17 significant digits and builds each row from one
+    format string, byte for byte what ``csv.writer`` writes for these cells:
+    the species cell is quoted when it holds a comma, and rows end with CRLF.
+    JSON writes a list of objects.  A path that cannot be written raises
+    ConfigError.
     """
     keys = ["positions", "species", *columns]
-    cells = [_joined(positions, ";"), _joined(words, ",")]
+    cells = [_joined(positions, ";").tolist(), _joined(words, ",").tolist()]
     if fmt == "json":
         cells += [col.tolist() for col in columns.values()]
         text = json.dumps([dict(zip(keys, row)) for row in zip(*cells)], indent=2) + "\n"
     else:
-        cells += [
-            [f"{v:.17g}" for v in col.tolist()] if col.dtype.kind == "f" else col.tolist()
-            for col in columns.values()
-        ]
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(keys)
-        writer.writerows(zip(*cells))
-        text = buf.getvalue()
+        floats = [col.dtype.kind == "f" for col in columns.values()]
+        cells += [col.tolist() if f else _cells(col).tolist() for col, f in zip(columns.values(), floats)]
+        species = '"%s"' if words.shape[1] > 1 else "%s"
+        row = ",".join(["%s", species, *("%.17g" if f else "%s" for f in floats)]) + "\r\n"
+        text = ",".join(keys) + "\r\n" + "".join(map(row.__mod__, zip(*cells)))
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -269,7 +276,7 @@ def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = Non
         value, _, est_error, nodes_used = bethe.transition_arrays(
             cfg.initial, positions, words, cfg.time, cfg.rates, params=cfg.spectral, threads=threads
         )
-    except (ValueError, bethe.OverflowRisk) as exc:  # also a target far from the start
+    except (ValueError, bethe.OverflowRisk) as exc:  # also a far target, or a gap past the node cap
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except bethe.NotConverged as exc:

@@ -11,16 +11,19 @@ Both work on (S, N) int64 position and word tables.  The generator's states
 come from :func:`core.window_states`, sorted by (positions, species), and
 destination rows are found by binary search on one integer key per state.
 Gillespie holds every sample as one row and steps all rows in lockstep.
+
+scipy.sparse is imported inside the two functions that use it, so importing
+the package (and ``mstasep prob``, which never calls the oracle) does without
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 
 # default_window is imported so that callers of the oracle can keep finding it here
 from .core import (
@@ -38,6 +41,9 @@ from .core import (
     window_states,
     word_codes,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 _INT64 = np.iinfo(np.int64)
 
@@ -180,6 +186,8 @@ def build_generator(
     A hop past ``hi`` adds to the diagonal and to ``leak_rates`` but has no
     destination column.
     """
+    import scipy.sparse as sparse
+
     validate_state(initial, rates)
     lo, hi = (check_int(v, "a window edge") for v in window)
     if not (lo <= min(initial.positions) and max(initial.positions) <= hi):
@@ -239,6 +247,8 @@ def matrix_exponential_row(
     or ``tol`` that is not a real number raises TypeError; a time not finite
     and nonnegative, or a ``tol`` not finite and positive, ValueError.
     """
+    import scipy.sparse as sparse
+
     check_time(t)
     if not finite_positive(check_real(tol, "tol")):
         raise ValueError(f"tol must be finite and positive, got {tol}")

@@ -1,7 +1,10 @@
 """Shared draw helpers for randomized tests, and small references only tests use."""
 
+import csv
 import importlib.util
+import io
 import itertools
+import json
 import math
 from collections import deque
 from pathlib import Path
@@ -109,3 +112,30 @@ def reference_generator(initial, rates, window):
     dim = len(states)
     q = sparse.csr_matrix((np.array(vals), (np.array(rows), np.array(cols))), shape=(dim, dim))
     return tuple(states), q, np.array(leak)
+
+
+def reference_columns_text(positions, words, columns, fmt):
+    """The text ``cli._write_columns`` writes, built one cell at a time with ``csv.writer``.
+
+    Integer rows are joined by ``%`` formatting, floats take ``.17g`` per value,
+    and JSON goes through ``json.dumps``; an independent reference for the bulk writer.
+    """
+
+    def joined(table, sep):
+        fmt_row = sep.join(["%d"] * table.shape[1])
+        return [fmt_row % row for row in map(tuple, table.tolist())]
+
+    keys = ["positions", "species", *columns]
+    cells = [joined(positions, ";"), joined(words, ",")]
+    if fmt == "json":
+        cells += [col.tolist() for col in columns.values()]
+        return json.dumps([dict(zip(keys, row)) for row in zip(*cells)], indent=2) + "\n"
+    cells += [
+        [f"{v:.17g}" for v in col.tolist()] if col.dtype.kind == "f" else col.tolist()
+        for col in columns.values()
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(keys)
+    writer.writerows(zip(*cells))
+    return buf.getvalue()

@@ -20,8 +20,15 @@ from mstasep import (
     transition_matrix,
     transition_probability,
 )
-from mstasep.bethe import bethe_sum, default_radius, rate_power_diag, transition_arrays
-from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange, build_sector
+from mstasep.bethe import (
+    NodeFloorExceeded,
+    bethe_sum,
+    default_radius,
+    next_rung,
+    rate_power_diag,
+    transition_arrays,
+)
+from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange, build_sector, window_states
 from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
 from mstasep.rmatrix import all_sectors, build_all_A
 
@@ -691,17 +698,84 @@ def test_transition_arrays_match_the_list_wrapper():
     results = transition_matrix(start, targets, 0.4, rt, params=params)
     assert value.tolist() == [r.value for r in results] and raw.tolist() == [r.raw for r in results]
     assert est_error.tolist() == [r.est_error for r in results]
-    assert nodes_used.tolist() == [r.nodes_used for r in results] == [32, 0, 32, 32]
+    assert nodes_used.tolist() == [r.nodes_used for r in results] == [24, 0, 24, 24]
 
 
-@pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 1: a start gap that is a multiple of both probe sizes aliases"
+def test_node_ladder_has_two_rungs_per_octave():
+    rungs = [4]
+    while rungs[-1] < 512:
+        rungs.append(next_rung(rungs[-1]))
+    assert rungs == [4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512]
+
+
+@pytest.mark.parametrize(
+    "params, used",
+    [
+        (SpectralParams(), 48),  # the 32-node probe confirmed at 48
+        (SpectralParams(nodes_per_dim=4, max_nodes=4096), 32),  # climbs 4, 6, ..., 24, 32
+        (SpectralParams(nodes_per_dim=64, max_nodes=64), 64),  # fixed nodes: one probe
+    ],
 )
-@pytest.mark.parametrize("gap", [64, 128])
-def test_gapped_start_does_not_alias(gap):
-    # neither particle moves with probability e^(-(1 + 2) t); the 32- and 64-node probes both fold
-    # the gap's node powers onto zero and agree on a wrong value near 0
+def test_adaptive_path_reports_the_confirming_rung(params, used):
+    rt = RateTable((0.9, 1.6))
+    start, target = ParticleState((0, 1), (2, 1)), ParticleState((0, 2), (1, 2))
+    assert transition_probability(start, target, 0.8, rt, params=params).nodes_used == used
+
+
+@pytest.mark.parametrize(
+    "gap, max_nodes, used",
+    [(32, 256, 64), (64, 256, 128), (96, 256, 192), (128, 256, 256), (192, 512, 384)],
+)
+def test_gapped_start_does_not_alias(gap, max_nodes, used):
+    # neither particle moves with probability e^(-(1 + 2) t).  A 32/64 pair aliases alike at gaps
+    # 64 and 128, a 32/48 pair at 96 and 192; every probe starts above the gap instead
     rt = RateTable((1.0, 2.0))
     start = ParticleState((0, gap), (2, 1))
-    res = transition_probability(start, start, 0.5, rt)
+    res = transition_probability(start, start, 0.5, rt, params=SpectralParams(max_nodes=max_nodes))
     assert res.value == pytest.approx(math.exp(-1.5), abs=1e-8)
+    assert res.nodes_used == used
+
+
+@pytest.mark.parametrize("gap", [192, 256, 512])
+def test_gap_past_the_node_cap_raises(gap):
+    # at 192 the first rung above the gap is 256, the default max_nodes: no rung is left to confirm it
+    start = ParticleState((0, gap), (2, 1))
+    with pytest.raises(NodeFloorExceeded, match=f"gap {gap}.*max_nodes 256"):
+        transition_probability(start, start, 0.5, RateTable((1.0, 2.0)))
+
+
+def test_not_converged_still_raised_at_large_time():
+    # N = 2 at t = 6 loses the default radius's roundoff floor: refinement stops at max_nodes
+    rt = RateTable((1.0, 2.0))
+    start = ParticleState((0, 1), (2, 1))
+    positions, words = window_states(start, default_window(start, rt, 6.0)[1])
+    with pytest.raises(NotConverged, match="256 nodes"):
+        transition_arrays(start, positions, words, 6.0, rt)
+
+
+@pytest.mark.parametrize(
+    "seed, n, gap, equal_rates",
+    [
+        (0, 2, 32, False), (1, 2, 48, True), (2, 2, 64, False), (3, 2, 64, True), (4, 2, 96, False),
+        (5, 2, 96, True), (6, 3, 32, False), (7, 3, 32, True), (8, 3, 48, False), (9, 3, 48, True),
+        (10, 3, 64, False),
+    ],
+)
+def test_adaptive_path_matches_the_oracle_on_gapped_starts(seed, n, gap, equal_rates):
+    # every other oracle comparison starts on contiguous sites, where no node count aliases
+    rng = np.random.default_rng(seed)
+    if equal_rates:
+        rt = RateTable((float(rng.uniform(0.5, 2.0)),) * n)
+    else:  # one rate below 1, one above, any others anywhere in [0.5, 2]
+        rates = [rng.uniform(0.5, 0.9), rng.uniform(1.1, 2.0), *rng.uniform(0.5, 2.0, size=n - 2)]
+        rt = RateTable(tuple(float(b) for b in rng.permutation(rates)))
+    # the start spans the gap; a third particle sits next to one end, so the window stays small
+    sites = [0, gap] if n == 2 else sorted([0, gap, int(rng.choice([1, gap - 1]))])
+    start = ParticleState(tuple(sites), tuple(int(w) for w in rng.integers(1, n + 1, size=n)))
+    t = float(rng.uniform(0.2, 0.8))
+    gen = build_generator(start, rt, default_window(start, rt, t))
+    probs, leak = matrix_exponential_row(gen, start, t)
+    assert leak < 1e-9
+    value, _, _, nodes_used = transition_arrays(start, gen.positions, gen.words, t, rt)
+    assert np.abs(value - probs).max() < SpectralParams().adapt_tol
+    assert nodes_used.max() > gap

@@ -1,12 +1,14 @@
 import csv
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_generator
+from helpers import reference_columns_text, reference_generator
 from mstasep import ParticleState, RateTable, default_window, transition_matrix
 from mstasep.cli import (
     EXIT_CONFIG,
@@ -21,6 +23,7 @@ from mstasep.cli import (
     main,
     parse_config,
     resolve_targets,
+    _write_columns,
 )
 
 
@@ -171,6 +174,50 @@ def test_cmd_simulate_deterministic_and_counts(tmp_path):
     assert sum(int(r["count"]) for r in rows) == 400
     for r in rows:
         assert float(r["value"]) == pytest.approx(int(r["count"]) / 400.0)
+
+
+def _writer_tables(n, rows):
+    """The first ``rows`` of 40 positions, words and four output columns, with cells that trip writers."""
+    rng = np.random.default_rng(n)
+    edge = np.iinfo(np.int64)
+    positions = rng.integers(-60, 60, size=(40, n))
+    positions[0], positions[1] = edge.max, edge.min  # int64 edges, negative positions
+    words = rng.integers(1, n + 1, size=(40, n))
+    value = rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)
+    value[:9] = [5e-324, 2.5e-310, -1e-320, 0.0, -0.0, 1.0, -3.0, 2.0**60, 0.1]  # subnormal, integral
+    nodes_used = rng.choice([0, 32, 48, 64, 96], size=40)
+    count = rng.integers(-(2**62), 2**62, size=40)
+    count[0] = edge.max
+    columns = {"value": value, "est_error": np.abs(value) / 7.0, "nodes_used": nodes_used, "count": count}
+    return positions[:rows], words[:rows], {key: col[:rows] for key, col in columns.items()}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("rows", [0, 40])
+def test_write_columns_matches_the_csv_writer(tmp_path, n, fmt, rows):
+    positions, words, columns = _writer_tables(n, rows)
+    out_path = tmp_path / f"out.{fmt}"
+    _write_columns(positions, words, columns, fmt, str(out_path))
+    expected = reference_columns_text(positions, words, columns, fmt)
+    assert out_path.read_bytes() == expected.encode()
+
+
+def test_cmd_simulate_writes_the_same_bytes_as_the_csv_writer(tmp_path):
+    # the benchmark's crosscheck simulate job at seed 0, whose CSV had this sha256 when
+    # csv.writer wrote it cell by cell
+    job = {
+        "rates": [2.0, 0.9487010114756701, 1.532734965430356],
+        "initial": {"positions": [0, 1, 2], "species": [3, 2, 1]},
+        "time": 0.8,
+        "targets": "window",
+    }
+    cfg_path, out_path = tmp_path / "job.json", tmp_path / "sim.csv"
+    cfg_path.write_text(json.dumps(job))
+    argv = ["simulate", "--config", str(cfg_path), "--samples", "20000", "--seed", "382930674"]
+    assert main(argv + ["--out", str(out_path)]) == EXIT_OK
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "41e159b041307df8b7a7ea597a85a530a6d0a978545cdd51d4fcc9f2ef37b526"
 
 
 def test_cmd_simulate_single_sample_at_time_zero(tmp_path):
@@ -337,6 +384,16 @@ def test_cmd_prob_not_converged_exit_code(tmp_path):
     out_path = tmp_path / "never.csv"
     assert cmd_prob(cfg, out=str(out_path)) == 3
     assert not out_path.exists()
+
+
+def test_cmd_prob_node_floor_exit_code(tmp_path, capsys):
+    # a start gap of 256 needs a first probe at 384 nodes, past the default max_nodes of 256
+    cfg = parse_config(minimal_config(initial={"positions": [0, 256], "species": [2, 1]}, targets="window"))
+    out_path = tmp_path / "never.csv"
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_CONFIG
+    assert not out_path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "gap 256" in err and "max_nodes 256" in err
 
 
 @pytest.mark.parametrize(

@@ -18,15 +18,26 @@ NOT_AT_IMPORT = (
 )
 
 
-def test_import_loads_no_heavy_modules():
+def _fresh_import(code):
+    """Standard output of ``code`` run in a fresh interpreter that finds the package in src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = f"import sys, mstasep; print(','.join(m for m in {NOT_AT_IMPORT!r} if m in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_heavy_modules():
+    code = f"import sys, mstasep; print(','.join(m for m in {NOT_AT_IMPORT!r} if m in sys.modules))"
+    assert _fresh_import(code) == ""
+
+
+def test_import_and_cli_load_no_scipy():
+    # the oracle imports scipy.sparse inside the two functions that use it
+    code = "import sys, mstasep, mstasep.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _fresh_import(code) == "[]"
 
 
 ROOT_EXPORTS = {
