@@ -9,10 +9,10 @@ computable error estimate.  No rule reuses another's nodes, so the ladder
 pays (3/2)^N or (4/3)^N per confirming probe where doubling paid 2^N.
 
 The m-node rule cannot tell xi^p from xi^(p mod m), and two rules alias alike
-when a start gap is a common multiple of their node counts.  The adaptive path
-therefore starts the ladder at the first rung above the largest start gap
-max(y_k - x_i) over the targets, and raises :class:`NodeFloorExceeded` when no
-confirming rung fits under ``max_nodes``; it never returns an unconfirmed value.
+when a start gap is a common multiple of their node counts.  So every call
+probes only the rungs above the largest start gap max(y_k - x_i), a ladder of
+one rung at fixed nodes (:func:`node_ladder`), and raises
+:class:`NodeFloorExceeded` when too few fit; no adaptive value goes unconfirmed.
 
 At one spectral point the sum over the symmetric group is :func:`bethe_sum`:
 the amplitude matrices of :func:`rmatrix.build_all_A`, stacked on a leading
@@ -53,11 +53,12 @@ any ``threads`` (the pool only maps slabs to workers).
 
 Targets enter as one table: :func:`transition_arrays` takes (T, N) int64
 position and word arrays, validates them as a whole with
-:func:`core.check_table` and builds the support mask and, for the targets
-inside the support, the sector rows (one ``searchsorted`` of
+:func:`core.check_table` and builds the support mask from
+:func:`core.word_floors`, the rule :func:`core.window_states` lists by, and,
+for the targets inside the support, the sector rows (one ``searchsorted`` of
 :func:`core.word_codes`), rate-power constants and per-axis distinct
-positions; every later stage reads it.  :func:`transition_matrix` is
-a thin wrapper that turns a list of states into those arrays and the returned
+positions; every later stage reads it.  :func:`transition_matrix` is a thin
+wrapper that turns a list of states into those arrays and the returned real
 arrays into one :class:`ProbabilityResult` per target.
 Positions are taken relative to the start's leftmost site: the value is
 translation invariant, and a start far from the origin then overflows nothing.
@@ -89,6 +90,7 @@ from .core import (
     state_arrays,
     validate_state,
     word_codes,
+    word_floors,
 )
 from .rmatrix import SlotAction, chain_factors, contour_bound
 
@@ -116,7 +118,7 @@ class NotConverged(RuntimeError):
 
 
 class NodeFloorExceeded(ValueError):
-    """The largest start gap leaves the adaptive path no confirmed rung within ``max_nodes``."""
+    """The largest start gap leaves too few rungs above it within ``max_nodes`` (see :func:`node_ladder`)."""
 
 
 class OverflowRisk(ArithmeticError):
@@ -131,9 +133,9 @@ class SpectralParams:
     rates are known.  ``radius`` and ``adapt_tol`` must be finite positive
     real numbers (bools raise TypeError).  Node counts are integers (bools and
     floats raise TypeError) and powers of two from 4 to ``MAX_NODES_PER_DIM``,
-    so both are rungs of the refinement ladder (see :func:`next_rung`).  The
-    adaptive path starts at ``nodes_per_dim``, or at the first rung above the
-    largest start gap if that is higher, and ends at ``max_nodes``.
+    so both are rungs of the refinement ladder (see :func:`next_rung`).  Every
+    call, fixed-node or adaptive, probes the rungs from ``nodes_per_dim`` to
+    ``max_nodes`` that lie above the largest start gap (see :func:`node_ladder`).
     """
 
     radius: Optional[float] = None
@@ -160,19 +162,17 @@ class SpectralParams:
 class ProbabilityResult:
     """One transition probability as computed.
 
-    ``value`` is the quadrature value, reported without clamping so
-    quadrature noise stays visible.  ``raw`` is the same number as a complex
-    with imaginary part 0: the kernel sums half of a conjugation-symmetric
-    grid and keeps the real part.  ``est_error`` is the change in the real
-    value over the last refinement step, from the rung before ``nodes_used``
-    (0 when the value is exact by a support argument, or when adaptivity was
-    disabled by setting max_nodes == nodes_per_dim).  ``nodes_used`` is a rung
-    of :func:`next_rung`'s ladder: a power of two or 3/2 of one (24, 48, 96,
-    192, ...), and 0 for an exact zero.
+    ``value`` is the quadrature value, a real number (the kernel sums half of a
+    conjugation-symmetric grid), reported without clamping so quadrature noise
+    stays visible.  ``est_error`` is the change in the value over the last
+    refinement step, from the rung before ``nodes_used`` (0 for a target
+    outside the support, or when adaptivity was disabled by setting
+    max_nodes == nodes_per_dim).  ``nodes_used`` is a rung of
+    :func:`next_rung`'s ladder: a power of two or 3/2 of one (24, 48, 96,
+    192, ...), and 0 for a target outside the support, an exact zero.
     """
 
     value: float
-    raw: complex
     est_error: float
     nodes_used: int
 
@@ -183,6 +183,23 @@ def next_rung(m: int) -> int:
     From 4 the ladder runs 4, 6, 8, 12, 16, 24, 32, 48, ...: every power of two is a rung.
     """
     return m * 3 // 2 if m & (m - 1) == 0 else m * 4 // 3
+
+
+def node_ladder(gap: int, params: SpectralParams) -> list[int]:
+    """The rungs of :func:`next_rung` from ``nodes_per_dim`` to ``max_nodes`` above the start gap.
+
+    Two rules alias a gap alike when it is a common multiple of their node counts, so every probe
+    must exceed the largest start gap.  A fixed-node call is a ladder of one rung, an adaptive one
+    needs two: a first probe and a rung to confirm it.  Fewer raise :class:`NodeFloorExceeded`.
+    """
+    rungs = [params.nodes_per_dim]
+    while rungs[-1] < params.max_nodes:
+        rungs.append(next_rung(rungs[-1]))
+    ladder = [m for m in rungs if m > gap]
+    if len(ladder) < min(2, len(rungs)):
+        what = "a probe above it" if len(rungs) == 1 else "a first probe above it and a rung to confirm it"
+        raise NodeFloorExceeded(f"the start gap {gap} needs {what} within max_nodes {params.max_nodes}")
+    return ladder
 
 
 def default_radius(rates: RateTable) -> float:
@@ -381,33 +398,32 @@ def transition_arrays(
     params: Optional[SpectralParams] = None,
     threads: int = 1,
     allow_large: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transition probabilities from one state to the targets of a table, as arrays.
 
     ``positions`` and ``words`` are (T, N) int64 arrays, row k the positions
-    and species word of target k.  Returns ``(value, raw, est_error,
-    nodes_used)``, one entry per target with the meaning of the
-    :class:`ProbabilityResult` fields.
+    and species word of target k.  Returns float64 ``value`` and ``est_error``
+    and int64 ``nodes_used`` arrays, one entry per target with the meaning of
+    the :class:`ProbabilityResult` fields.
 
     All targets share the spectral grid, so the amplitude columns are built
-    once per node tuple regardless of how many targets are requested.
-    Targets outside the support (different species multiset, or any ordered
-    position below its initial value) come back as exact zeros.  The table is
+    once per node tuple regardless of how many targets are requested.  The
+    support is what :func:`core.word_floors` reaches: a reachable word, at or
+    above its floor; every other target is an exact 0 with ``nodes_used`` 0,
+    and runs no probe.  The table is
     validated as a whole by :func:`core.check_table`: positions not strictly
     increasing raise NonIncreasingPositions and species labels outside 1..N or
     another shape SpeciesOutOfRange, each naming the first bad target; a
     position of the initial state outside the int64 range raises ValueError.
     An empty table runs every guard and returns empty arrays.
 
-    Node counts climb the ladder of :func:`next_rung` until the largest
+    Node counts climb :func:`node_ladder`, the rungs above the largest start
+    gap G = max(y_k - x_i) over the targets in the support, until the largest
     change over targets between two rungs drops below ``adapt_tol``; hitting
-    ``max_nodes`` without converging raises :class:`NotConverged`.  The first
-    probe is the first rung at or above ``nodes_per_dim`` that exceeds the
-    largest start gap G = max(y_k - x_i) over the quadrature targets, so no
-    two probes alias a gap alike; if that rung has no confirming rung within
-    ``max_nodes``, :class:`NodeFloorExceeded` is raised before any probe.
-    Setting ``max_nodes == nodes_per_dim`` disables adaptivity, and the gap
-    floor with it, and evaluates once.
+    ``max_nodes`` without converging raises :class:`NotConverged`, and too few
+    rungs above G raise :class:`NodeFloorExceeded` before any probe.  Setting
+    ``max_nodes == nodes_per_dim`` disables adaptivity and evaluates once, on
+    a ladder of that one rung: the gap floor still applies.
     """
     params = params or SpectralParams()
     validate_state(initial, rates)
@@ -431,20 +447,19 @@ def transition_arrays(
     if t > 0 and t / radius > OVERFLOW_EXPONENT:
         raise OverflowRisk(f"t/radius = {t / radius:g} would overflow the time factor")
 
-    # the target table: the support mask, and for the quadrature targets their
-    # sector rows, rate-power constants and the distinct values of each
-    # position axis with each target's index into them
+    # the target table: the support (a reachable word at or above its floor), and for the targets
+    # inside it their sector rows, rate-power constants and the distinct values of each position
+    # axis with each target's index into them; the lexicographic word order is the code order
     x = positions
-    quad = (np.sort(words, axis=1) == sorted(initial.species)).all(axis=1)
-    quad &= (x >= y).all(axis=1)
-    final = np.zeros(len(x), dtype=complex)
-    errs = np.zeros(len(x))
-    m = 0
+    reach = dict(sorted(word_floors(initial).items()))
+    reach_codes, codes = word_codes(np.array(list(reach)), n), word_codes(words, n)
+    at = np.minimum(np.searchsorted(reach_codes, codes), len(reach) - 1)
+    quad = (reach_codes[at] == codes) & (x >= np.array(list(reach.values()))[at]).all(axis=1)
+    final, errs, m = np.zeros(len(x)), np.zeros(len(x)), 0
     if quad.any():
         sector = build_sector(initial.species)
         perms = enumerate_sn(n)
-        # sector rows by word codes: the lexicographic word order is the code order
-        rows = np.searchsorted(word_codes(np.array(sector.words), n), word_codes(words[quad], n))
+        rows = np.searchsorted(word_codes(np.array(sector.words), n), codes[quad])  # sector rows
         # positions relative to the start's leftmost site; each x - y[0] >= 0 must fit int64
         far = (x[quad] > _INT64.max + min(int(y[0]), 0)).any(axis=1)
         xq, y = x[quad] - y[0], y - y[0]
@@ -467,35 +482,20 @@ def transition_arrays(
                 y, nu_idx, axes, rows, t, rates, sector, perms, m, radius, threads
             )
 
-        m = params.nodes_per_dim
-        if params.max_nodes == m:
-            final[quad] = probe(m)
-        else:
-            # two rules alias a gap alike when it is a common multiple of their node counts, so
-            # every probe must exceed the largest gap, and the first one needs a rung to confirm it
-            gap = int(y[-1] - xq[:, 0].min())
-            while m <= gap:
-                m = next_rung(m)
-            if next_rung(m) > params.max_nodes:
-                raise NodeFloorExceeded(
-                    f"the start gap {gap} needs a first probe above it ({m} nodes) and a rung to "
-                    f"confirm it, past max_nodes {params.max_nodes}"
-                )
-            prev = probe(m)
-            while True:
-                m = next_rung(m)
-                cur = probe(m)
-                delta = np.abs(cur - prev)
-                if delta.max() < params.adapt_tol:
-                    final[quad], errs[quad] = cur, delta
-                    break
-                if m >= params.max_nodes:
-                    raise NotConverged(
-                        f"{m} nodes per dimension reached with delta {delta.max():.3e} "
-                        f"(tolerance {params.adapt_tol:.3e})"
-                    )
-                prev = cur
-    return final.real.copy(), final, errs, np.where(quad, m, 0)
+        ladder = node_ladder(int(y[-1] - xq[:, 0].min()), params)
+        m, cur = ladder[0], probe(ladder[0])
+        for m in ladder[1:]:  # a fixed-node ladder has no second rung and reports no change
+            prev, cur = cur, probe(m)
+            errs[quad] = np.abs(cur - prev)
+            if errs.max() < params.adapt_tol:
+                break
+        if not errs.max() < params.adapt_tol:  # a NaN change does not converge either
+            raise NotConverged(
+                f"{m} nodes per dimension reached with delta {errs.max():.3e} "
+                f"(tolerance {params.adapt_tol:.3e})"
+            )
+        final[quad] = cur
+    return final, errs, np.where(quad, m, 0)
 
 
 def transition_matrix(
@@ -514,10 +514,10 @@ def transition_matrix(
     raises), and its arrays one :class:`ProbabilityResult` per target.
     """
     positions, words = state_arrays(targets, rates.n_species)
-    value, raw, errs, nodes = transition_arrays(
+    value, errs, nodes = transition_arrays(
         initial, positions, words, t, rates, params=params, threads=threads, allow_large=allow_large
     )
-    columns = (value.tolist(), raw.tolist(), errs.tolist(), nodes.tolist())
+    columns = (value.tolist(), errs.tolist(), nodes.tolist())
     return [ProbabilityResult(*r) for r in zip(*columns)]
 
 

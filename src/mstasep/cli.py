@@ -12,14 +12,15 @@ writes the rows from the returned columns.
 
 Exit codes: 0 success or pass, 1 verification failure, 2 configuration
 error (also an output path that cannot be written; a particle count,
-contour radius or time the spectral route rejects, ``prob`` checking these
-before enumerating a window; a target so far from the start that the
-spectral route overflows; a start gap whose node floor leaves no confirming
-rung within ``max_nodes``, :class:`bethe.NodeFloorExceeded`; ``--threads``
-below 1; ``--samples`` below 1; a negative ``--seed`` for ``simulate`` or
-``verify``; a ``verify`` run with ``--trials`` below 1 or a ``--size``
-outside its suite's range: yang-baxter and welldef 3 to 6, oracle 2 to 3,
-stochastic 1 to 4, boundary 2 to 5), 3 quadrature failed to converge.
+contour radius or time the spectral route rejects, or a start gap whose node
+floor leaves too few rungs within ``max_nodes``, fixed-node calls included
+(:class:`bethe.NodeFloorExceeded`), ``prob`` checking these before
+enumerating a window; a target so far from the start that the spectral route
+overflows; ``--threads`` below 1; ``--samples`` below 1; a negative
+``--seed`` for ``simulate`` or ``verify``; a ``verify`` run with
+``--trials`` below 1 or a ``--size`` outside its suite's range: yang-baxter
+and welldef 3 to 6, oracle 2 to 3, stochastic 1 to 4, boundary 2 to 5), 3
+quadrature failed to converge.
 """
 
 from __future__ import annotations
@@ -269,11 +270,11 @@ def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = Non
     (positions, species), as ``simulate`` sorts its rows.
     """
     try:  # the spectral guards, then the targets: no window is enumerated for a rejected job
-        bethe.transition_matrix(
-            cfg.initial, [], cfg.time, cfg.rates, params=cfg.spectral, threads=threads
-        )
+        bethe.transition_matrix(cfg.initial, [], cfg.time, cfg.rates, params=cfg.spectral, threads=threads)
+        if cfg.targets == "window":  # every window target has x_1 >= y_1: the gap is the start's span
+            bethe.node_ladder(cfg.initial.positions[-1] - cfg.initial.positions[0], cfg.spectral)
         positions, words = target_arrays(cfg)
-        value, _, est_error, nodes_used = bethe.transition_arrays(
+        value, est_error, nodes_used = bethe.transition_arrays(
             cfg.initial, positions, words, cfg.time, cfg.rates, params=cfg.spectral, threads=threads
         )
     except (ValueError, bethe.OverflowRisk) as exc:  # also a far target, or a gap past the node cap
@@ -367,7 +368,7 @@ def _suite_oracle(size: int, seed: int, trials: int, threads: int) -> float:
             for t in times:
                 gen = oracle.build_generator(initial, rates, default_window(initial, rates, t))
                 probs, _ = oracle.matrix_exponential_row(gen, initial, t)
-                value, _, _, _ = bethe.transition_arrays(
+                value, _, _ = bethe.transition_arrays(
                     initial, gen.positions, gen.words, t, rates, threads=threads
                 )
                 worst = max(worst, float(np.abs(value - probs).max()))

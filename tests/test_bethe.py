@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import draw_point, draw_rates
+from helpers import draw_point, draw_rates, reference_generator
 from mstasep import (
     ContourInvalid,
     NotConverged,
     OverflowRisk,
     ParticleState,
+    ProbabilityResult,
     RateTable,
     SpectralParams,
     SpectralPoint,
@@ -125,7 +126,7 @@ def test_engine_matches_literal_node_loop_two_particles(nu, targets):
     params = SpectralParams(radius=radius, nodes_per_dim=8, max_nodes=8)
     got = transition_matrix(initial, tgs, 0.8, rt, params=params)
     for res, exp in zip(got, expected):
-        assert res.raw == pytest.approx(exp, abs=1e-13)
+        assert res.value == pytest.approx(exp.real, abs=1e-13) and abs(exp.imag) <= 1e-13
         assert res.nodes_used == 8
 
 
@@ -143,7 +144,7 @@ def test_engine_matches_literal_node_loop_three_particles():
     params = SpectralParams(radius=radius, nodes_per_dim=8, max_nodes=8)
     got = transition_matrix(initial, tgs, 0.5, rt, params=params)
     for res, exp in zip(got, expected):
-        assert res.raw == pytest.approx(exp, abs=1e-13)
+        assert res.value == pytest.approx(exp.real, abs=1e-13) and abs(exp.imag) <= 1e-13
 
 
 def test_single_particle_poisson():
@@ -183,7 +184,6 @@ def test_swap_probability_matches_hand_solution():
     )
     exact = b2 * math.exp(-b2 * t) * (1.0 - math.exp(-b1 * t)) / b1
     assert res.value == pytest.approx(exact, abs=1e-10)
-    assert abs(res.raw.imag) < 1e-10
 
 
 def test_forbidden_word_transition_is_tiny():
@@ -199,7 +199,7 @@ def test_leftward_targets_are_exact_zero():
     res = transition_probability(
         ParticleState((2, 5), (1, 2)), ParticleState((1, 6), (1, 2)), 0.9, rt
     )
-    assert res.value == 0.0 and res.raw == 0j and res.nodes_used == 0
+    assert res == ProbabilityResult(0.0, 0.0, 0)
 
 
 def test_different_multiset_is_exact_zero():
@@ -208,6 +208,64 @@ def test_different_multiset_is_exact_zero():
         ParticleState((0, 1), (1, 2)), ParticleState((0, 1), (1, 1)), 0.9, rt
     )
     assert res.value == 0.0 and res.nodes_used == 0
+
+
+@pytest.mark.parametrize(
+    "start, target, rates, spectral",
+    [
+        # word 12 lies below its floor (4, 5): the swap needs the pair adjacent
+        (((0, 5), (2, 1)), ((0, 5), (1, 2)), (1.0, 2.0), {}),
+        (((0, 1), (1, 2)), ((0, 1), (2, 1)), (1.0, 2.0), {}),  # word 21 is unreachable
+        # below the floor (1, 2, 5) of word 122 at fixed nodes, where the quadrature gave 3.2e-6
+        (((0, 2, 5), (2, 1, 2)), ((0, 2, 5), (1, 2, 2)), (0.9, 1.6, 1.2), {"nodes_per_dim": 16, "max_nodes": 16}),
+    ],
+)
+def test_targets_outside_the_support_run_no_probe(monkeypatch, start, target, rates, spectral):
+    from mstasep import bethe
+
+    monkeypatch.setattr(bethe, "_grid_values", lambda *args: pytest.fail("a probe ran"))
+    start, target, params = ParticleState(*start), ParticleState(*target), SpectralParams(**spectral)
+    res = transition_probability(start, target, 0.6, RateTable(rates), params=params)
+    assert res == ProbabilityResult(0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))  # starts with a gap and two or three species
+def test_support_is_the_reachable_set(monkeypatch, seed):
+    # every candidate state, any word and any sites from one left of the start to three right of it:
+    # the targets that reach the quadrature are exactly the states the jump rules reach
+    from mstasep import bethe
+
+    monkeypatch.setattr(bethe, "_grid_values", lambda y, nu_idx, axes, rows, *rest: np.ones(len(rows)))
+    rng = np.random.default_rng(seed)
+    start = ParticleState(
+        tuple(int(v) for v in np.sort(rng.choice(8, size=3, replace=False))),
+        tuple(int(w) for w in rng.integers(1, 4, size=3)),
+    )
+    rt = draw_rates(rng, 3)
+    lo, hi = start.positions[0] - 1, start.positions[-1] + 3
+    sites = list(itertools.combinations(range(lo, hi + 1), 3))
+    words = list(itertools.product((1, 2, 3), repeat=3))
+    positions = np.array([x for x in sites for _ in words], dtype=np.int64)
+    table = np.array(words * len(sites), dtype=np.int64)
+    params = SpectralParams(nodes_per_dim=16, max_nodes=16)
+    _, _, nodes_used = transition_arrays(start, positions, table, 0.5, rt, params=params)
+    keep = nodes_used > 0
+    reached = set(zip(map(tuple, positions[keep].tolist()), map(tuple, table[keep].tolist())))
+    states, _, _ = reference_generator(start, rt, (lo, hi))
+    assert reached == {(s.positions, s.species) for s in states}
+
+
+def test_fixed_node_calls_take_the_gap_floor():
+    # gap 64 aliases at 32 nodes (the quadrature gave -1.1e-15); at 128 it is the exact e^(-1.5)
+    start, rt = ParticleState((0, 64), (2, 1)), RateTable((1.0, 2.0))
+    with pytest.raises(NodeFloorExceeded, match="gap 64 needs a probe above it within max_nodes 32"):
+        transition_probability(start, start, 0.5, rt, params=SpectralParams(nodes_per_dim=32, max_nodes=32))
+    res = transition_probability(start, start, 0.5, rt, params=SpectralParams(nodes_per_dim=128, max_nodes=128))
+    assert abs(res.value - math.exp(-1.5)) < 1e-12 and res.nodes_used == 128
+    # a start spanning 2000 sites at 16 nodes, where the node powers used to overflow first
+    spread = ParticleState((0, 2000), (2, 1))
+    with pytest.raises(NodeFloorExceeded, match="gap 2000 needs a probe above it within max_nodes 16"):
+        transition_probability(spread, spread, 0.5, rt, params=SpectralParams(nodes_per_dim=16, max_nodes=16))
 
 
 def test_batch_matches_single_calls_at_fixed_nodes():
@@ -223,7 +281,7 @@ def test_batch_matches_single_calls_at_fixed_nodes():
     batch = transition_matrix(initial, targets, 0.7, rt, params=params)
     for tg, res in zip(targets, batch):
         single = transition_probability(initial, tg, 0.7, rt, params=params)
-        assert abs(single.raw - res.raw) < 1e-12
+        assert abs(single.value - res.value) < 1e-12
 
 
 def test_threads_do_not_change_values():
@@ -235,7 +293,7 @@ def test_threads_do_not_change_values():
     serial = transition_matrix(initial, targets, 0.4, rt, params=params, threads=1)
     threaded = transition_matrix(initial, targets, 0.4, rt, params=params, threads=2)
     for a, b in zip(serial, threaded):
-        assert a.raw == b.raw  # identical slab order, identical bits
+        assert a.value == b.value  # identical slab order, identical bits
 
 
 def test_thread_pool_over_several_slabs(monkeypatch):
@@ -253,8 +311,8 @@ def test_thread_pool_over_several_slabs(monkeypatch):
     serial = transition_matrix(initial, targets, 0.4, rt, params=params, threads=1)
     threaded = transition_matrix(initial, targets, 0.4, rt, params=params, threads=2)
     for a, b, ref in zip(serial, threaded, single):
-        assert a.raw == b.raw  # the pool keeps the slab reduction order
-        assert abs(a.raw - ref.raw) <= 1e-14 * abs(ref.raw)
+        assert a.value == b.value  # the pool keeps the slab reduction order
+        assert abs(a.value - ref.value) <= 1e-14 * abs(ref.value)
 
 
 @pytest.mark.parametrize("n, apps", [(3, 5), (4, 23)])
@@ -311,8 +369,8 @@ def test_kernel_visits_rows_zero_to_half_of_the_first_axis(monkeypatch, n, m):
     monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", 1.0)  # one grid row per slab
     assert bethe._slab_ranges(m, n, dim) == [(j, j + 1) for j in range(m // 2 + 1)]
     for a, ref in zip(run(), single):
-        assert a.nodes_used == m and a.raw.imag == 0.0
-        assert abs(a.raw - ref.raw) <= 1e-14 * abs(ref.raw)
+        assert a.nodes_used == m
+        assert abs(a.value - ref.value) <= 1e-14 * abs(ref.value)
 
 
 def test_thread_pool_over_several_slabs_four_particles(monkeypatch):
@@ -333,8 +391,8 @@ def test_thread_pool_over_several_slabs_four_particles(monkeypatch):
     serial = transition_matrix(initial, targets, 0.3, rt, params=params, threads=1)
     threaded = transition_matrix(initial, targets, 0.3, rt, params=params, threads=2)
     for a, b, ref in zip(serial, threaded, single):
-        assert a.raw == b.raw  # the pool keeps the slab reduction order
-        assert abs(a.raw - ref.raw) <= 1e-14 * abs(ref.raw)
+        assert a.value == b.value  # the pool keeps the slab reduction order
+        assert abs(a.value - ref.value) <= 1e-14 * abs(ref.value)
 
 
 def test_refinement_reports_error_and_converges():
@@ -411,7 +469,7 @@ def test_far_start_is_translated_to_the_origin():
         [ParticleState((near, near + 2), (1, 2)), ParticleState((near + 1, near + 3), (2, 1))],
         0.5, rt, params=params,
     )
-    assert [r.raw for r in a] == [r.raw for r in b]
+    assert [r.value for r in a] == [r.value for r in b]
     assert all(math.isfinite(r.value) for r in a)
 
 
@@ -424,10 +482,14 @@ def test_displacement_beyond_int64_raises_overflow_risk():
         transition_matrix(start, [target], 0.5, RateTable((1.0, 1.0)), params=params)
 
 
-def test_spread_start_node_powers_raise_overflow_risk():
-    # xi ** (x_1 - y_2 - 1) at |xi| = 0.5 overflows for a start spanning 2000 sites
+def test_spread_start_node_powers_raise_overflow_risk(monkeypatch):
+    # xi ** (x_1 - y_2 - 1) at |xi| = 0.5 overflows for a start spanning 2000 sites; 2048 nodes
+    # clear the gap floor, and the node powers raise before any slab runs
+    from mstasep import bethe
+
+    monkeypatch.setattr(bethe, "_slab_moments", lambda *args: pytest.fail("a slab ran"))
     start = ParticleState((0, 2000), (2, 1))
-    params = SpectralParams(nodes_per_dim=16, max_nodes=16)
+    params = SpectralParams(nodes_per_dim=2048, max_nodes=2048)
     with pytest.raises(OverflowRisk, match="2000 sites"):
         transition_matrix(start, [start], 0.5, RateTable((1.0, 1.0)), params=params)
 
@@ -457,7 +519,7 @@ def test_repeated_calls_give_identical_bits():
     targets = [ParticleState((0, 2, 3), (1, 3, 2)), ParticleState((1, 2, 4), (3, 2, 1))]
     params = SpectralParams(nodes_per_dim=16, max_nodes=16)
     runs = [transition_matrix(initial, targets, 0.4, rt, params=params) for _ in range(2)]
-    assert [r.raw for r in runs[0]] == [r.raw for r in runs[1]]
+    assert [r.value for r in runs[0]] == [r.value for r in runs[1]]
 
 
 def test_non_finite_time_rejected():
@@ -489,15 +551,15 @@ def test_engine_matches_literal_node_loop_four_particles():
     rt = draw_rates(rng, 4)
     radius = default_radius(rt)
     initial = ParticleState((0, 1, 2, 4), (2, 1, 2, 1))
-    tgs = [
-        ParticleState((0, 1, 2, 4), (1, 1, 2, 2)),
-        ParticleState((0, 1, 3, 5), (2, 1, 2, 1)),
+    tgs = [  # the largest start gap, 4 - 1, stays below the 4 nodes
+        ParticleState((1, 2, 3, 5), (1, 1, 2, 2)),
+        ParticleState((1, 2, 4, 5), (2, 1, 2, 1)),
     ]
     expected = literal_grid_values(initial, tgs, 0.3, rt, 4, radius)
     params = SpectralParams(radius=radius, nodes_per_dim=4, max_nodes=4)
     got = transition_matrix(initial, tgs, 0.3, rt, params=params)
     for res, exp in zip(got, expected):
-        assert res.raw == pytest.approx(exp, abs=1e-13)
+        assert res.value == pytest.approx(exp.real, abs=1e-13) and abs(exp.imag) <= 1e-13
 
 
 def test_four_particles_agree_with_generator():
@@ -541,7 +603,6 @@ def test_imaginary_parts_stay_small_over_window():
     initial = ParticleState((0, 1), (2, 1))
     gen = build_generator(initial, rt, default_window(initial, rt, 1.0))
     results = transition_matrix(initial, list(gen.states), 1.0, rt)
-    assert max(abs(r.raw.imag) for r in results) < 1e-10
     tol = SpectralParams().adapt_tol
     assert all(-tol <= r.value <= 1.0 + tol for r in results)
 
@@ -694,11 +755,13 @@ def test_transition_arrays_match_the_list_wrapper():
     params = SpectralParams(nodes_per_dim=16, max_nodes=32)
     positions = np.array([tg.positions for tg in targets])
     words = np.array([tg.species for tg in targets])
-    value, raw, est_error, nodes_used = transition_arrays(start, positions, words, 0.4, rt, params=params)
+    value, est_error, nodes_used = transition_arrays(start, positions, words, 0.4, rt, params=params)
     results = transition_matrix(start, targets, 0.4, rt, params=params)
-    assert value.tolist() == [r.value for r in results] and raw.tolist() == [r.raw for r in results]
+    assert value.dtype == est_error.dtype == np.float64 and nodes_used.dtype == np.int64
+    assert value.tolist() == [r.value for r in results]
     assert est_error.tolist() == [r.est_error for r in results]
-    assert nodes_used.tolist() == [r.nodes_used for r in results] == [24, 0, 24, 24]
+    # the second target lies left of the start, the third's word 321 is unreachable from 312
+    assert nodes_used.tolist() == [r.nodes_used for r in results] == [24, 0, 0, 24]
 
 
 def test_node_ladder_has_two_rungs_per_octave():
@@ -776,6 +839,6 @@ def test_adaptive_path_matches_the_oracle_on_gapped_starts(seed, n, gap, equal_r
     gen = build_generator(start, rt, default_window(start, rt, t))
     probs, leak = matrix_exponential_row(gen, start, t)
     assert leak < 1e-9
-    value, _, _, nodes_used = transition_arrays(start, gen.positions, gen.words, t, rt)
+    value, _, nodes_used = transition_arrays(start, gen.positions, gen.words, t, rt)
     assert np.abs(value - probs).max() < SpectralParams().adapt_tol
     assert nodes_used.max() > gap

@@ -387,13 +387,23 @@ def test_cmd_prob_not_converged_exit_code(tmp_path):
 
 
 def test_cmd_prob_node_floor_exit_code(tmp_path, capsys):
-    # a start gap of 256 needs a first probe at 384 nodes, past the default max_nodes of 256
-    cfg = parse_config(minimal_config(initial={"positions": [0, 256], "species": [2, 1]}, targets="window"))
+    gapped = {"positions": [0, 64], "species": [2, 1]}
+    jobs = [
+        # a start gap of 256 needs a first probe at 384 nodes, past the default max_nodes of 256
+        ({"initial": {"positions": [0, 256], "species": [2, 1]}, "targets": "window"}, "gap 256", "max_nodes 256"),
+        # a fixed-node call takes the floor too: gap 64 needs a probe above it, past 32 nodes
+        (
+            {"initial": gapped, "targets": [gapped], "spectral": {"nodes_per_dim": 32, "max_nodes": 32}},
+            "gap 64",
+            "max_nodes 32",
+        ),
+    ]
     out_path = tmp_path / "never.csv"
-    assert cmd_prob(cfg, out=str(out_path)) == EXIT_CONFIG
-    assert not out_path.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "gap 256" in err and "max_nodes 256" in err
+    for patch, gap, cap in jobs:
+        assert cmd_prob(parse_config(minimal_config(**patch)), out=str(out_path)) == EXIT_CONFIG
+        assert not out_path.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and gap in err and cap in err
 
 
 @pytest.mark.parametrize(
@@ -583,6 +593,13 @@ def test_cmd_prob_guards_run_before_window_states(tmp_path, monkeypatch, capsys)
     assert cmd_prob(parse_config(json.dumps(job)), out=str(out_path)) == EXIT_CONFIG
     assert not out_path.exists()
     assert "t/radius" in capsys.readouterr().err
+    # a start spanning 5000 sites: every window target has x_1 >= y_1, so the gap is the span, and
+    # the floor rejects the job before its word 321 lists some 2.7e8 states
+    spread = dict(job, rates=[1.0, 1.5, 2.0], time=0.5, initial={"positions": [0, 1, 5000], "species": [3, 2, 1]})
+    assert cmd_prob(parse_config(json.dumps(spread)), out=str(out_path)) == EXIT_CONFIG
+    assert not out_path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "gap 5000" in err
     # the patch is live: a job that passes the guards reaches the enumerator
     job["time"] = 0.5
     with pytest.raises(AssertionError, match="window enumerated"):

@@ -10,6 +10,8 @@ import sys
 from importlib.util import find_spec
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # heavy or test-only modules that no module-level import of the package may pull in
@@ -113,3 +115,11 @@ def test_readme_names_resolve():
     assert {("mstasep.rmatrix", "build_all_A"), ("mstasep.bethe", "bethe_sum")} <= set(found)
     for mod, name in found:
         assert _resolves(mod, name), f"README.md names {mod}.{name}"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    import mstasep
+
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == mstasep.__version__
