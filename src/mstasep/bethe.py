@@ -52,16 +52,19 @@ fixed order gives the same bits at a given node count on repeated calls and for
 any ``threads`` (the pool only maps slabs to workers).
 
 Targets enter as one table: :func:`transition_arrays` takes (T, N) int64
-position and word arrays, validates them as a whole with
-:func:`core.check_table` and builds the support mask from
-:func:`core.word_floors`, the rule :func:`core.window_states` lists by, and,
-for the targets inside the support, the sector rows (one ``searchsorted`` of
-:func:`core.word_codes`), rate-power constants and per-axis distinct
-positions; every later stage reads it.  :func:`transition_matrix` is a thin
-wrapper that turns a list of states into those arrays and the returned real
-arrays into one :class:`ProbabilityResult` per target.
-Positions are taken relative to the start's leftmost site: the value is
-translation invariant, and a start far from the origin then overflows nothing.
+position and word arrays, validates them with :func:`core.check_table`, keeps
+the support :func:`core.word_floors` reaches (the rule
+:func:`core.window_states` lists by) and, for the targets in it, builds the
+sector rows, constants and per-axis distinct positions every later stage
+reads.  :func:`transition_matrix` wraps it for lists of states.
+
+A target's node powers have size r^P on every term, P = sum(x) - sum(y) - N.
+So positions are taken relative to the start's leftmost site, and the powers
+of the nodes times 2^c, c = -round(log2 r), which lie on a circle of radius in
+[2^-1/2, 2^1/2]: each term gains the exact 2^(cP) and keeps its mantissa, and
+the target's constant takes it back.  :class:`OverflowRisk` has three rules:
+N t/r past ``OVERFLOW_EXPONENT`` and x - y_1 past int64, before any probe, and
+a probe value that is not finite, naming its first such target.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ from .rmatrix import SlotAction, chain_factors, contour_bound
 MAX_PARTICLES_DEFAULT = 4
 MAX_PARTICLES_HARD = 6
 
-# exp(t/xi) on the contour is bounded by exp(t/radius); past this it overflows.
+# the grid multiplies N time factors exp(t/xi), bounded by exp(N t/radius); past this it overflows
 OVERFLOW_EXPONENT = 700.0
 
 # target bytes for one slab of amplitude-column values
@@ -122,7 +125,7 @@ class NodeFloorExceeded(ValueError):
 
 
 class OverflowRisk(ArithmeticError):
-    """A time factor, rate power or node power overflows float64, or a displacement int64."""
+    """The N time factors overflow float64, a position x - y_1 int64, or a probe is not finite."""
 
 
 @dataclass(frozen=True)
@@ -256,10 +259,6 @@ def _image_rows(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _contour_nodes(radius: float, m: int) -> np.ndarray:
-    return radius * np.exp(2j * np.pi * np.arange(m) / m)
-
-
 def _slab_ranges(m: int, n: int, dim: int) -> list[tuple[int, int]]:
     """Slabs of the folded first axis: its rows 0 .. m/2, cut under the slab budget."""
     # n - 1 live column arrays on the tree walk plus contraction intermediates, at least four
@@ -286,6 +285,7 @@ def _walk_tree(perms: tuple[PermutationElem, ...]) -> list[list[int]]:
     return children
 
 
+@np.errstate(all="ignore")  # errstate is per thread, and slabs may run in a pool: the caller checks the probe
 def _slab_moments(
     a: int,
     b: int,
@@ -335,9 +335,9 @@ def _grid_values(
     t: float,
     rates: RateTable,
     sector: WordBlock,
-    perms: tuple[PermutationElem, ...],
     m: int,
     radius: float,
+    scale: float,
     threads: int,
 ) -> np.ndarray:
     """Sum over permutations of the real quadrature value per target (constants excluded).
@@ -345,10 +345,10 @@ def _grid_values(
     Positions are relative to the start's leftmost site: ``y`` is the start's,
     ``axes[i]`` the distinct i-th target positions with each target's index
     into them.  ``nu_idx`` and ``rows`` are the start's and targets' word rows.
+    Powers are taken of ``nodes * scale``, a power of two (see the module docstring).
     """
-    n = len(y)
-    dim = sector.dim
-    nodes = _contour_nodes(radius, m)
+    n, dim, perms = len(y), sector.dim, enumerate_sn(len(y))
+    nodes = radius * np.exp(2j * np.pi * np.arange(m) / m)
     u = nodes / m * np.exp(t / nodes)  # node weight times time factor, per dimension
     # axis 0 is folded onto its rows 0 .. m/2: each row between the real nodes r and -r also
     # stands for its conjugate row m - j, and so counts twice
@@ -358,14 +358,11 @@ def _grid_values(
     b = np.asarray(rates, dtype=float).reshape((-1,) + (1,) * n)  # broadcast over the grid axes
     actions = {slot: SlotAction(sector, slot, b) for slot in range(1, n)}
     # node weights times powers of grid axis k against target axis i, built once per pair
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair_weights = {
-            (k, i): axis_u[k][:, None] * nodes[: len(axis_u[k]), None] ** (ux - y[k] - 1)[None, :]
-            for k in range(n)
-            for i, (ux, _) in enumerate(axes)
-        }
-    if not all(np.isfinite(w).all() for w in pair_weights.values()):
-        raise OverflowRisk(f"node powers overflow at radius {radius:g}: the start spans {y[-1]} sites")
+    pair_weights = {
+        (k, i): axis_u[k][:, None] * (nodes[: len(axis_u[k]), None] * scale) ** (ux - y[k] - 1)[None, :]
+        for k in range(n)
+        for i, (ux, _) in enumerate(axes)
+    }
     steps = [None]  # perms[0] is the identity, whose term is the column sums below
     for elem in perms[1:]:
         inv = np.argsort(np.array(elem.image))  # inv[k] = i with sigma(i) = k+1
@@ -381,7 +378,7 @@ def _grid_values(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # map yields in slab order, so the reduction order stays fixed
             parts = list(pool.map(lambda r: _slab_moments(*r, *args), ranges))
-    else:
+    else:  # not a pool of one: its thread raised window-n3's peak RSS from 86 to 92-103 MB
         parts = [_slab_moments(a, b, *args) for a, b in ranges]
     # identity amplitude: the grid sum factorizes into column sums
     ident = np.prod([pair_weights[k, k].sum(axis=0)[ix] for k, (_, ix) in enumerate(axes)], axis=0)
@@ -410,12 +407,13 @@ def transition_arrays(
     once per node tuple regardless of how many targets are requested.  The
     support is what :func:`core.word_floors` reaches: a reachable word, at or
     above its floor; every other target is an exact 0 with ``nodes_used`` 0,
-    and runs no probe.  The table is
-    validated as a whole by :func:`core.check_table`: positions not strictly
-    increasing raise NonIncreasingPositions and species labels outside 1..N or
-    another shape SpeciesOutOfRange, each naming the first bad target; a
-    position of the initial state outside the int64 range raises ValueError.
-    An empty table runs every guard and returns empty arrays.
+    and runs no probe.  The table is validated as a whole by
+    :func:`core.check_table`: positions not strictly increasing raise
+    NonIncreasingPositions and species labels outside 1..N or another shape
+    SpeciesOutOfRange, each naming the first bad target; a position of the
+    initial state outside the int64 range raises ValueError.  An empty table
+    runs every guard and returns empty arrays.  :class:`OverflowRisk` follows
+    the module's three rules; no value returned is NaN or inf.
 
     Node counts climb :func:`node_ladder`, the rungs above the largest start
     gap G = max(y_k - x_i) over the targets in the support, until the largest
@@ -444,12 +442,12 @@ def transition_arrays(
     bound = contour_bound(rates)
     if not 0 < radius < bound:
         raise ContourInvalid(f"radius {radius:g} outside (0, {bound:g}) for rates {rates.rates}")
-    if t > 0 and t / radius > OVERFLOW_EXPONENT:
-        raise OverflowRisk(f"t/radius = {t / radius:g} would overflow the time factor")
+    if t > 0 and n * t / radius > OVERFLOW_EXPONENT:
+        raise OverflowRisk(f"N t/radius = {n * t / radius:g} would overflow the {n} time factors")
 
     # the target table: the support (a reachable word at or above its floor), and for the targets
-    # inside it their sector rows, rate-power constants and the distinct values of each position
-    # axis with each target's index into them; the lexicographic word order is the code order
+    # inside it their sector rows, constants and the distinct values of each position axis with
+    # each target's index into them; the lexicographic word order is the code order
     x = positions
     reach = dict(sorted(word_floors(initial).items()))
     reach_codes, codes = word_codes(np.array(list(reach)), n), word_codes(words, n)
@@ -458,29 +456,30 @@ def transition_arrays(
     final, errs, m = np.zeros(len(x)), np.zeros(len(x)), 0
     if quad.any():
         sector = build_sector(initial.species)
-        perms = enumerate_sn(n)
         rows = np.searchsorted(word_codes(np.array(sector.words), n), codes[quad])  # sector rows
+
+        def overflow(bad: np.ndarray, why: str) -> None:  # raises naming the first target in bad
+            if bad.any():
+                raise OverflowRisk(f"{_describe(x, words, np.flatnonzero(quad)[bad.argmax()])} {why}")
+
         # positions relative to the start's leftmost site; each x - y[0] >= 0 must fit int64
-        far = (x[quad] > _INT64.max + min(int(y[0]), 0)).any(axis=1)
+        overflow((x[quad] > _INT64.max + min(int(y[0]), 0)).any(axis=1), "is too far from the start for int64")
         xq, y = x[quad] - y[0], y - y[0]
         axes = [np.unique(col, return_inverse=True) for col in xq.T]
         nu_idx = sector.index(initial.species)
-        b = np.array(rates.rates)
+        # decay * prod_s b_s**d_s (d_s: summed displacement of species s), over the grid's scale**P
+        b, eye = np.array(rates.rates), np.eye(rates.n_species)  # float sums of positions never wrap
+        d = (eye[words[quad] - 1] * xq[..., None]).sum(axis=1) - y @ eye[np.array(initial.species) - 1]
         decay = math.exp(-t * sum(map(rates.rate, initial.species)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_factor = np.prod(b[np.array(initial.species) - 1] ** -y)
-            consts = decay * y_factor * np.prod(b[words[quad] - 1] ** xq, axis=1)
-        far |= ~np.isfinite(consts)
-        if far.any():
-            k = np.flatnonzero(quad)[far.argmax()]
-            raise OverflowRisk(
-                f"{_describe(x, words, k)} is too far from the start: x - y[0] or b**x overflows"
-            )
+        with np.errstate(all="ignore"):  # a tiny radius overflows scale**n: the probe reports it
+            scale = np.exp2(-np.round(np.log2(radius)))
+            consts = decay * scale**n * np.prod((b / scale) ** d, axis=1)
 
+        @np.errstate(all="ignore")  # any other overflow shows in the value, and raises there
         def probe(m):
-            return consts * _grid_values(
-                y, nu_idx, axes, rows, t, rates, sector, perms, m, radius, threads
-            )
+            value = consts * _grid_values(y, nu_idx, axes, rows, t, rates, sector, m, radius, scale, threads)
+            overflow(~np.isfinite(value), f"overflows the spectral route at {m} nodes")
+            return value
 
         ladder = node_ladder(int(y[-1] - xq[:, 0].min()), params)
         m, cur = ladder[0], probe(ladder[0])
@@ -489,7 +488,7 @@ def transition_arrays(
             errs[quad] = np.abs(cur - prev)
             if errs.max() < params.adapt_tol:
                 break
-        if not errs.max() < params.adapt_tol:  # a NaN change does not converge either
+        if errs.max() >= params.adapt_tol:  # every probe is finite, so is every change
             raise NotConverged(
                 f"{m} nodes per dimension reached with delta {errs.max():.3e} "
                 f"(tolerance {params.adapt_tol:.3e})"

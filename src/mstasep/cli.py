@@ -12,15 +12,16 @@ writes the rows from the returned columns.
 
 Exit codes: 0 success or pass, 1 verification failure, 2 configuration
 error (also an output path that cannot be written; a particle count,
-contour radius or time the spectral route rejects, or a start gap whose node
-floor leaves too few rungs within ``max_nodes``, fixed-node calls included
+contour radius or time the spectral route rejects (N t/radius past its
+overflow bound included), or a start gap whose node floor leaves too few
+rungs within ``max_nodes``, fixed-node calls included
 (:class:`bethe.NodeFloorExceeded`), ``prob`` checking these before
-enumerating a window; a target so far from the start that the spectral route
-overflows; ``--threads`` below 1; ``--samples`` below 1; a negative
-``--seed`` for ``simulate`` or ``verify``; a ``verify`` run with
-``--trials`` below 1 or a ``--size`` outside its suite's range: yang-baxter
-and welldef 3 to 6, oracle 2 to 3, stochastic 1 to 4, boundary 2 to 5), 3
-quadrature failed to converge.
+enumerating a window; a target too far from the start for int64, or one
+whose probe value overflows (:class:`bethe.OverflowRisk`); ``--threads``
+below 1; ``--samples`` below 1; a negative ``--seed`` for ``simulate`` or
+``verify``; a ``verify`` run with ``--trials`` below 1 or a ``--size``
+outside its suite's range: yang-baxter and welldef 3 to 6, oracle 2 to 3,
+stochastic 1 to 4, boundary 2 to 5), 3 quadrature failed to converge.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from mstasep import (
     SpectralParams,
     SpectralPoint,
     build_generator,
+    contour_bound,
     default_window,
     enumerate_sn,
     matrix_exponential_row,
@@ -434,6 +435,11 @@ def test_overflow_guard_raised():
             rt,
             params=SpectralParams(radius=0.4),
         )
+    # at t = 0 a subnormal radius passes the time guard; its power-of-two scale overflows float64,
+    # and the probe names the target
+    start, params = ParticleState((0, 1), (2, 1)), SpectralParams(radius=1e-310, nodes_per_dim=32, max_nodes=32)
+    with pytest.raises(OverflowRisk, match=r"positions \(0, 1\).* overflows the spectral route"):
+        transition_probability(start, start, 0.0, RateTable((1.0, 1.2)), params=params)
 
 
 def test_positions_beyond_int64_rejected():
@@ -445,13 +451,12 @@ def test_positions_beyond_int64_rejected():
         transition_matrix(ParticleState((-(2**63) - 1, 0), (2, 1)), [], 0.5, rt)
 
 
-def test_far_target_rate_power_raises_overflow_risk():
-    # 2.0 ** 2000 overflows float64; the error names the target
-    with pytest.raises(OverflowRisk, match="2000"):
-        transition_matrix(
-            ParticleState((0, 1), (2, 1)), [ParticleState((0, 2000), (1, 2))], 0.5,
-            RateTable((1.0, 2.0)),
-        )
+def test_far_target_is_an_exact_zero():
+    # (1/2)**2000 underflows in the target's constant: the value is below 1e-300, and exactly 0.0
+    res = transition_probability(
+        ParticleState((0, 1), (2, 1)), ParticleState((0, 2000), (1, 2)), 0.5, RateTable((1.0, 2.0))
+    )
+    assert res.value == 0.0 and res.est_error == 0.0
 
 
 def test_far_start_is_translated_to_the_origin():
@@ -482,16 +487,80 @@ def test_displacement_beyond_int64_raises_overflow_risk():
         transition_matrix(start, [target], 0.5, RateTable((1.0, 1.0)), params=params)
 
 
-def test_spread_start_node_powers_raise_overflow_risk(monkeypatch):
-    # xi ** (x_1 - y_2 - 1) at |xi| = 0.5 overflows for a start spanning 2000 sites; 2048 nodes
-    # clear the gap floor, and the node powers raise before any slab runs
+def test_spread_start_returns_e_to_the_minus_one():
+    # a start spanning 2000 sites at 2048 nodes clears the gap floor; the node powers run on a circle
+    # near radius 1, so none overflows, and the exact value is exp(-t (b_1 + b_2)) = e^-1
+    start = ParticleState((0, 2000), (2, 1))
+    params = SpectralParams(nodes_per_dim=2048, max_nodes=2048)
+    res = transition_probability(start, start, 0.5, RateTable((1.0, 1.0)), params=params)
+    assert abs(res.value - math.exp(-1.0)) <= 1e-14 * math.exp(-1.0) and res.nodes_used == 2048
+
+
+@pytest.mark.parametrize(
+    "start, target, word, rates, params, exact",
+    [
+        # exact: e^(-t (b_1 + b_2)) times t b_1 for the one hop of the species-1 particle
+        ((0, 900), (0, 901), (2, 1), (1.0, 2.0), (2048, 2048), 0.5 * math.exp(-1.5)),
+        ((0, 900), (0, 901), (2, 1), (1.0, 2.0), (1024, 2048), 0.5 * math.exp(-1.5)),
+        ((0, 2000), (0, 2000), (1, 2), (1.0, 2.0), (2048, 2048), math.exp(-1.5)),
+        ((0, 2000), (0, 2000), (1, 2), (1.0, 1.5), (2048, 2048), math.exp(-1.25)),  # radius 1/3
+        ((0, 2100), (0, 2100), (1, 2), (1.0, 1.4), (4096, 4096), math.exp(-1.2)),
+    ],
+)
+def test_far_starts_are_exact(start, target, word, rates, params, exact):
+    res = transition_probability(
+        ParticleState(start, word), ParticleState(target, word), 0.5, RateTable(rates),
+        params=SpectralParams(nodes_per_dim=params[0], max_nodes=params[1]),
+    )
+    assert abs(res.value - exact) <= 1e-14 * exact
+
+
+def test_node_powers_past_the_float_range_raise_naming_the_target():
+    # at radius 0.25 sqrt(2) the scaled circle has radius sqrt(2): sqrt(2)**2099 overflows
+    start = ParticleState((0, 2100), (1, 2))
+    params = SpectralParams(radius=0.25 * math.sqrt(2), nodes_per_dim=4096, max_nodes=4096)
+    with pytest.raises(OverflowRisk, match=r"positions \(0, 2100\).* overflows .* 4096 nodes"):
+        transition_probability(start, start, 0.5, RateTable((1.0, 1.4)), params=params)
+
+
+def test_time_guard_counts_every_factor(monkeypatch):
+    # t/radius = 400 passes one factor, but the grid multiplies N = 2 of them and its sum is not
+    # finite: N t/radius = 800 raises before any slab runs
     from mstasep import bethe
 
     monkeypatch.setattr(bethe, "_slab_moments", lambda *args: pytest.fail("a slab ran"))
-    start = ParticleState((0, 2000), (2, 1))
-    params = SpectralParams(nodes_per_dim=2048, max_nodes=2048)
-    with pytest.raises(OverflowRisk, match="2000 sites"):
-        transition_matrix(start, [start], 0.5, RateTable((1.0, 1.0)), params=params)
+    params = SpectralParams(radius=0.00125, nodes_per_dim=32, max_nodes=32)
+    with pytest.raises(OverflowRisk, match="N t/radius = 800"):
+        transition_probability(
+            ParticleState((0, 1), (2, 1)), ParticleState((0, 3), (1, 2)), 0.5, RateTable((1.0, 1.2)),
+            params=params,
+        )
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
+    # every term of a target carries the same scale**P, P = sum(x) - sum(y) - N, and numpy forms
+    # powers with |p| < 100 by squaring: the scaled grid sum is the unscaled one times 2**(cP)
+    from mstasep import bethe
+
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    rt = draw_rates(rng, n)
+    word = tuple(int(s) for s in rng.permutation(n) + 1)
+    sector = build_sector(word)
+    y = np.sort(rng.choice(5, size=n, replace=False))
+    y -= y[0]
+    x = np.sort(np.array([rng.choice(8, size=n, replace=False) for _ in range(6)]), axis=1)
+    rows = rng.integers(sector.dim, size=len(x))
+    axes = [np.unique(col, return_inverse=True) for col in x.T]
+    radius = rng.uniform(0.2, 0.9) * contour_bound(rt)
+    c = -round(math.log2(radius))
+    m = 8 if n == 4 else 16
+    args = (y, sector.index(word), axes, rows, 0.4, rt, sector, m, radius)
+    plain = bethe._grid_values(*args, 1.0, 1)
+    scaled = bethe._grid_values(*args, 2.0**c, 1)
+    powers = x.sum(axis=1) - y.sum() - n
+    assert np.array_equal(scaled, np.ldexp(plain, c * powers))
 
 
 def test_time_and_threads_type_checked():

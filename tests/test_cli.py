@@ -416,7 +416,7 @@ def test_cmd_prob_node_floor_exit_code(tmp_path, capsys):
             "initial": {"positions": [0, 1, 2, 3, 4], "species": [5, 4, 3, 2, 1]},
             "targets": [{"positions": [0, 1, 2, 3, 4], "species": [1, 2, 3, 4, 5]}],
         },
-        {  # 10.0 ** 400 overflows: the main call raises OverflowRisk
+        {  # N t/radius = 2 * 30 / 0.05 = 1200: the time guard counts both factors
             "rates": [1.0, 10.0],
             "initial": {"positions": [0, 1], "species": [1, 2]},
             "time": 30.0,
@@ -593,6 +593,10 @@ def test_cmd_prob_guards_run_before_window_states(tmp_path, monkeypatch, capsys)
     assert cmd_prob(parse_config(json.dumps(job)), out=str(out_path)) == EXIT_CONFIG
     assert not out_path.exists()
     assert "t/radius" in capsys.readouterr().err
+    # t/radius = 240 passes one time factor, but the grid multiplies N = 3 of them
+    assert cmd_prob(parse_config(json.dumps(dict(job, time=60))), out=str(out_path)) == EXIT_CONFIG
+    assert not out_path.exists()
+    assert "N t/radius = 720" in capsys.readouterr().err
     # a start spanning 5000 sites: every window target has x_1 >= y_1, so the gap is the span, and
     # the floor rejects the job before its word 321 lists some 2.7e8 states
     spread = dict(job, rates=[1.0, 1.5, 2.0], time=0.5, initial={"positions": [0, 1, 5000], "species": [3, 2, 1]})
