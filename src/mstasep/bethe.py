@@ -34,7 +34,8 @@ closed under conjugation, and keep weight 1; each row in between stands for
 itself and row m - j and gets weight 2.  These weights sit in axis 0's node
 weights, which the identity term's column sums read too.  The real part of
 the folded sum is the full grid sum, and its imaginary part is dropped.  A
-probe visits (N! - 1)(m/2 + 1) m^(N-1) grid points, against (N! - 1) m^N.
+probe visits (N! - 1)(m/2 + 1) m^(N-1) grid points, against (N! - 1) m^N, and
+pays at each for the word rows it forms (below), at most (N! - 1) dim.
 
 These rows are cut into slabs along the first axis.  Inside a slab the
 amplitude columns are built by walking the predecessor tree of
@@ -45,11 +46,19 @@ applications; the identity term needs no columns, its grid sum factorizes
 into column sums.  Columns are held as (dim, *slab) arrays, one contiguous
 array per word row.  A parent's last child overwrites the parent's columns in
 place and children are visited smallest subtree first, so at most N - 1
-column arrays are alive at once (2, 3, 4, 5 at N = 3, 4, 5, 6).  Columns are
-contracted where they lie; each slab adds its per-target moments in tree-walk
-order, the slab sums are added in slab order and the identity term last.  This
-fixed order gives the same bits at a given node count on repeated calls and for
-any ``threads`` (the pool only maps slabs to workers).
+column arrays are alive at once (2, 3, 4, 5 at N = 3, 4, 5, 6).
+
+A target reads one word row of each column, so each permutation forms only
+the rows read from it: the targets' rows, and for each child the rows the
+child forms plus, where such a row ascends at the child's slot, its swapped
+partner, which the factor mixes in.  The other rows of a column array hold
+nothing, or the parent's values a last child left in place, and no later
+step reads them.  A call whose targets read every word forms every row.
+Each target row is contracted where it lies, as a view of its column array,
+and added into that row's targets; each target adds its permutations in
+tree-walk order, the slab sums are added in slab order and the identity term
+last.  This fixed order gives the same bits at a given node count on repeated
+calls and for any ``threads`` (the pool only maps slabs to workers).
 
 Targets enter as one table: :func:`transition_arrays` takes (T, N) int64
 position and word arrays, validates them with :func:`core.check_table`, keeps
@@ -292,33 +301,34 @@ def _slab_moments(
     nodes: np.ndarray,
     children: list[list[int]],
     steps: list[tuple],
-    actions: dict[int, SlotAction],
     nu_idx: int,
     n: int,
     dim: int,
+    targets: int,
 ) -> np.ndarray:
     """Per-target sum over the non-identity permutations of grid rows [a, b).
 
     Walks the predecessor tree depth first from the identity column: each
     permutation applies its last factor to its parent's columns, and a
-    parent's last child does so in place.  Moments are added in walk order.
+    parent's last child does so in place.  Each target row is contracted as a
+    view and added into its targets' moments, in walk order.
     """
     xi = [
         (nodes[a:b] if d == 0 else nodes).reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
         for d in range(n)
     ]
-    total = 0.0
+    total = np.zeros(targets, dtype=complex)
 
     def visit(k: int, v: np.ndarray) -> None:
-        nonlocal total
         for j, c in enumerate(children[k]):
-            (slot, beta, alpha), weighted, gather = steps[c]
+            (beta, alpha), action, weighted, reads = steps[c]
             last = j == len(children[k]) - 1
-            w = actions[slot].apply(xi[beta - 1], xi[alpha - 1], v, out=v if last else None)
-            arr = w  # (dim, rows, m, ..., m): grid axis k_d sits at position d
-            for d in range(n, 1, -1):
-                arr = np.tensordot(arr, weighted[d - 1], axes=([d], [0]))
-            total += np.tensordot(arr, weighted[0][a:b], axes=([1], [0])).T[gather]
+            w = action.apply(xi[beta - 1], xi[alpha - 1], v, out=v if last else None)
+            for r, sel, gather in reads:
+                arr = w[r]  # (rows, m, ..., m): grid axis d sits at position d
+                for d in range(n - 1, 0, -1):
+                    arr = np.tensordot(arr, weighted[d], axes=([d], [0]))
+                total[sel] += np.tensordot(arr, weighted[0][a:b], axes=([0], [0])).T[gather]
             visit(c, w)
 
     root = np.zeros((dim, b - a) + (len(nodes),) * (n - 1), dtype=complex)
@@ -356,24 +366,33 @@ def _grid_values(
     fold[[0, -1]] = 1.0
     axis_u = [u[: m // 2 + 1] * fold] + [u] * (n - 1)
     b = np.asarray(rates, dtype=float).reshape((-1,) + (1,) * n)  # broadcast over the grid axes
-    actions = {slot: SlotAction(sector, slot, b) for slot in range(1, n)}
     # node weights times powers of grid axis k against target axis i, built once per pair
     pair_weights = {
         (k, i): axis_u[k][:, None] * (nodes[: len(axis_u[k]), None] * scale) ** (ux - y[k] - 1)[None, :]
         for k in range(n)
         for i, (ux, _) in enumerate(axes)
     }
+    children, factors = _walk_tree(perms), [None] + [chain_factors(elem)[-1] for elem in perms[1:]]
+    # the rows each permutation forms: the targets' rows, and every row a child reads, which is each
+    # row the child forms and, where that row ascends at the child's slot, its swapped partner
+    need = [set(rows.tolist()) for _ in perms]
+    for k in range(len(perms) - 1, 0, -1):  # children come after their parent in perms
+        for c in children[k]:
+            _, _, asc, partner, _, _ = sector.slot_table(factors[c][0])
+            need[k] |= need[c] | {p for r, p in zip(asc, partner) if r in need[c]}
+    by_row = [(r, np.flatnonzero(rows == r)) for r in np.unique(rows)]
     steps = [None]  # perms[0] is the identity, whose term is the column sums below
-    for elem in perms[1:]:
-        inv = np.argsort(np.array(elem.image))  # inv[k] = i with sigma(i) = k+1
+    for k, elem in enumerate(perms[1:], 1):
+        (slot, beta, alpha), inv = factors[k], np.argsort(np.array(elem.image))  # inv[d] = i with sigma(i) = d+1
         steps.append((
-            chain_factors(elem)[-1],
-            [pair_weights[k, i] for k, i in enumerate(inv)],
-            tuple(axes[i][1] for i in inv) + (rows,),
+            (beta, alpha),
+            SlotAction(sector, slot, b, rows=need[k]),
+            [pair_weights[d, i] for d, i in enumerate(inv)],
+            [(r, sel, tuple(axes[i][1][sel] for i in inv)) for r, sel in by_row],
         ))
 
     ranges = _slab_ranges(m, n, dim)
-    args = (nodes, _walk_tree(perms), steps, actions, nu_idx, n, dim)
+    args = (nodes, children, steps, nu_idx, n, dim, len(rows))
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # map yields in slab order, so the reduction order stays fixed

@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -89,13 +89,22 @@ class SlotAction:
     """The factor at one slot applied to a batch of columns.
 
     ``b`` holds the rates as an (N, *batch) array broadcasting against the
-    spectral values; the kernel passes (N, 1, ..., 1).  S and T are formed
-    only for the letters the slot table uses, so no other species' pole is
-    ever evaluated.
+    spectral values; the kernel passes (N, 1, ..., 1).  ``rows``, if given,
+    are the only output rows formed: the kernel forms just the rows a target
+    reads, directly or through a later factor.  S and T are formed only for
+    the letters those rows use, so no other species' pole is ever evaluated.
     """
 
-    def __init__(self, block: WordBlock, slot: int, b: np.ndarray):
+    def __init__(self, block: WordBlock, slot: int, b: np.ndarray, rows: Optional[Collection[int]] = None):
         self.desc, self.eq, self.asc, self.partner, eq_letter, asc_letter = block.slot_table(slot)
+        if rows is not None:
+            asc = [k for k, r in enumerate(self.asc) if r in rows]
+            eq = [k for k, r in enumerate(self.eq) if r in rows]
+            self.asc, self.partner, asc_letter = (
+                [c[k] for k in asc] for c in (self.asc, self.partner, asc_letter)
+            )
+            self.eq, eq_letter = ([c[k] for k in eq] for c in (self.eq, eq_letter))
+            self.desc = [r for r in self.desc if r in rows]
         self.letters = sorted({*eq_letter, *asc_letter})
         col = {s: k for k, s in enumerate(self.letters)}  # letter axis of the S/T table
         self.eq_col = tuple(col[s] for s in eq_letter)
@@ -109,9 +118,10 @@ class SlotAction:
 
         ``xb``, ``xa`` and the rates broadcast against each word row ``v[r]``,
         so S and T form a (letters, *points) table.  Rows are written one by
-        one, with no gathers.  ``out`` may be ``v`` itself: ascending rows are
-        formed first from their still untouched descending partners, and the
-        descending rows are negated last.
+        one, with no gathers, and rows outside the action's are left as they
+        are.  ``out`` may be ``v`` itself: ascending rows are formed first from
+        their still untouched descending partners, and the descending rows are
+        negated last.
         """
         s, t = amplitudes(self.b, xb, xa)
         if out is None:

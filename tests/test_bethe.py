@@ -374,6 +374,122 @@ def test_kernel_visits_rows_zero_to_half_of_the_first_axis(monkeypatch, n, m):
         assert abs(a.value - ref.value) <= 1e-14 * abs(ref.value)
 
 
+def row_reading_targets(n):
+    """A descending start at sites 0 .. n-1 and three target tables: one target, a few, a window.
+
+    The few mix words; the window, every state up to site n + 1, reads every row of the sector.
+    """
+    initial = ParticleState(tuple(range(n)), tuple(range(n, 0, -1)))
+    rng = np.random.default_rng(70 + n)
+    few = [
+        (np.sort(rng.choice(n + 3, size=n, replace=False)), rng.permutation(np.arange(1, n + 1)))
+        for _ in range(4)
+    ]
+    tables = {
+        "one": tuple(np.array([col]) for col in {3: ([0, 2, 3], [2, 3, 1]), 4: ([0, 2, 3, 5], [3, 4, 1, 2])}[n]),
+        "few": tuple(np.array(col) for col in zip(*few)),
+        "window": window_states(initial, n + 1),
+    }
+    return initial, tables
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("which", ["one", "few", "window"])
+def test_rows_left_unformed_are_never_read(monkeypatch, n, which):
+    # every fresh column array starts as NaN: a read of a row no factor formed would show in a value
+    initial, tables = row_reading_targets(n)
+    rt = draw_rates(np.random.default_rng(80 + n), n)
+    params = SpectralParams(nodes_per_dim=8, max_nodes=8)
+    clean = transition_arrays(initial, *tables[which], 0.3, rt, params=params)[0]
+    empty_like = np.empty_like
+
+    def poisoned(a, *args, **kwargs):
+        out = empty_like(a, *args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty_like", poisoned)
+    got = transition_arrays(initial, *tables[which], 0.3, rt, params=params)[0]
+    assert np.isfinite(clean).all() and got.tobytes() == clean.tobytes()
+
+
+def closure_rows(n, sector, target_rows, rt):
+    """Rows formed per slab: for each non-identity permutation, the rows some target row depends on.
+
+    A row of a permutation's column is needed when a target row of that permutation or of a
+    descendant in the predecessor tree depends on it through the dense factors in between.
+    """
+    from mstasep.rmatrix import SlotAction, chain_factors
+
+    perms = enumerate_sn(n)
+    pos = {elem.image: k for k, elem in enumerate(perms)}
+    sp = draw_point(np.random.default_rng(90 + n), n, rt)
+    eye = np.eye(sector.dim, dtype=complex)
+    factor = [None]  # |factor| of each non-identity permutation: its dependence on the parent's rows
+    for elem in perms[1:]:
+        slot, beta, alpha = chain_factors(elem)[-1]
+        action = SlotAction(sector, slot, np.asarray(rt))
+        factor.append(np.abs(action.apply(sp.xi[beta - 1], sp.xi[alpha - 1], eye)))
+    total = 0
+    for k in range(1, len(perms)):
+        need = set(target_rows)
+        for elem in perms[k:]:  # a descendant's chain back to k: the product of |factor| along it
+            dep, j = np.eye(sector.dim), pos[elem.image]
+            while j > k:
+                dep, j = dep @ factor[j], pos[perms[j].pred.image]
+            if j == k:
+                need |= set(np.flatnonzero(dep[list(target_rows)].any(axis=0)).tolist())
+        total += len(need)
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("which", ["one", "few", "window"])
+def test_kernel_forms_only_the_rows_targets_read(monkeypatch, n, which):
+    # the rows each factor forms are exactly what its own and its descendants' target rows depend on
+    from mstasep import bethe
+    from mstasep.rmatrix import SlotAction
+
+    formed = []
+    apply = SlotAction.apply
+    monkeypatch.setattr(  # the rows an action forms: its ascending, equal and descending rows
+        SlotAction,
+        "apply",
+        lambda self, *a, **k: formed.append(len(self.asc) + len(self.eq) + len(self.desc)) or apply(self, *a, **k),
+    )
+    initial, tables = row_reading_targets(n)
+    positions, words = tables[which]
+    rt = draw_rates(np.random.default_rng(80 + n), n)
+    params = SpectralParams(nodes_per_dim=4, max_nodes=4)
+    nodes = transition_arrays(initial, positions, words, 0.3, rt, params=params)[2]
+    total = sum(formed)
+    sector = build_sector(initial.species)
+    rows = {sector.index(w) for w in words[nodes > 0].tolist()}  # targets outside the support run no probe
+    slabs, dim = len(bethe._slab_ranges(4, n, sector.dim)), sector.dim
+    assert total == slabs * closure_rows(n, sector, rows, rt)
+    if which == "window":
+        assert len(rows) == dim and total == slabs * (math.factorial(n) - 1) * dim
+    else:
+        assert total < slabs * (math.factorial(n) - 1) * dim
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_target_alone_matches_it_in_a_batch_reading_every_row(n):
+    # one target forms only the rows it reads, a batch of every word at the same positions forms every
+    # row; both contract each row against the same node powers, so the values agree bit for bit
+    initial, tables = row_reading_targets(n)
+    rt = draw_rates(np.random.default_rng(100 + n), n)
+    params = SpectralParams(nodes_per_dim=8, max_nodes=8)
+    words = np.array(list(itertools.permutations(range(1, n + 1))))
+    for x in tables["few"][0][:2]:
+        positions = np.repeat(x[None], len(words), axis=0)
+        batch, _, nodes = transition_arrays(initial, positions, words, 0.3, rt, params=params)
+        assert (nodes == 8).all()  # every word is in the support: the batch reads every row
+        for k in range(len(words)):
+            alone = transition_arrays(initial, positions[k : k + 1], words[k : k + 1], 0.3, rt, params=params)
+            assert alone[0][0] == batch[k]
+
+
 def test_thread_pool_over_several_slabs_four_particles(monkeypatch):
     from mstasep import bethe
 
