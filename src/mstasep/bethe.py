@@ -5,8 +5,7 @@ a common circle around the origin.  The circle must keep every amplitude
 pole 1/b_l outside; the trapezoid rule on equispaced nodes then converges
 geometrically, and raising the node count along a ladder of two rungs per
 octave (32, 48, 64, 96, ...) until two successive values agree gives a
-computable error estimate.  No rule reuses another's nodes, so the ladder
-pays (3/2)^N or (4/3)^N per confirming probe where doubling paid 2^N.
+computable error estimate.
 
 The m-node rule cannot tell xi^p from xi^(p mod m), and two rules alias alike
 when a start gap is a common multiple of their node counts.  So every call
@@ -16,49 +15,33 @@ one rung at fixed nodes (:func:`node_ladder`), and raises
 
 At one spectral point the sum over the symmetric group is :func:`bethe_sum`:
 the amplitude matrices of :func:`rmatrix.build_all_A`, stacked on a leading
-permutation axis, contracted with the plane-wave phases in one product.  The
-tensor-grid sum is evaluated instead by contracting, per permutation, the
-grid of amplitude-column values against one matrix of weighted node powers
-per dimension.  That regrouping is algebraically identical to summing
-:func:`bethe_sum` node tuple by node tuple (the tests check this against that
-literal grid sum) but shares all work between targets.
+permutation axis, contracted with the plane-wave phases in one product.
 
-The grid is folded along its first axis.  Rates and t are real, so S, T,
-exp(t/xi) and xi**p have real coefficients, and the integrand at the
-conjugate node tuple is the conjugate of its value at the tuple.  The
-equispaced nodes r e^(2 pi i j / m) are closed under conjugation on every
-axis (whatever each axis's node count), so the grid pairs up exactly and
-the sum is real.  The kernel therefore visits rows j = 0 .. m/2 of axis 0
-only: rows 0 and m/2 sit at the real nodes r and -r, whose sub-grids are
-closed under conjugation, and keep weight 1; each row in between stands for
-itself and row m - j and gets weight 2.  These weights sit in axis 0's node
-weights, which the identity term's column sums read too.  The real part of
-the folded sum is the full grid sum, and its imaginary part is dropped.  A
-probe visits (N! - 1)(m/2 + 1) m^(N-1) grid points, against (N! - 1) m^N, and
-pays at each for the word rows it forms (below), at most (N! - 1) dim.
+The N-fold trapezoid sum never visits the grid of node tuples.  The factors
+S = -(1 - b xi_beta)/(1 - b xi_alpha) and T = b (xi_beta - xi_alpha)/(1 - b xi_alpha)
+are sums of at most two products of one-variable functions, so every entry of
+A_sigma e_nu is a short sum of terms c prod_d xi_d^(a_d) prod_s (1 - b_s xi_d)^(e_ds)
+with integer a and e, and the grid sum of a term is a product of N moments
 
-These rows are cut into slabs along the first axis.  Inside a slab the
-amplitude columns are built by walking the predecessor tree of
-``enumerate_sn`` depth first from the identity column: each permutation
-applies one two-site factor, the last of its reduced word, to its parent's
-columns through :class:`rmatrix.SlotAction`, so a slab costs N! - 1 factor
-applications; the identity term needs no columns, its grid sum factorizes
-into column sums.  Columns are held as (dim, *slab) arrays, one contiguous
-array per word row.  A parent's last child overwrites the parent's columns in
-place and children are visited smallest subtree first, so at most N - 1
-column arrays are alive at once (2, 3, 4, 5 at N = 3, 4, 5, 6).
+  M(q, e) = sum_j (xi_j / m) exp(t / xi_j) xi_j^q prod_s (1 - b_s xi_j)^(e_s),
 
-A target reads one word row of each column, so each permutation forms only
-the rows read from it: the targets' rows, and for each child the rows the
-child forms plus, where such a row ascends at the child's slot, its swapped
-partner, which the factor mixes in.  The other rows of a column array hold
-nothing, or the parent's values a last child left in place, and no later
-step reads them.  A call whose targets read every word forms every row.
-Each target row is contracted where it lies, as a view of its column array,
-and added into that row's targets; each target adds its permutations in
-tree-walk order, the slab sums are added in slab order and the identity term
-last.  This fixed order gives the same bits at a given node count on repeated
-calls and for any ``threads`` (the pool only maps slabs to workers).
+q = x_i - y_d - 1 + a_d for the target position x_i that sigma pairs with axis
+d.  A probe is sum_sigma sum_terms c prod_d M(q_d, e_d), the grid sum in
+another order (the tests check it against the literal sum over node tuples).
+Rates and t are real and the nodes closed under conjugation, so each moment
+is real, and only its real part is kept.
+
+The terms come from one walk per call over ``enumerate_sn``, parent before
+child (:func:`_row_terms`): S maps a term to minus itself with e_beta + 1 and
+e_alpha - 1 at the letter's species, T to b times it with a_beta + 1 and
+minus b times it with a_alpha + 1, each with e_alpha - 1, and a descending
+row negates.  Rows are classed by the :meth:`core.WordBlock.slot_table` the
+dense path reads, each permutation carries only the rows some target row
+depends on (:func:`_needed_rows`), and like terms merge.  A probe builds the
+moments on its nodes and gathers each target's terms, in chunks under
+``_CHUNK_BUDGET_BYTES``.  Each moment sums its nodes, and each target its
+terms, in a fixed order, so a value has the same bits on repeated calls,
+alone or in a batch, and however it is chunked.
 
 Targets enter as one table: :func:`transition_arrays` takes (T, N) int64
 position and word arrays, validates them with :func:`core.check_table`, keeps
@@ -68,19 +51,19 @@ sector rows, constants and per-axis distinct positions every later stage
 reads.  :func:`transition_matrix` wraps it for lists of states.
 
 A target's node powers have size r^P on every term, P = sum(x) - sum(y) - N.
-So positions are taken relative to the start's leftmost site, and the powers
-of the nodes times 2^c, c = -round(log2 r), which lie on a circle of radius in
-[2^-1/2, 2^1/2]: each term gains the exact 2^(cP) and keeps its mantissa, and
-the target's constant takes it back.  :class:`OverflowRisk` has three rules:
-N t/r past ``OVERFLOW_EXPONENT`` and x - y_1 past int64, before any probe, and
-a probe value that is not finite, naming its first such target.
+So positions are taken relative to the start's leftmost site, and the moments
+take powers of the nodes times 2^c, c = -round(log2 r), which lie on a circle
+of radius in [2^-1/2, 2^1/2]: each term, given the exact 2^(-c sum(a)), gains
+the exact 2^(cP) and keeps its mantissa, and the target's constant takes it
+back.  :class:`OverflowRisk` has three rules: N t/r past ``OVERFLOW_EXPONENT``
+and x - y_1 past int64, before any probe, and a probe value that is not
+finite, naming its first such target.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -88,7 +71,6 @@ import numpy as np
 
 from .core import (
     ParticleState,
-    PermutationElem,
     RateTable,
     WordBlock,
     _describe,
@@ -104,16 +86,16 @@ from .core import (
     word_codes,
     word_floors,
 )
-from .rmatrix import SlotAction, chain_factors, contour_bound
+from .rmatrix import chain_factors, contour_bound
 
 MAX_PARTICLES_DEFAULT = 4
 MAX_PARTICLES_HARD = 6
 
-# the grid multiplies N time factors exp(t/xi), bounded by exp(N t/radius); past this it overflows
+# a term multiplies N moments, each with a time factor exp(t/xi): past this, exp(N t/radius) overflows
 OVERFLOW_EXPONENT = 700.0
 
-# target bytes for one slab of amplitude-column values
-_SLAB_BUDGET_BYTES = 2.0e8
+# target bytes for one chunk of an array of targets by terms or trials
+_CHUNK_BUDGET_BYTES = 2.0e8
 
 # largest node count per dimension SpectralParams accepts
 MAX_NODES_PER_DIM = 4096
@@ -174,8 +156,8 @@ class SpectralParams:
 class ProbabilityResult:
     """One transition probability as computed.
 
-    ``value`` is the quadrature value, a real number (the kernel sums half of a
-    conjugation-symmetric grid), reported without clamping so quadrature noise
+    ``value`` is the quadrature value, a real number (a sum of products of real
+    one-dimensional moments), reported without clamping so quadrature noise
     stays visible.  ``est_error`` is the change in the value over the last
     refinement step, from the rung before ``nodes_used`` (0 for a target
     outside the support, or when adaptivity was disabled by setting
@@ -264,77 +246,85 @@ def _image_rows(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation over the tensor grid of contour nodes
+# the trapezoid sum as a sum of products of one-dimensional moments
 # ---------------------------------------------------------------------------
 
 
-def _slab_ranges(m: int, n: int, dim: int) -> list[tuple[int, int]]:
-    """Slabs of the folded first axis: its rows 0 .. m/2, cut under the slab budget."""
-    # n - 1 live column arrays on the tree walk plus contraction intermediates, at least four
-    per_row = m ** (n - 1) * dim * 16 * max(4, n)
-    rows = m // 2 + 1
-    s = max(1, min(rows, int(_SLAB_BUDGET_BYTES / max(per_row, 1))))
-    return [(a, min(a + s, rows)) for a in range(0, rows, s)]
+def _chunks(count: int, item_bytes: int) -> list[slice]:
+    """Slices of ``count`` items of ``item_bytes`` each that keep every slice under the chunk budget."""
+    step = max(1, int(_CHUNK_BUDGET_BYTES // max(item_bytes, 1)))
+    return [slice(a, a + step) for a in range(0, count, step)]
 
 
-def _walk_tree(perms: tuple[PermutationElem, ...]) -> list[list[int]]:
-    """Children of each permutation in the predecessor tree, smallest subtree first.
+def _needed_rows(sector: WordBlock, rows) -> np.ndarray:
+    """(N!, dim) mask of the word rows each permutation's column carries, in ``enumerate_sn`` order.
 
-    Indices are positions in ``perms``, whose breadth-first order lists every
-    parent before its children.
+    The target rows, and each parent row a carried row reads: itself, and its swapped partner where
+    it ascends at the factor's slot.
     """
+    perms = enumerate_sn(sector.word_length)
     pos = {elem.image: k for k, elem in enumerate(perms)}
-    parent = [None if elem.is_identity else pos[elem.pred.image] for elem in perms]
-    size = [1] * len(perms)
-    for k in range(len(perms) - 1, 0, -1):
-        size[parent[k]] += size[k]
-    children: list[list[int]] = [[] for _ in perms]
-    for k in sorted(range(1, len(perms)), key=size.__getitem__):
-        children[parent[k]].append(k)
-    return children
+    need = np.zeros((len(perms), sector.dim), dtype=bool)
+    need[:, rows] = True
+    for k in range(len(perms) - 1, 0, -1):  # children come after their parent
+        _, _, asc, partner, _, _ = sector.slot_table(perms[k].slot)
+        parent = pos[perms[k].pred.image]
+        need[parent] |= need[k]
+        need[parent, [p for r, p in zip(asc, partner) if need[k, r]]] = True
+    return need
 
 
-@np.errstate(all="ignore")  # errstate is per thread, and slabs may run in a pool: the caller checks the probe
-def _slab_moments(
-    a: int,
-    b: int,
-    nodes: np.ndarray,
-    children: list[list[int]],
-    steps: list[tuple],
-    nu_idx: int,
-    n: int,
-    dim: int,
-    targets: int,
-) -> np.ndarray:
-    """Per-target sum over the non-identity permutations of grid rows [a, b).
+def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[np.ndarray, dict]:
+    """The terms of each target row of sum_sigma A_sigma e_nu, and their pole signatures.
 
-    Walks the predecessor tree depth first from the identity column: each
-    permutation applies its last factor to its parent's columns, and a
-    parent's last child does so in place.  Each target row is contracted as a
-    view and added into its targets' moments, in walk order.
+    Returns ``(poles, terms)``.  ``terms[r]`` is ``(coef, a, sig, axis)``, one (K,) and three
+    (K, N) arrays, for each of ``rows``: term k is coef[k] prod_d xi_d**a[k, d]
+    prod_s (1 - b_s xi_d)**poles[sig[k, d], s], and its axis d pairs with target axis
+    axis[k, d].  Terms are listed permutation by permutation in ``enumerate_sn`` order.
     """
-    xi = [
-        (nodes[a:b] if d == 0 else nodes).reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
-        for d in range(n)
-    ]
-    total = np.zeros(targets, dtype=complex)
-
-    def visit(k: int, v: np.ndarray) -> None:
-        for j, c in enumerate(children[k]):
-            (beta, alpha), action, weighted, reads = steps[c]
-            last = j == len(children[k]) - 1
-            w = action.apply(xi[beta - 1], xi[alpha - 1], v, out=v if last else None)
-            for r, sel, gather in reads:
-                arr = w[r]  # (rows, m, ..., m): grid axis d sits at position d
-                for d in range(n - 1, 0, -1):
-                    arr = np.tensordot(arr, weighted[d], axes=([d], [0]))
-                total[sel] += np.tensordot(arr, weighted[0][a:b], axes=([0], [0])).T[gather]
-            visit(c, w)
-
-    root = np.zeros((dim, b - a) + (len(nodes),) * (n - 1), dtype=complex)
-    root[nu_idx] = 1.0
-    visit(0, root)
-    return total
+    n, dim, perms = sector.word_length, sector.dim, enumerate_sn(sector.word_length)
+    pos = {elem.image: k for k, elem in enumerate(perms)}
+    need, b, species = _needed_rows(sector, rows), np.array(rates.rates), rates.n_species
+    e0 = 2 + n  # a column is a table of terms: coefficients, and keys of row, permutation, a and e
+    cols = [(np.ones(1), np.array([[nu_idx] + [0] * (e0 - 1 + n * species)]))]  # the identity's e_nu
+    for k, elem in enumerate(perms[1:], 1):
+        slot, beta, alpha = chain_factors(elem)[-1]
+        _, eq, asc, partner, eq_letter, asc_letter = sector.slot_table(slot)
+        letter, up = np.zeros(dim, dtype=np.int64), np.full(dim, -1)
+        letter[list(eq) + list(asc)] = eq_letter + asc_letter  # 0 on a descending row
+        up[list(partner)] = asc  # the ascending row that reads each partner
+        coef, key = cols[pos[elem.pred.image]]
+        # each carried row reads its own parent row: -term on a descending row, S on the others
+        own = need[k, key[:, 0]]
+        s_coef, s_key = -coef[own], key[own]
+        s_letter = letter[s_key[:, 0]]
+        hit = np.flatnonzero(s_letter)
+        s_key[hit, e0 + (beta - 1) * species + s_letter[hit] - 1] += 1
+        s_key[hit, e0 + (alpha - 1) * species + s_letter[hit] - 1] -= 1
+        # an ascending row also reads its partner's: T, two terms
+        reads = np.flatnonzero(up[key[:, 0]] >= 0)
+        reads = reads[need[k, up[key[reads, 0]]]]
+        t_key = key[reads]
+        t_key[:, 0] = up[t_key[:, 0]]
+        t_letter = letter[t_key[:, 0]]
+        t_key[np.arange(len(reads)), e0 + (alpha - 1) * species + t_letter - 1] -= 1
+        t_coef = b[t_letter - 1] * coef[reads]
+        beta_key, alpha_key = t_key.copy(), t_key
+        beta_key[:, 1 + beta] += 1
+        alpha_key[:, 1 + alpha] += 1
+        key = np.concatenate([s_key, beta_key, alpha_key])
+        key[:, 1] = k
+        cols.append((np.concatenate([s_coef, t_coef, -t_coef]), key))
+    # the target rows' terms: like terms merge and exact cancellations drop, sorted by row and permutation
+    coef, key = (np.concatenate(c) for c in zip(*cols))
+    read = np.isin(key[:, 0], rows)
+    key, at = np.unique(key[read], axis=0, return_inverse=True)
+    coef = np.bincount(at.ravel(), weights=coef[read], minlength=len(key))
+    coef, key = coef[coef != 0], key[coef != 0]
+    poles, sig = np.unique(key[:, e0:].reshape(-1, species), axis=0, return_inverse=True)
+    a, sig, axis = key[:, 2:e0], sig.reshape(-1, n), np.argsort(_image_rows(n), axis=1)[key[:, 1]]
+    bounds = {int(r): slice(*np.searchsorted(key[:, 0], [r, r + 1])) for r in rows}  # keys sort by row first
+    return poles, {r: (coef[s], a[s], sig[s], axis[s]) for r, s in bounds.items()}
 
 
 def _grid_values(
@@ -348,61 +338,41 @@ def _grid_values(
     m: int,
     radius: float,
     scale: float,
-    threads: int,
+    threads: int = 1,
+    terms: Optional[tuple[np.ndarray, dict]] = None,
 ) -> np.ndarray:
-    """Sum over permutations of the real quadrature value per target (constants excluded).
+    """The m-node trapezoid sum over permutations, a real value per target (constants excluded).
 
-    Positions are relative to the start's leftmost site: ``y`` is the start's,
-    ``axes[i]`` the distinct i-th target positions with each target's index
-    into them.  ``nu_idx`` and ``rows`` are the start's and targets' word rows.
-    Powers are taken of ``nodes * scale``, a power of two (see the module docstring).
+    Positions are relative to the start's leftmost site: ``y`` is the start's, ``axes[i]`` the
+    distinct i-th target positions with each target's index into them.  ``nu_idx`` and ``rows`` are
+    the start's and targets' word rows.  Powers are taken of ``nodes * scale``, a power of two.
+    ``terms`` is :func:`_row_terms` of ``rows``, built when not given; ``threads`` selects nothing.
     """
-    n, dim, perms = len(y), sector.dim, enumerate_sn(len(y))
+    poles, terms = terms or _row_terms(sector, nu_idx, np.unique(rows), rates)
     nodes = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    u = nodes / m * np.exp(t / nodes)  # node weight times time factor, per dimension
-    # axis 0 is folded onto its rows 0 .. m/2: each row between the real nodes r and -r also
-    # stands for its conjugate row m - j, and so counts twice
-    fold = np.full(m // 2 + 1, 2.0)
-    fold[[0, -1]] = 1.0
-    axis_u = [u[: m // 2 + 1] * fold] + [u] * (n - 1)
-    b = np.asarray(rates, dtype=float).reshape((-1,) + (1,) * n)  # broadcast over the grid axes
-    # node weights times powers of grid axis k against target axis i, built once per pair
-    pair_weights = {
-        (k, i): axis_u[k][:, None] * (nodes[: len(axis_u[k]), None] * scale) ** (ux - y[k] - 1)[None, :]
-        for k in range(n)
-        for i, (ux, _) in enumerate(axes)
-    }
-    children, factors = _walk_tree(perms), [None] + [chain_factors(elem)[-1] for elem in perms[1:]]
-    # the rows each permutation forms: the targets' rows, and every row a child reads, which is each
-    # row the child forms and, where that row ascends at the child's slot, its swapped partner
-    need = [set(rows.tolist()) for _ in perms]
-    for k in range(len(perms) - 1, 0, -1):  # children come after their parent in perms
-        for c in children[k]:
-            _, _, asc, partner, _, _ = sector.slot_table(factors[c][0])
-            need[k] |= need[c] | {p for r, p in zip(asc, partner) if r in need[c]}
-    by_row = [(r, np.flatnonzero(rows == r)) for r in np.unique(rows)]
-    steps = [None]  # perms[0] is the identity, whose term is the column sums below
-    for k, elem in enumerate(perms[1:], 1):
-        (slot, beta, alpha), inv = factors[k], np.argsort(np.array(elem.image))  # inv[d] = i with sigma(i) = d+1
-        steps.append((
-            (beta, alpha),
-            SlotAction(sector, slot, b, rows=need[k]),
-            [pair_weights[d, i] for d, i in enumerate(inv)],
-            [(r, sel, tuple(axes[i][1][sel] for i in inv)) for r, sel in by_row],
-        ))
-
-    ranges = _slab_ranges(m, n, dim)
-    args = (nodes, children, steps, nu_idx, n, dim, len(rows))
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # map yields in slab order, so the reduction order stays fixed
-            parts = list(pool.map(lambda r: _slab_moments(*r, *args), ranges))
-    else:  # not a pool of one: its thread raised window-n3's peak RSS from 86 to 92-103 MB
-        parts = [_slab_moments(a, b, *args) for a, b in ranges]
-    # identity amplitude: the grid sum factorizes into column sums
-    ident = np.prod([pair_weights[k, k].sum(axis=0)[ix] for k, (_, ix) in enumerate(axes)], axis=0)
-    # the conjugate rows left out carry the conjugate sum: the full grid sum is the real part
-    return (sum(parts) + np.where(rows == nu_idx, ident, 0.0)).real
+    # one weight per node and pole signature: node weight, time factor and the poles' powers
+    pole = 1.0 - np.array(rates.rates)[:, None] * nodes  # (species, m)
+    weight = nodes / m * np.exp(t / nodes) * np.prod(_int_power(pole, poles[..., None]), axis=1)
+    # moments[sig, d, a, p]: the distinct target positions p of every axis, one after another
+    a_len = max(int(a.max(initial=0)) for _, a, _, _ in terms.values()) + 1
+    sites = np.concatenate([ux for ux, _ in axes])
+    q = sites - y[:, None, None] - 1 + np.arange(a_len)[:, None]  # (N, a_len, sites)
+    powers = _int_power(nodes * scale, q[..., None])
+    # each moment sums its m nodes along a contiguous axis: the order depends on m alone
+    moments = np.array([(powers * w).sum(axis=-1).real for w in weight]).reshape(len(weight), *q.shape)
+    start = np.cumsum([0] + [len(ux) for ux, _ in axes[:-1]])
+    index = np.stack([ix + s for (_, ix), s in zip(axes, start)], axis=1)  # (targets, N) into sites
+    total = np.zeros(len(rows))
+    for r, (coef, a, sig, axis) in terms.items():
+        base = np.ravel_multi_index((sig, np.arange(len(y)), a, 0), moments.shape)
+        c = coef * scale ** -a.sum(axis=1)  # the exact 2**(-c sum(a)) of the scaled powers
+        sel = np.flatnonzero(rows == r)
+        for part in _chunks(len(sel), a.size * 8):
+            # one advanced index keeps (targets, terms, N) C-ordered: a target's sum does not see the chunk
+            ix = index[sel[part, None, None], axis]
+            ix += base
+            total[sel[part]] = (np.prod(moments.ravel()[ix], axis=2) * c).sum(axis=1)
+    return total
 
 
 def transition_arrays(
@@ -422,8 +392,8 @@ def transition_arrays(
     and int64 ``nodes_used`` arrays, one entry per target with the meaning of
     the :class:`ProbabilityResult` fields.
 
-    All targets share the spectral grid, so the amplitude columns are built
-    once per node tuple regardless of how many targets are requested.  The
+    All targets share one term walk and, per probe, one table of moments.
+    ``threads`` is validated and selects nothing.  The
     support is what :func:`core.word_floors` reaches: a reachable word, at or
     above its floor; every other target is an exact 0 with ``nodes_used`` 0,
     and runs no probe.  The table is validated as a whole by
@@ -455,7 +425,8 @@ def transition_arrays(
         raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES_HARD})")
     if n > MAX_PARTICLES_DEFAULT and not allow_large:
         raise ValueError(
-            f"{n} particles needs allow_large=True (grid cost grows like nodes**{n} * {n}!)"
+            f"{n} particles needs allow_large=True (cost grows with the terms per word row, "
+            "at most 10, 106 and 1,968 at N = 3, 4 and 5)"
         )
     radius = params.radius if params.radius is not None else default_radius(rates)
     bound = contour_bound(rates)
@@ -486,17 +457,20 @@ def transition_arrays(
         xq, y = x[quad] - y[0], y - y[0]
         axes = [np.unique(col, return_inverse=True) for col in xq.T]
         nu_idx = sector.index(initial.species)
-        # decay * prod_s b_s**d_s (d_s: summed displacement of species s), over the grid's scale**P
+        # decay * prod_s b_s**d_s (d_s: summed displacement of species s), over the terms' scale**P
         b, eye = np.array(rates.rates), np.eye(rates.n_species)  # float sums of positions never wrap
         d = (eye[words[quad] - 1] * xq[..., None]).sum(axis=1) - y @ eye[np.array(initial.species) - 1]
         decay = math.exp(-t * sum(map(rates.rate, initial.species)))
         with np.errstate(all="ignore"):  # a tiny radius overflows scale**n: the probe reports it
             scale = np.exp2(-np.round(np.log2(radius)))
             consts = decay * scale**n * np.prod((b / scale) ** d, axis=1)
+        terms = _row_terms(sector, nu_idx, np.unique(rows), rates)  # exponents do not depend on m
 
         @np.errstate(all="ignore")  # any other overflow shows in the value, and raises there
         def probe(m):
-            value = consts * _grid_values(y, nu_idx, axes, rows, t, rates, sector, m, radius, scale, threads)
+            value = consts * _grid_values(
+                y, nu_idx, axes, rows, t, rates, sector, m, radius, scale, threads, terms
+            )
             overflow(~np.isfinite(value), f"overflows the spectral route at {m} nodes")
             return value
 

@@ -337,19 +337,13 @@ def _draw_trials(rng: np.random.Generator, n: int, trials: int) -> tuple[np.ndar
     return mags * np.exp(1j * phases), b
 
 
-def _trial_chunks(trials: int, arrays: int, dim: int) -> list[slice]:
-    """Slices of the trial axis that keep ``arrays`` (dim, dim, chunk) complex arrays in the budget."""
-    chunk = max(1, int(bethe._SLAB_BUDGET_BYTES // (arrays * dim * dim * 16)))
-    return [slice(a, a + chunk) for a in range(0, trials, chunk)]
-
-
 def _suite_welldef(size: int, seed: int, trials: int, threads: int) -> float:
     """Braid relation: the factor products along (i, i+1, i) and (i+1, i, i+1) agree."""
     xi, b = _draw_trials(np.random.default_rng(seed), size, trials)
     # both products and their difference, at the largest sector (dim size!)
     return max(
         relation_residual("yang_baxter", xi[:, k], b[:, k], size)
-        for k in _trial_chunks(trials, 4, math.factorial(size))
+        for k in bethe._chunks(trials, 4 * math.factorial(size) ** 2 * 16)
     )
 
 
@@ -430,7 +424,7 @@ def _suite_boundary(size: int, seed: int, trials: int, threads: int) -> float:
         sector = build_sector(multiset.tolist())
         group = np.flatnonzero((multisets == multiset).all(axis=1))
         # the amplitude matrices and their magnitudes, and one slot's sums and products
-        for k in _trial_chunks(len(group), 2 * math.factorial(size) + 8, sector.dim):
+        for k in bethe._chunks(len(group), (2 * math.factorial(size) + 8) * sector.dim**2 * 16):
             g = group[k]
             worst = max(worst, _boundary_residual(xi[:, g], b[:, g], base[:, g], sector))
     return worst
@@ -492,7 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     common.add_argument("--out", default=None, help="output path, '-' for stdout")
     common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1, help="at least 1; selects nothing")
 
     parser = argparse.ArgumentParser(
         prog="mstasep",

@@ -10,13 +10,14 @@ rather than assumes.
 
 The factor has one encoding and one implementation: :meth:`WordBlock.slot_table`
 in ``core`` classes the rows of a block at a slot, :func:`amplitudes` is the
-only S/T expression, and only :meth:`SlotAction.apply` writes them into rows,
-on the kernel's grid columns and on the dense path's identity columns (at
-``slot=1`` of a block of species pairs that gives the two-site matrix ``R``).
+only S/T expression, and only :meth:`SlotAction.apply` writes them into rows of
+the dense path's columns (at ``slot=1`` of a block of species pairs that gives
+the two-site matrix ``R``); the spectral route reads the same slot table
+(:func:`bethe._row_terms`) and evaluates no factor.
 :func:`product_along_slots` is the one dense product along a transposition
 word, and :func:`consistency_residuals` calls it; :func:`build_all_A` applies
-one factor per permutation to its predecessor's matrix, as the kernel does,
-and stacks the N! matrices on a leading axis in :func:`core.enumerate_sn`
+one factor per permutation to its predecessor's matrix, as the term walk
+does, and stacks the N! matrices on a leading axis in :func:`core.enumerate_sn`
 order.  Each takes a :class:`SpectralPoint` or an (n, *batch) complex array of
 spectral values and a ``RateTable`` or an (N, *batch) float array of rates,
 and returns (dim, dim, *batch) complex matrices in the block's word order.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,33 +79,23 @@ def contour_bound(rates) -> float | np.ndarray:
 def amplitudes(b, xi_beta, xi_alpha):
     """Pass-through and exchange amplitudes (S, T) of a species with rate b.
 
-    Plain operators in division form: Python scalars and broadcast numpy
-    arrays get the same expression, so the dense and grid factors agree.
+    Plain operators in division form, so Python scalars and broadcast numpy
+    arrays get the same expression.
     """
     denom = 1.0 - b * xi_alpha
     return -(1.0 - b * xi_beta) / denom, b * (xi_beta - xi_alpha) / denom
 
 
 class SlotAction:
-    """The factor at one slot applied to a batch of columns.
+    """The factor at one slot applied to a batch of dense columns.
 
     ``b`` holds the rates as an (N, *batch) array broadcasting against the
-    spectral values; the kernel passes (N, 1, ..., 1).  ``rows``, if given,
-    are the only output rows formed: the kernel forms just the rows a target
-    reads, directly or through a later factor.  S and T are formed only for
-    the letters those rows use, so no other species' pole is ever evaluated.
+    spectral values.  S and T are formed only for the letters the block's
+    rows use at the slot, so no other species' pole is ever evaluated.
     """
 
-    def __init__(self, block: WordBlock, slot: int, b: np.ndarray, rows: Optional[Collection[int]] = None):
+    def __init__(self, block: WordBlock, slot: int, b: np.ndarray):
         self.desc, self.eq, self.asc, self.partner, eq_letter, asc_letter = block.slot_table(slot)
-        if rows is not None:
-            asc = [k for k, r in enumerate(self.asc) if r in rows]
-            eq = [k for k, r in enumerate(self.eq) if r in rows]
-            self.asc, self.partner, asc_letter = (
-                [c[k] for k in asc] for c in (self.asc, self.partner, asc_letter)
-            )
-            self.eq, eq_letter = ([c[k] for k in eq] for c in (self.eq, eq_letter))
-            self.desc = [r for r in self.desc if r in rows]
         self.letters = sorted({*eq_letter, *asc_letter})
         col = {s: k for k, s in enumerate(self.letters)}  # letter axis of the S/T table
         self.eq_col = tuple(col[s] for s in eq_letter)
@@ -118,10 +109,9 @@ class SlotAction:
 
         ``xb``, ``xa`` and the rates broadcast against each word row ``v[r]``,
         so S and T form a (letters, *points) table.  Rows are written one by
-        one, with no gathers, and rows outside the action's are left as they
-        are.  ``out`` may be ``v`` itself: ascending rows are formed first from
-        their still untouched descending partners, and the descending rows are
-        negated last.
+        one, with no gathers.  ``out`` may be ``v`` itself: ascending rows are
+        formed first from their still untouched descending partners, and the
+        descending rows are negated last.
         """
         s, t = amplitudes(self.b, xb, xa)
         if out is None:
@@ -159,8 +149,8 @@ def build_all_A(sp, rates, block: WordBlock) -> np.ndarray:
 
     Walks :func:`core.enumerate_sn`, which lists every permutation after its
     predecessor, and applies one factor, the last of the permutation's
-    reduced word, to the predecessor's matrix: N! - 1 factor applications,
-    as in the kernel.  The identity gets the identity matrix.
+    reduced word, to the predecessor's matrix: N! - 1 factor applications.
+    The identity gets the identity matrix.
     """
     xi, b = np.asarray(sp, dtype=complex), np.asarray(rates, dtype=float)
     actions = {slot: SlotAction(block, slot, b) for slot in range(1, block.word_length)}

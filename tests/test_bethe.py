@@ -66,7 +66,7 @@ def test_bethe_sum_is_the_sum_over_permutations(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bethe_sum_at_conjugate_point_is_the_conjugate(n):
-    # the identity the kernel's grid fold rests on: with real rates every amplitude and phase is a
+    # the identity that makes every moment real: with real rates every amplitude and phase is a
     # rational function with real coefficients, so the conjugate point gives the conjugate sum
     rng = np.random.default_rng(60 + n)
     for sector in all_sectors(n):
@@ -294,84 +294,48 @@ def test_threads_do_not_change_values():
     serial = transition_matrix(initial, targets, 0.4, rt, params=params, threads=1)
     threaded = transition_matrix(initial, targets, 0.4, rt, params=params, threads=2)
     for a, b in zip(serial, threaded):
-        assert a.value == b.value  # identical slab order, identical bits
+        assert a.value == b.value  # threads selects nothing
 
 
-def test_thread_pool_over_several_slabs(monkeypatch):
-    from mstasep import bethe
-
-    rng = np.random.default_rng(37)
-    rt = draw_rates(rng, 3)
-    initial = ParticleState((0, 1, 2), (3, 1, 2))
-    targets = [ParticleState((0, 1, 3), (1, 3, 2)), ParticleState((0, 1, 2), (1, 2, 3))]
-    params = SpectralParams(nodes_per_dim=16, max_nodes=16)
-    assert len(bethe._slab_ranges(16, 3, 6)) == 1
-    single = transition_matrix(initial, targets, 0.4, rt, params=params)
-    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", 5 * 16**2 * 6 * 64)  # five grid rows per slab
-    assert len(bethe._slab_ranges(16, 3, 6)) >= 2
-    serial = transition_matrix(initial, targets, 0.4, rt, params=params, threads=1)
-    threaded = transition_matrix(initial, targets, 0.4, rt, params=params, threads=2)
-    for a, b, ref in zip(serial, threaded, single):
-        assert a.value == b.value  # the pool keeps the slab reduction order
-        assert abs(a.value - ref.value) <= 1e-14 * abs(ref.value)
-
-
-@pytest.mark.parametrize("n, apps", [(3, 5), (4, 23)])
-def test_kernel_applies_one_factor_per_permutation(monkeypatch, n, apps):
-    # the tree walk builds each non-identity amplitude column from its parent's
-    from mstasep import bethe
-    from mstasep.rmatrix import SlotAction
-
-    calls = []
-    apply = SlotAction.apply
-    monkeypatch.setattr(
-        SlotAction, "apply", lambda self, *a, **k: calls.append(1) or apply(self, *a, **k)
-    )
-    rt = draw_rates(np.random.default_rng(41), n)
-    initial = ParticleState(tuple(range(n)), tuple(range(n, 0, -1)))
-    params = SpectralParams(nodes_per_dim=4, max_nodes=4)
-    transition_matrix(initial, [initial], 0.3, rt, params=params)
-    assert len(calls) == apps * len(bethe._slab_ranges(4, n, math.factorial(n)))
+def term_values(poles, terms, sp, rates, n):
+    """Each permutation's term sums at one spectral point, {(axis pairing, row): value}."""
+    xi, b = np.array(sp.xi), np.array(rates.rates)
+    pole_values = np.prod((1.0 - b * xi[:, None, None]) ** poles[None], axis=2)  # (N, signatures)
+    out = {}
+    for r, (coef, a, sig, axis) in terms.items():
+        for c, ak, sk, ax in zip(coef, a, sig, axis):
+            value = c * np.prod(xi**ak * pole_values[np.arange(n), sk])
+            out[tuple(ax), r] = out.get((tuple(ax), r), 0.0) + value
+    return out
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("m", [4, 8, 16])
-def test_kernel_visits_rows_zero_to_half_of_the_first_axis(monkeypatch, n, m):
-    # the grid is folded along axis 0: every permutation's columns cover its rows 0 .. m/2 once
-    from mstasep import bethe
-    from mstasep.rmatrix import SlotAction
+@pytest.mark.parametrize("start", ["descending", "mixed", "ascending"])
+def test_row_terms_evaluate_to_the_amplitude_entries(n, start):
+    # the symbolic S and T of the term walk against rmatrix.amplitudes: every row of A_sigma e_nu
+    from mstasep.bethe import _row_terms
 
-    extents = []
-    apply = SlotAction.apply
-    monkeypatch.setattr(  # v is (dim, rows, m, ..., m): record its axis-0 extent
-        SlotAction, "apply", lambda self, *a, **k: extents.append(a[2].shape[1]) or apply(self, *a, **k)
-    )
-    rt = draw_rates(np.random.default_rng(47 + n), n)
-    word = tuple(range(n, 0, -1))
-    initial = ParticleState(tuple(range(n)), word)
-    targets = [
-        initial,
-        ParticleState(tuple(range(1, n + 1)), word),
-        ParticleState(tuple(range(n)), word[::-1]),
-    ]
-    params = SpectralParams(nodes_per_dim=m, max_nodes=m)
-    apps, dim = math.factorial(n) - 1, math.factorial(n)
-
-    def run():
-        extents.clear()
-        got = transition_matrix(initial, targets, 0.3, rt, params=params)
-        slabs = len(bethe._slab_ranges(m, n, dim))
-        assert len(extents) == apps * slabs
-        # with one thread slabs run in order, each walking the permutations in one fixed order
-        assert (np.array(extents).reshape(slabs, apps).sum(axis=0) == m // 2 + 1).all()
-        return got
-
-    single = run()
-    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", 1.0)  # one grid row per slab
-    assert bethe._slab_ranges(m, n, dim) == [(j, j + 1) for j in range(m // 2 + 1)]
-    for a, ref in zip(run(), single):
-        assert a.nodes_used == m
-        assert abs(a.value - ref.value) <= 1e-14 * abs(ref.value)
+    word = {
+        "descending": tuple(range(n, 0, -1)),
+        "mixed": {2: (1, 1), 3: (1, 3, 2), 4: (2, 1, 3, 1)}[n],
+        "ascending": tuple(range(1, n + 1)),  # one row, one term per permutation
+    }[start]
+    rng = np.random.default_rng(120 + n)
+    rt = draw_rates(rng, n)
+    sp = draw_point(rng, n, rt)
+    sector = build_sector(word)
+    nu = sector.index(word)
+    got = term_values(*_row_terms(sector, nu, np.arange(sector.dim), rt), sp, rt, n)
+    amps = build_all_A(sp, rt, sector)
+    for elem, amp in zip(enumerate_sn(n), amps):
+        axis = tuple(np.argsort(elem.image).tolist())  # axis d pairs with the target axis sigma maps to d
+        for r in range(sector.dim):
+            want = amp[r, nu]
+            assert abs(got.get((axis, r), 0.0) - want) <= 1e-13 * abs(want)
+    assert {axis for axis, _ in got} <= {tuple(np.argsort(e.image).tolist()) for e in enumerate_sn(n)}
+    if start == "ascending":
+        poles, terms = _row_terms(sector, nu, np.arange(sector.dim), rt)
+        assert {r: len(v[0]) for r, v in terms.items() if len(v[0])} == {nu: math.factorial(n)}
 
 
 def row_reading_targets(n):
@@ -393,28 +357,8 @@ def row_reading_targets(n):
     return initial, tables
 
 
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("which", ["one", "few", "window"])
-def test_rows_left_unformed_are_never_read(monkeypatch, n, which):
-    # every fresh column array starts as NaN: a read of a row no factor formed would show in a value
-    initial, tables = row_reading_targets(n)
-    rt = draw_rates(np.random.default_rng(80 + n), n)
-    params = SpectralParams(nodes_per_dim=8, max_nodes=8)
-    clean = transition_arrays(initial, *tables[which], 0.3, rt, params=params)[0]
-    empty_like = np.empty_like
-
-    def poisoned(a, *args, **kwargs):
-        out = empty_like(a, *args, **kwargs)
-        out.fill(np.nan)
-        return out
-
-    monkeypatch.setattr(np, "empty_like", poisoned)
-    got = transition_arrays(initial, *tables[which], 0.3, rt, params=params)[0]
-    assert np.isfinite(clean).all() and got.tobytes() == clean.tobytes()
-
-
 def closure_rows(n, sector, target_rows, rt):
-    """Rows formed per slab: for each non-identity permutation, the rows some target row depends on.
+    """The rows each non-identity permutation needs: those some target row depends on.
 
     A row of a permutation's column is needed when a target row of that permutation or of a
     descendant in the predecessor tree depends on it through the dense factors in between.
@@ -430,7 +374,7 @@ def closure_rows(n, sector, target_rows, rt):
         slot, beta, alpha = chain_factors(elem)[-1]
         action = SlotAction(sector, slot, np.asarray(rt))
         factor.append(np.abs(action.apply(sp.xi[beta - 1], sp.xi[alpha - 1], eye)))
-    total = 0
+    needed = []
     for k in range(1, len(perms)):
         need = set(target_rows)
         for elem in perms[k:]:  # a descendant's chain back to k: the product of |factor| along it
@@ -439,38 +383,57 @@ def closure_rows(n, sector, target_rows, rt):
                 dep, j = dep @ factor[j], pos[perms[j].pred.image]
             if j == k:
                 need |= set(np.flatnonzero(dep[list(target_rows)].any(axis=0)).tolist())
-        total += len(need)
-    return total
+        needed.append(need)
+    return needed
+
+
+def target_rows(initial, positions, words, rt):
+    """The sector and the word rows of the targets inside the support (the others run no probe)."""
+    params = SpectralParams(nodes_per_dim=4, max_nodes=4)
+    nodes = transition_arrays(initial, positions, words, 0.3, rt, params=params)[2]
+    sector = build_sector(initial.species)
+    return sector, sorted({sector.index(w) for w in words[nodes > 0].tolist()})
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("which", ["one", "few", "window"])
-def test_kernel_forms_only_the_rows_targets_read(monkeypatch, n, which):
-    # the rows each factor forms are exactly what its own and its descendants' target rows depend on
-    from mstasep import bethe
-    from mstasep.rmatrix import SlotAction
+def test_kernel_forms_only_the_rows_targets_read(n, which):
+    # the term walk carries, per permutation, exactly the rows its own and its descendants' target
+    # rows depend on
+    from mstasep.bethe import _needed_rows
 
-    formed = []
-    apply = SlotAction.apply
-    monkeypatch.setattr(  # the rows an action forms: its ascending, equal and descending rows
-        SlotAction,
-        "apply",
-        lambda self, *a, **k: formed.append(len(self.asc) + len(self.eq) + len(self.desc)) or apply(self, *a, **k),
-    )
     initial, tables = row_reading_targets(n)
-    positions, words = tables[which]
     rt = draw_rates(np.random.default_rng(80 + n), n)
-    params = SpectralParams(nodes_per_dim=4, max_nodes=4)
-    nodes = transition_arrays(initial, positions, words, 0.3, rt, params=params)[2]
-    total = sum(formed)
-    sector = build_sector(initial.species)
-    rows = {sector.index(w) for w in words[nodes > 0].tolist()}  # targets outside the support run no probe
-    slabs, dim = len(bethe._slab_ranges(4, n, sector.dim)), sector.dim
-    assert total == slabs * closure_rows(n, sector, rows, rt)
+    sector, rows = target_rows(initial, *tables[which], rt)
+    need = _needed_rows(sector, rows)
+    assert [set(np.flatnonzero(m).tolist()) for m in need[1:]] == closure_rows(n, sector, rows, rt)
+    carried = need[1:].sum()
     if which == "window":
-        assert len(rows) == dim and total == slabs * (math.factorial(n) - 1) * dim
+        assert len(rows) == sector.dim and carried == (math.factorial(n) - 1) * sector.dim
     else:
-        assert total < slabs * (math.factorial(n) - 1) * dim
+        assert carried < (math.factorial(n) - 1) * sector.dim
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("which", ["one", "few", "window"])
+def test_rows_left_unformed_are_never_read(n, which):
+    # a walk restricted to the targets' rows gives their rows the same terms, bit for bit, as a walk
+    # that carries every row of every column
+    from mstasep.bethe import _row_terms
+
+    initial, tables = row_reading_targets(n)
+    rt = draw_rates(np.random.default_rng(80 + n), n)
+    sector, rows = target_rows(initial, *tables[which], rt)
+    nu = sector.index(initial.species)
+    poles, terms = _row_terms(sector, nu, np.array(rows), rt)
+    all_poles, all_terms = _row_terms(sector, nu, np.arange(sector.dim), rt)
+    assert sorted(terms) == rows
+    for r in rows:
+        (coef, a, sig, axis), (all_coef, all_a, all_sig, all_axis) = terms[r], all_terms[r]
+        assert len(coef) > 0
+        assert coef.tobytes() == all_coef.tobytes()
+        assert np.array_equal(a, all_a) and np.array_equal(axis, all_axis)
+        assert np.array_equal(poles[sig], all_poles[all_sig])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -490,26 +453,22 @@ def test_each_target_alone_matches_it_in_a_batch_reading_every_row(n):
             assert alone[0][0] == batch[k]
 
 
-def test_thread_pool_over_several_slabs_four_particles(monkeypatch):
+@pytest.mark.parametrize("n", [3, 4])
+def test_gather_chunks_keep_the_bits(monkeypatch, n):
+    # a budget of one target per chunk cuts a word row's targets into three or more chunks, and leaves
+    # every value's bits
     from mstasep import bethe
 
-    rt = draw_rates(np.random.default_rng(43), 4)
-    initial = ParticleState((0, 1, 2, 3), (4, 2, 1, 3))
-    targets = [
-        ParticleState((0, 1, 2, 4), (2, 4, 1, 3)),
-        ParticleState((1, 2, 3, 5), (4, 1, 3, 2)),
-        ParticleState((0, 2, 3, 4), (4, 2, 1, 3)),
-    ]
+    initial, tables = row_reading_targets(n)
+    rt = draw_rates(np.random.default_rng(43 + n), n)
     params = SpectralParams(nodes_per_dim=8, max_nodes=8)
-    single = transition_matrix(initial, targets, 0.3, rt, params=params)
-    # two grid rows per slab: slabs (0, 2), (2, 4), (4, 5) over the folded rows 0 .. 4
-    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", 2 * 8**3 * 24 * 64)
-    assert len(bethe._slab_ranges(8, 4, 24)) >= 3
-    serial = transition_matrix(initial, targets, 0.3, rt, params=params, threads=1)
-    threaded = transition_matrix(initial, targets, 0.3, rt, params=params, threads=2)
-    for a, b, ref in zip(serial, threaded, single):
-        assert a.value == b.value  # the pool keeps the slab reduction order
-        assert abs(a.value - ref.value) <= 1e-14 * abs(ref.value)
+    single, _, nodes = transition_arrays(initial, *tables["window"], 0.3, rt, params=params)
+    chunks, split = [], bethe._chunks
+    monkeypatch.setattr(bethe, "_chunks", lambda *args: chunks.append(len(split(*args))) or split(*args))
+    monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", 1.0)
+    chunked = transition_arrays(initial, *tables["window"], 0.3, rt, params=params)[0]
+    assert max(chunks) >= 3 and sum(chunks) == (nodes > 0).sum()
+    assert chunked.tobytes() == single.tobytes()
 
 
 def test_refinement_reports_error_and_converges():
@@ -640,11 +599,11 @@ def test_node_powers_past_the_float_range_raise_naming_the_target():
 
 
 def test_time_guard_counts_every_factor(monkeypatch):
-    # t/radius = 400 passes one factor, but the grid multiplies N = 2 of them and its sum is not
-    # finite: N t/radius = 800 raises before any slab runs
+    # t/radius = 400 passes one factor, but a term multiplies N = 2 of them and its sum is not
+    # finite: N t/radius = 800 raises before any probe runs
     from mstasep import bethe
 
-    monkeypatch.setattr(bethe, "_slab_moments", lambda *args: pytest.fail("a slab ran"))
+    monkeypatch.setattr(bethe, "_grid_values", lambda *args: pytest.fail("a probe ran"))
     params = SpectralParams(radius=0.00125, nodes_per_dim=32, max_nodes=32)
     with pytest.raises(OverflowRisk, match="N t/radius = 800"):
         transition_probability(
@@ -992,13 +951,41 @@ def test_gap_past_the_node_cap_raises(gap):
         transition_probability(start, start, 0.5, RateTable((1.0, 2.0)))
 
 
-def test_not_converged_still_raised_at_large_time():
-    # N = 2 at t = 6 loses the default radius's roundoff floor: refinement stops at max_nodes
+def test_large_time_window_matches_the_oracle():
+    # N = 2 at t = 6: each moment carries one time factor exp(t/xi), and the window converges at 128
+    # nodes, every value within adapt_tol of the oracle row
     rt = RateTable((1.0, 2.0))
     start = ParticleState((0, 1), (2, 1))
-    positions, words = window_states(start, default_window(start, rt, 6.0)[1])
+    gen = build_generator(start, rt, default_window(start, rt, 6.0))
+    probs, leak = matrix_exponential_row(gen, start, 6.0)
+    assert leak < 1e-11
+    value, errs, nodes = transition_arrays(start, gen.positions, gen.words, 6.0, rt)
+    assert (nodes == 128).all()
+    assert np.abs(value - probs).max() <= SpectralParams().adapt_tol
+
+
+def test_not_converged_still_raised_at_large_time():
+    # N = 2 at t = 8 loses the default radius's roundoff floor: refinement stops at max_nodes
+    rt = RateTable((1.0, 2.0))
+    start = ParticleState((0, 1), (2, 1))
+    positions, words = window_states(start, default_window(start, rt, 8.0)[1])
     with pytest.raises(NotConverged, match="256 nodes"):
-        transition_arrays(start, positions, words, 6.0, rt)
+        transition_arrays(start, positions, words, 8.0, rt)
+
+
+@pytest.mark.parametrize("t, max_leak", [(0.1, 1e-10), (0.3, 1e-7)])
+def test_default_five_particle_call_matches_the_oracle(t, max_leak):
+    # the default adaptive path at N = 5 against the oracle row on sites 0 .. 10, whose leaked mass
+    # is 1.9e-11 at t = 0.1 and 4.0e-8 at t = 0.3: the eight likeliest states, each within its est_error
+    rt = RateTable((1.0, 1.25, 1.5, 1.75, 2.0))
+    start = ParticleState((0, 1, 2, 3, 4), (5, 4, 3, 2, 1))
+    gen = build_generator(start, rt, (0, 10))
+    probs, leak = matrix_exponential_row(gen, start, t)
+    assert len(gen.states) == 55440 and leak < max_leak
+    top = np.argsort(probs)[::-1][:8]
+    got = transition_matrix(start, [gen.states[k] for k in top], t, rt, allow_large=True)
+    for res, k in zip(got, top):
+        assert res.nodes_used > 0 and abs(res.value - probs[k]) <= res.est_error + 1e-12
 
 
 @pytest.mark.parametrize(

@@ -315,7 +315,7 @@ def test_verify_chunks_match_one_batch(monkeypatch, suite, size, trials, budget,
     whole = runner(size, 5, trials, 1)
     unsplit = len(calls)
     calls.clear()
-    monkeypatch.setattr(bethe, "_SLAB_BUDGET_BYTES", budget)
+    monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", budget)
     sizes = []
     apply = SlotAction.apply
     monkeypatch.setattr(

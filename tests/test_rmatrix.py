@@ -345,28 +345,6 @@ def test_slot_action_matches_dense_factor(n):
                 assert v.T.reshape(got.shape).tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_slot_action_on_rows_forms_those_rows_only(n):
-    # a row-restricted factor writes its rows with the full factor's bits, in place too, and no other
-    rng = np.random.default_rng(210 + n)
-    rt = draw_rates(rng, n)
-    sp = draw_point(rng, n, rt)
-    block = build_sector(tuple(range(n, 0, -1)))
-    cols = rng.normal(size=(block.dim, 5)) + 1j * rng.normal(size=(block.dim, 5))
-    for slot in range(1, n):
-        full = SlotAction(block, slot, np.asarray(rt)).apply(sp.xi[1], sp.xi[0], cols)
-        for rows in [{0}, set(rng.choice(block.dim, size=block.dim // 3, replace=False).tolist())]:
-            action = SlotAction(block, slot, np.asarray(rt), rows=rows)
-            assert {*action.asc, *action.eq, *action.desc} == rows
-            kept = np.isin(np.arange(block.dim), list(rows))
-            fresh = action.apply(sp.xi[1], sp.xi[0], cols, out=np.full_like(cols, np.nan))
-            v = cols.copy()
-            action.apply(sp.xi[1], sp.xi[0], v, out=v)
-            for got in (fresh, v):
-                assert got[kept].tobytes() == full[kept].tobytes()
-            assert np.isnan(fresh[~kept]).all() and v[~kept].tobytes() == cols[~kept].tobytes()
-
-
 def test_factor_rejects_block_not_closed_under_exchange():
     rt = RateTable((1.0, 2.0, 0.5))
     sp = SpectralPoint((0.1, 0.2j, -0.15))
