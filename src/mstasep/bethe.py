@@ -82,6 +82,7 @@ from .core import (
     enumerate_sn,
     finite_positive,
     state_arrays,
+    unique_rows,
     validate_state,
     word_codes,
     word_floors,
@@ -318,10 +319,14 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
     # the target rows' terms: like terms merge and exact cancellations drop, sorted by row and permutation
     coef, key = (np.concatenate(c) for c in zip(*cols))
     read = np.isin(key[:, 0], rows)
-    key, at = np.unique(key[read], axis=0, return_inverse=True)
-    coef = np.bincount(at.ravel(), weights=coef[read], minlength=len(key))
+    key = key[read]
+    first, at = unique_rows(key)
+    key = key[first]
+    coef = np.bincount(at, weights=coef[read], minlength=len(key))
     coef, key = coef[coef != 0], key[coef != 0]
-    poles, sig = np.unique(key[:, e0:].reshape(-1, species), axis=0, return_inverse=True)
+    signatures = key[:, e0:].reshape(-1, species)
+    first, sig = unique_rows(signatures)
+    poles = signatures[first]
     a, sig, axis = key[:, 2:e0], sig.reshape(-1, n), np.argsort(_image_rows(n), axis=1)[key[:, 1]]
     bounds = {int(r): slice(*np.searchsorted(key[:, 0], [r, r + 1])) for r in rows}  # keys sort by row first
     return poles, {r: (coef[s], a[s], sig[s], axis[s]) for r, s in bounds.items()}

@@ -302,18 +302,15 @@ def cmd_simulate(
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
     try:
-        counts = oracle.gillespie(cfg.initial, cfg.rates, cfg.time, n_samples, seed)
+        positions, words, count = oracle._tally(cfg.initial, cfg.rates, cfg.time, n_samples, seed)
     except ValueError as exc:  # a hop past the int64 maximum
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    states = sorted(counts, key=lambda s: (s.positions, s.species))
-    positions, words = state_arrays(states, len(cfg.initial))
-    count = np.array([counts[s] for s in states])
     freq = count / n_samples
     columns = {
         "value": freq,
         "est_error": 4.0 * np.sqrt(freq * (1.0 - freq) / n_samples),
-        "nodes_used": np.full(len(states), n_samples),
+        "nodes_used": np.full(len(count), n_samples),
         "count": count,
     }
     _write_columns(positions, words, columns, fmt or cfg.output_format or "csv", _output_path(out, cfg))

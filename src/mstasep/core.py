@@ -7,7 +7,8 @@ lexicographically.  Elements of the symmetric group are enumerated
 breadth-first from the identity so that every element carries a canonical
 reduced word back to the identity.  The states reachable inside a lattice
 window are listed directly from the words reachable by overtaking swaps,
-each with a floor below which its positions cannot lie.
+each with a floor below which its positions cannot lie, as a grid of
+increasing position rows by words.
 
 Each input rule is written once, here: :func:`check_int`, :func:`check_real`
 and :func:`check_time` for scalars (a bool is neither integer nor real), and
@@ -194,6 +195,23 @@ def validate_state(state: ParticleState, rates: RateTable) -> None:
 def word_codes(words: np.ndarray, n: int) -> np.ndarray:
     """Mixed-radix code of each row of a (T, n) word table (letter s is digit s - 1), in word order."""
     return (words - 1) @ (n ** np.arange(n - 1, -1, -1))
+
+
+def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (K, C) integer table, by one lexsort and its run starts.
+
+    Returns ``(first, inverse)``: ``table[first]`` lists the distinct rows in
+    lexicographic order, each at its first occurrence, and ``inverse[j]`` is
+    the place of row j among them; for int64 rows the order and inverse of
+    ``np.unique(table, axis=0, return_inverse=True)``.
+    """
+    order = np.lexsort(table.T[::-1])
+    ordered = table[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 class WordBlock:
@@ -393,6 +411,30 @@ def _increasing_rows(floor: Sequence[int], hi: int) -> np.ndarray:
     return rows
 
 
+def window_grid(initial: ParticleState, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states of :func:`window_states` as a grid of position rows by words.
+
+    Returns ``(rows, words, reach)``: the strictly increasing (R, N) int64 rows
+    x >= the start's positions with x_N <= hi, and the (W, N) int64 words
+    :func:`word_floors` reaches, each in lexicographic order, and the (R, W)
+    mask of the pairs with floor(w) <= x.  Every floor lies above the start's
+    positions, so the mask holds every reachable state, and it reads row-major
+    in (positions, species) order.  An edge outside the int64 range raises
+    ValueError.
+    """
+    if hi >= _INT64.max:  # x_N + 1 must fit int64 too
+        raise ValueError(f"window edge {hi} outside the int64 range")
+    floors = word_floors(initial)
+    ordered = sorted(floors)
+    words = np.array(ordered, dtype=np.int64)
+    floor = np.array([floors[w] for w in ordered], dtype=np.int64)
+    rows = _increasing_rows(initial.positions, hi)
+    reach = np.ones((len(rows), len(words)), dtype=bool)
+    for j in range(len(initial)):
+        reach &= rows[:, j, None] >= floor[:, j]
+    return rows, words, reach
+
+
 def window_states(initial: ParticleState, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Every state reachable from ``initial`` with no particle right of site ``hi``.
 
@@ -400,13 +442,10 @@ def window_states(initial: ParticleState, hi: int) -> tuple[np.ndarray, np.ndarr
     (x, w) is reachable iff w is reachable by overtaking swaps and x is
     strictly increasing with floor(w) <= x componentwise and x_N <= hi (see
     :func:`word_floors`).  Returns (T, N) int64 position and word arrays,
-    sorted by (positions, species).  An edge outside the int64 range raises
-    ValueError.
+    sorted by (positions, species): the reachable cells of
+    :func:`window_grid`, read row-major.  An edge outside the int64 range
+    raises ValueError.
     """
-    if hi >= _INT64.max:  # x_N + 1 must fit int64 too
-        raise ValueError(f"window edge {hi} outside the int64 range")
-    blocks = [(_increasing_rows(z, hi), w) for w, z in word_floors(initial).items()]
-    positions = np.concatenate([x for x, _ in blocks])
-    words = np.concatenate([np.tile(np.array(w, dtype=np.int64), (len(x), 1)) for x, w in blocks])
-    order = np.lexsort(np.column_stack([positions, words]).T[::-1])
-    return positions[order], words[order]
+    rows, words, reach = window_grid(initial, hi)
+    r, k = np.nonzero(reach)
+    return rows[r], words[k]

@@ -8,9 +8,12 @@ generator, solves the forward equations by uniformization, and draws exact
 trajectories.
 
 Both work on (S, N) int64 position and word tables.  The generator's states
-come from :func:`core.window_states`, sorted by (positions, species), and
-destination rows are found by binary search on one integer key per state.
-Gillespie holds every sample as one row and steps all rows in lockstep.
+are the reachable cells of :func:`core.window_grid`, position rows by words,
+numbered in (positions, species) order by the grid's running count; a move's
+destination is read from a table by rank, the successor row of a hop or the
+partner word of a swap, and each generator row's columns come out ascending,
+so nothing is sorted or searched per state.  Gillespie holds every sample as
+one row, steps all rows in lockstep, and counts each chunk's final rows once.
 
 scipy.sparse is imported inside the two functions that use it, so importing
 the package (and ``mstasep prob``, which never calls the oracle) does without
@@ -38,7 +41,8 @@ from .core import (
     finite_positive,
     state_arrays,
     validate_state,
-    window_states,
+    unique_rows,
+    window_grid,
     word_codes,
 )
 
@@ -103,7 +107,7 @@ class _StateIndex(Mapping[ParticleState, int]):
             raise KeyError(state) from None
         if not self._lo <= positions[0, 0] <= positions[0, -1] <= self._hi:
             raise KeyError(state)
-        code = _state_keys(positions, words, self._lo, self._hi)[0]
+        code = _row_keys(positions, self._lo, self._hi)[0] * self._n**self._n + word_codes(words, self._n)[0]
         k = int(np.searchsorted(self._keys, code))
         if k == len(self._keys) or self._keys[k] != code:
             raise KeyError(state)
@@ -116,13 +120,12 @@ class _StateIndex(Mapping[ParticleState, int]):
         return iter(self._states)
 
 
-def _state_keys(positions: np.ndarray, words: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Mixed-radix int64 key of each row of (k, N) position and word tables (see _StateIndex)."""
-    n = words.shape[1]
+def _row_keys(positions: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Mixed-radix int64 key of each row of a (k, N) position table, the positions of a state key."""
     keys = np.zeros(len(positions), dtype=np.int64)
-    for j in range(n):
+    for j in range(positions.shape[1]):
         keys = keys * (hi - lo + 1) + (positions[:, j] - lo)
-    return keys * n**n + word_codes(words, n)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -176,15 +179,26 @@ def build_generator(
 
     ``window`` is a pair of integer sites (lo, hi); a float or bool edge
     raises TypeError, and a window not holding the start raises
-    WindowTooSmall.  States are listed by :func:`core.window_states`, sorted by
-    (positions, species).  A window whose keys (see :class:`GeneratorWindow`)
-    could pass int64, (hi - lo + 1)**N * N**N > 2**63, raises WindowTooWide
-    before any array is built.
+    WindowTooSmall.  States are the reachable cells of
+    :func:`core.window_grid`, sorted by (positions, species).  A window whose
+    keys (see :class:`GeneratorWindow`) could pass int64,
+    (hi - lo + 1)**N * N**N > 2**63, raises WindowTooWide before any array is
+    built.
 
     The hop and swap masks of :func:`_jump_masks` give each state's moves.
     The diagonal sums the enabled rates particle by particle, left to right.
     A hop past ``hi`` adds to the diagonal and to ``leak_rates`` but has no
     destination column.
+
+    The grid's running count numbers the states, so every destination is
+    read from a table: a swap keeps the position row and takes the partner
+    word (a (W, N - 1) table), a hop keeps the word and takes the successor
+    row (an (R, N) table from one binary search over the R row keys).  A swap
+    makes the word, and so the column, smaller, the more so at a lower slot;
+    a hop makes the row larger, the more so further left.  So each row's
+    columns ascend as swaps from slot 1, the diagonal, and hops from the
+    rightmost particle to the leftmost, and the CSR arrays are one boolean
+    compress of an (S, 2N) table.
     """
     import scipy.sparse as sparse
 
@@ -199,30 +213,45 @@ def build_generator(
     if radix**n * n**n > 2**63:
         raise WindowTooWide(f"window [{lo}, {hi}] too wide to key {n}-particle states in int64")
 
-    positions, words = window_states(initial, hi)
+    grid_rows, grid_words, reach = window_grid(initial, hi)
+    r, k = np.nonzero(reach)
+    # the state number of each reachable cell; int32 where it fits, as scipy would copy int64 indices down
+    rank_type = np.int32 if reach.size < 2**31 else np.int64
+    rank = np.cumsum(reach, dtype=rank_type).reshape(reach.shape) - 1
+    positions, words = grid_rows[r], grid_words[k]
     positions.setflags(write=False)
     words.setflags(write=False)
-    keys = _state_keys(positions, words, lo, hi)
+    row_keys, codes = _row_keys(grid_rows, lo, hi), word_codes(grid_words, n)
+    # a hop of particle i adds one to position digit i; a swap at slot i exchanges word digits i and i + 1.
+    # A blocked hop or an ascending slot has no destination: its table entry is clamped and never read.
+    hop_step = np.array([radix ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    successor = np.minimum(np.searchsorted(row_keys, row_keys[:, None] + hop_step), len(row_keys) - 1)
+    swap_step = n ** np.arange(n - 1, 0, -1) - n ** np.arange(n - 2, -1, -1)
+    descending = grid_words[:, :-1] > grid_words[:, 1:]
+    partner = np.searchsorted(codes, codes[:, None] + (grid_words[:, 1:] - grid_words[:, :-1]) * swap_step)
+    partner = np.where(descending, partner, 0)
+
     b = np.array(rates.rates)[words - 1]
     hop, swap = _jump_masks(positions, words)
     out_rate = np.where(hop | swap, b, 0.0).sum(axis=1)
     leak = np.where(positions[:, -1] == hi, b[:, -1], 0.0)
     hop[:, -1] &= positions[:, -1] < hi
-    # a successor's key is the state's plus a fixed step: a hop of particle i adds one
-    # to position digit i, a swap exchanges word digits i and i + 1
-    hop_step = np.array([radix ** (n - 1 - i) * n**n for i in range(n)], dtype=np.int64)
-    swap_step = np.array([n ** (n - 1 - i) - n ** (n - 2 - i) for i in range(n - 1)], dtype=np.int64)
-    h_row, h_i = np.nonzero(hop)
-    s_row, s_i = np.nonzero(swap)
-    dest = np.concatenate(
-        [keys[h_row] + hop_step[h_i], keys[s_row] + (words[s_row, s_i + 1] - words[s_row, s_i]) * swap_step[s_i]]
+    dim = len(positions)
+    # (S, 2N) tables, a row's entries in column order: swaps by slot, the diagonal, hops right to left
+    entry = np.concatenate([swap[:, :-1], np.ones((dim, 1), dtype=bool), hop[:, ::-1]], axis=1)
+    indptr = np.concatenate([[0], np.cumsum(entry.sum(axis=1))])
+    at = np.flatnonzero(entry)
+    data = np.concatenate([b[:, :-1], -out_rate[:, None], b[:, ::-1]], axis=1).ravel()[at]
+    cols = np.concatenate(
+        [
+            rank[r[:, None], partner[k]],
+            np.arange(dim, dtype=rank_type)[:, None],
+            rank[successor[r, ::-1], k[:, None]],
+        ],
+        axis=1,
     )
-    dim = len(keys)
-    diag = np.arange(dim)
-    rows = np.concatenate([h_row, s_row, diag])
-    cols = np.concatenate([np.searchsorted(keys, dest), diag])
-    vals = np.concatenate([b[h_row, h_i], b[s_row, s_i], -out_rate])
-    q = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    q = sparse.csr_matrix((data, cols.ravel()[at], indptr), shape=(dim, dim))
+    keys = row_keys[r] * n**n + codes[k]
     return GeneratorWindow(
         lo=lo,
         hi=hi,
@@ -310,17 +339,14 @@ def _advance(positions: np.ndarray, words: np.ndarray, b: np.ndarray, t: float, 
         words[row, i], words[row, i + 1] = words[row, i + 1], words[row, i]
 
 
-def gillespie(
+def _tally(
     initial: ParticleState, rates: RateTable, t: float, n_samples: int, seed: int
-) -> dict[ParticleState, int]:
-    """Empirical distribution of the state at time t from exact simulation.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states :func:`gillespie` draws, as (D, N) position and word tables and (D,) counts.
 
-    All samples step in lockstep on (samples, N) arrays, drawing from one
-    ``np.random.default_rng(seed)``, so counts are reproducible per seed.  They
-    advance in chunks of a fixed size set by ``_STEP_BUDGET_BYTES``, so memory
-    stays bounded for any ``n_samples``.  ``t`` is checked as in
-    :func:`matrix_exponential_row`, ``n_samples`` and ``seed`` by
-    :func:`core.check_int`.  A hop past the int64 maximum raises ValueError.
+    Rows are distinct and sorted by (positions, species).  Each chunk's
+    finished rows are grouped once, by :func:`core.unique_rows` over their
+    2N columns, and merged into the distinct rows of the chunks before.
     """
     validate_state(initial, rates)
     check_time(t)
@@ -332,15 +358,47 @@ def gillespie(
     b = np.array(rates.rates)
     # step arrays peak at 73-454 bytes a sample for N = 1-8 (tracemalloc): under 64 (N + 1)
     chunk = max(1, _STEP_BUDGET_BYTES // (64 * (n + 1)))
-    counts: dict[ParticleState, int] = {}
+    seen, counts = np.empty((0, 2 * n), dtype=np.int64), np.empty(0, dtype=np.int64)
     for first in range(0, n_samples, chunk):
         k = min(chunk, n_samples - first)
-        for final in _advance(start.repeat(k, axis=0), word.repeat(k, axis=0), b, t, rng):
-            rows, seen = np.unique(final, axis=0, return_counts=True)
-            for r, c in zip(rows.tolist(), seen.tolist()):
-                state = ParticleState(tuple(r[:n]), tuple(r[n:]))
-                counts[state] = counts.get(state, 0) + c
-    return counts
+        finished = _advance(start.repeat(k, axis=0), word.repeat(k, axis=0), b, t, rng)
+        seen, counts = _add_rows(seen, counts, finished)
+    return seen[:, :n], seen[:, n:], counts
+
+
+def _add_rows(
+    seen: np.ndarray, counts: np.ndarray, blocks: Iterator[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``seen`` rows and their ``counts``, with every row of ``blocks`` added once.
+
+    A function of its own, so that a chunk's rows are freed before the next chunk steps.
+    """
+    rows = np.concatenate([seen, *blocks])
+    distinct, at = unique_rows(rows)
+    merged = np.bincount(at[len(seen) :], minlength=len(distinct))
+    np.add.at(merged, at[: len(seen)], counts)
+    return rows[distinct], merged
+
+
+def gillespie(
+    initial: ParticleState, rates: RateTable, t: float, n_samples: int, seed: int
+) -> dict[ParticleState, int]:
+    """Empirical distribution of the state at time t from exact simulation.
+
+    All samples step in lockstep on (samples, N) arrays, drawing from one
+    ``np.random.default_rng(seed)``, so counts are reproducible per seed.  They
+    advance in chunks of a fixed size set by ``_STEP_BUDGET_BYTES``, so memory
+    stays bounded for any ``n_samples``, and each chunk's final states are
+    counted in one pass (:func:`_tally`); the dict lists them sorted by
+    (positions, species).  ``t`` is checked as in
+    :func:`matrix_exponential_row`, ``n_samples`` and ``seed`` by
+    :func:`core.check_int`.  A hop past the int64 maximum raises ValueError.
+    """
+    positions, words, counts = _tally(initial, rates, t, n_samples, seed)
+    return {
+        ParticleState(tuple(x), tuple(w)): c
+        for x, w, c in zip(positions.tolist(), words.tolist(), counts.tolist())
+    }
 
 
 # Boundary-equation ingredients on a word block.  These never feed the

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from mstasep import ParticleState, RateTable, SpectralPoint, contour_bound
+from mstasep.core import _increasing_rows, word_floors
 
 # the benchmark's goodness-of-fit criterion for sampled counts, so tests and benchmark judge alike
 _spec = importlib.util.spec_from_file_location(
@@ -112,6 +113,19 @@ def reference_generator(initial, rates, window):
     dim = len(states)
     q = sparse.csr_matrix((np.array(vals), (np.array(rows), np.array(cols))), shape=(dim, dim))
     return tuple(states), q, np.array(leak)
+
+
+def reference_window_states(initial, hi):
+    """Window states as one block of increasing rows per reachable word, lexsorted afterwards.
+
+    Returns (T, N) int64 position and word arrays sorted by (positions, species);
+    an independent reference for ``core.window_states``.
+    """
+    blocks = [(_increasing_rows(z, hi), w) for w, z in word_floors(initial).items()]
+    positions = np.concatenate([x for x, _ in blocks])
+    words = np.concatenate([np.tile(np.array(w, dtype=np.int64), (len(x), 1)) for x, w in blocks])
+    order = np.lexsort(np.column_stack([positions, words]).T[::-1])
+    return positions[order], words[order]
 
 
 def reference_columns_text(positions, words, columns, fmt):

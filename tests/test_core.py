@@ -14,7 +14,7 @@ from mstasep import (
     default_window,
     enumerate_sn,
 )
-from helpers import inversions, reference_generator, sector_size
+from helpers import inversions, reference_generator, reference_window_states, sector_size
 from mstasep.core import build_sector, validate_state, window_states, word_floors
 
 
@@ -226,6 +226,23 @@ def test_window_states_of_the_descending_three_species_start():
     positions, words = window_states(ParticleState((0, 1, 2), (3, 2, 1)), 27)
     assert len(positions) == len(words) == 19656
     assert len(word_floors(ParticleState((0, 1, 2), (3, 2, 1)))) == 6
+
+
+@pytest.mark.parametrize(
+    "start, word, hi",
+    [
+        ((0, 1, 64), (3, 2, 1), 72),
+        ((0, 1, 64), (1, 3, 2), 70),
+        ((0, 1, 2, 3, 4), (5, 4, 3, 2, 1), 12),
+        ((0, 2, 3, 7, 8), (2, 5, 1, 4, 3), 12),
+    ],
+)
+def test_window_states_match_the_block_enumeration(start, word, hi):
+    # a gap of 62 sites and N = 5, beyond what the hypothesis draws reach
+    positions, words = window_states(ParticleState(start, word), hi)
+    ref_positions, ref_words = reference_window_states(ParticleState(start, word), hi)
+    assert positions.dtype == words.dtype == np.int64
+    assert np.array_equal(positions, ref_positions) and np.array_equal(words, ref_words)
 
 
 def test_window_states_edge_past_int64_rejected():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -91,6 +92,31 @@ def test_generator_bits_match_the_reference_on_n4_descending_window():
     assert gen.leak_rates.tobytes() == ref_leak[order].tobytes()
 
 
+@pytest.mark.parametrize(
+    "start, word, rates, window",
+    [
+        ((0, 1, 9), (3, 2, 1), (1.0, 1.5, 0.7), (0, 12)),  # a gap of 7 sites
+        ((0, 1, 6), (2, 3, 1), (0.6, 1.5, 1.1), (-2, 9)),
+        ((0, 1, 2, 3, 4), (5, 4, 3, 2, 1), (1.0, 1.25, 1.5, 1.75, 2.0), (0, 6)),
+        ((0, 1, 2, 4, 5), (3, 1, 5, 2, 4), (1.3, 0.6, 2.0, 1.1, 0.8), (0, 7)),
+    ],
+)
+def test_generator_csr_matches_the_reference_bit_for_bit(start, word, rates, window):
+    initial, rates = ParticleState(start, word), RateTable(rates)
+    gen = build_generator(initial, rates, window)
+    ref_states, ref_matrix, ref_leak = reference_generator(initial, rates, window)
+    row = {s: k for k, s in enumerate(ref_states)}
+    order = np.array([row[s] for s in gen.states])
+    ref = ref_matrix[order][:, order].tocsr()
+    ref.sort_indices()
+    q = gen.rate_matrix
+    assert q.has_sorted_indices and len(order) == len(ref_states)
+    assert q.data.tobytes() == ref.data.tobytes()
+    assert q.indices.dtype == ref.indices.dtype and q.indptr.dtype == ref.indptr.dtype
+    assert np.array_equal(q.indices, ref.indices) and np.array_equal(q.indptr, ref.indptr)
+    assert gen.leak_rates.tobytes() == ref_leak[order].tobytes()
+
+
 def test_window_too_small_raises():
     with pytest.raises(WindowTooSmall):
         build_generator(ParticleState((0, 5), (1, 2)), RT2, (0, 4))
@@ -146,7 +172,7 @@ def test_window_too_wide_for_int64_keys_raises_before_enumeration(monkeypatch):
     def no_states(*args, **kwargs):
         raise AssertionError("window enumerated before the key range was checked")
 
-    monkeypatch.setattr(oracle, "window_states", no_states)
+    monkeypatch.setattr(oracle, "window_grid", no_states)
     initial = ParticleState((0, 1, 2, 3), (4, 3, 2, 1))
     rates = RateTable((1.0, 1.2, 0.9, 1.1))
     # (hi - lo + 1)**4 * 4**4 passes 2**63 once hi - lo + 1 exceeds 2**13.75
@@ -358,6 +384,33 @@ def test_gillespie_runs_past_one_chunk(monkeypatch):
     assert chunks == [700] * 7 + [100]
     assert sum(counts.values()) == n
     assert chi_square_pvalue(counts, _expm_probs(initial, rt, t), n) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "start, word, rates",
+    [
+        ((3,), (1,), (1.4,)),
+        ((0, 1), (2, 1), (0.8, 1.7)),
+        ((0, 1, 5), (3, 1, 2), (2.0, 1.3, 0.7)),
+        ((0, 1, 2, 3), (4, 3, 2, 1), (1.0, 0.7, 1.9, 2.0)),
+    ],
+)
+def test_gillespie_counts_every_row_the_stepper_finishes(monkeypatch, start, word, rates):
+    n = len(start)
+    monkeypatch.setattr(oracle, "_STEP_BUDGET_BYTES", 64 * (n + 1) * 300)  # 300 samples a chunk
+    finished = Counter()
+    advance = oracle._advance
+
+    def counted(*args):
+        for block in advance(*args):
+            finished.update((tuple(r[:n]), tuple(r[n:])) for r in block.tolist())
+            yield block
+
+    monkeypatch.setattr(oracle, "_advance", counted)
+    counts = gillespie(ParticleState(start, word), RateTable(rates), 0.9, 1000, seed=5)
+    assert {(s.positions, s.species): c for s, c in counts.items()} == finished
+    assert list(counts) == sorted(counts, key=lambda s: (s.positions, s.species))
+    assert sum(finished.values()) == 1000 and len(finished) > 1
 
 
 def test_gillespie_memory_stays_in_the_step_budget(monkeypatch):
