@@ -2,7 +2,12 @@
 
 Job configuration lives in a single JSON file; unknown keys anywhere are
 rejected so typos surface immediately.  Probabilities are printed with 17
-significant digits so output files can be compared across implementations.
+significant digits so output files can be compared across implementations:
+each CSV float cell is exactly ``'%.17g' % v``, computed for a whole column
+at once in double-double arithmetic (values within 1e-6 of a rounding tie,
+infinities and NaN are formatted one at a time), and the CSV body is one
+(rows, width) byte matrix with every field at fixed slots and 0 bytes where
+no character goes, written once with the 0 bytes dropped.
 
 ``prob`` holds its targets as (T, N) int64 position and word arrays from
 start to finish: explicit targets in config order, or the ``"window"``
@@ -27,6 +32,7 @@ stochastic 1 to 4, boundary 2 to 5), 3 quadrature failed to converge.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,19 +218,171 @@ def resolve_targets(cfg: JobConfig) -> list[ParticleState]:
     return [ParticleState(x, w) for x, w in zip(positions.tolist(), words.tolist())]
 
 
-def _cells(table: np.ndarray) -> np.ndarray:
-    """Each integer of ``table`` as a string, each distinct value formatted once."""
+def _g17(value: float) -> bytes:
+    """``'%.17g' % value``, one value at a time: the float cells the array route leaves out."""
+    return ("%.17g" % value).encode()
+
+
+_LOG10_2 = math.log10(2.0)
+_TIE_BAND = 1e-6  # a scaled value this close to a half-integer is formatted by _g17
+
+
+class _Decimal:
+    """Tables for exact 17-digit decimal conversion of doubles, built on first use.
+
+    Per decimal exponent E = floor(log10 |x|): ``tens[E + 324]`` is the smallest double
+    at or above 10**E (E = -324 ... 309; 10**309 is past every double), and
+    ``affixes[E + 324]`` holds the bytes ``'%.17g'`` puts before the digits (up to
+    "0.000") and after them ("e+dd" or "e-ddd"), each 0-padded to 5 slots.
+
+    A double f * 2**e with 0.5 <= f < 1 has E = E0(e) = floor((e - 1) log10 2) or
+    E0(e) + 1.  ``hi`` and ``lo`` hold 10**(16 - E) * 2**e as a double-double, exact to
+    about 2**-106, for e in [-1073, 1024] and E - E0(e) in {0, 1}; an entry is computed
+    when a value first needs it.  Every entry is an exact constant, so one instance
+    serves every caller in the process.
+    """
+
+    def __init__(self) -> None:
+        tens, affixes = [], []
+        for E in range(-324, 309):
+            if E >= 0:
+                t = float(10**E)
+                below = int(t) < 10**E
+            else:
+                t = 1 / 10**-E
+                num, den = t.as_integer_ratio()
+                below = num * 10**-E < den
+            tens.append(math.nextafter(t, math.inf) if below else t)
+            lead = "0." + "0" * (-E - 1) if -4 <= E < 0 else ""
+            tail = "" if -4 <= E < 17 else "e%+03d" % E
+            affixes.append(lead.ljust(5, "\0") + tail.ljust(5, "\0"))
+        self.tens = np.array(tens + [math.inf])
+        self.affixes = np.frombuffer("".join(affixes).encode(), dtype=np.uint8).reshape(-1, 10)
+        self.hi = np.zeros((2098, 2))
+        self.lo = np.zeros((2098, 2))
+        self.known = np.zeros((2098, 2), dtype=bool)
+
+    def multipliers(self, e: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """hi and lo of 10**(16 - E) * 2**e, for E = E0(e) + up."""
+        key = (e + 1073, up.astype(np.intp))
+        if not self.known[key].all():
+            from fractions import Fraction  # only when an entry is missing: fractions loads decimal
+
+            need = np.zeros_like(self.known)
+            need[key] = True
+            for row, col in zip(*np.nonzero(need & ~self.known)):
+                b = int(row) - 1073
+                c = Fraction(10) ** (16 - math.floor((b - 1) * _LOG10_2) - int(col)) * Fraction(2) ** b
+                self.hi[row, col] = hi = float(c)
+                self.lo[row, col] = float(c - Fraction(hi))
+                self.known[row, col] = True
+        return self.hi[key], self.lo[key]
+
+
+@functools.cache
+def _decimal() -> _Decimal:
+    return _Decimal()
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split: a == hi + lo exactly, each with at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(f: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(f (hi + lo)) as int64, and the fraction it dropped, to about 1e-14.
+
+    f * hi is taken exactly as p + err (Dekker's two-product); the integer part of p
+    is exact, and the rest, below about 25, carries the fraction.
+    """
+    p = f * hi
+    (fh, fl), (hh, hl) = _split(f), _split(hi)
+    err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl
+    whole = np.floor(p)
+    rest = (p - whole) + (err + f * lo)
+    below = np.floor(rest)
+    return whole.astype(np.int64) + below.astype(np.int64), rest - below
+
+
+def _float_cells(col: np.ndarray) -> np.ndarray:
+    """(T, 45) uint8: each value's ``'%.17g'`` bytes at fixed slots, 0 where no character goes.
+
+    Slots: sign, up to "0.000", 17 (digit, point) pairs, then "e", the exponent's sign and
+    up to three exponent digits.  E = floor(log10 |x|) is exact, from the binary exponent
+    and one comparison with a power of ten; the 17 digits are |x| 10**(16 - E) rounded to
+    an integer, in double-double arithmetic.  Values within 1e-6 of a rounding tie,
+    infinities and NaN go through :func:`_g17`.
+    """
+    x = np.asarray(col, dtype=np.float64)
+    neg, zero = np.signbit(x), x == 0.0
+    a = np.where(np.isfinite(x) & ~zero, np.abs(x), 1.0)
+    f, e = np.frexp(a)
+    tables = _decimal()
+    E = np.floor((e - 1) * _LOG10_2).astype(np.int64)
+    up = a >= tables.tens[E + 325]  # 10**(E0 + 1)
+    E += up
+    D, frac = _scaled(f, *tables.multipliers(e, up))
+    D += frac > 0.5
+    carry = D == 10**17  # rounded up to the next power of ten
+    D[carry] = 10**16
+    E += carry
+    digits = np.empty((len(x), 17), dtype=np.uint8)
+    for k in range(16, -1, -1):
+        q = D // 10
+        digits[:, k] = D - 10 * q
+        D = q
+    digits += 48
+    nd = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)  # digits left after trailing zeros
+    digits[zero, 0] = 48  # zeros took 1.0's one digit and exponent: "0"
+    fixed = (E >= -4) & (E < 17)
+    digits *= np.arange(17) < np.where(fixed, np.maximum(nd, E + 1), nd)[:, None]
+    point = np.where(fixed, np.where(nd > E + 1, E, -1), np.where(nd > 1, 0, -1))
+    at = np.flatnonzero(point >= 0)
+    ends = tables.affixes[E + 324]
+    cells = np.zeros((len(x), 45), dtype=np.uint8)
+    cells[:, 0] = np.where(neg, ord("-"), 0)
+    cells[:, 1:6] = ends[:, :5]
+    cells[:, 6:40:2] = digits
+    cells[at, 7 + 2 * point[at]] = ord(".")
+    cells[:, 40:] = ends[:, 5:]
+    for i in np.flatnonzero(~np.isfinite(x) | (np.abs(frac - 0.5) < _TIE_BAND)).tolist():
+        text = _g17(float(x[i]))
+        cells[i] = 0
+        cells[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells
+
+
+def _int_cells(table: np.ndarray) -> np.ndarray:
+    """(T, K, W) uint8: each integer's ``%d`` bytes, 0-padded; each distinct value formatted once."""
     values, inverse = np.unique(table, return_inverse=True)
-    return np.array([str(v) for v in values.tolist()], dtype=str)[inverse.reshape(table.shape)]
+    text = ["%d" % v for v in values.tolist()]
+    width = max(map(len, text), default=1)
+    padded = "".join(s.ljust(width, "\0") for s in text).encode()
+    return np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)[inverse.reshape(table.shape)]
 
 
-def _joined(table: np.ndarray, sep: str) -> np.ndarray:
-    """Each row's integers joined by ``sep``."""
-    cells = _cells(table)
-    joined = cells[:, 0]
-    for k in range(1, table.shape[1]):
-        joined = np.char.add(np.char.add(joined, sep), cells[:, k])
-    return joined
+def _fields(cells: np.ndarray, sep: bytes) -> list:
+    """The K cells of each row, ``sep`` between them, as pieces for :func:`_byte_rows`."""
+    pieces: list = [cells[:, 0]]
+    for k in range(1, cells.shape[1]):
+        pieces += [sep, cells[:, k]]
+    return pieces
+
+
+def _byte_rows(pieces: list, rows: int) -> bytes:
+    """Rows laid side by side from pieces, each bytes (the same in every row) or a (rows, W)
+    uint8 block, then read row by row without the 0 bytes."""
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in pieces]
+    buf = np.zeros((rows, sum(widths)), dtype=np.uint8)
+    at = 0
+    for piece, width in zip(pieces, widths):
+        buf[:, at : at + width] = np.frombuffer(piece, dtype=np.uint8) if isinstance(piece, bytes) else piece
+        at += width
+    data = buf.tobytes()
+    del buf  # free the matrix before the compressed copy is made
+    return data.translate(None, b"\0")
 
 
 def _write_columns(
@@ -232,29 +390,31 @@ def _write_columns(
 ) -> None:
     """One row per state: its positions and species, then ``columns`` in order.
 
-    CSV prints floats with 17 significant digits and builds each row from one
-    format string, byte for byte what ``csv.writer`` writes for these cells:
-    the species cell is quoted when it holds a comma, and rows end with CRLF.
-    JSON writes a list of objects.  A path that cannot be written raises
+    CSV prints each float as exactly ``'%.17g' % v`` and writes the bytes ``csv.writer``
+    writes for these cells: the species cell is quoted when it holds a comma, and rows end
+    with CRLF.  The body is one byte matrix, each field at fixed slots, its 0 bytes dropped
+    in one pass.  JSON writes a list of objects.  A path that cannot be written raises
     ConfigError.
     """
     keys = ["positions", "species", *columns]
-    cells = [_joined(positions, ";").tolist(), _joined(words, ",").tolist()]
+    rows = len(positions)
+    xs, ws = _fields(_int_cells(positions), b";"), _fields(_int_cells(words), b",")
     if fmt == "json":
+        cells = [_byte_rows([*field, b"\n"], rows).decode().split("\n")[:-1] for field in (xs, ws)]
         cells += [col.tolist() for col in columns.values()]
-        text = json.dumps([dict(zip(keys, row)) for row in zip(*cells)], indent=2) + "\n"
+        data = (json.dumps([dict(zip(keys, row)) for row in zip(*cells)], indent=2) + "\n").encode()
     else:
-        floats = [col.dtype.kind == "f" for col in columns.values()]
-        cells += [col.tolist() if f else _cells(col).tolist() for col, f in zip(columns.values(), floats)]
-        species = '"%s"' if words.shape[1] > 1 else "%s"
-        row = ",".join(["%s", species, *("%.17g" if f else "%s" for f in floats)]) + "\r\n"
-        text = ",".join(keys) + "\r\n" + "".join(map(row.__mod__, zip(*cells)))
+        quote = [b'"'] if words.shape[1] > 1 else []
+        pieces = [*xs, b",", *quote, *ws, *quote]
+        for col in columns.values():
+            pieces += [b",", _float_cells(col) if col.dtype.kind == "f" else _int_cells(col[:, None])[:, 0]]
+        data = (",".join(keys) + "\r\n").encode() + _byte_rows([*pieces, b"\r\n"], rows)
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
         try:
-            with open(path, "w") as handle:
-                handle.write(text)
+            with open(path, "wb") as handle:
+                handle.write(data)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
 

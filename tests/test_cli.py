@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_columns_text, reference_generator
-from mstasep import ParticleState, RateTable, default_window, transition_matrix
+from mstasep import ParticleState, RateTable, cli, default_window, transition_matrix
+from mstasep.bethe import transition_arrays
 from mstasep.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -23,6 +24,7 @@ from mstasep.cli import (
     main,
     parse_config,
     resolve_targets,
+    target_arrays,
     _write_columns,
 )
 
@@ -218,6 +220,78 @@ def test_cmd_simulate_writes_the_same_bytes_as_the_csv_writer(tmp_path):
     assert main(argv + ["--out", str(out_path)]) == EXIT_OK
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     assert digest == "41e159b041307df8b7a7ea597a85a530a6d0a978545cdd51d4fcc9f2ef37b526"
+
+
+def test_float_cells_are_exactly_percent_17g(monkeypatch):
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, size=5_000, dtype=np.uint64).view(np.float64)
+    ties = 1.0 + np.arange(1, 2001) * 2.0**-17  # odd j: 18 significant digits ending in 5
+    tens = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    neighbours = np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
+    largest = np.finfo(np.float64).max
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, largest, 1e16, 1e17, 1e-5, 9.5e-5])
+    x = np.concatenate([bits, -bits, subnormal, -subnormal, ties, -ties, neighbours, -neighbours, special])
+    fallback, g17 = [], cli._g17
+
+    def counted(value):
+        fallback.append(value)
+        return g17(value)
+
+    monkeypatch.setattr(cli, "_g17", counted)
+    got = [bytes(row[row != 0]).decode() for row in cli._float_cells(x)]  # 0 bytes dropped
+    want = [format(v, ".17g") for v in x.tolist()]
+    assert [(v, g) for v, g, w in zip(x.tolist(), got, want) if g != w] == []
+    assert set((-ties[::2]).tolist()) | set(ties[::2].tolist()) <= set(fallback)
+
+
+WINDOW_N3_SEED_0 = {  # the benchmark's window-n3 job at seed 0
+    "rates": [2.0, 1.8346081869172015, 1.3357070753093394],
+    "initial": {"positions": [0, 1, 2], "species": [3, 2, 1]},
+    "time": 0.8,
+    "targets": "window",
+}
+
+
+@pytest.fixture(scope="module")
+def window_n3_table():
+    cfg = parse_config(json.dumps(WINDOW_N3_SEED_0))
+    positions, words = target_arrays(cfg)
+    value, est_error, nodes_used = transition_arrays(cfg.initial, positions, words, cfg.time, cfg.rates)
+    return cfg, positions, words, {"value": value, "est_error": est_error, "nodes_used": nodes_used}
+
+
+def test_window_n3_table_needs_no_per_value_formatting(window_n3_table, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_g17", lambda value: calls.append(value) or b"")
+    cfg = window_n3_table[0]
+    assert cmd_prob(cfg, out=str(tmp_path / "out.csv")) == EXIT_OK
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cmd_prob_writes_the_reference_bytes_on_the_window_n3_table(window_n3_table, tmp_path, fmt):
+    cfg, positions, words, columns = window_n3_table
+    assert len(positions) == 19656
+    out_path = tmp_path / f"out.{fmt}"
+    assert cmd_prob(cfg, out=str(out_path), fmt=fmt) == EXIT_OK
+    assert out_path.read_bytes() == reference_columns_text(positions, words, columns, fmt).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["prob", "simulate"])
+def test_standard_output_gets_the_bytes_of_the_output_file(tmp_path, capfdbinary, command, fmt):
+    cfg_path, out_path = tmp_path / "job.json", tmp_path / f"out.{fmt}"
+    cfg_path.write_text(minimal_config(targets="window"))
+    argv = [command, "--config", str(cfg_path), "--format", fmt]
+    if command == "simulate":
+        argv += ["--samples", "500"]
+    assert main(argv + ["--out", str(out_path)]) == EXIT_OK
+    capfdbinary.readouterr()
+    assert main(argv + ["--out", "-"]) == EXIT_OK
+    written = capfdbinary.readouterr().out
+    assert written == out_path.read_bytes()
+    assert (b"\r\n" in written) == (fmt == "csv")
 
 
 def test_cmd_simulate_single_sample_at_time_zero(tmp_path):
