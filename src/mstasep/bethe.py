@@ -334,26 +334,23 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
 
 def _grid_values(
     y: np.ndarray,
-    nu_idx: int,
     axes: list[tuple[np.ndarray, np.ndarray]],
     rows: np.ndarray,
     t: float,
     rates: RateTable,
-    sector: WordBlock,
     m: int,
     radius: float,
     scale: float,
-    threads: int = 1,
-    terms: Optional[tuple[np.ndarray, dict]] = None,
+    terms: tuple[np.ndarray, dict],
 ) -> np.ndarray:
     """The m-node trapezoid sum over permutations, a real value per target (constants excluded).
 
     Positions are relative to the start's leftmost site: ``y`` is the start's, ``axes[i]`` the
-    distinct i-th target positions with each target's index into them.  ``nu_idx`` and ``rows`` are
-    the start's and targets' word rows.  Powers are taken of ``nodes * scale``, a power of two.
-    ``terms`` is :func:`_row_terms` of ``rows``, built when not given; ``threads`` selects nothing.
+    distinct i-th target positions with each target's index into them.  ``rows`` are the targets'
+    word rows and ``terms`` is :func:`_row_terms` of them.  Powers are taken of ``nodes * scale``,
+    a power of two.
     """
-    poles, terms = terms or _row_terms(sector, nu_idx, np.unique(rows), rates)
+    poles, terms = terms
     nodes = radius * np.exp(2j * np.pi * np.arange(m) / m)
     # one weight per node and pole signature: node weight, time factor and the poles' powers
     pole = 1.0 - np.array(rates.rates)[:, None] * nodes  # (species, m)
@@ -387,7 +384,6 @@ def transition_arrays(
     t: float,
     rates: RateTable,
     params: Optional[SpectralParams] = None,
-    threads: int = 1,
     allow_large: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transition probabilities from one state to the targets of a table, as arrays.
@@ -397,8 +393,7 @@ def transition_arrays(
     and int64 ``nodes_used`` arrays, one entry per target with the meaning of
     the :class:`ProbabilityResult` fields.
 
-    All targets share one term walk and, per probe, one table of moments.
-    ``threads`` is validated and selects nothing.  The
+    All targets share one term walk and, per probe, one table of moments.  The
     support is what :func:`core.word_floors` reaches: a reachable word, at or
     above its floor; every other target is an exact 0 with ``nodes_used`` 0,
     and runs no probe.  The table is validated as a whole by
@@ -424,8 +419,6 @@ def transition_arrays(
     positions, words = np.asarray(positions), np.asarray(words)
     check_table(positions, words, n)
     check_time(t)
-    if check_int(threads, "threads") < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     if n > MAX_PARTICLES_HARD:
         raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES_HARD})")
     if n > MAX_PARTICLES_DEFAULT and not allow_large:
@@ -461,7 +454,6 @@ def transition_arrays(
         overflow((x[quad] > _INT64.max + min(int(y[0]), 0)).any(axis=1), "is too far from the start for int64")
         xq, y = x[quad] - y[0], y - y[0]
         axes = [np.unique(col, return_inverse=True) for col in xq.T]
-        nu_idx = sector.index(initial.species)
         # decay * prod_s b_s**d_s (d_s: summed displacement of species s), over the terms' scale**P
         b, eye = np.array(rates.rates), np.eye(rates.n_species)  # float sums of positions never wrap
         d = (eye[words[quad] - 1] * xq[..., None]).sum(axis=1) - y @ eye[np.array(initial.species) - 1]
@@ -469,13 +461,12 @@ def transition_arrays(
         with np.errstate(all="ignore"):  # a tiny radius overflows scale**n: the probe reports it
             scale = np.exp2(-np.round(np.log2(radius)))
             consts = decay * scale**n * np.prod((b / scale) ** d, axis=1)
-        terms = _row_terms(sector, nu_idx, np.unique(rows), rates)  # exponents do not depend on m
+        # the terms' exponents do not depend on m
+        terms = _row_terms(sector, sector.index(initial.species), np.unique(rows), rates)
 
         @np.errstate(all="ignore")  # any other overflow shows in the value, and raises there
         def probe(m):
-            value = consts * _grid_values(
-                y, nu_idx, axes, rows, t, rates, sector, m, radius, scale, threads, terms
-            )
+            value = consts * _grid_values(y, axes, rows, t, rates, m, radius, scale, terms)
             overflow(~np.isfinite(value), f"overflows the spectral route at {m} nodes")
             return value
 
@@ -509,10 +500,15 @@ def transition_matrix(
     A thin wrapper over :func:`transition_arrays`: the targets become its
     position and word arrays (see :func:`core.state_arrays` for the errors that
     raises), and its arrays one :class:`ProbabilityResult` per target.
+    ``threads`` must be an integer of at least 1 and selects nothing: every
+    probe runs on the calling thread.  It stays only because the benchmark's
+    ``grid-n4`` job passes ``threads=1``.
     """
+    if check_int(threads, "threads") < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     positions, words = state_arrays(targets, rates.n_species)
     value, errs, nodes = transition_arrays(
-        initial, positions, words, t, rates, params=params, threads=threads, allow_large=allow_large
+        initial, positions, words, t, rates, params=params, allow_large=allow_large
     )
     columns = (value.tolist(), errs.tolist(), nodes.tolist())
     return [ProbabilityResult(*r) for r in zip(*columns)]
@@ -524,10 +520,7 @@ def transition_probability(
     t: float,
     rates: RateTable,
     params: Optional[SpectralParams] = None,
-    threads: int = 1,
     allow_large: bool = False,
 ) -> ProbabilityResult:
     """Probability of finding the system at ``target`` at time t."""
-    return transition_matrix(
-        initial, [target], t, rates, params=params, threads=threads, allow_large=allow_large
-    )[0]
+    return transition_matrix(initial, [target], t, rates, params=params, allow_large=allow_large)[0]

@@ -22,8 +22,8 @@ overflow bound included), or a start gap whose node floor leaves too few
 rungs within ``max_nodes``, fixed-node calls included
 (:class:`bethe.NodeFloorExceeded`), ``prob`` checking these before
 enumerating a window; a target too far from the start for int64, or one
-whose probe value overflows (:class:`bethe.OverflowRisk`); ``--threads``
-below 1; ``--samples`` below 1; a negative ``--seed`` for ``simulate`` or
+whose probe value overflows (:class:`bethe.OverflowRisk`); ``--samples``
+below 1; a negative ``--seed`` for ``simulate`` or
 ``verify``; a ``verify`` run with ``--trials`` below 1 or a ``--size``
 outside its suite's range: yang-baxter and welldef 3 to 6, oracle 2 to 3,
 stochastic 1 to 4, boundary 2 to 5), 3 quadrature failed to converge.
@@ -424,19 +424,19 @@ def _output_path(out: Optional[str], cfg: JobConfig) -> str:
     return next(p for p in (out, cfg.output_path, "-") if p is not None)
 
 
-def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = None, threads: int = 1) -> int:
+def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = None) -> int:
     """Compute one row per target and write them in target order.
 
     Explicit targets keep their config order; window targets are sorted by
     (positions, species), as ``simulate`` sorts its rows.
     """
     try:  # the spectral guards, then the targets: no window is enumerated for a rejected job
-        bethe.transition_matrix(cfg.initial, [], cfg.time, cfg.rates, params=cfg.spectral, threads=threads)
+        bethe.transition_matrix(cfg.initial, [], cfg.time, cfg.rates, params=cfg.spectral)
         if cfg.targets == "window":  # every window target has x_1 >= y_1: the gap is the start's span
             bethe.node_ladder(cfg.initial.positions[-1] - cfg.initial.positions[0], cfg.spectral)
         positions, words = target_arrays(cfg)
         value, est_error, nodes_used = bethe.transition_arrays(
-            cfg.initial, positions, words, cfg.time, cfg.rates, params=cfg.spectral, threads=threads
+            cfg.initial, positions, words, cfg.time, cfg.rates, params=cfg.spectral
         )
     except (ValueError, bethe.OverflowRisk) as exc:  # also a far target, or a gap past the node cap
         print(f"config error: {exc}", file=sys.stderr)
@@ -494,7 +494,7 @@ def _draw_trials(rng: np.random.Generator, n: int, trials: int) -> tuple[np.ndar
     return mags * np.exp(1j * phases), b
 
 
-def _suite_welldef(size: int, seed: int, trials: int, threads: int) -> float:
+def _suite_welldef(size: int, seed: int, trials: int) -> float:
     """Braid relation: the factor products along (i, i+1, i) and (i+1, i, i+1) agree."""
     xi, b = _draw_trials(np.random.default_rng(seed), size, trials)
     # both products and their difference, at the largest sector (dim size!)
@@ -504,7 +504,7 @@ def _suite_welldef(size: int, seed: int, trials: int, threads: int) -> float:
     )
 
 
-def _suite_oracle(size: int, seed: int, trials: int, threads: int) -> float:
+def _suite_oracle(size: int, seed: int, trials: int) -> float:
     rng = np.random.default_rng(seed)
     initial_positions = tuple(range(size))
     words = {
@@ -520,14 +520,12 @@ def _suite_oracle(size: int, seed: int, trials: int, threads: int) -> float:
             for t in times:
                 gen = oracle.build_generator(initial, rates, default_window(initial, rates, t))
                 probs, _ = oracle.matrix_exponential_row(gen, initial, t)
-                value, _, _ = bethe.transition_arrays(
-                    initial, gen.positions, gen.words, t, rates, threads=threads
-                )
+                value, _, _ = bethe.transition_arrays(initial, gen.positions, gen.words, t, rates)
                 worst = max(worst, float(np.abs(value - probs).max()))
     return worst
 
 
-def _suite_stochastic(size: int, seed: int, trials: int, threads: int) -> float:
+def _suite_stochastic(size: int, seed: int, trials: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     t = 1.0
@@ -536,7 +534,7 @@ def _suite_stochastic(size: int, seed: int, trials: int, threads: int) -> float:
         word = tuple(rng.integers(1, size + 1, size=size))
         initial = ParticleState(tuple(range(size)), word)
         positions, words = window_states(initial, default_window(initial, rates, t)[1])
-        value = bethe.transition_arrays(initial, positions, words, t, rates, threads=threads)[0]
+        value = bethe.transition_arrays(initial, positions, words, t, rates)[0]
         worst = max(worst, abs(1.0 - sum(value.tolist())))
     return worst
 
@@ -570,7 +568,7 @@ def _boundary_residual(xi: np.ndarray, b: np.ndarray, base: np.ndarray, sector) 
     return worst
 
 
-def _suite_boundary(size: int, seed: int, trials: int, threads: int) -> float:
+def _suite_boundary(size: int, seed: int, trials: int) -> float:
     """Adjacency condition of the Bethe sum, trials grouped by sector and checked a group at once."""
     rng = np.random.default_rng(seed)
     xi, b = _draw_trials(rng, size, trials)
@@ -604,7 +602,6 @@ def cmd_verify(
     size: Optional[int] = None,
     seed: int = 0,
     trials: Optional[int] = None,
-    threads: int = 1,
 ) -> int:
     """Run one named property suite and report max residual against its tolerance."""
     if suite not in SUITES:
@@ -618,7 +615,7 @@ def cmd_verify(
         raise ConfigError(f"--trials must be at least 1, got {trials}")
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    residual = runner(size, seed, trials, threads)
+    residual = runner(size, seed, trials)
     passed = residual < tol
     status = "PASS" if passed else "FAIL"
     print(
@@ -638,56 +635,41 @@ def _load_config(path: str) -> JobConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON job configuration")
-    common.add_argument("--out", default=None, help="output path, '-' for stdout")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1, help="at least 1; selects nothing")
-
     parser = argparse.ArgumentParser(
         prog="mstasep",
         description="Transition probabilities for the multi-species TASEP "
         "with species-dependent rates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("prob", parents=[common], help="compute transition probabilities")
-    p_verify = sub.add_parser("verify", parents=[common], help="run a property suite")
+    p_prob = sub.add_parser("prob", help="compute transition probabilities")
+    p_verify = sub.add_parser("verify", help="run a property suite")
+    p_sim = sub.add_parser("simulate", help="empirical distribution by simulation")
+    for p in (p_prob, p_sim):  # each verb takes only the flags it reads
+        p.add_argument("--config", default=None, help="JSON job configuration")
+        p.add_argument("--out", default=None, help="output path, '-' for stdout")
+        p.add_argument("--format", choices=("csv", "json"), default=None)
+    p_sim.add_argument("--samples", type=int, required=True)
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--size", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None)
-    p_sim = sub.add_parser(
-        "simulate", parents=[common], help="empirical distribution by simulation"
-    )
-    p_sim.add_argument("--samples", type=int, required=True)
+    for p in (p_sim, p_verify):
+        p.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "verify":
+            return cmd_verify(args.suite, size=args.size, seed=args.seed, trials=args.trials)
         if args.out == "":
             raise ConfigError("--out must not be empty; use '-' for standard output")
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        if args.config is None:
+            raise ConfigError(f"{args.command} requires --config")
+        cfg = _load_config(args.config)
         if args.command == "prob":
-            if args.config is None:
-                raise ConfigError("prob requires --config")
-            cfg = _load_config(args.config)
-            return cmd_prob(cfg, out=args.out, fmt=args.format, threads=args.threads)
-        if args.command == "verify":
-            return cmd_verify(
-                args.suite, size=args.size, seed=args.seed, trials=args.trials,
-                threads=args.threads,
-            )
-        if args.command == "simulate":
-            if args.config is None:
-                raise ConfigError("simulate requires --config")
-            cfg = _load_config(args.config)
-            return cmd_simulate(
-                cfg, n_samples=args.samples, seed=args.seed, out=args.out, fmt=args.format
-            )
+            return cmd_prob(cfg, out=args.out, fmt=args.format)
+        return cmd_simulate(cfg, n_samples=args.samples, seed=args.seed, out=args.out, fmt=args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":  # pragma: no cover

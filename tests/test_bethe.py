@@ -236,7 +236,7 @@ def test_support_is_the_reachable_set(monkeypatch, seed):
     # the targets that reach the quadrature are exactly the states the jump rules reach
     from mstasep import bethe
 
-    monkeypatch.setattr(bethe, "_grid_values", lambda y, nu_idx, axes, rows, *rest: np.ones(len(rows)))
+    monkeypatch.setattr(bethe, "_grid_values", lambda y, axes, rows, *rest: np.ones(len(rows)))
     rng = np.random.default_rng(seed)
     start = ParticleState(
         tuple(int(v) for v in np.sort(rng.choice(8, size=3, replace=False))),
@@ -631,9 +631,10 @@ def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
     radius = rng.uniform(0.2, 0.9) * contour_bound(rt)
     c = -round(math.log2(radius))
     m = 8 if n == 4 else 16
-    args = (y, sector.index(word), axes, rows, 0.4, rt, sector, m, radius)
-    plain = bethe._grid_values(*args, 1.0, 1)
-    scaled = bethe._grid_values(*args, 2.0**c, 1)
+    terms = bethe._row_terms(sector, sector.index(word), np.unique(rows), rt)
+    args = (y, axes, rows, 0.4, rt, m, radius)
+    plain = bethe._grid_values(*args, 1.0, terms)
+    scaled = bethe._grid_values(*args, 2.0**c, terms)
     powers = x.sum(axis=1) - y.sum() - n
     assert np.array_equal(scaled, np.ldexp(plain, c * powers))
 
@@ -973,15 +974,24 @@ def test_not_converged_still_raised_at_large_time():
         transition_arrays(start, positions, words, 8.0, rt)
 
 
-@pytest.mark.parametrize("t, max_leak", [(0.1, 1e-10), (0.3, 1e-7)])
-def test_default_five_particle_call_matches_the_oracle(t, max_leak):
-    # the default adaptive path at N = 5 against the oracle row on sites 0 .. 10, whose leaked mass
-    # is 1.9e-11 at t = 0.1 and 4.0e-8 at t = 0.3: the eight likeliest states, each within its est_error
-    rt = RateTable((1.0, 1.25, 1.5, 1.75, 2.0))
-    start = ParticleState((0, 1, 2, 3, 4), (5, 4, 3, 2, 1))
-    gen = build_generator(start, rt, (0, 10))
+@pytest.mark.parametrize(
+    "n, t, hi, states, max_leak",
+    [
+        pytest.param(5, 0.1, 10, 55440, 1e-10, id="0.1-1e-10"),
+        pytest.param(5, 0.3, 10, 55440, 1e-7, id="0.3-1e-07"),
+        pytest.param(6, 0.05, 9, 151200, 5e-9, id="n6-0.05-5e-09"),
+    ],
+)
+def test_default_five_particle_call_matches_the_oracle(n, t, hi, states, max_leak):
+    # the name predates the N = 6 case and is kept so that the N = 5 node ids stay stable
+    # the default adaptive path at N = 5 and 6 against the oracle row on sites 0 .. hi, whose leaked
+    # mass is 1.9e-11 at N = 5, t = 0.1, 4.0e-8 at N = 5, t = 0.3 and 2.5e-9 at N = 6, t = 0.05:
+    # the eight likeliest states, each within its est_error
+    rt = RateTable(tuple(np.linspace(1.0, 2.0, n).tolist()))  # 1, 1.25, ..., 2 and 1, 1.2, ..., 2
+    start = ParticleState(tuple(range(n)), tuple(range(n, 0, -1)))
+    gen = build_generator(start, rt, (0, hi))
     probs, leak = matrix_exponential_row(gen, start, t)
-    assert len(gen.states) == 55440 and leak < max_leak
+    assert len(gen.states) == states and leak < max_leak
     top = np.argsort(probs)[::-1][:8]
     got = transition_matrix(start, [gen.states[k] for k in top], t, rt, allow_large=True)
     for res, k in zip(got, top):

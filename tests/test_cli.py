@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +189,7 @@ def _writer_tables(n, rows):
     words = rng.integers(1, n + 1, size=(40, n))
     value = rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)
     value[:9] = [5e-324, 2.5e-310, -1e-320, 0.0, -0.0, 1.0, -3.0, 2.0**60, 0.1]  # subnormal, integral
+    value[9:12] = [math.nan, math.inf, -math.inf]  # each format's own spelling of them
     nodes_used = rng.choice([0, 32, 48, 64, 96], size=40)
     count = rng.integers(-(2**62), 2**62, size=40)
     count[0] = edge.max
@@ -386,7 +389,7 @@ def test_verify_chunks_match_one_batch(monkeypatch, suite, size, trials, budget,
     calls = []
     checked = getattr(cli_mod, inner)
     monkeypatch.setattr(cli_mod, inner, lambda *a: calls.append(1) or checked(*a))
-    whole = runner(size, 5, trials, 1)
+    whole = runner(size, 5, trials)
     unsplit = len(calls)
     calls.clear()
     monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", budget)
@@ -395,7 +398,7 @@ def test_verify_chunks_match_one_batch(monkeypatch, suite, size, trials, budget,
     monkeypatch.setattr(
         SlotAction, "apply", lambda self, xb, xa, v, **k: sizes.append(v.nbytes) or apply(self, xb, xa, v, **k)
     )
-    assert runner(size, 5, trials, 1) == whole
+    assert runner(size, 5, trials) == whole
     assert len(calls) > unsplit
     assert max(sizes) <= budget
 
@@ -434,21 +437,38 @@ def test_main_unwritable_out_path_exit_code(tmp_path, capsys, command, out):
     assert not (tmp_path / "missing_dir").exists()
 
 
-def test_main_threads_below_one_exit_code(tmp_path, capsys):
-    cfg_path = tmp_path / "job.json"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--config", "{config}", "--out", "{out}", "--seed", "1"],
+        ["prob", "--config", "{config}", "--out", "{out}", "--threads", "1"],
+        ["simulate", "--config", "{config}", "--out", "{out}", "--samples", "10", "--threads", "1"],
+        ["verify", "welldef", "--trials", "2", "--out", "{out}"],
+        ["verify", "welldef", "--trials", "2", "--config", "{config}"],
+    ],
+)
+def test_main_rejects_a_flag_its_verb_does_not_read(tmp_path, capsys, argv):
+    # argparse exits 2 before any verb runs: nothing is computed and no file is written
+    cfg_path, out_path = tmp_path / "job.json", tmp_path / "never.csv"
     cfg_path.write_text(minimal_config())
-    assert main(["prob", "--config", str(cfg_path), "--threads", "0"]) == EXIT_CONFIG
-    assert main(["verify", "oracle", "--trials", "1", "--threads", "-3"]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(config=cfg_path, out=out_path) for a in argv])
+    assert exc.value.code == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: ") and captured.out == ""
-
-
-def test_cmd_prob_rejects_threads_below_one(tmp_path, capsys):
-    cfg = parse_config(minimal_config(targets="window"))
-    out_path = tmp_path / "never.csv"
-    assert cmd_prob(cfg, out=str(out_path), threads=0) == EXIT_CONFIG
+    assert "unrecognized arguments" in captured.err and captured.out == ""
     assert not out_path.exists()
-    assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["prob", "simulate", "verify"])
+def test_readme_synopsis_lists_each_verbs_flags(capsys, verb):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.search(r"```sh\n(.*?)```", readme.split("## Command line", 1)[1], re.S).group(1)
+    (line,) = [ln for ln in synopsis.splitlines() if ln.split()[:2] == ["mstasep", verb]]
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    flags = re.compile(r"--[a-z]+")
+    assert flags.findall(line) == flags.findall(usage)
 
 
 def test_cmd_prob_not_converged_exit_code(tmp_path):
@@ -511,7 +531,7 @@ def test_main_verify_and_prob_paths(tmp_path):
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(minimal_config())
     out_path = tmp_path / "rows.csv"
-    assert main(["prob", "--config", str(cfg_path), "--out", str(out_path), "--threads", "2"]) == EXIT_OK
+    assert main(["prob", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_OK
     assert out_path.exists()
 
 
@@ -718,7 +738,9 @@ def test_main_rejects_arguments_that_check_nothing_or_crash(tmp_path, capsys, ar
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(minimal_config())
     out_path = tmp_path / "never.csv"
-    argv = [a.format(config=cfg_path) for a in argv] + ["--out", str(out_path)]
+    argv = [a.format(config=cfg_path) for a in argv]
+    if argv[0] == "simulate":  # verify has no output file
+        argv += ["--out", str(out_path)]
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ") and captured.out == ""
