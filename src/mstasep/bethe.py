@@ -37,11 +37,12 @@ e_alpha - 1 at the letter's species, T to b times it with a_beta + 1 and
 minus b times it with a_alpha + 1, each with e_alpha - 1, and a descending
 row negates.  Rows are classed by the :meth:`core.WordBlock.slot_table` the
 dense path reads, each permutation carries only the rows some target row
-depends on (:func:`_needed_rows`), and like terms merge.  A probe builds the
-moments on its nodes and gathers each target's terms, in chunks under
-``_CHUNK_BUDGET_BYTES``.  Each moment sums its nodes, and each target its
-terms, in a fixed order, so a value has the same bits on repeated calls,
-alone or in a batch, and however it is chunked.
+depends on (:func:`_needed_rows`), like terms merge, and past
+``_CHUNK_BUDGET_BYTES`` of carried terms the walk raises.  A probe builds the
+moments on its nodes and gathers each target's terms in chunks under that
+budget.  Each moment sums its nodes, and each target its terms, in a fixed
+order, so a value has the same bits on repeated calls, alone or in a batch,
+and however it is chunked.
 
 Targets enter as one table: :func:`transition_arrays` takes (T, N) int64
 position and word arrays, validates them with :func:`core.check_table`, keeps
@@ -89,13 +90,12 @@ from .core import (
 )
 from .rmatrix import chain_factors, contour_bound
 
-MAX_PARTICLES_DEFAULT = 4
-MAX_PARTICLES_HARD = 6
+MAX_PARTICLES = 6
 
 # a term multiplies N moments, each with a time factor exp(t/xi): past this, exp(N t/radius) overflows
 OVERFLOW_EXPONENT = 700.0
 
-# target bytes for one chunk of an array of targets by terms or trials
+# target bytes for one chunk of an array of targets by terms or trials, and the most a term walk carries
 _CHUNK_BUDGET_BYTES = 2.0e8
 
 # largest node count per dimension SpectralParams accepts
@@ -282,12 +282,14 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
     (K, N) arrays, for each of ``rows``: term k is coef[k] prod_d xi_d**a[k, d]
     prod_s (1 - b_s xi_d)**poles[sig[k, d], s], and its axis d pairs with target axis
     axis[k, d].  Terms are listed permutation by permutation in ``enumerate_sn`` order.
+    The walk raises ValueError as soon as the columns it carries pass ``_CHUNK_BUDGET_BYTES``.
     """
     n, dim, perms = sector.word_length, sector.dim, enumerate_sn(sector.word_length)
     pos = {elem.image: k for k, elem in enumerate(perms)}
     need, b, species = _needed_rows(sector, rows), np.array(rates.rates), rates.n_species
     e0 = 2 + n  # a column is a table of terms: coefficients, and keys of row, permutation, a and e
     cols = [(np.ones(1), np.array([[nu_idx] + [0] * (e0 - 1 + n * species)]))]  # the identity's e_nu
+    carried = 0
     for k, elem in enumerate(perms[1:], 1):
         slot, beta, alpha = chain_factors(elem)[-1]
         _, eq, asc, partner, eq_letter, asc_letter = sector.slot_table(slot)
@@ -316,6 +318,10 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
         key = np.concatenate([s_key, beta_key, alpha_key])
         key[:, 1] = k
         cols.append((np.concatenate([s_coef, t_coef, -t_coef]), key))
+        carried += cols[-1][0].nbytes + key.nbytes
+        if carried > _CHUNK_BUDGET_BYTES:
+            why = f"{_CHUNK_BUDGET_BYTES:g} bytes; split the targets by word row"
+            raise ValueError(f"the term walk for {len(rows)} word rows passes its budget of {why}")
     # the target rows' terms: like terms merge and exact cancellations drop, sorted by row and permutation
     coef, key = (np.concatenate(c) for c in zip(*cols))
     read = np.isin(key[:, 0], rows)
@@ -384,7 +390,6 @@ def transition_arrays(
     t: float,
     rates: RateTable,
     params: Optional[SpectralParams] = None,
-    allow_large: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transition probabilities from one state to the targets of a table, as arrays.
 
@@ -402,7 +407,8 @@ def transition_arrays(
     SpeciesOutOfRange, each naming the first bad target; a position of the
     initial state outside the int64 range raises ValueError.  An empty table
     runs every guard and returns empty arrays.  :class:`OverflowRisk` follows
-    the module's three rules; no value returned is NaN or inf.
+    the module's three rules; no value returned is NaN or inf.  More than
+    ``MAX_PARTICLES`` particles, or a term walk past its budget, raise ValueError.
 
     Node counts climb :func:`node_ladder`, the rungs above the largest start
     gap G = max(y_k - x_i) over the targets in the support, until the largest
@@ -419,13 +425,8 @@ def transition_arrays(
     positions, words = np.asarray(positions), np.asarray(words)
     check_table(positions, words, n)
     check_time(t)
-    if n > MAX_PARTICLES_HARD:
-        raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES_HARD})")
-    if n > MAX_PARTICLES_DEFAULT and not allow_large:
-        raise ValueError(
-            f"{n} particles needs allow_large=True (cost grows with the terms per word row, "
-            "at most 10, 106 and 1,968 at N = 3, 4 and 5)"
-        )
+    if n > MAX_PARTICLES:
+        raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES})")
     radius = params.radius if params.radius is not None else default_radius(rates)
     bound = contour_bound(rates)
     if not 0 < radius < bound:
@@ -493,7 +494,6 @@ def transition_matrix(
     rates: RateTable,
     params: Optional[SpectralParams] = None,
     threads: int = 1,
-    allow_large: bool = False,
 ) -> list[ProbabilityResult]:
     """Transition probabilities from one state to many targets at time t.
 
@@ -507,9 +507,7 @@ def transition_matrix(
     if check_int(threads, "threads") < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     positions, words = state_arrays(targets, rates.n_species)
-    value, errs, nodes = transition_arrays(
-        initial, positions, words, t, rates, params=params, allow_large=allow_large
-    )
+    value, errs, nodes = transition_arrays(initial, positions, words, t, rates, params=params)
     columns = (value.tolist(), errs.tolist(), nodes.tolist())
     return [ProbabilityResult(*r) for r in zip(*columns)]
 
@@ -520,7 +518,6 @@ def transition_probability(
     t: float,
     rates: RateTable,
     params: Optional[SpectralParams] = None,
-    allow_large: bool = False,
 ) -> ProbabilityResult:
     """Probability of finding the system at ``target`` at time t."""
-    return transition_matrix(initial, [target], t, rates, params=params, allow_large=allow_large)[0]
+    return transition_matrix(initial, [target], t, rates, params=params)[0]

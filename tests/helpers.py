@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 from collections import deque
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -153,3 +154,32 @@ def reference_columns_text(positions, words, columns, fmt):
     writer.writerow(keys)
     writer.writerows(zip(*cells))
     return buf.getvalue()
+
+
+def canonical_config(cfg):
+    """Canonical serialization of a ``cli.JobConfig``: sorted keys, two-space indent, trailing newline.
+
+    Parsing the output with ``cli.parse_config`` and serializing again reproduces it byte for byte.
+    """
+    data = {
+        "rates": list(cfg.rates.rates),
+        "initial": {
+            "positions": list(cfg.initial.positions),
+            "species": list(cfg.initial.species),
+        },
+        "time": cfg.time,
+        "targets": "window"
+        if cfg.targets == "window"
+        else [
+            {"positions": list(tg.positions), "species": list(tg.species)} for tg in cfg.targets
+        ],
+        "spectral": asdict(cfg.spectral),
+    }
+    if cfg.output_format is not None or cfg.output_path is not None:
+        out = {}
+        if cfg.output_format is not None:
+            out["format"] = cfg.output_format
+        if cfg.output_path is not None:
+            out["path"] = cfg.output_path
+        data["output"] = out
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"

@@ -464,8 +464,13 @@ def test_gather_chunks_keep_the_bits(monkeypatch, n):
     params = SpectralParams(nodes_per_dim=8, max_nodes=8)
     single, _, nodes = transition_arrays(initial, *tables["window"], 0.3, rt, params=params)
     chunks, split = [], bethe._chunks
-    monkeypatch.setattr(bethe, "_chunks", lambda *args: chunks.append(len(split(*args))) or split(*args))
-    monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", 1.0)
+
+    def one_per_chunk(count, item_bytes):  # an item past the budget: a lower budget stops the term walk
+        parts = split(count, 2 * bethe._CHUNK_BUDGET_BYTES)
+        chunks.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(bethe, "_chunks", one_per_chunk)
     chunked = transition_arrays(initial, *tables["window"], 0.3, rt, params=params)[0]
     assert max(chunks) >= 3 and sum(chunks) == (nodes > 0).sum()
     assert chunked.tobytes() == single.tobytes()
@@ -723,23 +728,60 @@ def test_four_particles_agree_with_generator():
 
 
 def test_particle_count_gate():
-    rt = RateTable((1.0,) * 5)
-    state = ParticleState(tuple(range(5)), (1, 1, 1, 1, 1))
-    with pytest.raises(ValueError, match="allow_large"):
-        transition_probability(state, state, 0.1, rt)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="7 particles unsupported"):
         seven = ParticleState(tuple(range(7)), (1,) * 7)
-        transition_probability(seven, seven, 0.1, RateTable((1.0,) * 7), allow_large=True)
-    # five identical blocked particles: only the rightmost can move, so the
-    # survival probability is a bare exponential.  Rates below one push the
-    # amplitude poles far from the contour, so one coarse pass suffices.
+        transition_probability(seven, seven, 0.1, RateTable((1.0,) * 7))
+    # five identical blocked particles run below the limit of six: only the rightmost can move, so
+    # the survival probability is a bare exponential.  Rates below one push the amplitude poles far
+    # from the contour, so one coarse pass suffices.
+    state = ParticleState(tuple(range(5)), (1, 1, 1, 1, 1))
     slow = RateTable((0.5,) * 5)
-    res = transition_probability(
-        state, state, 0.2, slow, params=SpectralParams(nodes_per_dim=8, max_nodes=8),
-        allow_large=True,
-    )
+    res = transition_probability(state, state, 0.2, slow, params=SpectralParams(nodes_per_dim=8, max_nodes=8))
     assert res.value == pytest.approx(math.exp(-0.1), abs=2e-4)
     assert res.nodes_used == 8
+
+
+def test_term_walk_past_the_budget_raises(monkeypatch):
+    # every word row of the descending N = 4 start carries about 0.3 MB of terms; a budget of a few
+    # kB refuses the call, naming the rows and the budget, one column past it
+    from mstasep import bethe
+
+    rt = RateTable((1.0, 4 / 3, 5 / 3, 2.0))
+    start = ParticleState((0, 1, 2, 3), (4, 3, 2, 1))
+    positions, words = window_states(start, 8)
+    assert len(np.unique(words, axis=0)) == 24
+    columns, factors = [], bethe.chain_factors
+    monkeypatch.setattr(bethe, "chain_factors", lambda elem: columns.append(1) or factors(elem))
+    monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", 4096)
+    with pytest.raises(ValueError, match="24 word rows passes its budget of 4096 bytes"):
+        transition_arrays(start, positions, words, 0.5, rt)
+    assert 1 < len(columns) < 23  # the first columns fit, and the walk stops before the last
+    columns.clear()
+    monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", 1)
+    with pytest.raises(ValueError, match="budget of 1 bytes"):
+        transition_arrays(start, positions, words, 0.5, rt)
+    assert len(columns) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: at N t/radius = 680, just under the time guard, 32 fixed nodes "
+    "return -7.1e287 with est_error 0",
+)
+def test_near_guard_call_meets_the_error_contract():
+    # the contract of ROADMAP item 16: a finite value within est_error of the oracle, or a named error
+    rt = RateTable((1.0, 1.2))
+    start = ParticleState((0, 1), (2, 1))
+    gen = build_generator(start, rt, default_window(start, rt, 0.5))
+    probs, leak = matrix_exponential_row(gen, start, 0.5)
+    assert leak < 1e-12
+    params = SpectralParams(radius=0.5 / 340, nodes_per_dim=32, max_nodes=32)
+    try:
+        res = transition_probability(start, start, 0.5, rt, params=params)
+    except (ContourInvalid, NodeFloorExceeded, NotConverged, OverflowRisk):
+        return
+    assert math.isfinite(res.value) and abs(res.value - probs[gen.index[start]]) <= res.est_error + 1e-12
 
 
 def test_imaginary_parts_stay_small_over_window():
@@ -993,7 +1035,7 @@ def test_default_five_particle_call_matches_the_oracle(n, t, hi, states, max_lea
     probs, leak = matrix_exponential_row(gen, start, t)
     assert len(gen.states) == states and leak < max_leak
     top = np.argsort(probs)[::-1][:8]
-    got = transition_matrix(start, [gen.states[k] for k in top], t, rt, allow_large=True)
+    got = transition_matrix(start, [gen.states[k] for k in top], t, rt)
     for res, k in zip(got, top):
         assert res.nodes_used > 0 and abs(res.value - probs[k]) <= res.est_error + 1e-12
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_columns_text, reference_generator
+from helpers import canonical_config, reference_columns_text, reference_generator
 from mstasep import ParticleState, RateTable, cli, default_window, transition_matrix
 from mstasep.bethe import transition_arrays
 from mstasep.cli import (
@@ -19,7 +19,6 @@ from mstasep.cli import (
     EXIT_VERIFY_FAIL,
     ConfigError,
     JobConfig,
-    canonical_config,
     cmd_prob,
     cmd_simulate,
     cmd_verify,
@@ -505,10 +504,10 @@ def test_cmd_prob_node_floor_exit_code(tmp_path, capsys):
     [
         {"spectral": {"radius": 0.6}},  # outside the admissible disk (0.5) of rates (1, 2)
         {"time": 1000.0},  # t/radius far past the overflow guard
-        {  # five particles: past the default particle limit
-            "rates": [1.0, 1.2, 1.4, 1.6, 1.8],
-            "initial": {"positions": [0, 1, 2, 3, 4], "species": [5, 4, 3, 2, 1]},
-            "targets": [{"positions": [0, 1, 2, 3, 4], "species": [1, 2, 3, 4, 5]}],
+        {  # seven particles: past the particle limit of six
+            "rates": [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2],
+            "initial": {"positions": [0, 1, 2, 3, 4, 5, 6], "species": [7, 6, 5, 4, 3, 2, 1]},
+            "targets": [{"positions": [0, 1, 2, 3, 4, 5, 6], "species": [1, 2, 3, 4, 5, 6, 7]}],
         },
         {  # N t/radius = 2 * 30 / 0.05 = 1200: the time guard counts both factors
             "rates": [1.0, 10.0],
@@ -524,6 +523,42 @@ def test_cmd_prob_contour_config_exit_code(tmp_path, capsys, patch):
     assert cmd_prob(cfg, out=str(out_path)) == EXIT_CONFIG
     assert not out_path.exists()
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+FIVE_PARTICLE_JOB = {  # descending start on sites 0-4, rates 1, 1.25, ..., 2
+    "rates": [1.0, 1.25, 1.5, 1.75, 2.0],
+    "initial": {"positions": [0, 1, 2, 3, 4], "species": [5, 4, 3, 2, 1]},
+    "time": 0.1,
+    "targets": [
+        {"positions": [0, 1, 2, 3, 4], "species": [5, 4, 3, 2, 1]},
+        {"positions": [0, 1, 2, 3, 5], "species": [5, 4, 3, 2, 1]},
+        {"positions": [0, 1, 2, 3, 4], "species": [4, 5, 3, 2, 1]},
+    ],
+}
+
+
+def test_main_prob_runs_five_particles(tmp_path):
+    cfg_path, out_path = tmp_path / "job.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(FIVE_PARTICLE_JOB))
+    assert main(["prob", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_OK
+    cfg = parse_config(cfg_path.read_text())
+    value, est_error, nodes_used = transition_arrays(cfg.initial, *target_arrays(cfg), cfg.time, cfg.rates)
+    rows = list(csv.DictReader(out_path.open(newline="")))
+    assert [float(r["value"]) for r in rows] == value.tolist()
+    assert [float(r["est_error"]) for r in rows] == est_error.tolist()
+    assert [int(r["nodes_used"]) for r in rows] == nodes_used.tolist() and (nodes_used > 0).all()
+
+
+def test_main_prob_term_walk_past_the_budget_exit_code(tmp_path, monkeypatch, capsys):
+    from mstasep import bethe
+
+    monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", 4096)
+    cfg_path, out_path = tmp_path / "job.json", tmp_path / "never.csv"
+    cfg_path.write_text(json.dumps(FIVE_PARTICLE_JOB))
+    assert main(["prob", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_CONFIG
+    assert not out_path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "2 word rows passes its budget of 4096 bytes" in err
 
 
 def test_main_verify_and_prob_paths(tmp_path):
