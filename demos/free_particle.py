@@ -4,7 +4,7 @@
 With one particle there is no interaction at all: the walker hops right at
 its species rate b, so the displacement after time t is Poisson(b*t).  The
 spectral formula reproduces the pmf to near machine precision, which makes
-this the simplest end-to-end sanity check of the quadrature.
+this the simplest end-to-end sanity check of the residue series.
 """
 
 import math
@@ -23,5 +23,5 @@ print(f"{'x':>3} {'computed':>22} {'poisson pmf':>22} {'abs diff':>10}")
 for x, res in enumerate(results):
     exact = math.exp(-b * t) * (b * t) ** x / math.factorial(x)
     print(f"{x:>3} {res.value:>22.16f} {exact:>22.16f} {abs(res.value - exact):>10.1e}")
-print(f"\nnodes per contour: {results[0].nodes_used}, "
-      f"largest refinement delta: {max(r.est_error for r in results):.1e}")
+print(f"\nseries terms per moment: {results[0].nodes_used}, "
+      f"largest error bound: {max(r.est_error for r in results):.1e}")

@@ -37,7 +37,7 @@ for t in (0.25, 1.0):
     total = sum(r.value for r in results)
 
     print(f"t={t}: {len(gen.states)} window states in {toc:.1f}s "
-          f"({results[0].nodes_used} nodes/contour)")
+          f"({results[0].nodes_used} series terms per moment)")
     print(f"  mass by species word: "
           + "  ".join(f"{''.join(map(str, w))}:{m:.4f}" for w, m in sorted(word_mass.items())))
     print(f"  max |spectral - markov| = {dev:.2e}, window sum = {total:.9f}\n")

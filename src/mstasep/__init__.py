@@ -63,4 +63,4 @@ __all__ = [
     "transition_probability",
 ]
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

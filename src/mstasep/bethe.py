@@ -1,35 +1,25 @@
 """Finite-time transition probabilities from the contour-integral representation.
 
 Each probability is a sum over the symmetric group of N-fold integrals over
-a common circle around the origin.  The circle must keep every amplitude
-pole 1/b_l outside; the trapezoid rule on equispaced nodes then converges
-geometrically, and raising the node count along a ladder of two rungs per
-octave (32, 48, 64, 96, ...) until two successive values agree gives a
-computable error estimate.
+a common circle around the origin that keeps every amplitude pole 1/b_l
+outside.  At one spectral point the sum over the symmetric group is
+:func:`bethe_sum`: the amplitude matrices of :func:`rmatrix.build_all_A`,
+stacked on a leading permutation axis, contracted with the plane-wave phases
+in one product.
 
-The m-node rule cannot tell xi^p from xi^(p mod m), and two rules alias alike
-when a start gap is a common multiple of their node counts.  So every call
-probes only the rungs above the largest start gap max(y_k - x_i), a ladder of
-one rung at fixed nodes (:func:`node_ladder`), and raises
-:class:`NodeFloorExceeded` when too few fit; no adaptive value goes unconfirmed.
-
-At one spectral point the sum over the symmetric group is :func:`bethe_sum`:
-the amplitude matrices of :func:`rmatrix.build_all_A`, stacked on a leading
-permutation axis, contracted with the plane-wave phases in one product.
-
-The N-fold trapezoid sum never visits the grid of node tuples.  The factors
+The integrals are never sampled.  The factors
 S = -(1 - b xi_beta)/(1 - b xi_alpha) and T = b (xi_beta - xi_alpha)/(1 - b xi_alpha)
 are sums of at most two products of one-variable functions, so every entry of
 A_sigma e_nu is a short sum of terms c prod_d xi_d^(a_d) prod_s (1 - b_s xi_d)^(e_ds)
-with integer a and e, and the grid sum of a term is a product of N moments
+with integer a and e, and the integral of a term is a product of N residues
 
-  M(q, e) = sum_j (xi_j / m) exp(t / xi_j) xi_j^q prod_s (1 - b_s xi_j)^(e_s),
+  M(q, e) = res_0 exp(t/xi) xi^q prod_s (1 - b_s xi)^(e_s) = sum_j c_j t^(q+j+1) / (q+j+1)!,
 
-q = x_i - y_d - 1 + a_d for the target position x_i that sigma pairs with axis
-d.  A probe is sum_sigma sum_terms c prod_d M(q_d, e_d), the grid sum in
-another order (the tests check it against the literal sum over node tuples).
-Rates and t are real and the nodes closed under conjugation, so each moment
-is real, and only its real part is kept.
+c_j the coefficients of prod_s (1 - b_s xi)^(e_s), terms with q + j + 1 < 0
+left out, q = x_i - y_d - 1 + a_d for the target position x_i that sigma
+pairs with axis d.  A value is sum_sigma sum_terms c prod_d M(q_d, e_d), one
+evaluation per call (the tests check it against the literal trapezoid sum
+over node tuples, where that has converged).
 
 The terms come from one walk per call over ``enumerate_sn``, parent before
 child (:func:`_row_terms`): S maps a term to minus itself with e_beta + 1 and
@@ -38,11 +28,12 @@ minus b times it with a_alpha + 1, each with e_alpha - 1, and a descending
 row negates.  Rows are classed by the :meth:`core.WordBlock.slot_table` the
 dense path reads, each permutation carries only the rows some target row
 depends on (:func:`_needed_rows`), like terms merge, and past
-``_CHUNK_BUDGET_BYTES`` of carried terms the walk raises.  A probe builds the
-moments on its nodes and gathers each target's terms in chunks under that
-budget.  Each moment sums its nodes, and each target its terms, in a fixed
-order, so a value has the same bits on repeated calls, alone or in a batch,
-and however it is chunked.
+``_CHUNK_BUDGET_BYTES`` of carried terms the walk raises.  A call builds one
+moment per pole signature and distinct q (:func:`_moment_table`) and gathers
+each target's terms in chunks under that budget.  Each moment sums J terms,
+J fixed by the start's span and scale t, and each target its terms, in a
+fixed order, so a value has the same bits on repeated calls, alone or in a
+batch, and however it is chunked.
 
 Targets enter as one table: :func:`transition_arrays` takes (T, N) int64
 position and word arrays, validates them with :func:`core.check_table`, keeps
@@ -51,14 +42,13 @@ the support :func:`core.word_floors` reaches (the rule
 sector rows, constants and per-axis distinct positions every later stage
 reads.  :func:`transition_matrix` wraps it for lists of states.
 
-A target's node powers have size r^P on every term, P = sum(x) - sum(y) - N.
-So positions are taken relative to the start's leftmost site, and the moments
-take powers of the nodes times 2^c, c = -round(log2 r), which lie on a circle
-of radius in [2^-1/2, 2^1/2]: each term, given the exact 2^(-c sum(a)), gains
-the exact 2^(cP) and keeps its mantissa, and the target's constant takes it
-back.  :class:`OverflowRisk` has three rules: N t/r past ``OVERFLOW_EXPONENT``
-and x - y_1 past int64, before any probe, and a probe value that is not
-finite, naming its first such target.
+A target's moments have size r^P on every term, P = sum(x) - sum(y) - N.  So
+positions are taken relative to the start's leftmost site, and the table
+holds scale^q M(q), scale = 2^c, c = -round(log2 r): each term, given the
+exact 2^(-c sum(a)), gains the exact 2^(cP), and the target's constant takes
+it back.  :class:`OverflowRisk` has three rules: N t/r past
+``OVERFLOW_EXPONENT`` and x - y_1 past int64, before any moment is built,
+and a value that is not finite, naming its first such target.
 """
 
 from __future__ import annotations
@@ -92,7 +82,7 @@ from .rmatrix import chain_factors, contour_bound
 
 MAX_PARTICLES = 6
 
-# a term multiplies N moments, each with a time factor exp(t/xi): past this, exp(N t/radius) overflows
+# a term multiplies N moments, each up to about exp(t/radius): past this, their product overflows
 OVERFLOW_EXPONENT = 700.0
 
 # target bytes for one chunk of an array of targets by terms or trials, and the most a term walk carries
@@ -102,6 +92,7 @@ _CHUNK_BUDGET_BYTES = 2.0e8
 MAX_NODES_PER_DIM = 4096
 
 _INT64 = np.iinfo(np.int64)
+_EPS = np.finfo(float).eps
 
 
 class ContourInvalid(ValueError):
@@ -109,28 +100,23 @@ class ContourInvalid(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """Node refinement hit the cap before reaching the requested tolerance."""
-
-
-class NodeFloorExceeded(ValueError):
-    """The largest start gap leaves too few rungs above it within ``max_nodes`` (see :func:`node_ladder`)."""
+    """The error bound of a value reaches the requested tolerance ``adapt_tol``."""
 
 
 class OverflowRisk(ArithmeticError):
-    """The N time factors overflow float64, a position x - y_1 int64, or a probe is not finite."""
+    """The N time factors overflow float64, a position x - y_1 int64, or a value is not finite."""
 
 
 @dataclass(frozen=True)
 class SpectralParams:
-    """Contour radius and quadrature controls.
+    """Contour radius and error tolerance.
 
     ``radius=None`` picks half the admissible bound at call time, once the
-    rates are known.  ``radius`` and ``adapt_tol`` must be finite positive
-    real numbers (bools raise TypeError).  Node counts are integers (bools and
-    floats raise TypeError) and powers of two from 4 to ``MAX_NODES_PER_DIM``,
-    so both are rungs of the refinement ladder (see :func:`next_rung`).  Every
-    call, fixed-node or adaptive, probes the rungs from ``nodes_per_dim`` to
-    ``max_nodes`` that lie above the largest start gap (see :func:`node_ladder`).
+    rates are known; the radius sets the power-of-two scale of the moments.
+    ``radius`` and ``adapt_tol`` must be finite positive real numbers (bools
+    raise TypeError).  ``nodes_per_dim`` and ``max_nodes`` select nothing and
+    stay only because the benchmark passes them; they are integers (bools and
+    floats raise TypeError), powers of two from 4 to ``MAX_NODES_PER_DIM``.
     """
 
     radius: Optional[float] = None
@@ -157,44 +143,17 @@ class SpectralParams:
 class ProbabilityResult:
     """One transition probability as computed.
 
-    ``value`` is the quadrature value, a real number (a sum of products of real
-    one-dimensional moments), reported without clamping so quadrature noise
-    stays visible.  ``est_error`` is the change in the value over the last
-    refinement step, from the rung before ``nodes_used`` (0 for a target
-    outside the support, or when adaptivity was disabled by setting
-    max_nodes == nodes_per_dim).  ``nodes_used`` is a rung of
-    :func:`next_rung`'s ladder: a power of two or 3/2 of one (24, 48, 96,
-    192, ...), and 0 for a target outside the support, an exact zero.
+    ``value`` is a real number (a sum of products of real one-dimensional
+    moments), reported without clamping so rounding stays visible.
+    ``est_error`` bounds |value - exact|: the series tails and all rounding.
+    ``nodes_used`` is J, the series terms each moment of the call sums; a
+    target outside the support is an exact 0 with ``est_error`` and
+    ``nodes_used`` 0.
     """
 
     value: float
     est_error: float
     nodes_used: int
-
-
-def next_rung(m: int) -> int:
-    """The node count after m: 3m/2 after a power of two, 4m/3 after 3/2 of one.
-
-    From 4 the ladder runs 4, 6, 8, 12, 16, 24, 32, 48, ...: every power of two is a rung.
-    """
-    return m * 3 // 2 if m & (m - 1) == 0 else m * 4 // 3
-
-
-def node_ladder(gap: int, params: SpectralParams) -> list[int]:
-    """The rungs of :func:`next_rung` from ``nodes_per_dim`` to ``max_nodes`` above the start gap.
-
-    Two rules alias a gap alike when it is a common multiple of their node counts, so every probe
-    must exceed the largest start gap.  A fixed-node call is a ladder of one rung, an adaptive one
-    needs two: a first probe and a rung to confirm it.  Fewer raise :class:`NodeFloorExceeded`.
-    """
-    rungs = [params.nodes_per_dim]
-    while rungs[-1] < params.max_nodes:
-        rungs.append(next_rung(rungs[-1]))
-    ladder = [m for m in rungs if m > gap]
-    if len(ladder) < min(2, len(rungs)):
-        what = "a probe above it" if len(rungs) == 1 else "a first probe above it and a rung to confirm it"
-        raise NodeFloorExceeded(f"the start gap {gap} needs {what} within max_nodes {params.max_nodes}")
-    return ladder
 
 
 def default_radius(rates: RateTable) -> float:
@@ -247,7 +206,7 @@ def _image_rows(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the trapezoid sum as a sum of products of one-dimensional moments
+# the integrals as sums of products of one-dimensional moments
 # ---------------------------------------------------------------------------
 
 
@@ -338,49 +297,106 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
     return poles, {r: (coef[s], a[s], sig[s], axis[s]) for r, s in bounds.items()}
 
 
-def _grid_values(
+def _moment_table(
+    q: np.ndarray, poles: np.ndarray, st: float, rates: RateTable, scale: float, span: int, length: int
+) -> np.ndarray:
+    """scale**q M(q, e) at each q for every pole signature e, its |.| and a bound: (3, sig, q).
+
+    With c_j the coefficients of prod_s (1 - beta_s xi)**e_s, beta = b / scale, and u_k =
+    (scale t)**k / k! (0 for k < 0), the first column is sum_(j < J) c_j u_(q+j+1) / scale, J =
+    ``length``.  The second sums |c|_j u_(q+j+1) / scale, |c| the product of the factors' series
+    with |coefficients|, which bounds c and its rounding.  The third adds to the second bounds on
+    the tail past J and on the rounding of the first.  Support targets have q >= -``span`` - 1.
+    """
+    beta = np.array(rates.rates) / scale  # exact: scale is a power of two
+    # each factor's binomial series, c_j / c_(j-1) = -beta (e - j + 1) / j, and their products
+    steps = (poles[..., None] - np.arange(length - 1) + 0.0) * -beta[:, None] / np.arange(1, length)
+    factors = np.cumprod(np.concatenate([np.ones((*poles.shape, 1)), steps], axis=-1), axis=-1)
+    coef, nonzero = np.empty((len(poles), 2, length)), poles != 0
+    coef[:, 0] = factors[np.arange(len(poles)), nonzero.argmax(axis=1)]  # a factor with e = 0 is 1
+    coef[:, 1] = np.abs(coef[:, 0])
+    for k in np.flatnonzero(nonzero.sum(axis=1) > 1):
+        c, f = coef[k], factors[k]
+        for s in np.flatnonzero(nonzero[k])[1:]:
+            c[0], c[1] = np.convolve(c[0], f[s])[:length], np.convolve(c[1], np.abs(f[s]))[:length]
+    # u where it is not 0: past k = e**2 st, u_k < e**-k, so from k = 746 on it rounds to 0
+    top = max(math.ceil(math.e**2 * st), 746)
+    u = np.cumprod(np.concatenate([[1.0], st / np.arange(1, top + 1)]))
+    padded = np.concatenate([np.zeros(span + 1), u, np.zeros(length + 1)])  # u_k at padded[span + 1 + k]
+    first = np.minimum(q, top) + span + 2
+    # past J each term has k = q + j + 1 >= J - span > st, where u falls.  With beta_- the largest beta_s
+    # whose e_s < 0 and E the sum of those -e_s, |c_j| <= P (j+E-1 choose E-1) beta_-**j, P = prod over
+    # e_s > 0 of (1 + beta_s / beta_-)**e_s (a polynomial of degree below J has no tail), and these
+    # bounds times u fall by rho < 1/3 a step: the tail is below the first, times u_(J-span), over 1 - rho
+    order = np.maximum(-poles, 0).sum(axis=1)
+    top_beta = np.where(poles < 0, beta, 0.0).max(axis=1)
+    logs = np.log(np.where(order > 0, top_beta, 1.0))
+    lead = length * logs + (np.maximum(poles, 0) * np.log1p(beta / np.exp(logs)[:, None])).sum(axis=1)
+    lead += [math.lgamma(length + k) - math.lgamma(k) if k else -np.inf for k in order]
+    lead -= math.lgamma(length + 1)
+    rho = top_beta * (length + order) / (length + 1) * st / (length - span + 1)
+    with np.errstate(divide="ignore"):  # u_(J-span) may be 0
+        tail = np.exp(lead + np.log(padded[length + 1])) / (1 - rho)
+    # a term rounds (species + 2)(j + 2) times in c_j, 2k times in u_k = prod_(i <= k) st / i,
+    # k = q + j + 1 <= q + J, and under 48 times in its product and the pairwise sum.  A c_j or u_k
+    # below the normal range loses at most tiny times the other: J tiny (max u + max |c| + 1)
+    # bounds what underflow drops from a moment
+    roundings = (rates.n_species + 4) * length + 2 * np.maximum(q + 1, 0) + 2 * rates.n_species + 64
+    tail += length * np.finfo(float).tiny * (u.max() + coef[:, 1].max(axis=1) + 1)
+    out = np.empty((3, len(poles), len(q)))
+    step = max(1, int(_CHUNK_BUDGET_BYTES // (coef.nbytes + 8 * length)))
+    for lo in range(0, len(q), step):
+        part = slice(lo, lo + step)
+        # each moment sums its J terms along one contiguous axis: the order depends on J alone
+        windows = padded[first[part, None] + np.arange(length)]  # u_(q+1) .. u_(q+J) of each q
+        m, a = (coef[:, :, None, :] * windows).sum(axis=-1).swapaxes(0, 1)
+        out[:, :, part] = m, a, a * (1 + _EPS * roundings[part]) + tail[:, None]
+    return out / scale
+
+
+def _series_values(
     y: np.ndarray,
     axes: list[tuple[np.ndarray, np.ndarray]],
     rows: np.ndarray,
-    t: float,
+    st: float,
     rates: RateTable,
-    m: int,
-    radius: float,
     scale: float,
+    length: int,
     terms: tuple[np.ndarray, dict],
-) -> np.ndarray:
-    """The m-node trapezoid sum over permutations, a real value per target (constants excluded).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sum over permutations and a bound on its error, real values per target (constants excluded).
 
     Positions are relative to the start's leftmost site: ``y`` is the start's, ``axes[i]`` the
     distinct i-th target positions with each target's index into them.  ``rows`` are the targets'
-    word rows and ``terms`` is :func:`_row_terms` of them.  Powers are taken of ``nodes * scale``,
-    a power of two.
+    word rows and ``terms`` is :func:`_row_terms` of them.  The moments are those of
+    :func:`_moment_table` at ``st`` = scale t, one per distinct q, each ``length`` terms long.
     """
     poles, terms = terms
-    nodes = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    # one weight per node and pole signature: node weight, time factor and the poles' powers
-    pole = 1.0 - np.array(rates.rates)[:, None] * nodes  # (species, m)
-    weight = nodes / m * np.exp(t / nodes) * np.prod(_int_power(pole, poles[..., None]), axis=1)
-    # moments[sig, d, a, p]: the distinct target positions p of every axis, one after another
     a_len = max(int(a.max(initial=0)) for _, a, _, _ in terms.values()) + 1
     sites = np.concatenate([ux for ux, _ in axes])
     q = sites - y[:, None, None] - 1 + np.arange(a_len)[:, None]  # (N, a_len, sites)
-    powers = _int_power(nodes * scale, q[..., None])
-    # each moment sums its m nodes along a contiguous axis: the order depends on m alone
-    moments = np.array([(powers * w).sum(axis=-1).real for w in weight]).reshape(len(weight), *q.shape)
+    distinct, at = np.unique(q, return_inverse=True)
+    # tables[k, sig, d, a, p]: the distinct target positions p of every axis, one after another
+    tables = _moment_table(distinct, poles, st, rates, scale, int(y[-1]), length)[:, :, at.reshape(q.shape)]
     start = np.cumsum([0] + [len(ux) for ux, _ in axes[:-1]])
     index = np.stack([ix + s for (_, ix), s in zip(axes, start)], axis=1)  # (targets, N) into sites
-    total = np.zeros(len(rows))
+    sums, shape, tables = np.zeros((3, len(rows))), tables.shape[1:], tables.reshape(3, -1)
     for r, (coef, a, sig, axis) in terms.items():
-        base = np.ravel_multi_index((sig, np.arange(len(y)), a, 0), moments.shape)
+        base = np.ravel_multi_index((sig, np.arange(len(y)), a, 0), shape).T[:, None]
         c = coef * scale ** -a.sum(axis=1)  # the exact 2**(-c sum(a)) of the scaled powers
+        c = np.stack([c, np.abs(c), np.abs(c)])[:, None]  # the value's, and the |terms| of both bounds
         sel = np.flatnonzero(rows == r)
-        for part in _chunks(len(sel), a.size * 8):
-            # one advanced index keeps (targets, terms, N) C-ordered: a target's sum does not see the chunk
-            ix = index[sel[part, None, None], axis]
+        for part in _chunks(len(sel), a.size * 32):
+            # one advanced index keeps (N, targets, terms) C-ordered: a target's sum does not see the chunk
+            ix = index[sel[None, part, None], axis.T[:, None]]
             ix += base
-            total[sel[part]] = (np.prod(moments.ravel()[ix], axis=2) * c).sum(axis=1)
-    return total
+            # (N, 3, targets, terms): each column's N moments multiplied in axis order
+            moments = np.take(tables, ix, axis=1).swapaxes(0, 1)
+            sums[:, sel[part]] = (functools.reduce(np.multiply, moments) * c).sum(axis=-1)
+    # widening every moment by its bound widens |terms| by at least the terms' error; the product,
+    # the coefficient, the sum over terms and the constant round fewer than 128 times
+    value, tight, wide = sums
+    return value, wide - tight + 128 * _EPS * wide
 
 
 def transition_arrays(
@@ -398,10 +414,10 @@ def transition_arrays(
     and int64 ``nodes_used`` arrays, one entry per target with the meaning of
     the :class:`ProbabilityResult` fields.
 
-    All targets share one term walk and, per probe, one table of moments.  The
-    support is what :func:`core.word_floors` reaches: a reachable word, at or
-    above its floor; every other target is an exact 0 with ``nodes_used`` 0,
-    and runs no probe.  The table is validated as a whole by
+    All targets share one term walk and one table of moments.  The support is
+    what :func:`core.word_floors` reaches: a reachable word, at or above its
+    floor; every other target is an exact 0 with ``nodes_used`` 0, and builds
+    no moment.  The table is validated as a whole by
     :func:`core.check_table`: positions not strictly increasing raise
     NonIncreasingPositions and species labels outside 1..N or another shape
     SpeciesOutOfRange, each naming the first bad target; a position of the
@@ -410,13 +426,9 @@ def transition_arrays(
     the module's three rules; no value returned is NaN or inf.  More than
     ``MAX_PARTICLES`` particles, or a term walk past its budget, raise ValueError.
 
-    Node counts climb :func:`node_ladder`, the rungs above the largest start
-    gap G = max(y_k - x_i) over the targets in the support, until the largest
-    change over targets between two rungs drops below ``adapt_tol``; hitting
-    ``max_nodes`` without converging raises :class:`NotConverged`, and too few
-    rungs above G raise :class:`NodeFloorExceeded` before any probe.  Setting
-    ``max_nodes == nodes_per_dim`` disables adaptivity and evaluates once, on
-    a ladder of that one rung: the gap floor still applies.
+    Every call evaluates once, its moments summing J = y_N - y_1 + 64 +
+    ceil(8 scale t) terms; an ``est_error`` that reaches ``adapt_tol`` raises
+    :class:`NotConverged`.
     """
     params = params or SpectralParams()
     validate_state(initial, rates)
@@ -442,7 +454,7 @@ def transition_arrays(
     reach_codes, codes = word_codes(np.array(list(reach)), n), word_codes(words, n)
     at = np.minimum(np.searchsorted(reach_codes, codes), len(reach) - 1)
     quad = (reach_codes[at] == codes) & (x >= np.array(list(reach.values()))[at]).all(axis=1)
-    final, errs, m = np.zeros(len(x)), np.zeros(len(x)), 0
+    final, errs, length = np.zeros(len(x)), np.zeros(len(x)), 0
     if quad.any():
         sector = build_sector(initial.species)
         rows = np.searchsorted(word_codes(np.array(sector.words), n), codes[quad])  # sector rows
@@ -459,32 +471,22 @@ def transition_arrays(
         b, eye = np.array(rates.rates), np.eye(rates.n_species)  # float sums of positions never wrap
         d = (eye[words[quad] - 1] * xq[..., None]).sum(axis=1) - y @ eye[np.array(initial.species) - 1]
         decay = math.exp(-t * sum(map(rates.rate, initial.species)))
-        with np.errstate(all="ignore"):  # a tiny radius overflows scale**n: the probe reports it
+        with np.errstate(all="ignore"):  # a tiny radius overflows scale**n: the value reports it
             scale = np.exp2(-np.round(np.log2(radius)))
             consts = decay * scale**n * np.prod((b / scale) ** d, axis=1)
-        # the terms' exponents do not depend on m
+        overflow(np.full(len(xq), not np.isfinite(scale)), "overflows the spectral route: no float scale")
+        # the terms a moment with q >= -span - 1 needs (every support target has x_1 >= y_1): in the
+        # start's span and scale t alone, so a value has the same bits in any batch
+        length = int(y[-1]) + 64 + math.ceil(8 * scale * t)
         terms = _row_terms(sector, sector.index(initial.species), np.unique(rows), rates)
-
-        @np.errstate(all="ignore")  # any other overflow shows in the value, and raises there
-        def probe(m):
-            value = consts * _grid_values(y, axes, rows, t, rates, m, radius, scale, terms)
-            overflow(~np.isfinite(value), f"overflows the spectral route at {m} nodes")
-            return value
-
-        ladder = node_ladder(int(y[-1] - xq[:, 0].min()), params)
-        m, cur = ladder[0], probe(ladder[0])
-        for m in ladder[1:]:  # a fixed-node ladder has no second rung and reports no change
-            prev, cur = cur, probe(m)
-            errs[quad] = np.abs(cur - prev)
-            if errs.max() < params.adapt_tol:
-                break
-        if errs.max() >= params.adapt_tol:  # every probe is finite, so is every change
-            raise NotConverged(
-                f"{m} nodes per dimension reached with delta {errs.max():.3e} "
-                f"(tolerance {params.adapt_tol:.3e})"
-            )
-        final[quad] = cur
-    return final, errs, np.where(quad, m, 0)
+        with np.errstate(all="ignore"):  # any other overflow shows in the value, and raises there
+            total, bound = _series_values(y, axes, rows, scale * t, rates, scale, length, terms)
+            value, errs[quad] = consts * total, consts * bound
+        overflow(~np.isfinite(value), "overflows the spectral route")
+        if not errs.max() < params.adapt_tol:
+            raise NotConverged(f"error bound {errs.max():.3e} reaches the tolerance {params.adapt_tol:.3e}")
+        final[quad] = value
+    return final, errs, np.where(quad, length, 0)
 
 
 def transition_matrix(
@@ -501,7 +503,7 @@ def transition_matrix(
     position and word arrays (see :func:`core.state_arrays` for the errors that
     raises), and its arrays one :class:`ProbabilityResult` per target.
     ``threads`` must be an integer of at least 1 and selects nothing: every
-    probe runs on the calling thread.  It stays only because the benchmark's
+    call runs on the calling thread.  It stays only because the benchmark's
     ``grid-n4`` job passes ``threads=1``.
     """
     if check_int(threads, "threads") < 1:

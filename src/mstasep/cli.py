@@ -17,17 +17,15 @@ writes the rows from the returned columns.
 
 Exit codes: 0 success or pass, 1 verification failure, 2 configuration
 error (also an output path that cannot be written; more than six particles,
-a contour radius or time the spectral route rejects (N t/radius past its
-overflow bound included), or a start gap whose node floor leaves too few
-rungs within ``max_nodes``, fixed-node calls included
-(:class:`bethe.NodeFloorExceeded`), ``prob`` checking these before
-enumerating a window; a term walk past the spectral route's byte budget; a
-target too far from the start for int64, or one whose probe value overflows
+or a contour radius or time the spectral route rejects (N t/radius past its
+overflow bound included), ``prob`` checking these before enumerating a
+window; a term walk past the spectral route's byte budget; a target too far
+from the start for int64, or one whose value overflows
 (:class:`bethe.OverflowRisk`); ``--samples`` below 1; a negative ``--seed``
 for ``simulate`` or ``verify``; a ``verify`` run with ``--trials`` below 1 or
 a ``--size`` outside its suite's range: yang-baxter and welldef 3 to 6,
-oracle 2 to 3, stochastic 1 to 4, boundary 2 to 5), 3 quadrature failed to
-converge.
+oracle 2 to 3, stochastic 1 to 4, boundary 2 to 5), 3 an error bound
+``est_error`` that reaches ``adapt_tol`` (:class:`bethe.NotConverged`).
 """
 
 from __future__ import annotations
@@ -404,13 +402,11 @@ def cmd_prob(cfg: JobConfig, out: Optional[str] = None, fmt: Optional[str] = Non
     """
     try:  # the spectral guards, then the targets: no window is enumerated for a rejected job
         bethe.transition_matrix(cfg.initial, [], cfg.time, cfg.rates, params=cfg.spectral)
-        if cfg.targets == "window":  # every window target has x_1 >= y_1: the gap is the start's span
-            bethe.node_ladder(cfg.initial.positions[-1] - cfg.initial.positions[0], cfg.spectral)
         positions, words = target_arrays(cfg)
         value, est_error, nodes_used = bethe.transition_arrays(
             cfg.initial, positions, words, cfg.time, cfg.rates, params=cfg.spectral
         )
-    except (ValueError, bethe.OverflowRisk) as exc:  # also a far target, or a gap past the node cap
+    except (ValueError, bethe.OverflowRisk) as exc:  # also a far target
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except bethe.NotConverged as exc:

@@ -181,9 +181,9 @@ def build_generator(
     raises TypeError, and a window not holding the start raises
     WindowTooSmall.  States are the reachable cells of
     :func:`core.window_grid`, sorted by (positions, species).  A window whose
-    keys (see :class:`GeneratorWindow`) could pass int64,
-    (hi - lo + 1)**N * N**N > 2**63, raises WindowTooWide before any array is
-    built.
+    keys could pass int64, (hi - y_1 + 1)**N * N**N > 2**63 (the keys count
+    sites from the start's leftmost site y_1, left of which no state lies),
+    raises WindowTooWide before any array is built.
 
     The hop and swap masks of :func:`_jump_masks` give each state's moves.
     The diagonal sums the enabled rates particle by particle, left to right.
@@ -206,12 +206,12 @@ def build_generator(
     lo, hi = (check_int(v, "a window edge") for v in window)
     if not (lo <= min(initial.positions) and max(initial.positions) <= hi):
         raise WindowTooSmall(f"initial positions {initial.positions} outside [{lo}, {hi}]")
-    n = len(initial)
-    radix = hi - lo + 1
+    n, first = len(initial), min(initial.positions)
+    radix = hi - first + 1
     if lo < _INT64.min:
         raise ValueError(f"window edge {lo} outside the int64 range")
     if radix**n * n**n > 2**63:
-        raise WindowTooWide(f"window [{lo}, {hi}] too wide to key {n}-particle states in int64")
+        raise WindowTooWide(f"window [{first}, {hi}] too wide to key {n}-particle states in int64")
 
     grid_rows, grid_words, reach = window_grid(initial, hi)
     r, k = np.nonzero(reach)
@@ -221,7 +221,7 @@ def build_generator(
     positions, words = grid_rows[r], grid_words[k]
     positions.setflags(write=False)
     words.setflags(write=False)
-    row_keys, codes = _row_keys(grid_rows, lo, hi), word_codes(grid_words, n)
+    row_keys, codes = _row_keys(grid_rows, first, hi), word_codes(grid_words, n)
     # a hop of particle i adds one to position digit i; a swap at slot i exchanges word digits i and i + 1.
     # A blocked hop or an ascending slot has no destination: its table entry is clamped and never read.
     hop_step = np.array([radix ** (n - 1 - i) for i in range(n)], dtype=np.int64)
@@ -257,7 +257,7 @@ def build_generator(
         hi=hi,
         positions=positions,
         words=words,
-        index=_StateIndex(lo, hi, n, keys, _StateList(positions, words)),
+        index=_StateIndex(first, hi, n, keys, _StateList(positions, words)),
         rate_matrix=q,
         leak_rates=leak,
     )

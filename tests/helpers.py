@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 from collections import deque
+from fractions import Fraction
 from dataclasses import asdict
 from pathlib import Path
 
@@ -183,3 +184,48 @@ def canonical_config(cfg):
             out["path"] = cfg.output_path
         data["output"] = out
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def exact_moment(q, e, rates, t, scale):
+    """scale**q M(q, e) in exact rationals, and a rigorous bound on the series tail it leaves out.
+
+    M(q, e) = sum_j c_j t**(q+j+1) / (q+j+1)!, with sum_j c_j xi**j = prod_s (1 - b_s xi)**e_s
+    and terms with q + j + 1 < 0 left out, is the residue at 0 of exp(t/xi) xi**q
+    prod_s (1 - b_s xi)**e_s.  Rates, t and scale are read exactly from their floats, and the
+    c_j times den**j, den the rates' common denominator, are integers: multiplying a series by
+    1 - b xi, or dividing it by 1 - b xi, is one pass over them.  With b the largest b_s whose
+    e_s < 0 and E the sum of those -e_s, |c_j| <= P (j+E-1 choose E-1) b**j, P = prod over
+    e_s > 0 of (1 + b_s / b)**e_s, and these bounds times t**k / k! shrink by at most rho past
+    the last term summed.  Terms are summed until rho <= 1/2 and the next bound is below 2**-200
+    of the summed |terms| (or of 2**-1000); with no e_s < 0 the series ends.
+    """
+    t, scale, b = Fraction(t), Fraction(scale), [Fraction(x) for x in rates]
+    den = max(x.denominator for x in b)  # a power of two
+    negative = [(bs, -es) for bs, es in zip(b, e) if es < 0]
+    top, order = max(negative, default=(Fraction(1), 0))[0], sum(k for _, k in negative)
+    lead = math.prod((1 + bs / top) ** es for bs, es in zip(b, e) if es > 0)
+    length = max(0, -q - 1) + 64
+    while True:
+        coef = [1] + [0] * (length - 1)
+        for bs, es in zip(b, e):
+            for _ in range(abs(es)):
+                if es > 0:  # times 1 - b xi, from the top down
+                    for j in range(length - 1, 0, -1):
+                        coef[j] -= int(bs * den) * coef[j - 1]
+                else:  # over 1 - b xi
+                    for j in range(1, length):
+                        coef[j] += int(bs * den) * coef[j - 1]
+        total, size = Fraction(0), Fraction(0)
+        for j in range(max(0, -q - 1), length):
+            k = q + j + 1
+            term = Fraction(coef[j], den**j) * t**k / math.factorial(k)
+            total, size = total + term, size + abs(term)
+            if t == 0 or not order and not any(coef[j + 1 :]):  # only k = 0 counts, or no terms follow
+                return scale**q * total, Fraction(0)
+            if order:
+                rho = top * (j + 1 + order) / (j + 2) * t / (k + 2)
+                bound = lead * math.comb(j + order, order - 1) * top ** (j + 1)
+                bound *= t ** (k + 1) / math.factorial(k + 1)
+                if rho <= Fraction(1, 2) and bound * 2**200 <= max(size, Fraction(1, 2**1000)):
+                    return scale**q * total, scale**q * bound / (1 - rho)
+        length *= 2

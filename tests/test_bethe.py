@@ -1,10 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import draw_point, draw_rates, reference_generator
+from helpers import draw_point, draw_rates, exact_moment, reference_generator
 from mstasep import (
     ContourInvalid,
     NotConverged,
@@ -22,14 +23,7 @@ from mstasep import (
     transition_matrix,
     transition_probability,
 )
-from mstasep.bethe import (
-    NodeFloorExceeded,
-    bethe_sum,
-    default_radius,
-    next_rung,
-    rate_power_diag,
-    transition_arrays,
-)
+from mstasep.bethe import bethe_sum, default_radius, rate_power_diag, transition_arrays
 from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange, build_sector, window_states
 from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
 from mstasep.rmatrix import all_sectors, build_all_A
@@ -87,27 +81,44 @@ def test_bethe_sum_at_conjugate_point_is_the_conjugate(n):
 
 
 def literal_grid_values(initial, targets, t, rates, m, radius):
-    """Literal tensor-grid sum: one bethe_sum call with every (target, node tuple) as a batch entry.
+    """Literal tensor-grid sum: bethe_sum calls with every (target, node tuple) as a batch entry.
 
     Each node tuple contributes its trapezoid weight, exp(eps t), b_nu**-y and
-    prod_k xi_k**(-y_k - 1) times the (target word, start word) entry of the sum.
+    prod_k xi_k**(-y_k - 1) times the (target word, start word) entry of the sum.  Node
+    tuples are summed 4096 at a time.
     """
     n = len(initial)
     sector = build_sector(initial.species)
     nodes = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    xi = np.array(list(itertools.product(nodes, repeat=n))).T  # (n, m**n)
+    tuples = np.array(list(itertools.product(nodes, repeat=n))).T  # (n, m**n)
     y = np.array(initial.positions)
     b = np.asarray(rates)
     x = np.array([tg.positions for tg in targets]).T[:, :, None]  # (n, targets, 1)
-    amps = build_all_A(xi[:, None], b[:, None, None], sector)  # (n!, dim, dim, 1, m**n)
-    u = bethe_sum(x, xi[:, None], b[:, None, None], sector, amps)  # (dim, dim, targets, m**n)
     rows = [sector.index(tg.species) for tg in targets]
-    entries = u[rows, sector.index(initial.species), np.arange(len(targets))]
-    eps = (1.0 / xi).sum(axis=0) - sum(rates.rate(s) for s in initial.species)
-    start = np.prod([rates.rate(s) ** -yk for s, yk in zip(initial.species, y)])
-    per_node = np.prod(xi / m, axis=0) * np.exp(eps * t) * start
-    per_node *= np.prod(xi ** (-y[:, None] - 1), axis=0)
-    return (entries * per_node).sum(axis=1)
+    total = 0.0
+    for lo in range(0, m**n, 4096):
+        xi = tuples[:, lo : lo + 4096]
+        amps = build_all_A(xi[:, None], b[:, None, None], sector)  # (n!, dim, dim, 1, tuples)
+        u = bethe_sum(x, xi[:, None], b[:, None, None], sector, amps)  # (dim, dim, targets, tuples)
+        entries = u[rows, sector.index(initial.species), np.arange(len(targets))]
+        eps = (1.0 / xi).sum(axis=0) - sum(rates.rate(s) for s in initial.species)
+        start = np.prod([rates.rate(s) ** -yk for s, yk in zip(initial.species, y)])
+        per_node = np.prod(xi / m, axis=0) * np.exp(eps * t) * start
+        per_node *= np.prod(xi ** (-y[:, None] - 1), axis=0)
+        total = total + (entries * per_node).sum(axis=1)
+    return total
+
+
+def assert_matches_converged_literal_loop(initial, targets, t, rates, m, tol):
+    """The engine against the literal m-node loop, whose own change from m/2 nodes is below tol.
+
+    The radius balances the pole term (b r)**(m/2) against the time term (t/r)**(m/2) / (m/2)!.
+    """
+    radius = math.sqrt(t / (max(rates.rates) * math.factorial(m // 2) ** (2 / m)))
+    coarse, fine = (literal_grid_values(initial, targets, t, rates, k, radius) for k in (m // 2, m))
+    assert np.abs(fine - coarse).max() < tol and np.abs(fine.imag).max() < tol
+    for res, exp in zip(transition_matrix(initial, targets, t, rates), fine.real):
+        assert abs(res.value - exp) < tol
 
 
 @pytest.mark.parametrize(
@@ -118,34 +129,20 @@ def literal_grid_values(initial, targets, t, rates, m, radius):
     ],
 )
 def test_engine_matches_literal_node_loop_two_particles(nu, targets):
-    rng = np.random.default_rng(17)
-    rt = draw_rates(rng, 2)
-    radius = default_radius(rt)
-    initial = ParticleState((0, 1), nu)
+    rt = draw_rates(np.random.default_rng(17), 2)
     tgs = [ParticleState(p, s) for p, s in targets]
-    expected = literal_grid_values(initial, tgs, 0.8, rt, 8, radius)
-    params = SpectralParams(radius=radius, nodes_per_dim=8, max_nodes=8)
-    got = transition_matrix(initial, tgs, 0.8, rt, params=params)
-    for res, exp in zip(got, expected):
-        assert res.value == pytest.approx(exp.real, abs=1e-13) and abs(exp.imag) <= 1e-13
-        assert res.nodes_used == 8
+    assert_matches_converged_literal_loop(ParticleState((0, 1), nu), tgs, 0.8, rt, 64, 1e-13)
 
 
 def test_engine_matches_literal_node_loop_three_particles():
-    rng = np.random.default_rng(23)
-    rt = draw_rates(rng, 3)
-    radius = default_radius(rt)
+    rt = draw_rates(np.random.default_rng(23), 3)
     initial = ParticleState((0, 1, 3), (2, 1, 2))
     tgs = [
         ParticleState((0, 1, 3), (1, 2, 2)),
         ParticleState((1, 2, 4), (2, 1, 2)),
         ParticleState((0, 2, 3), (2, 2, 1)),
     ]
-    expected = literal_grid_values(initial, tgs, 0.5, rt, 8, radius)
-    params = SpectralParams(radius=radius, nodes_per_dim=8, max_nodes=8)
-    got = transition_matrix(initial, tgs, 0.5, rt, params=params)
-    for res, exp in zip(got, expected):
-        assert res.value == pytest.approx(exp.real, abs=1e-13) and abs(exp.imag) <= 1e-13
+    assert_matches_converged_literal_loop(initial, tgs, 0.5, rt, 64, 1e-13)
 
 
 def test_single_particle_poisson():
@@ -217,14 +214,14 @@ def test_different_multiset_is_exact_zero():
         # word 12 lies below its floor (4, 5): the swap needs the pair adjacent
         (((0, 5), (2, 1)), ((0, 5), (1, 2)), (1.0, 2.0), {}),
         (((0, 1), (1, 2)), ((0, 1), (2, 1)), (1.0, 2.0), {}),  # word 21 is unreachable
-        # below the floor (1, 2, 5) of word 122 at fixed nodes, where the quadrature gave 3.2e-6
+        # below the floor (1, 2, 5) of word 122, where a 16-node quadrature gave 3.2e-6
         (((0, 2, 5), (2, 1, 2)), ((0, 2, 5), (1, 2, 2)), (0.9, 1.6, 1.2), {"nodes_per_dim": 16, "max_nodes": 16}),
     ],
 )
 def test_targets_outside_the_support_run_no_probe(monkeypatch, start, target, rates, spectral):
     from mstasep import bethe
 
-    monkeypatch.setattr(bethe, "_grid_values", lambda *args: pytest.fail("a probe ran"))
+    monkeypatch.setattr(bethe, "_series_values", lambda *args: pytest.fail("a moment was built"))
     start, target, params = ParticleState(*start), ParticleState(*target), SpectralParams(**spectral)
     res = transition_probability(start, target, 0.6, RateTable(rates), params=params)
     assert res == ProbabilityResult(0.0, 0.0, 0)
@@ -233,10 +230,11 @@ def test_targets_outside_the_support_run_no_probe(monkeypatch, start, target, ra
 @pytest.mark.parametrize("seed", range(1, 6))  # starts with a gap and two or three species
 def test_support_is_the_reachable_set(monkeypatch, seed):
     # every candidate state, any word and any sites from one left of the start to three right of it:
-    # the targets that reach the quadrature are exactly the states the jump rules reach
+    # the targets that reach the moments are exactly the states the jump rules reach
     from mstasep import bethe
 
-    monkeypatch.setattr(bethe, "_grid_values", lambda y, axes, rows, *rest: np.ones(len(rows)))
+    ones = lambda y, axes, rows, *rest: (np.ones(len(rows)), np.zeros(len(rows)))  # values, bounds
+    monkeypatch.setattr(bethe, "_series_values", ones)
     rng = np.random.default_rng(seed)
     start = ParticleState(
         tuple(int(v) for v in np.sort(rng.choice(8, size=3, replace=False))),
@@ -257,16 +255,11 @@ def test_support_is_the_reachable_set(monkeypatch, seed):
 
 
 def test_fixed_node_calls_take_the_gap_floor():
-    # gap 64 aliases at 32 nodes (the quadrature gave -1.1e-15); at 128 it is the exact e^(-1.5)
+    # the name predates the series, which has no node floor: a 32-node rule aliased gap 64 (it gave
+    # -1.1e-15), and a call that asks for 32 nodes now gets the exact e^(-1.5) from J = 64 + 64 + 16 terms
     start, rt = ParticleState((0, 64), (2, 1)), RateTable((1.0, 2.0))
-    with pytest.raises(NodeFloorExceeded, match="gap 64 needs a probe above it within max_nodes 32"):
-        transition_probability(start, start, 0.5, rt, params=SpectralParams(nodes_per_dim=32, max_nodes=32))
-    res = transition_probability(start, start, 0.5, rt, params=SpectralParams(nodes_per_dim=128, max_nodes=128))
-    assert abs(res.value - math.exp(-1.5)) < 1e-12 and res.nodes_used == 128
-    # a start spanning 2000 sites at 16 nodes, where the node powers used to overflow first
-    spread = ParticleState((0, 2000), (2, 1))
-    with pytest.raises(NodeFloorExceeded, match="gap 2000 needs a probe above it within max_nodes 16"):
-        transition_probability(spread, spread, 0.5, rt, params=SpectralParams(nodes_per_dim=16, max_nodes=16))
+    res = transition_probability(start, start, 0.5, rt, params=SpectralParams(nodes_per_dim=32, max_nodes=32))
+    assert abs(res.value - math.exp(-1.5)) < 1e-12 and res.nodes_used == 144
 
 
 def test_batch_matches_single_calls_at_fixed_nodes():
@@ -388,7 +381,7 @@ def closure_rows(n, sector, target_rows, rt):
 
 
 def target_rows(initial, positions, words, rt):
-    """The sector and the word rows of the targets inside the support (the others run no probe)."""
+    """The sector and the word rows of the targets inside the support (the others build no moment)."""
     params = SpectralParams(nodes_per_dim=4, max_nodes=4)
     nodes = transition_arrays(initial, positions, words, 0.3, rt, params=params)[2]
     sector = build_sector(initial.species)
@@ -447,7 +440,7 @@ def test_each_target_alone_matches_it_in_a_batch_reading_every_row(n):
     for x in tables["few"][0][:2]:
         positions = np.repeat(x[None], len(words), axis=0)
         batch, _, nodes = transition_arrays(initial, positions, words, 0.3, rt, params=params)
-        assert (nodes == 8).all()  # every word is in the support: the batch reads every row
+        assert (nodes > 0).all()  # every word is in the support: the batch reads every row
         for k in range(len(words)):
             alone = transition_arrays(initial, positions[k : k + 1], words[k : k + 1], 0.3, rt, params=params)
             assert alone[0][0] == batch[k]
@@ -477,16 +470,15 @@ def test_gather_chunks_keep_the_bits(monkeypatch, n):
 
 
 def test_refinement_reports_error_and_converges():
+    # the name predates the series: one evaluation, whose bound is near roundoff, and node counts that
+    # select nothing
     rt = RateTable((0.9, 1.6))
     initial = ParticleState((0, 1), (2, 1))
     target = ParticleState((0, 2), (1, 2))
     res = transition_probability(initial, target, 0.8, rt)
-    assert res.est_error < 1e-8
-    # halving the start resolution converges to the same value
-    res_low = transition_probability(
-        initial, target, 0.8, rt, params=SpectralParams(nodes_per_dim=16)
-    )
-    assert res.value == pytest.approx(res_low.value, abs=1e-8)
+    assert 0 < res.est_error < 1e-12 and res.nodes_used == 1 + 64 + math.ceil(8 * 4 * 0.8)  # scale 4
+    res_low = transition_probability(initial, target, 0.8, rt, params=SpectralParams(nodes_per_dim=16))
+    assert res_low == res
 
 
 def test_empty_target_list():
@@ -516,7 +508,7 @@ def test_overflow_guard_raised():
             params=SpectralParams(radius=0.4),
         )
     # at t = 0 a subnormal radius passes the time guard; its power-of-two scale overflows float64,
-    # and the probe names the target
+    # and the spectral route names the target
     start, params = ParticleState((0, 1), (2, 1)), SpectralParams(radius=1e-310, nodes_per_dim=32, max_nodes=32)
     with pytest.raises(OverflowRisk, match=r"positions \(0, 1\).* overflows the spectral route"):
         transition_probability(start, start, 0.0, RateTable((1.0, 1.2)), params=params)
@@ -568,12 +560,14 @@ def test_displacement_beyond_int64_raises_overflow_risk():
 
 
 def test_spread_start_returns_e_to_the_minus_one():
-    # a start spanning 2000 sites at 2048 nodes clears the gap floor; the node powers run on a circle
-    # near radius 1, so none overflows, and the exact value is exp(-t (b_1 + b_2)) = e^-1
+    # a start spanning 2000 sites: each moment sums J = 2000 + 64 + 8 terms (radius 1/2, scale 2),
+    # whose scaled coefficients (1/2)**j underflow to exact zeros rather than overflow, and the exact
+    # value is exp(-t (b_1 + b_2)) = e^-1
     start = ParticleState((0, 2000), (2, 1))
     params = SpectralParams(nodes_per_dim=2048, max_nodes=2048)
     res = transition_probability(start, start, 0.5, RateTable((1.0, 1.0)), params=params)
-    assert abs(res.value - math.exp(-1.0)) <= 1e-14 * math.exp(-1.0) and res.nodes_used == 2048
+    assert abs(res.value - math.exp(-1.0)) <= 1e-14 * math.exp(-1.0) and res.nodes_used == 2072
+    assert abs(res.value - math.exp(-1.0)) <= res.est_error < 1e-11
 
 
 @pytest.mark.parametrize(
@@ -596,19 +590,26 @@ def test_far_starts_are_exact(start, target, word, rates, params, exact):
 
 
 def test_node_powers_past_the_float_range_raise_naming_the_target():
-    # at radius 0.25 sqrt(2) the scaled circle has radius sqrt(2): sqrt(2)**2099 overflows
-    start = ParticleState((0, 2100), (1, 2))
-    params = SpectralParams(radius=0.25 * math.sqrt(2), nodes_per_dim=4096, max_nodes=4096)
-    with pytest.raises(OverflowRisk, match=r"positions \(0, 2100\).* overflows .* 4096 nodes"):
-        transition_probability(start, start, 0.5, RateTable((1.0, 1.4)), params=params)
+    # the name predates the series.  Radius 0.71 lies inside the bound 1/1.4 and rounds to scale 1,
+    # so beta_1 = 1.4: the coefficients 1.4**j of 1/(1 - 1.4 xi) pass the float range at j = 2110,
+    # before the 2268 terms a 2200-site span needs, and the value is not finite
+    start = ParticleState((0, 2200), (1, 2))
+    params = SpectralParams(radius=0.71)
+    with pytest.raises(OverflowRisk, match=r"positions \(0, 2200\).* overflows the spectral route"):
+        transition_probability(start, start, 0.5, RateTable((1.4, 1.0)), params=params)
+    # at radius 0.25 sqrt(2), where a 4096-node rule overflowed, the coefficients shrink: e^(-1.2)
+    params = SpectralParams(radius=0.25 * math.sqrt(2))
+    res = transition_probability(ParticleState((0, 2100), (1, 2)), ParticleState((0, 2100), (1, 2)), 0.5,
+                                 RateTable((1.0, 1.4)), params=params)
+    assert abs(res.value - math.exp(-1.2)) <= 1e-14 * math.exp(-1.2)
 
 
 def test_time_guard_counts_every_factor(monkeypatch):
-    # t/radius = 400 passes one factor, but a term multiplies N = 2 of them and its sum is not
-    # finite: N t/radius = 800 raises before any probe runs
+    # t/radius = 400 passes one factor, but a term multiplies N = 2 moments of about exp(t/radius)
+    # each: N t/radius = 800 raises before any moment is built
     from mstasep import bethe
 
-    monkeypatch.setattr(bethe, "_grid_values", lambda *args: pytest.fail("a probe ran"))
+    monkeypatch.setattr(bethe, "_series_values", lambda *args: pytest.fail("a moment was built"))
     params = SpectralParams(radius=0.00125, nodes_per_dim=32, max_nodes=32)
     with pytest.raises(OverflowRisk, match="N t/radius = 800"):
         transition_probability(
@@ -619,8 +620,10 @@ def test_time_guard_counts_every_factor(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(9))
 def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
-    # every term of a target carries the same scale**P, P = sum(x) - sum(y) - N, and numpy forms
-    # powers with |p| < 100 by squaring: the scaled grid sum is the unscaled one times 2**(cP)
+    # every term of a target carries the same scale**P, P = sum(x) - sum(y) - N.  The coefficients are
+    # products of ratios beta (e - j + 1) / j and u_k one of ratios scale t / i, so each term of a
+    # moment is its unscaled value times 2**(c (q + 1)), exactly: the scaled sum is the unscaled one
+    # times 2**(cP)
     from mstasep import bethe
 
     rng = np.random.default_rng(seed)
@@ -635,13 +638,36 @@ def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
     axes = [np.unique(col, return_inverse=True) for col in x.T]
     radius = rng.uniform(0.2, 0.9) * contour_bound(rt)
     c = -round(math.log2(radius))
-    m = 8 if n == 4 else 16
     terms = bethe._row_terms(sector, sector.index(word), np.unique(rows), rt)
-    args = (y, axes, rows, 0.4, rt, m, radius)
-    plain = bethe._grid_values(*args, 1.0, terms)
-    scaled = bethe._grid_values(*args, 2.0**c, terms)
+    plain, _ = bethe._series_values(y, axes, rows, 0.4, rt, 1.0, 90, terms)
+    scaled, _ = bethe._series_values(y, axes, rows, 0.4 * 2.0**c, rt, 2.0**c, 90, terms)
     powers = x.sum(axis=1) - y.sum() - n
     assert np.array_equal(scaled, np.ldexp(plain, c * powers))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.8, 8.0, 32.0])
+@pytest.mark.parametrize(
+    "q, e, rates",
+    [
+        ([-2001, -1000, -2], (0, -1), (1.0, 2.0)),  # the leftmost axis of a start spanning 2000 sites
+        ([-2001, -3, -1, 0, 5], (2, -3), (1.0, 2.0)),
+        ([-3, -1, 0, 1, 7], (2, -3), (1.3, 0.7)),  # rates with full mantissas
+        ([-4, -1, 0, 3], (1, 1), (1.3, 0.7)),  # a polynomial
+        ([-6, -1, 0, 2], (-1, 1, -2), (1.1, 0.7, 1.3)),
+    ],
+)
+def test_moment_table_covers_the_exact_moments(q, e, rates, t):
+    # each moment lies within its bound (third column less second) of the exact one, and its |.| plus
+    # that bound covers the exact |moment|: at scale 4, the default radius of both rate pairs
+    from mstasep import bethe
+
+    span, scale = 2000, 4.0
+    length = span + 64 + math.ceil(8 * scale * t)
+    table = bethe._moment_table(np.array(q), np.array([e]), scale * t, RateTable(rates), scale, span, length)
+    for (m, a, w), qk in zip(table[:, 0].T, q):
+        exact, tail = exact_moment(qk, e, rates, t, scale)
+        assert abs(Fraction(m) - exact) <= Fraction(w) - Fraction(a) + tail
+        assert abs(exact) <= Fraction(w) + tail
 
 
 def test_time_and_threads_type_checked():
@@ -697,24 +723,21 @@ def test_not_converged_raised_at_cap():
 
 
 def test_engine_matches_literal_node_loop_four_particles():
-    rng = np.random.default_rng(29)
-    rt = draw_rates(rng, 4)
-    radius = default_radius(rt)
+    # 32 nodes are 2**20 node tuples, out of reach: at t = 0.01 the 8- and 16-node loops agree to 1e-7
+    rt = draw_rates(np.random.default_rng(29), 4)
     initial = ParticleState((0, 1, 2, 4), (2, 1, 2, 1))
-    tgs = [  # the largest start gap, 4 - 1, stays below the 4 nodes
+    tgs = [
         ParticleState((1, 2, 3, 5), (1, 1, 2, 2)),
-        ParticleState((1, 2, 4, 5), (2, 1, 2, 1)),
+        ParticleState((0, 1, 2, 5), (2, 1, 2, 1)),
+        ParticleState((0, 1, 2, 4), (2, 1, 2, 1)),
+        ParticleState((0, 1, 2, 4), (1, 2, 2, 1)),
     ]
-    expected = literal_grid_values(initial, tgs, 0.3, rt, 4, radius)
-    params = SpectralParams(radius=radius, nodes_per_dim=4, max_nodes=4)
-    got = transition_matrix(initial, tgs, 0.3, rt, params=params)
-    for res, exp in zip(got, expected):
-        assert res.value == pytest.approx(exp.real, abs=1e-13) and abs(exp.imag) <= 1e-13
+    assert_matches_converged_literal_loop(initial, tgs, 0.01, rt, 16, 1e-7)
 
 
 def test_four_particles_agree_with_generator():
-    # end-to-end physics at the default particle limit: one coarse spectral
-    # pass against the uniformized generator over the whole window
+    # end-to-end physics at N = 4: the spectral route against the uniformized generator over the
+    # whole window, each value within its est_error (a 16-node rule missed by up to 1e-5 here)
     rt = RateTable((0.8, 1.3, 1.1, 1.9))
     initial = ParticleState((0, 1, 2, 3), (2, 1, 2, 1))
     t = 0.25
@@ -723,8 +746,7 @@ def test_four_particles_agree_with_generator():
     assert leak < 1e-9
     params = SpectralParams(nodes_per_dim=16, max_nodes=16)
     results = transition_matrix(initial, list(gen.states), t, rt, params=params)
-    dev = max(abs(r.value - p) for r, p in zip(results, probs))
-    assert dev < 1e-5  # grid aliasing floor at 16 nodes, (b*r)^16 scale
+    assert all(abs(r.value - p) <= r.est_error + 1e-12 for r, p in zip(results, probs))
 
 
 def test_particle_count_gate():
@@ -732,13 +754,12 @@ def test_particle_count_gate():
         seven = ParticleState(tuple(range(7)), (1,) * 7)
         transition_probability(seven, seven, 0.1, RateTable((1.0,) * 7))
     # five identical blocked particles run below the limit of six: only the rightmost can move, so
-    # the survival probability is a bare exponential.  Rates below one push the amplitude poles far
-    # from the contour, so one coarse pass suffices.
+    # the survival probability is a bare exponential, exp(-0.5 * 0.2)
     state = ParticleState(tuple(range(5)), (1, 1, 1, 1, 1))
     slow = RateTable((0.5,) * 5)
     res = transition_probability(state, state, 0.2, slow, params=SpectralParams(nodes_per_dim=8, max_nodes=8))
-    assert res.value == pytest.approx(math.exp(-0.1), abs=2e-4)
-    assert res.nodes_used == 8
+    assert abs(res.value - math.exp(-0.1)) <= res.est_error < 1e-12
+    assert res.nodes_used == 4 + 64 + 7  # scale 4 at the default radius 0.25
 
 
 def test_term_walk_past_the_budget_raises(monkeypatch):
@@ -763,14 +784,9 @@ def test_term_walk_past_the_budget_raises(monkeypatch):
     assert len(columns) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 14: at N t/radius = 680, just under the time guard, 32 fixed nodes "
-    "return -7.1e287 with est_error 0",
-)
 def test_near_guard_call_meets_the_error_contract():
-    # the contract of ROADMAP item 16: a finite value within est_error of the oracle, or a named error
+    # the contract of ROADMAP item 16: a finite value within est_error of the oracle, or a named error.
+    # At N t/radius = 680, just under the time guard, a 32-node rule returned -7.1e287 with est_error 0
     rt = RateTable((1.0, 1.2))
     start = ParticleState((0, 1), (2, 1))
     gen = build_generator(start, rt, default_window(start, rt, 0.5))
@@ -779,7 +795,7 @@ def test_near_guard_call_meets_the_error_contract():
     params = SpectralParams(radius=0.5 / 340, nodes_per_dim=32, max_nodes=32)
     try:
         res = transition_probability(start, start, 0.5, rt, params=params)
-    except (ContourInvalid, NodeFloorExceeded, NotConverged, OverflowRisk):
+    except (ContourInvalid, NotConverged, OverflowRisk):
         return
     assert math.isfinite(res.value) and abs(res.value - probs[gen.index[start]]) <= res.est_error + 1e-12
 
@@ -947,29 +963,10 @@ def test_transition_arrays_match_the_list_wrapper():
     assert value.dtype == est_error.dtype == np.float64 and nodes_used.dtype == np.int64
     assert value.tolist() == [r.value for r in results]
     assert est_error.tolist() == [r.est_error for r in results]
-    # the second target lies left of the start, the third's word 321 is unreachable from 312
-    assert nodes_used.tolist() == [r.nodes_used for r in results] == [24, 0, 0, 24]
-
-
-def test_node_ladder_has_two_rungs_per_octave():
-    rungs = [4]
-    while rungs[-1] < 512:
-        rungs.append(next_rung(rungs[-1]))
-    assert rungs == [4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512]
-
-
-@pytest.mark.parametrize(
-    "params, used",
-    [
-        (SpectralParams(), 48),  # the 32-node probe confirmed at 48
-        (SpectralParams(nodes_per_dim=4, max_nodes=4096), 32),  # climbs 4, 6, ..., 24, 32
-        (SpectralParams(nodes_per_dim=64, max_nodes=64), 64),  # fixed nodes: one probe
-    ],
-)
-def test_adaptive_path_reports_the_confirming_rung(params, used):
-    rt = RateTable((0.9, 1.6))
-    start, target = ParticleState((0, 1), (2, 1)), ParticleState((0, 2), (1, 2))
-    assert transition_probability(start, target, 0.8, rt, params=params).nodes_used == used
+    # the second target lies left of the start, the third's word 321 is unreachable from 312; the
+    # others sum J = 3 + 64 + ceil(8 scale t) terms, scale 4 at the default radius 0.3125
+    assert nodes_used.tolist() == [r.nodes_used for r in results] == [80, 0, 0, 80]
+    assert (est_error[[0, 3]] > 0).all() and (est_error[[1, 2]] == 0).all()
 
 
 @pytest.mark.parametrize(
@@ -977,43 +974,45 @@ def test_adaptive_path_reports_the_confirming_rung(params, used):
     [(32, 256, 64), (64, 256, 128), (96, 256, 192), (128, 256, 256), (192, 512, 384)],
 )
 def test_gapped_start_does_not_alias(gap, max_nodes, used):
-    # neither particle moves with probability e^(-(1 + 2) t).  A 32/64 pair aliases alike at gaps
-    # 64 and 128, a 32/48 pair at 96 and 192; every probe starts above the gap instead
+    # neither particle moves with probability e^(-(1 + 2) t).  A 32/64 node pair aliased alike at gaps
+    # 64 and 128, a 32/48 pair at 96 and 192, so the node ladder confirmed these gaps only at the `used`
+    # rung above them.  The series needs no rung: J = gap + 64 + 16 terms (scale 4) whatever
+    # max_nodes is, and it agrees with the literal `used`-node rule, which does not alias
     rt = RateTable((1.0, 2.0))
     start = ParticleState((0, gap), (2, 1))
     res = transition_probability(start, start, 0.5, rt, params=SpectralParams(max_nodes=max_nodes))
-    assert res.value == pytest.approx(math.exp(-1.5), abs=1e-8)
-    assert res.nodes_used == used
-
-
-@pytest.mark.parametrize("gap", [192, 256, 512])
-def test_gap_past_the_node_cap_raises(gap):
-    # at 192 the first rung above the gap is 256, the default max_nodes: no rung is left to confirm it
-    start = ParticleState((0, gap), (2, 1))
-    with pytest.raises(NodeFloorExceeded, match=f"gap {gap}.*max_nodes 256"):
-        transition_probability(start, start, 0.5, RateTable((1.0, 2.0)))
+    assert abs(res.value - math.exp(-1.5)) <= res.est_error < 1e-11
+    assert res.nodes_used == gap + 80
+    literal = literal_grid_values(start, [start], 0.5, rt, used, default_radius(rt))[0]
+    assert abs(res.value - literal.real) < 1e-8
 
 
 def test_large_time_window_matches_the_oracle():
-    # N = 2 at t = 6: each moment carries one time factor exp(t/xi), and the window converges at 128
-    # nodes, every value within adapt_tol of the oracle row
+    # N = 2 at t = 6: each moment sums J = 1 + 64 + 8 * 4 * 6 terms (scale 4), every value within
+    # adapt_tol of the oracle row, and within its est_error
     rt = RateTable((1.0, 2.0))
     start = ParticleState((0, 1), (2, 1))
     gen = build_generator(start, rt, default_window(start, rt, 6.0))
     probs, leak = matrix_exponential_row(gen, start, 6.0)
     assert leak < 1e-11
     value, errs, nodes = transition_arrays(start, gen.positions, gen.words, 6.0, rt)
-    assert (nodes == 128).all()
+    assert (nodes == 257).all()
     assert np.abs(value - probs).max() <= SpectralParams().adapt_tol
+    assert (np.abs(value - probs) <= errs + 1e-12).all()
 
 
-def test_not_converged_still_raised_at_large_time():
-    # N = 2 at t = 8 loses the default radius's roundoff floor: refinement stops at max_nodes
+@pytest.mark.parametrize("t", [8.0, 16.0])
+def test_large_time_windows_meet_the_error_contract(t):
+    # at t = 8 a 256-node rule lost the default radius's roundoff floor and raised NotConverged; the
+    # series meets the contract on every state of the default window (4,556 and 10,100 states)
     rt = RateTable((1.0, 2.0))
     start = ParticleState((0, 1), (2, 1))
-    positions, words = window_states(start, default_window(start, rt, 8.0)[1])
-    with pytest.raises(NotConverged, match="256 nodes"):
-        transition_arrays(start, positions, words, 8.0, rt)
+    gen = build_generator(start, rt, default_window(start, rt, t))
+    probs, leak = matrix_exponential_row(gen, start, t)
+    assert leak < 1e-11
+    value, errs, nodes = transition_arrays(start, gen.positions, gen.words, t, rt)
+    assert (nodes == 1 + 64 + 8 * 4 * int(t)).all()
+    assert (np.abs(value - probs) <= errs + 1e-12).all()
 
 
 @pytest.mark.parametrize(

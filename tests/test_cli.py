@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import canonical_config, reference_columns_text, reference_generator
-from mstasep import ParticleState, RateTable, cli, default_window, transition_matrix
+from mstasep import (
+    ParticleState,
+    RateTable,
+    build_generator,
+    cli,
+    default_window,
+    matrix_exponential_row,
+    transition_matrix,
+)
 from mstasep.bethe import transition_arrays
 from mstasep.cli import (
     EXIT_CONFIG,
@@ -479,24 +487,26 @@ def test_cmd_prob_not_converged_exit_code(tmp_path):
     assert not out_path.exists()
 
 
-def test_cmd_prob_node_floor_exit_code(tmp_path, capsys):
+def test_cmd_prob_runs_gapped_starts(tmp_path):
+    # a node floor used to refuse both jobs: a gap of 256 past the default max_nodes, and gap 64 at 32
+    # fixed nodes.  Each moment now sums J = gap + 64 + 16 terms (scale 4 at the default radius)
+    out_path = tmp_path / "rows.csv"
+    wide = {"initial": {"positions": [0, 256], "species": [2, 1]}, "targets": "window"}
+    cfg = parse_config(minimal_config(**wide))
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_OK
+    rows = list(csv.DictReader(out_path.open(newline="")))
+    gen = build_generator(cfg.initial, cfg.rates, default_window(cfg.initial, cfg.rates, cfg.time))
+    probs, _ = matrix_exponential_row(gen, cfg.initial, cfg.time)
+    assert len(rows) == len(gen.states) and {int(r["nodes_used"]) for r in rows} == {256 + 80}
+    for r in rows:
+        x, w = (tuple(map(int, r[k].split(sep))) for k, sep in (("positions", ";"), ("species", ",")))
+        exact = probs[gen.index[ParticleState(x, w)]]
+        assert abs(float(r["value"]) - exact) <= float(r["est_error"]) + 1e-12
     gapped = {"positions": [0, 64], "species": [2, 1]}
-    jobs = [
-        # a start gap of 256 needs a first probe at 384 nodes, past the default max_nodes of 256
-        ({"initial": {"positions": [0, 256], "species": [2, 1]}, "targets": "window"}, "gap 256", "max_nodes 256"),
-        # a fixed-node call takes the floor too: gap 64 needs a probe above it, past 32 nodes
-        (
-            {"initial": gapped, "targets": [gapped], "spectral": {"nodes_per_dim": 32, "max_nodes": 32}},
-            "gap 64",
-            "max_nodes 32",
-        ),
-    ]
-    out_path = tmp_path / "never.csv"
-    for patch, gap, cap in jobs:
-        assert cmd_prob(parse_config(minimal_config(**patch)), out=str(out_path)) == EXIT_CONFIG
-        assert not out_path.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and gap in err and cap in err
+    fixed = {"initial": gapped, "targets": [gapped], "spectral": {"nodes_per_dim": 32, "max_nodes": 32}}
+    assert cmd_prob(parse_config(minimal_config(**fixed)), out=str(out_path)) == EXIT_OK
+    (row,) = csv.DictReader(out_path.open(newline=""))
+    assert abs(float(row["value"]) - math.exp(-1.5)) < 1e-12 and int(row["nodes_used"]) == 64 + 80
 
 
 @pytest.mark.parametrize(
@@ -726,13 +736,6 @@ def test_cmd_prob_guards_run_before_window_states(tmp_path, monkeypatch, capsys)
     assert cmd_prob(parse_config(json.dumps(dict(job, time=60))), out=str(out_path)) == EXIT_CONFIG
     assert not out_path.exists()
     assert "N t/radius = 720" in capsys.readouterr().err
-    # a start spanning 5000 sites: every window target has x_1 >= y_1, so the gap is the span, and
-    # the floor rejects the job before its word 321 lists some 2.7e8 states
-    spread = dict(job, rates=[1.0, 1.5, 2.0], time=0.5, initial={"positions": [0, 1, 5000], "species": [3, 2, 1]})
-    assert cmd_prob(parse_config(json.dumps(spread)), out=str(out_path)) == EXIT_CONFIG
-    assert not out_path.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "gap 5000" in err
     # the patch is live: a job that passes the guards reaches the enumerator
     job["time"] = 0.5
     with pytest.raises(AssertionError, match="window enumerated"):

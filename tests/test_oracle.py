@@ -178,13 +178,27 @@ def test_window_too_wide_for_int64_keys_raises_before_enumeration(monkeypatch):
     # (hi - lo + 1)**4 * 4**4 passes 2**63 once hi - lo + 1 exceeds 2**13.75
     with pytest.raises(WindowTooWide, match="int64"):
         build_generator(initial, rates, (0, 2**14))
-    with pytest.raises(WindowTooWide):
-        build_generator(initial, rates, (-(2**62), 3))
     far = ParticleState((-(2**63) - 2,), (1,))
     with pytest.raises(ValueError, match="int64"):
         build_generator(far, RateTable((1.0,)), (-(2**63) - 3, -(2**63)))
     with pytest.raises(AssertionError, match="enumerated"):  # the patch is live
         build_generator(initial, rates, (0, 2**13))
+
+
+def test_far_left_window_edge_builds_the_start_edge_window():
+    # no reachable state lies left of the start's leftmost site, so the keys count sites from there:
+    # a far-left edge gives the tables and the index of lo = y_1, and still rejects a state left of y_1
+    initial, rates = ParticleState((0, 1), (2, 1)), RateTable((1.0, 2.0))
+    near = build_generator(initial, rates, (0, 6))
+    for lo in (-5, -(2**40), -(2**62)):
+        far = build_generator(initial, rates, (lo, 6))
+        assert far.lo == lo and far.hi == near.hi == 6
+        assert np.array_equal(far.positions, near.positions) and np.array_equal(far.words, near.words)
+        assert (far.rate_matrix != near.rate_matrix).nnz == 0
+        assert np.array_equal(far.leak_rates, near.leak_rates)
+        assert [far.index[s] for s in near.states] == list(range(len(near.states)))
+        with pytest.raises(KeyError):
+            far.index[ParticleState((-1, 1), (2, 1))]
 
 
 @pytest.mark.parametrize("window", [(0.7, 5.9), (0, 5.0), (True, 5), (0, np.float64(5))])
