@@ -21,16 +21,24 @@ pairs with axis d.  A value is sum_sigma sum_terms c prod_d M(q_d, e_d), one
 evaluation per call (the tests check it against the literal trapezoid sum
 over node tuples, where that has converged).
 
-The terms come from one walk per call over ``enumerate_sn``, parent before
-child (:func:`_row_terms`): S maps a term to minus itself with e_beta + 1 and
-e_alpha - 1 at the letter's species, T to b times it with a_beta + 1 and
-minus b times it with a_alpha + 1, each with e_alpha - 1, and a descending
-row negates.  Rows are classed by the :meth:`core.WordBlock.slot_table` the
-dense path reads, each permutation carries only the rows some target row
-depends on (:func:`_needed_rows`), like terms merge, and past
-``_CHUNK_BUDGET_BYTES`` of carried terms the walk raises.  A call builds one
-moment per pole signature and distinct q (:func:`_moment_table`) and gathers
-each target's terms in chunks under that budget.  Each moment sums J terms,
+The terms come from one walk per call over ``enumerate_sn`` (:func:`_row_terms`):
+S maps a term to minus itself with e_beta + 1 and e_alpha - 1 at the letter's
+species, T to b times it with a_beta + 1 and minus b times it with a_alpha + 1,
+each with e_alpha - 1, and a descending row negates.  Rows are classed by the
+:meth:`core.WordBlock.slot_table` the dense path reads, and each permutation
+carries only the rows some target row depends on (:func:`_needed_rows`).  The
+walk takes one inversion level at a time (:func:`_levels`), N(N-1)/2 array
+passes: each pass pairs every child with its parent's terms and keeps the
+pairs its slot's tables mark, and a term's row, permutation and exponents
+travel packed in a few int64 words (:func:`_key_layout`) that order like the
+wide keys.  The target rows' like terms merge once, at the end.  Before each
+level the walk counts the bytes it would then hold (its tables, the target
+rows' terms with the merge's copies, the parent level, and the new level with
+its indices and moves) and raises past ``_CHUNK_BUDGET_BYTES``; its traced
+peak stays within twice that count and 32 kB of Python objects.  A call
+builds one moment per pole signature and distinct q (:func:`_moment_table`)
+and gathers each target's terms, their coefficients and moment offsets formed
+once for all rows, in chunks under that budget.  Each moment sums J terms,
 J fixed by the start's span and scale t, and each target its terms, in a
 fixed order, so a value has the same bits on repeated calls, alone or in a
 batch, and however it is chunked.
@@ -54,6 +62,7 @@ and a value that is not finite, naming its first such target.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -78,14 +87,14 @@ from .core import (
     word_codes,
     word_floors,
 )
-from .rmatrix import chain_factors, contour_bound
+from .rmatrix import contour_bound
 
 MAX_PARTICLES = 6
 
 # a term multiplies N moments, each up to about exp(t/radius): past this, their product overflows
 OVERFLOW_EXPONENT = 700.0
 
-# target bytes for one chunk of an array of targets by terms or trials, and the most a term walk carries
+# target bytes for one chunk of an array of targets by terms or trials, and the most a term walk holds
 _CHUNK_BUDGET_BYTES = 2.0e8
 
 # largest node count per dimension SpectralParams accepts
@@ -216,22 +225,119 @@ def _chunks(count: int, item_bytes: int) -> list[slice]:
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
+@functools.cache
+def _levels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """The tree of :func:`core.enumerate_sn` by inversion level, built once per n.
+
+    Returns ``(factor, bounds, axis, steps)``.  ``factor[:, k]`` is (parent, slot, beta, alpha) of
+    permutation k's last factor (zeros for the identity).  Permutations bounds[L] .. bounds[L + 1]
+    have L inversions, and their parents lie in the level before, in the same order.  ``axis[k, d]``
+    is the target axis that axis d of permutation k pairs with.  ``steps[L - 1]`` holds, for each
+    pass p of each permutation k of level L (p = 0 for S, 1 and 2 for T's two terms), the parent's
+    place in level L - 1 and 3 (k - parent) + p.
+    """
+    perms = enumerate_sn(n)
+    pos = {elem.image: k for k, elem in enumerate(perms)}
+    factor, depth = np.zeros((4, len(perms)), dtype=np.int64), np.zeros(len(perms), dtype=np.int64)
+    for k, elem in enumerate(perms[1:], 1):
+        w = elem.pred.image
+        factor[:, k] = pos[w], elem.slot, w[elem.slot], w[elem.slot - 1]
+        depth[k] = depth[pos[w]] + 1
+    bounds = np.searchsorted(depth, np.arange(depth[-1] + 2))
+    steps = []
+    for plo, lo, hi in zip(bounds[:-2], bounds[1:-1], bounds[2:]):
+        parent = factor[0, lo:hi]
+        shift = 3 * (np.arange(lo, hi) - parent)[:, None] + np.arange(3)
+        steps.append((np.repeat(parent - plo, 3), shift.ravel()))
+    axis = np.argsort(_image_rows(n), axis=1)
+    for table in (factor, bounds, axis, *itertools.chain(*steps)):
+        table.flags.writeable = False
+    return factor, bounds, axis, steps
+
+
+def _slot_rows(sector: WordBlock) -> tuple[np.ndarray, np.ndarray]:
+    """(N, dim) tables of :meth:`core.WordBlock.slot_table`, row ``slot`` for each slot.
+
+    ``letter`` is the letter i of each equal or ascending row, 0 on a descending one; ``up`` is the
+    ascending row that reads each partner row, -1 on the others.
+    """
+    shape = (sector.word_length, sector.dim)
+    letter, up = np.zeros(shape, dtype=np.int64), np.full(shape, -1)
+    for slot in range(1, sector.word_length):
+        _, eq, asc, partner, eq_letter, asc_letter = sector.slot_table(slot)
+        letter[slot, list(eq + asc)] = eq_letter + asc_letter
+        up[slot, list(partner)] = asc
+    return letter, up
+
+
+def _partner_cells(up: np.ndarray) -> np.ndarray:
+    """For each row of (K, dim) ``up``, the flat place in a (K, dim) mask of the ascending row reading it.
+
+    Rows no ascending row reads get place K dim, a cell appended to the mask that stays False.  A mask
+    of the rows K permutations need, taken there, marks the rows they read through T.
+    """
+    return np.where(up >= 0, up + np.arange(0, up.size, up.shape[1])[:, None], up.size)
+
+
 def _needed_rows(sector: WordBlock, rows) -> np.ndarray:
     """(N!, dim) mask of the word rows each permutation's column carries, in ``enumerate_sn`` order.
 
     The target rows, and each parent row a carried row reads: itself, and its swapped partner where
-    it ascends at the factor's slot.
+    it ascends at the factor's slot.  Filled one level at a time, the deepest first.
     """
-    perms = enumerate_sn(sector.word_length)
-    pos = {elem.image: k for k, elem in enumerate(perms)}
-    need = np.zeros((len(perms), sector.dim), dtype=bool)
+    (parent, slot, _, _), bounds, _, _ = _levels(sector.word_length)
+    up = _slot_rows(sector)[1][slot]
+    flat, reader = np.zeros(up.size + 1, dtype=bool), _partner_cells(up)
+    need = flat[:-1].reshape(up.shape)
     need[:, rows] = True
-    for k in range(len(perms) - 1, 0, -1):  # children come after their parent
-        _, _, asc, partner, _, _ = sector.slot_table(perms[k].slot)
-        parent = pos[perms[k].pred.image]
-        need[parent] |= need[k]
-        need[parent, [p for r, p in zip(asc, partner) if need[k, r]]] = True
+    for lo, hi in zip(bounds[-2:0:-1], bounds[:1:-1]):  # every level but the identity's, deepest first
+        np.logical_or.at(need, parent[lo:hi], need[lo:hi] | flat[reader[lo:hi]])
     return need
+
+
+@functools.cache
+def _key_layout(n: int, present: tuple[int, ...], species: int) -> tuple:
+    """How the walk packs a term's key into int64 words, and what each pass adds to a key.
+
+    Returns ``(width, a_at, e_at, identity, moves)``.  Word 0 of a key is its header, row N! +
+    permutation.  The others hold every a_d and e_ds, each in [-D, D] (D = n(n-1)/2, the longest
+    reduced word) and stored plus D in ``width`` bits, most significant first in the wide key's
+    column order: a_1 .. a_N, then each axis's block of e at the sector's species ``present``, no
+    block split across two words of 63 bits.  So keys order like the wide ones.  ``a_at[d]`` and
+    ``e_at[d]`` are the word and lowest bit of a_d and of axis d's block, ``identity`` is the key of
+    e_nu less its header, and ``moves[((p L + beta) L + alpha) (species + 1) + s]``, L = n + 1, what
+    pass p of a factor (beta, alpha) adds to a key whose row (S) or read row (T) has letter s:
+    e_beta,s + 1 and e_alpha,s - 1 for p = 0 (nothing for s = 0, a descending row), and e_alpha,s - 1
+    with a_beta + 1 for p = 1, with a_alpha + 1 for p = 2.
+    """
+    width, depth = max(1, (n * (n - 1)).bit_length()), n * (n - 1) // 2
+    at, word, free = [], 1, 63
+    for bits in [width] * n + [width * len(present)] * n:
+        if bits > free:
+            word, free = word + 1, 63
+        free -= bits
+        at.append((word, free))
+    at, axes, cols = np.array(at), np.arange(1, n + 1), word + 1
+    unit_a = np.zeros((n + 1, cols), dtype=np.int64)
+    unit_e = np.zeros((n + 1, species + 1, cols), dtype=np.int64)
+    unit_a[axes, at[:n, 0]] = 1 << at[:n, 1]
+    for i, s in enumerate(present):
+        unit_e[axes, s, at[n:, 0]] = 1 << (at[n:, 1] + width * (len(present) - 1 - i))
+    s_move = unit_e[:, None] - unit_e[None]  # indexed [beta, alpha, s]
+    at_beta, at_alpha = np.broadcast_arrays(unit_a[:, None, None], unit_a[None, :, None], s_move)[:2]
+    moves = np.stack([s_move, at_beta - unit_e[None], at_alpha - unit_e[None]]).reshape(-1, cols)
+    out = width, at[:n], at[n:], depth * (unit_a.sum(axis=0) + unit_e.sum(axis=(0, 1))), moves
+    for table in out[1:]:
+        table.flags.writeable = False
+    return out
+
+
+def _fields(key: np.ndarray, at: np.ndarray, bits: int) -> np.ndarray:
+    """The ``bits``-wide fields of packed keys at the (word, lowest bit) pairs ``at``, one column each."""
+    out = key[:, at[:, 0]]
+    out >>= at[:, 1]
+    out &= (1 << bits) - 1
+    return out
 
 
 def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[np.ndarray, dict]:
@@ -241,60 +347,83 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
     (K, N) arrays, for each of ``rows``: term k is coef[k] prod_d xi_d**a[k, d]
     prod_s (1 - b_s xi_d)**poles[sig[k, d], s], and its axis d pairs with target axis
     axis[k, d].  Terms are listed permutation by permutation in ``enumerate_sn`` order.
-    The walk raises ValueError as soon as the columns it carries pass ``_CHUNK_BUDGET_BYTES``.
+
+    The walk builds one level of :func:`_levels` at a time, a coefficient array and an array of
+    packed keys (:func:`_key_layout`) grouped by permutation.  A child pairs with each of its
+    parent's terms three times, once per pass, and keeps the pairs its tables mark: S on the rows it
+    needs, T's two terms on the partners of the ascending ones.  So a child lists its S terms in
+    parent order, then T's b xi_beta terms, then its -b xi_alpha terms, and like terms merge in that
+    order.  Before it builds a level the walk counts what it would then hold: its tables, three times
+    the target rows' terms so far (they, and the final merge's two copies), the parent level, 17
+    bytes per pair and, per new term, 32 bytes of indices and twice its bytes (the term, and the move
+    that builds it).  Past ``_CHUNK_BUDGET_BYTES`` it raises ValueError; its traced peak stays within
+    twice that count and 32 kB of Python objects (the smallest walks count a few kB).
     """
-    n, dim, perms = sector.word_length, sector.dim, enumerate_sn(sector.word_length)
-    pos = {elem.image: k for k, elem in enumerate(perms)}
-    need, b, species = _needed_rows(sector, rows), np.array(rates.rates), rates.n_species
-    e0 = 2 + n  # a column is a table of terms: coefficients, and keys of row, permutation, a and e
-    cols = [(np.ones(1), np.array([[nu_idx] + [0] * (e0 - 1 + n * species)]))]  # the identity's e_nu
-    carried = 0
-    for k, elem in enumerate(perms[1:], 1):
-        slot, beta, alpha = chain_factors(elem)[-1]
-        _, eq, asc, partner, eq_letter, asc_letter = sector.slot_table(slot)
-        letter, up = np.zeros(dim, dtype=np.int64), np.full(dim, -1)
-        letter[list(eq) + list(asc)] = eq_letter + asc_letter  # 0 on a descending row
-        up[list(partner)] = asc  # the ascending row that reads each partner
-        coef, key = cols[pos[elem.pred.image]]
-        # each carried row reads its own parent row: -term on a descending row, S on the others
-        own = need[k, key[:, 0]]
-        s_coef, s_key = -coef[own], key[own]
-        s_letter = letter[s_key[:, 0]]
-        hit = np.flatnonzero(s_letter)
-        s_key[hit, e0 + (beta - 1) * species + s_letter[hit] - 1] += 1
-        s_key[hit, e0 + (alpha - 1) * species + s_letter[hit] - 1] -= 1
-        # an ascending row also reads its partner's: T, two terms
-        reads = np.flatnonzero(up[key[:, 0]] >= 0)
-        reads = reads[need[k, up[key[reads, 0]]]]
-        t_key = key[reads]
-        t_key[:, 0] = up[t_key[:, 0]]
-        t_letter = letter[t_key[:, 0]]
-        t_key[np.arange(len(reads)), e0 + (alpha - 1) * species + t_letter - 1] -= 1
-        t_coef = b[t_letter - 1] * coef[reads]
-        beta_key, alpha_key = t_key.copy(), t_key
-        beta_key[:, 1 + beta] += 1
-        alpha_key[:, 1 + alpha] += 1
-        key = np.concatenate([s_key, beta_key, alpha_key])
-        key[:, 1] = k
-        cols.append((np.concatenate([s_coef, t_coef, -t_coef]), key))
-        carried += cols[-1][0].nbytes + key.nbytes
-        if carried > _CHUNK_BUDGET_BYTES:
-            why = f"{_CHUNK_BUDGET_BYTES:g} bytes; split the targets by word row"
-            raise ValueError(f"the term walk for {len(rows)} word rows passes its budget of {why}")
+    n, dim, species, nperm = sector.word_length, sector.dim, rates.n_species, math.factorial(sector.word_length)
+    (_, slot, beta, alpha), bounds, axes, steps = _levels(n)
+    present = tuple(sorted(set(sector.words[0])))
+    width, a_at, e_at, identity, moves = _key_layout(n, present, species)
+    # flat tables by (row, permutation, pass): whether a parent term on the row yields a term, its
+    # header, and its move (a row of ``moves``), which also picks its factor -1, b_s or -b_s
+    letter, up = (table[slot] for table in _slot_rows(sector))
+    need = _needed_rows(sector, rows)
+    code, per_pass = ((beta * (n + 1) + alpha) * (species + 1))[:, None], (n + 1) ** 2 * (species + 1)
+    take, head, move = (np.empty((dim, nperm, 3), dtype=t) for t in (bool, np.int32, np.int32))
+    reader = _partner_cells(up)
+    take[..., 0], take[..., 1:] = need.T, np.append(need, False)[reader].T[..., None]
+    head[..., 0] = np.arange(0, dim * nperm, nperm)[:, None] + np.arange(nperm)
+    head[..., 1:] = (up.T * nperm + np.arange(nperm))[..., None]
+    move[..., 0] = (code + letter).T
+    move[..., 1] = (per_pass + code + np.append(letter, 0)[reader]).T
+    move[..., 2] = move[..., 1] + per_pass
+    take, head, move = take.ravel(), head.ravel(), move.ravel()
+    b = np.array((0.0, *rates.rates))
+    gain = np.repeat([np.full_like(b, -1.0), b, -b], (n + 1) ** 2, axis=0).ravel()
+    is_target = np.zeros(dim, dtype=bool)
+    is_target[rows] = True
+    is_target = np.repeat(is_target, nperm)  # by header
+    coef, key, size = np.ones(1), np.array([[nu_idx * nperm, *identity[1:]]]), np.ones(1, dtype=np.int64)
+    kept, tables, cols = [], take.nbytes + head.nbytes + move.nbytes + need.nbytes, key.shape[1]
+    for lo, hi, step in zip(bounds[:-1], bounds[1:], itertools.chain([None], steps)):
+        if step is not None:
+            par, shift = step
+            # each pass of each child against every term of its parent, child by child in parent order
+            pairs = size[par]
+            ends = np.cumsum(pairs)
+            j = np.arange(ends[-1]) + np.repeat((np.cumsum(size) - size)[par] - ends + pairs, pairs)
+            at = 3 * key[j, 0] + np.repeat(shift, pairs)
+            keep = take[at]
+            held = tables + 3 * sum(c.nbytes + k.nbytes for c, k in kept) + coef.nbytes + key.nbytes
+            if held + 17 * len(at) + np.count_nonzero(keep) * (16 * cols + 48) > _CHUNK_BUDGET_BYTES:
+                why = f"{_CHUNK_BUDGET_BYTES:g} bytes; split the targets by word row"
+                raise ValueError(f"the term walk for {len(rows)} word rows passes its budget of {why}")
+            j, at = j[keep], at[keep]
+            kinds = move[at]
+            coef, key = coef[j] * gain[kinds], key[j]
+            key += moves[kinds]
+            key[:, 0] = head[at]
+            size = np.bincount(key[:, 0] % nperm - lo, minlength=hi - lo)
+        mine = is_target[key[:, 0]]
+        kept.append((coef[mine], key[mine]))
     # the target rows' terms: like terms merge and exact cancellations drop, sorted by row and permutation
-    coef, key = (np.concatenate(c) for c in zip(*cols))
-    read = np.isin(key[:, 0], rows)
-    key = key[read]
+    coef, key = (np.concatenate(part) for part in zip(*kept))
+    kept.clear()
     first, at = unique_rows(key)
-    key = key[first]
-    coef = np.bincount(at, weights=coef[read], minlength=len(key))
-    coef, key = coef[coef != 0], key[coef != 0]
-    signatures = key[:, e0:].reshape(-1, species)
-    first, sig = unique_rows(signatures)
-    poles = signatures[first]
-    a, sig, axis = key[:, 2:e0], sig.reshape(-1, n), np.argsort(_image_rows(n), axis=1)[key[:, 1]]
-    bounds = {int(r): slice(*np.searchsorted(key[:, 0], [r, r + 1])) for r in rows}  # keys sort by row first
-    return poles, {r: (coef[s], a[s], sig[s], axis[s]) for r, s in bounds.items()}
+    coef = np.bincount(at, weights=coef, minlength=len(first))
+    coef, key = coef[coef != 0], key[first[coef != 0]]
+    # one signature per (term, axis): the packed blocks sort like the wide rows
+    depth, labels = n * (n - 1) // 2, np.array(present)
+    distinct = np.sort(blocks := _fields(key, e_at, width * len(labels)), axis=None)
+    new = np.ones(distinct.size, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
+    distinct = distinct[new]
+    poles = np.zeros((len(distinct), species), dtype=np.int64)
+    poles[:, labels - 1] = (distinct[:, None] >> width * np.arange(len(labels))[::-1]) % (1 << width) - depth
+    sig, a = np.searchsorted(distinct, blocks), _fields(key, a_at, width) - depth
+    row, perm = np.divmod(key[:, 0], nperm)
+    axis, rows = axes[perm], np.asarray(rows)
+    bounds = zip(rows.tolist(), *(np.searchsorted(row, rows, side).tolist() for side in ("left", "right")))
+    return poles, {r: (coef[lo:hi], a[lo:hi], sig[lo:hi], axis[lo:hi]) for r, lo, hi in bounds}
 
 
 def _moment_table(
@@ -372,7 +501,8 @@ def _series_values(
     :func:`_moment_table` at ``st`` = scale t, one per distinct q, each ``length`` terms long.
     """
     poles, terms = terms
-    a_len = max(int(a.max(initial=0)) for _, a, _, _ in terms.values()) + 1
+    coef, a, sig = (np.concatenate(part) for part in list(zip(*terms.values()))[:3])
+    a_len = int(a.max(initial=0)) + 1
     sites = np.concatenate([ux for ux, _ in axes])
     q = sites - y[:, None, None] - 1 + np.arange(a_len)[:, None]  # (N, a_len, sites)
     distinct, at = np.unique(q, return_inverse=True)
@@ -381,18 +511,22 @@ def _series_values(
     start = np.cumsum([0] + [len(ux) for ux, _ in axes[:-1]])
     index = np.stack([ix + s for (_, ix), s in zip(axes, start)], axis=1)  # (targets, N) into sites
     sums, shape, tables = np.zeros((3, len(rows))), tables.shape[1:], tables.reshape(3, -1)
-    for r, (coef, a, sig, axis) in terms.items():
-        base = np.ravel_multi_index((sig, np.arange(len(y)), a, 0), shape).T[:, None]
-        c = coef * scale ** -a.sum(axis=1)  # the exact 2**(-c sum(a)) of the scaled powers
-        c = np.stack([c, np.abs(c), np.abs(c)])[:, None]  # the value's, and the |terms| of both bounds
-        sel = np.flatnonzero(rows == r)
-        for part in _chunks(len(sel), a.size * 32):
+    # every row's terms at once: where each term's moments start, and its coefficient
+    base = np.ravel_multi_index((sig, np.arange(len(y)), a, 0), shape).T[:, None]
+    c = coef * scale ** -a.sum(axis=1)  # the exact 2**(-c sum(a)) of the scaled powers
+    c = np.stack([c, np.abs(c), np.abs(c)])[:, None]  # the value's, and the |terms| of both bounds
+    ends = np.cumsum([len(axis) for _, _, _, axis in terms.values()]).tolist()
+    order = np.argsort(rows, kind="stable")  # each row's targets in increasing order
+    cuts = np.searchsorted(rows[order], [list(terms), [r + 1 for r in terms]]).tolist()
+    for (_, (_, _, _, axis)), end, lo, hi in zip(terms.items(), ends, *cuts):
+        span, sel = slice(end - len(axis), end), order[lo:hi]
+        for part in _chunks(len(sel), axis.size * 32):
             # one advanced index keeps (N, targets, terms) C-ordered: a target's sum does not see the chunk
             ix = index[sel[None, part, None], axis.T[:, None]]
-            ix += base
+            ix += base[..., span]
             # (N, 3, targets, terms): each column's N moments multiplied in axis order
             moments = np.take(tables, ix, axis=1).swapaxes(0, 1)
-            sums[:, sel[part]] = (functools.reduce(np.multiply, moments) * c).sum(axis=-1)
+            sums[:, sel[part]] = (functools.reduce(np.multiply, moments) * c[..., span]).sum(axis=-1)
     # widening every moment by its bound widens |terms| by at least the terms' error; the product,
     # the coefficient, the sum over terms and the constant round fewer than 128 times
     value, tight, wide = sums

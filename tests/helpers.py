@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from mstasep import ParticleState, RateTable, SpectralPoint, contour_bound
-from mstasep.core import _increasing_rows, word_floors
+from mstasep.core import _increasing_rows, enumerate_sn, word_floors
 
 # the benchmark's goodness-of-fit criterion for sampled counts, so tests and benchmark judge alike
 _spec = importlib.util.spec_from_file_location(
@@ -229,3 +229,69 @@ def exact_moment(q, e, rates, t, scale):
                 if rho <= Fraction(1, 2) and bound * 2**200 <= max(size, Fraction(1, 2**1000)):
                     return scale**q * total, scale**q * bound / (1 - rho)
         length *= 2
+
+
+def exact_terms(word, rows, rates):
+    """The terms of the given rows of sum_sigma A_sigma e_word in exact rationals, by a walk of dicts.
+
+    Walks :func:`core.enumerate_sn`, each column carrying the given rows and the rows its descendants
+    read.  The factor at slot i, with letters (l, m) there and beta, alpha the values sigma's parent
+    holds at slots i + 1 and i, negates a row with l > m, multiplies one with l <= m by
+    S = -(1 - b_l xi_beta) / (1 - b_l xi_alpha), and adds to one with l < m
+    T = b_l (xi_beta - xi_alpha) / (1 - b_l xi_alpha) times the row with l and m swapped.  Rates are
+    read exactly from their floats.  Keys are (row, axis, a, e) as :func:`bethe._row_terms` lists
+    them: the row among the sorted distinct words, the target axis each spectral axis d pairs with,
+    the powers a[d] of xi_d and e[d][s] of (1 - b_(s+1) xi_d).  Values are (coefficient, sum of
+    |contributions|): a key whose contributions cancel exactly keeps coefficient 0.
+    """
+    b = [Fraction(x) for x in rates.rates]
+    words = sorted(set(itertools.permutations(word)))
+    index, n = {w: k for k, w in enumerate(words)}, len(word)
+
+    def shift(powers, d, by):
+        return powers[:d] + (powers[d] + by,) + powers[d + 1 :]
+
+    def shift_e(e, d, s, by):
+        return e[:d] + (shift(e[d], s, by),) + e[d + 1 :]
+
+    def swap(w, slot):
+        return w[: slot - 1] + (w[slot], w[slot - 1]) + w[slot + 1 :]
+
+    # the rows each permutation carries: the given rows, and every row its children's carried rows read
+    perms = enumerate_sn(n)
+    need = {elem.image: set(rows) for elem in perms}
+    for elem in reversed(perms[1:]):
+        for r in need[elem.image]:
+            w = words[r]
+            need[elem.pred.image] |= {r, index[swap(w, elem.slot)]} if w[elem.slot - 1] < w[elem.slot] else {r}
+    start = ((0,) * n, ((0,) * len(b),) * n)
+    columns = {perms[0].image: {index[tuple(word)]: {start: (Fraction(1), Fraction(1))}}}
+    for elem in perms[1:]:
+        parent, slot = columns[elem.pred.image], elem.slot
+        beta, alpha = elem.pred.image[slot] - 1, elem.pred.image[slot - 1] - 1  # 0-based spectral axes
+        column = columns[elem.image] = {}
+        for r in need[elem.image]:
+            w = words[r]
+            l, m = w[slot - 1], w[slot]
+            made = []
+            for (a, e), (c, size) in parent.get(r, {}).items():
+                if l > m:
+                    made.append((a, e, -c, size))
+                else:  # S
+                    made.append((a, shift_e(shift_e(e, beta, l - 1, 1), alpha, l - 1, -1), -c, size))
+            if l < m:  # T, from the row with l and m swapped
+                bl = b[l - 1]
+                for (a, e), (c, size) in parent.get(index[swap(w, slot)], {}).items():
+                    e = shift_e(e, alpha, l - 1, -1)
+                    made.append((shift(a, beta, 1), e, bl * c, bl * size))
+                    made.append((shift(a, alpha, 1), e, -bl * c, bl * size))
+            out = column[r] = {}
+            for a, e, c, size in made:
+                old_c, old_size = out.get((a, e), (0, 0))
+                out[a, e] = (old_c + c, old_size + size)
+    terms = {}
+    for image, column in columns.items():
+        axis = tuple(image.index(d + 1) for d in range(n))
+        for r in rows:
+            terms.update({(r, axis, a, e): v for (a, e), v in column.get(r, {}).items()})
+    return terms

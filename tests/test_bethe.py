@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import draw_point, draw_rates, exact_moment, reference_generator
+from helpers import draw_point, draw_rates, exact_moment, exact_terms, reference_generator
 from mstasep import (
     ContourInvalid,
     NotConverged,
@@ -329,6 +330,49 @@ def test_row_terms_evaluate_to_the_amplitude_entries(n, start):
     if start == "ascending":
         poles, terms = _row_terms(sector, nu, np.arange(sector.dim), rt)
         assert {r: len(v[0]) for r, v in terms.items() if len(v[0])} == {nu: math.factorial(n)}
+
+
+@pytest.mark.parametrize(
+    "word, rows",
+    [
+        ((2, 1), None),
+        ((3, 2, 1), None),
+        ((2, 2, 1), None),
+        ((1, 3, 2), [0, 2, 5]),
+        ((1, 2, 3), None),
+        ((4, 3, 2, 1), None),
+        ((4, 3, 2, 1), [0, 7, 13, 23]),
+        ((2, 1, 3, 1), None),
+        ((2, 1, 3, 1), [1, 6]),
+        ((1, 2, 3, 4), None),
+        ((5, 4, 3, 2, 1), [0, 60, 119]),
+    ],
+    ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else "all" if v is None else "some",
+)
+def test_row_terms_match_the_exact_terms(word, rows):
+    # the walk against helpers.exact_terms, a walk of dicts in exact rationals that shares no code with
+    # it: the same keys, each coefficient within a few ulps of the exact one.  Float products of the
+    # rates taken in different orders can leave a term whose exact contributions cancel, at a small
+    # fraction of an eps of their size (eight of them in the N = 5 case)
+    from mstasep.bethe import _row_terms
+
+    rt = draw_rates(np.random.default_rng(sum(word) + len(word)), len(word))
+    sector = build_sector(word)
+    rows = list(range(sector.dim)) if rows is None else rows
+    poles, terms = _row_terms(sector, sector.index(word), np.array(rows), rt)
+    exact = exact_terms(word, rows, rt)
+    got = {
+        (r, tuple(ax), tuple(ak), tuple(map(tuple, poles[sk].tolist()))): c
+        for r, (coef, a, sig, axis) in terms.items()
+        for c, ak, sk, ax in zip(coef.tolist(), a.tolist(), sig, axis.tolist())
+    }
+    assert {key for key, (value, _) in exact.items() if value} <= got.keys() <= exact.keys()
+    for key, c in got.items():
+        value, size = exact[key]
+        if value:
+            assert abs(Fraction(c) - value) <= 4 * Fraction(math.ulp(float(value)))
+        else:
+            assert abs(c) <= np.finfo(float).eps * size
 
 
 def row_reading_targets(n):
@@ -763,25 +807,30 @@ def test_particle_count_gate():
 
 
 def test_term_walk_past_the_budget_raises(monkeypatch):
-    # every word row of the descending N = 4 start carries about 0.3 MB of terms; a budget of a few
-    # kB refuses the call, naming the rows and the budget, one column past it
+    # the walk over every word row of the descending N = 4 start holds about 0.2 MB at its largest
+    # level; a budget of 32 kB refuses the call, naming the rows and the budget, one level past it
     from mstasep import bethe
 
     rt = RateTable((1.0, 4 / 3, 5 / 3, 2.0))
     start = ParticleState((0, 1, 2, 3), (4, 3, 2, 1))
     positions, words = window_states(start, 8)
     assert len(np.unique(words, axis=0)) == 24
-    columns, factors = [], bethe.chain_factors
-    monkeypatch.setattr(bethe, "chain_factors", lambda elem: columns.append(1) or factors(elem))
-    monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", 4096)
-    with pytest.raises(ValueError, match="24 word rows passes its budget of 4096 bytes"):
+    built, levels = [], bethe._levels
+
+    def counted(n):  # records each of the six levels the walk starts to build
+        factor, bounds, axis, steps = levels(n)
+        return factor, bounds, axis, (built.append(1) or step for step in steps)
+
+    monkeypatch.setattr(bethe, "_levels", counted)
+    monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", 32768)
+    with pytest.raises(ValueError, match="24 word rows passes its budget of 32768 bytes"):
         transition_arrays(start, positions, words, 0.5, rt)
-    assert 1 < len(columns) < 23  # the first columns fit, and the walk stops before the last
-    columns.clear()
+    assert 1 < len(built) < 6  # the first levels fit, and the walk stops before the last
+    built.clear()
     monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", 1)
     with pytest.raises(ValueError, match="budget of 1 bytes"):
         transition_arrays(start, positions, words, 0.5, rt)
-    assert len(columns) == 1
+    assert len(built) == 1
 
 
 def test_near_guard_call_meets_the_error_contract():
@@ -1037,6 +1086,62 @@ def test_default_five_particle_call_matches_the_oracle(n, t, hi, states, max_lea
     got = transition_matrix(start, [gen.states[k] for k in top], t, rt)
     for res, k in zip(got, top):
         assert res.nodes_used > 0 and abs(res.value - probs[k]) <= res.est_error + 1e-12
+
+
+def test_largest_admitted_six_particle_call_matches_the_oracle():
+    # the 100 likeliest states of the N = 6 pin's window span 57 word rows; the walk on packed keys
+    # admits them under the default budget (on wide int64 keys it carried 207 MB and was refused)
+    n, t = 6, 0.05
+    rt = RateTable(tuple(np.linspace(1.0, 2.0, n).tolist()))
+    start = ParticleState(tuple(range(n)), tuple(range(n, 0, -1)))
+    gen = build_generator(start, rt, (0, 9))
+    probs, leak = matrix_exponential_row(gen, start, t)
+    assert leak < 5e-9
+    top = np.argsort(probs)[::-1][:100]
+    targets = [gen.states[k] for k in top]
+    assert len({state.species for state in targets}) == 57
+    got = transition_matrix(start, targets, t, rt)
+    for res, k in zip(got, top):
+        assert res.nodes_used > 0 and abs(res.value - probs[k]) <= res.est_error + 1e-12
+
+
+@pytest.mark.parametrize(
+    "word, step",
+    [((5, 4, 3, 2, 1), 1), ((5, 4, 3, 2, 1), 11), ((3, 1, 2, 1, 2), 1)],
+    ids=["54321-all", "54321-every-11th", "31212-all"],
+)
+def test_term_walk_holds_at_most_twice_its_budget(monkeypatch, word, step):
+    # at the smallest budget that admits it (to 5 %), the traced peak of a walk stays within twice the
+    # budget and 32 kB, as the _row_terms docstring states: the count includes the walk's tables, the
+    # final merge's copies and each level's indices and moves.  On wide keys the all-rows N = 5 walk
+    # peaked at 3.4 times the bytes it counted
+    from mstasep import bethe
+
+    rt = RateTable(tuple(np.linspace(1.0, 2.0, max(word)).tolist()))
+    sector = build_sector(word)
+    rows = np.arange(0, sector.dim, step)
+
+    def walk(budget):
+        monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", budget)
+        return bethe._row_terms(sector, sector.index(word), rows, rt)
+
+    lo, hi = 1e4, 1e8
+    with pytest.raises(ValueError, match="passes its budget"):
+        walk(lo)
+    while hi > 1.05 * lo:
+        mid = math.sqrt(lo * hi)
+        try:
+            walk(mid)
+            hi = mid
+        except ValueError:
+            lo = mid
+    tracemalloc.start()
+    try:
+        walk(hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * hi + 32768
 
 
 @pytest.mark.parametrize(

@@ -186,6 +186,19 @@ def test_enumerate_sn_chains_reconstruct_elements(n):
         assert elem.parity == (-1) ** depth
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_enumerate_sn_lists_one_inversion_level_after_another(n):
+    # the term walk builds one level at a time: the tuple is sorted by inversion count, every element's
+    # predecessor lies in the level before, and a level lists its elements in their predecessors' order
+    elems = enumerate_sn(n)
+    at = {elem.image: k for k, elem in enumerate(elems)}
+    level = [inversions(elem.image) for elem in elems]
+    parent = [at[elem.pred.image] for elem in elems[1:]]
+    assert level == sorted(level) and level[-1] == n * (n - 1) // 2
+    assert all(level[p] == level[k] - 1 for k, p in enumerate(parent, 1))
+    assert parent == sorted(parent)
+
+
 def _path_floors(initial):
     """The floor each swap path from the start reaches, grouped by the word it ends on."""
     floors = {}
