@@ -24,9 +24,10 @@ over node tuples, where that has converged).
 The terms come from one walk per call over ``enumerate_sn`` (:func:`_row_terms`):
 S maps a term to minus itself with e_beta + 1 and e_alpha - 1 at the letter's
 species, T to b times it with a_beta + 1 and minus b times it with a_alpha + 1,
-each with e_alpha - 1, and a descending row negates.  Rows are classed by the
-:meth:`core.WordBlock.slot_table` the dense path reads, and each permutation
-carries only the rows some target row depends on (:func:`_needed_rows`).  The
+each with e_alpha - 1, and a descending row negates.  Rows are classed, and
+paired with their swapped partners, by the letters and swap table of the
+:class:`core.WordBlock` the dense path reads, and each permutation carries
+only the rows some target row depends on (:func:`_needed_rows`).  The
 walk takes one inversion level at a time (:func:`_levels`), N(N-1)/2 array
 passes: each pass pairs every child with its parent's terms and keeps the
 pairs its slot's tables mark, and a term's row, permutation and exponents
@@ -74,6 +75,8 @@ from .core import (
     RateTable,
     WordBlock,
     _describe,
+    _floor_table,
+    _tree_factors,
     build_sector,
     check_int,
     check_real,
@@ -85,7 +88,6 @@ from .core import (
     unique_rows,
     validate_state,
     word_codes,
-    word_floors,
 )
 from .rmatrix import contour_bound
 
@@ -172,7 +174,7 @@ def default_radius(rates: RateTable) -> float:
 
 def rate_power_diag(positions, sector: WordBlock, rates) -> np.ndarray:
     """Diagonal of the rate-power matrix: product of b_{w(i)}^{x_i} per word, (dim, *batch)."""
-    b, words = np.asarray(rates, dtype=float), np.array(sector.words).T
+    b, words = np.asarray(rates, dtype=float), sector.letters.T
     return math.prod(_int_power(b[col - 1], xk) for col, xk in zip(words, np.asarray(positions)))
 
 
@@ -229,54 +231,37 @@ def _chunks(count: int, item_bytes: int) -> list[slice]:
 def _levels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """The tree of :func:`core.enumerate_sn` by inversion level, built once per n.
 
-    Returns ``(factor, bounds, axis, steps)``.  ``factor[:, k]`` is (parent, slot, beta, alpha) of
-    permutation k's last factor (zeros for the identity).  Permutations bounds[L] .. bounds[L + 1]
+    Returns ``(factor, bounds, axis, steps)``.  ``factor`` is :func:`core._tree_factors`, column k
+    (parent, slot, beta, alpha) of permutation k's last factor.  Permutations bounds[L] .. bounds[L + 1]
     have L inversions, and their parents lie in the level before, in the same order.  ``axis[k, d]``
     is the target axis that axis d of permutation k pairs with.  ``steps[L - 1]`` holds, for each
     pass p of each permutation k of level L (p = 0 for S, 1 and 2 for T's two terms), the parent's
     place in level L - 1 and 3 (k - parent) + p.
     """
-    perms = enumerate_sn(n)
-    pos = {elem.image: k for k, elem in enumerate(perms)}
-    factor, depth = np.zeros((4, len(perms)), dtype=np.int64), np.zeros(len(perms), dtype=np.int64)
-    for k, elem in enumerate(perms[1:], 1):
-        w = elem.pred.image
-        factor[:, k] = pos[w], elem.slot, w[elem.slot], w[elem.slot - 1]
-        depth[k] = depth[pos[w]] + 1
+    factor, images = _tree_factors(n), _image_rows(n)
+    depth = np.triu(images[:, :, None] > images[:, None, :], 1).sum(axis=(1, 2))  # inversion counts
     bounds = np.searchsorted(depth, np.arange(depth[-1] + 2))
     steps = []
     for plo, lo, hi in zip(bounds[:-2], bounds[1:-1], bounds[2:]):
         parent = factor[0, lo:hi]
         shift = 3 * (np.arange(lo, hi) - parent)[:, None] + np.arange(3)
         steps.append((np.repeat(parent - plo, 3), shift.ravel()))
-    axis = np.argsort(_image_rows(n), axis=1)
-    for table in (factor, bounds, axis, *itertools.chain(*steps)):
+    axis = np.argsort(images, axis=1)
+    for table in (bounds, axis, *itertools.chain(*steps)):
         table.flags.writeable = False
     return factor, bounds, axis, steps
 
 
-def _slot_rows(sector: WordBlock) -> tuple[np.ndarray, np.ndarray]:
-    """(N, dim) tables of :meth:`core.WordBlock.slot_table`, row ``slot`` for each slot.
+def _partner_cells(sector: WordBlock, slot: np.ndarray) -> np.ndarray:
+    """(K, dim): at each of K slots, the flat place in a (K, dim) mask of the row reading each row.
 
-    ``letter`` is the letter i of each equal or ascending row, 0 on a descending one; ``up`` is the
-    ascending row that reads each partner row, -1 on the others.
+    A row descending at the slot is read through T by its swapped partner.  Other rows, and all at slot
+    0 (the identity's, paired with nothing), get place K dim, a cell appended to the mask that stays
+    False.  A mask of the rows K permutations need, taken there, marks the rows they read through T.
     """
-    shape = (sector.word_length, sector.dim)
-    letter, up = np.zeros(shape, dtype=np.int64), np.full(shape, -1)
-    for slot in range(1, sector.word_length):
-        _, eq, asc, partner, eq_letter, asc_letter = sector.slot_table(slot)
-        letter[slot, list(eq + asc)] = eq_letter + asc_letter
-        up[slot, list(partner)] = asc
-    return letter, up
-
-
-def _partner_cells(up: np.ndarray) -> np.ndarray:
-    """For each row of (K, dim) ``up``, the flat place in a (K, dim) mask of the ascending row reading it.
-
-    Rows no ascending row reads get place K dim, a cell appended to the mask that stays False.  A mask
-    of the rows K permutations need, taken there, marks the rows they read through T.
-    """
-    return np.where(up >= 0, up + np.arange(0, up.size, up.shape[1])[:, None], up.size)
+    up = sector.swaps[slot]
+    read = (sector.letters[:, slot - 1] > sector.letters[:, slot]).T & (up >= 0)
+    return np.where(read, up + np.arange(0, up.size, up.shape[1])[:, None], up.size)
 
 
 def _needed_rows(sector: WordBlock, rows) -> np.ndarray:
@@ -286,9 +271,9 @@ def _needed_rows(sector: WordBlock, rows) -> np.ndarray:
     it ascends at the factor's slot.  Filled one level at a time, the deepest first.
     """
     (parent, slot, _, _), bounds, _, _ = _levels(sector.word_length)
-    up = _slot_rows(sector)[1][slot]
-    flat, reader = np.zeros(up.size + 1, dtype=bool), _partner_cells(up)
-    need = flat[:-1].reshape(up.shape)
+    reader = _partner_cells(sector, slot)
+    flat = np.zeros(reader.size + 1, dtype=bool)
+    need = flat[:-1].reshape(reader.shape)
     need[:, rows] = True
     for lo, hi in zip(bounds[-2:0:-1], bounds[:1:-1]):  # every level but the identity's, deepest first
         np.logical_or.at(need, parent[lo:hi], need[lo:hi] | flat[reader[lo:hi]])
@@ -364,17 +349,17 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
     present = tuple(sorted(set(sector.words[0])))
     width, a_at, e_at, identity, moves = _key_layout(n, present, species)
     # flat tables by (row, permutation, pass): whether a parent term on the row yields a term, its
-    # header, and its move (a row of ``moves``), which also picks its factor -1, b_s or -b_s
-    letter, up = (table[slot] for table in _slot_rows(sector))
+    # header, and its move (a row of ``moves``), which also picks its factor -1, b_s or -b_s.  S moves by
+    # the row's left letter at the slot (0 if it descends), T by its right one, its ascending partner's left
+    left, right = sector.letters[:, slot - 1], sector.letters[:, slot]
     need = _needed_rows(sector, rows)
-    code, per_pass = ((beta * (n + 1) + alpha) * (species + 1))[:, None], (n + 1) ** 2 * (species + 1)
+    code, per_pass = (beta * (n + 1) + alpha) * (species + 1), (n + 1) ** 2 * (species + 1)
     take, head, move = (np.empty((dim, nperm, 3), dtype=t) for t in (bool, np.int32, np.int32))
-    reader = _partner_cells(up)
-    take[..., 0], take[..., 1:] = need.T, np.append(need, False)[reader].T[..., None]
+    take[..., 0], take[..., 1:] = need.T, np.append(need, False)[_partner_cells(sector, slot)].T[..., None]
     head[..., 0] = np.arange(0, dim * nperm, nperm)[:, None] + np.arange(nperm)
-    head[..., 1:] = (up.T * nperm + np.arange(nperm))[..., None]
-    move[..., 0] = (code + letter).T
-    move[..., 1] = (per_pass + code + np.append(letter, 0)[reader]).T
+    head[..., 1:] = (sector.swaps[slot].T * nperm + np.arange(nperm))[..., None]
+    move[..., 0] = code + np.where(left > right, 0, left)
+    move[..., 1] = per_pass + code + right
     move[..., 2] = move[..., 1] + per_pass
     take, head, move = take.ravel(), head.ravel(), move.ravel()
     b = np.array((0.0, *rates.rates))
@@ -473,9 +458,7 @@ def _moment_table(
     roundings = (rates.n_species + 4) * length + 2 * np.maximum(q + 1, 0) + 2 * rates.n_species + 64
     tail += length * np.finfo(float).tiny * (u.max() + coef[:, 1].max(axis=1) + 1)
     out = np.empty((3, len(poles), len(q)))
-    step = max(1, int(_CHUNK_BUDGET_BYTES // (coef.nbytes + 8 * length)))
-    for lo in range(0, len(q), step):
-        part = slice(lo, lo + step)
+    for part in _chunks(len(q), coef.nbytes + 8 * length):
         # each moment sums its J terms along one contiguous axis: the order depends on J alone
         windows = padded[first[part, None] + np.arange(length)]  # u_(q+1) .. u_(q+J) of each q
         m, a = (coef[:, :, None, :] * windows).sum(axis=-1).swapaxes(0, 1)
@@ -584,14 +567,14 @@ def transition_arrays(
     # inside it their sector rows, constants and the distinct values of each position axis with
     # each target's index into them; the lexicographic word order is the code order
     x = positions
-    reach = dict(sorted(word_floors(initial).items()))
-    reach_codes, codes = word_codes(np.array(list(reach)), n), word_codes(words, n)
+    reach, floors = _floor_table(initial)
+    reach_codes, codes = word_codes(reach, n), word_codes(words, n)
     at = np.minimum(np.searchsorted(reach_codes, codes), len(reach) - 1)
-    quad = (reach_codes[at] == codes) & (x >= np.array(list(reach.values()))[at]).all(axis=1)
+    quad = (reach_codes[at] == codes) & (x >= floors[at]).all(axis=1)
     final, errs, length = np.zeros(len(x)), np.zeros(len(x)), 0
     if quad.any():
         sector = build_sector(initial.species)
-        rows = np.searchsorted(word_codes(np.array(sector.words), n), codes[quad])  # sector rows
+        rows = np.searchsorted(word_codes(sector.letters, n), codes[quad])  # sector rows
 
         def overflow(bad: np.ndarray, why: str) -> None:  # raises naming the first target in bad
             if bad.any():

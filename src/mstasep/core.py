@@ -192,9 +192,9 @@ def validate_state(state: ParticleState, rates: RateTable) -> None:
     check_table(*state_arrays([state], n), n)
 
 
-def word_codes(words: np.ndarray, n: int) -> np.ndarray:
-    """Mixed-radix code of each row of a (T, n) word table (letter s is digit s - 1), in word order."""
-    return (words - 1) @ (n ** np.arange(n - 1, -1, -1))
+def word_codes(words: np.ndarray, radix: int) -> np.ndarray:
+    """Code of each row of a (T, N) word table in base ``radix`` (letter s is digit s - 1), in word order."""
+    return (words - 1) @ (radix ** np.arange(words.shape[1] - 1, -1, -1))
 
 
 def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,17 +214,40 @@ def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], inverse
 
 
+def _swap_table(words: np.ndarray) -> np.ndarray:
+    """(N, W) int64: [s, r] the row of word r of a (W, N) table with slots (s, s + 1) exchanged, or -1.
+
+    -1 where the table lacks that word, and on row 0 (slot 0 names no pair).  The words, distinct and
+    in any order, are coded in base their largest letter, and one argsort and one searchsorted find
+    every exchanged word's code.  A letter below 1, or codes past int64, raise ValueError.
+    """
+    n, low, radix = words.shape[1], int(words.min()), int(words.max())
+    if low < 1 or radix**n > _INT64.max:
+        raise ValueError(f"cannot code words of length {n} over letters {low}..{radix} in int64")
+    codes = word_codes(words, radix)
+    order = np.argsort(codes)
+    # exchanging the letters i, j at slots (s, s + 1) adds (j - i)(radix**(N - s) - radix**(N - s - 1))
+    step = radix ** np.arange(n - 1, 0, -1) - radix ** np.arange(n - 2, -1, -1)
+    swapped = codes[:, None] + (words[:, 1:] - words[:, :-1]) * step
+    at = order[np.minimum(np.searchsorted(codes, swapped, sorter=order), len(codes) - 1)]
+    table = np.full((n, len(words)), -1, dtype=np.int64)
+    table[1:] = np.where(codes[at] == swapped, at, -1).T
+    table.flags.writeable = False
+    return table
+
+
 class WordBlock:
     """An ordered, indexed collection of equal-length species words.
 
     This is the row/column labelling every sector matrix acts on.  Words
-    are tuples of 1-based species labels.
+    are tuples of 1-based species labels, ``letters`` the same as a
+    read-only (dim, N) int64 array and ``swaps`` their :func:`_swap_table`,
+    which every route through the two-site factor reads.
     """
 
-    __slots__ = ("words", "lookup", "_slot_tables")
+    __slots__ = ("words", "lookup", "letters", "swaps")
 
     def __init__(self, words: Iterable[Sequence[int]]):
-        self._slot_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.words: tuple[tuple[int, ...], ...] = tuple(tuple(w) for w in words)
         if not self.words:
             raise ValueError("word block must contain at least one word")
@@ -234,6 +257,9 @@ class WordBlock:
         self.lookup: dict[tuple[int, ...], int] = {w: i for i, w in enumerate(self.words)}
         if len(self.lookup) != len(self.words):
             raise ValueError("duplicate words in block")
+        self.letters = np.array(self.words, dtype=np.int64)
+        self.letters.flags.writeable = False
+        self.swaps = _swap_table(self.letters)
 
     @property
     def dim(self) -> int:
@@ -246,38 +272,20 @@ class WordBlock:
     def index(self, word: Sequence[int]) -> int:
         return self.lookup[tuple(word)]
 
-    def slot_table(self, slot: int) -> tuple[tuple[int, ...], ...]:
-        """Rows classed by the letters (i, j) at 1-based slots (slot, slot+1).
-
-        Returns ``(descending, equal, ascending, partner, equal_letter,
-        ascending_letter)``: rows with i > j, i == j and i < j, the row of each
-        ascending row with i and j swapped, and the i of each equal and
-        ascending row.  Cached per slot; raises ValueError for a bad slot or a
-        block not closed under the exchange.
-        """
-        if slot not in self._slot_tables:
-            if not 1 <= slot < self.word_length:
-                raise ValueError(f"slot {slot} outside 1..{self.word_length - 1}")
-            desc, eq, asc, partner, eq_letter, asc_letter = rows = ([], [], [], [], [], [])
-            for r, w in enumerate(self.words):
-                i, j = w[slot - 1], w[slot]
-                if i > j:
-                    desc.append(r)
-                elif i == j:
-                    eq.append(r)
-                    eq_letter.append(i)
-                else:
-                    swapped = w[: slot - 1] + (j, i) + w[slot + 1 :]
-                    if swapped not in self.lookup:
-                        raise ValueError(f"block lacks {swapped}: not closed under the exchange")
-                    asc.append(r)
-                    partner.append(self.lookup[swapped])
-                    asc_letter.append(i)
-            self._slot_tables[slot] = tuple(map(tuple, rows))
-        return self._slot_tables[slot]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({len(self.words)} words of length {self.word_length})"
+
+
+def _ascending_pairs(block: WordBlock, slot: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ascending at ``slot`` and their partners' rows; ValueError for a bad slot or unclosed block."""
+    if not 1 <= slot < block.word_length:
+        raise ValueError(f"slot {slot} outside 1..{block.word_length - 1}")
+    asc = np.flatnonzero(block.letters[:, slot - 1] < block.letters[:, slot])
+    partner = block.swaps[slot, asc]
+    if (partner < 0).any():
+        w = block.words[asc[partner.argmin()]]
+        raise ValueError(f"block lacks {w} swapped at slot {slot}: not closed under the exchange")
+    return asc, partner
 
 
 def build_sector(multiset: Sequence[int]) -> WordBlock:
@@ -314,13 +322,7 @@ class PermutationElem:
 
     def chain(self) -> list["PermutationElem"]:
         """Elements from the identity up to (and including) self."""
-        out: list[PermutationElem] = []
-        elem: Optional[PermutationElem] = self
-        while elem is not None:
-            out.append(elem)
-            elem = elem.pred
-        out.reverse()
-        return out
+        return (self.pred.chain() if self.pred is not None else []) + [self]
 
 
 @functools.cache
@@ -354,6 +356,19 @@ def enumerate_sn(n: int) -> tuple[PermutationElem, ...]:
                         next_frontier.append(child)
         frontier = next_frontier
     return tuple(elems)
+
+
+@functools.cache
+def _tree_factors(n: int) -> np.ndarray:
+    """(parent, slot, beta, alpha) of the last factor of each :func:`enumerate_sn` element: (4, n!) int64."""
+    perms = enumerate_sn(n)
+    pos = {elem.image: k for k, elem in enumerate(perms)}
+    factor = np.zeros((4, len(perms)), dtype=np.int64)
+    for k, elem in enumerate(perms[1:], 1):
+        w = elem.pred.image
+        factor[:, k] = pos[w], elem.slot, w[elem.slot], w[elem.slot - 1]
+    factor.flags.writeable = False
+    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +413,12 @@ def word_floors(initial: ParticleState) -> dict[tuple[int, ...], tuple[int, ...]
     return floors
 
 
+def _floor_table(initial: ParticleState) -> tuple[np.ndarray, np.ndarray]:
+    """The words :func:`word_floors` reaches, in lexicographic order, and their floors: (W, N) int64 each."""
+    words, floors = zip(*sorted(word_floors(initial).items()))
+    return np.array(words, dtype=np.int64), np.array(floors, dtype=np.int64)
+
+
 def _increasing_rows(floor: Sequence[int], hi: int) -> np.ndarray:
     """Strictly increasing int64 rows x >= floor with x[-1] <= hi, in lexicographic order."""
     n = len(floor)
@@ -424,10 +445,7 @@ def window_grid(initial: ParticleState, hi: int) -> tuple[np.ndarray, np.ndarray
     """
     if hi >= _INT64.max:  # x_N + 1 must fit int64 too
         raise ValueError(f"window edge {hi} outside the int64 range")
-    floors = word_floors(initial)
-    ordered = sorted(floors)
-    words = np.array(ordered, dtype=np.int64)
-    floor = np.array([floors[w] for w in ordered], dtype=np.int64)
+    words, floor = _floor_table(initial)
     rows = _increasing_rows(initial.positions, hi)
     reach = np.ones((len(rows), len(words)), dtype=bool)
     for j in range(len(initial)):

@@ -33,6 +33,8 @@ from .core import (
     ParticleState,
     RateTable,
     WordBlock,
+    _ascending_pairs,
+    _swap_table,
     check_int,
     check_real,
     check_table,
@@ -192,8 +194,9 @@ def build_generator(
 
     The grid's running count numbers the states, so every destination is
     read from a table: a swap keeps the position row and takes the partner
-    word (a (W, N - 1) table), a hop keeps the word and takes the successor
-    row (an (R, N) table from one binary search over the R row keys).  A swap
+    word (the grid words' swap table, the one ``core`` builds for every word
+    block), a hop keeps the word and takes the successor row (an (R, N)
+    table from one binary search over the R row keys).  A swap
     makes the word, and so the column, smaller, the more so at a lower slot;
     a hop makes the row larger, the more so further left.  So each row's
     columns ascend as swaps from slot 1, the diagonal, and hops from the
@@ -221,15 +224,12 @@ def build_generator(
     positions, words = grid_rows[r], grid_words[k]
     positions.setflags(write=False)
     words.setflags(write=False)
-    row_keys, codes = _row_keys(grid_rows, first, hi), word_codes(grid_words, n)
-    # a hop of particle i adds one to position digit i; a swap at slot i exchanges word digits i and i + 1.
-    # A blocked hop or an ascending slot has no destination: its table entry is clamped and never read.
+    row_keys = _row_keys(grid_rows, first, hi)
+    # a hop of particle i adds one to position digit i, a swap reads the words' swap table.  A blocked hop
+    # (clamped) or an ascending slot (-1 where unreachable) has no destination and is never read.
     hop_step = np.array([radix ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     successor = np.minimum(np.searchsorted(row_keys, row_keys[:, None] + hop_step), len(row_keys) - 1)
-    swap_step = n ** np.arange(n - 1, 0, -1) - n ** np.arange(n - 2, -1, -1)
-    descending = grid_words[:, :-1] > grid_words[:, 1:]
-    partner = np.searchsorted(codes, codes[:, None] + (grid_words[:, 1:] - grid_words[:, :-1]) * swap_step)
-    partner = np.where(descending, partner, 0)
+    partner = _swap_table(grid_words)[1:].T
 
     b = np.array(rates.rates)[words - 1]
     hop, swap = _jump_masks(positions, words)
@@ -251,7 +251,7 @@ def build_generator(
         axis=1,
     )
     q = sparse.csr_matrix((data, cols.ravel()[at], indptr), shape=(dim, dim))
-    keys = row_keys[r] * n**n + codes[k]
+    keys = row_keys[r] * n**n + word_codes(grid_words, n)[k]
     return GeneratorWindow(
         lo=lo,
         hi=hi,
@@ -414,7 +414,7 @@ def _diag(d: np.ndarray) -> np.ndarray:
 
 def hop_rate_diag(block: WordBlock, rates, slot: int) -> np.ndarray:
     """Diagonal matrix of the rate of the species at a 1-based slot."""
-    return _diag(np.asarray(rates, dtype=float)[np.array(block.words)[:, slot - 1] - 1])
+    return _diag(np.asarray(rates, dtype=float)[block.letters[:, slot - 1] - 1])
 
 
 def swap_gain_matrix(block: WordBlock, rates, slot: int) -> np.ndarray:
@@ -425,15 +425,15 @@ def swap_gain_matrix(block: WordBlock, rates, slot: int) -> np.ndarray:
     exchange raises ValueError.
     """
     b = np.asarray(rates, dtype=float)
-    _, _, asc, partner, _, _ = block.slot_table(slot)
+    asc, partner = _ascending_pairs(block, slot)
     out = np.zeros((block.dim, block.dim) + b.shape[1:])
-    out[list(asc), list(partner)] = b[np.array(block.words)[list(asc), slot] - 1]
+    out[asc, partner] = b[block.letters[asc, slot] - 1]
     return out
 
 
 def swap_loss_diag(block: WordBlock, rates, slot: int) -> np.ndarray:
     """Current out of a word whose slot pair is descending (a swap can fire)."""
-    w = np.array(block.words)
-    d = np.asarray(rates, dtype=float)[w[:, slot - 1] - 1]
-    d[w[:, slot - 1] <= w[:, slot]] = 0.0
+    i, j = block.letters[:, slot - 1], block.letters[:, slot]
+    d = np.asarray(rates, dtype=float)[i - 1]
+    d[i <= j] = 0.0
     return _diag(d)

@@ -8,12 +8,13 @@ acts on one word block (sector) at a time; the full tensor-product
 operators are block-diagonal across sectors, which the test-suite checks
 rather than assumes.
 
-The factor has one encoding and one implementation: :meth:`WordBlock.slot_table`
-in ``core`` classes the rows of a block at a slot, :func:`amplitudes` is the
-only S/T expression, and only :meth:`SlotAction.apply` writes them into rows of
-the dense path's columns (at ``slot=1`` of a block of species pairs that gives
-the two-site matrix ``R``); the spectral route reads the same slot table
-(:func:`bethe._row_terms`) and evaluates no factor.
+The factor has one encoding and one implementation: the swap table of a
+:class:`core.WordBlock` pairs each word with its swapped partner at a slot,
+and comparing the block's letters there classes the rows; :func:`amplitudes`
+is the only S/T expression, and only :meth:`SlotAction.apply` writes them into
+rows of the dense path's columns (at ``slot=1`` of a block of species pairs
+that gives the two-site matrix ``R``); the spectral route reads the same
+arrays (:func:`bethe._row_terms`) and evaluates no factor.
 :func:`product_along_slots` is the one dense product along a transposition
 word, and :func:`consistency_residuals` calls it; :func:`build_all_A` applies
 one factor per permutation to its predecessor's matrix, as the term walk
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import PermutationElem, WordBlock, build_sector, enumerate_sn
+from .core import PermutationElem, WordBlock, _ascending_pairs, _tree_factors, build_sector
 
 # |1 - b*xi| below this (scaled by max(1, b)) counts as sitting on a pole.
 POLE_THRESHOLD = 1e-13
@@ -95,11 +96,14 @@ class SlotAction:
     """
 
     def __init__(self, block: WordBlock, slot: int, b: np.ndarray):
-        self.desc, self.eq, self.asc, self.partner, eq_letter, asc_letter = block.slot_table(slot)
-        self.letters = sorted({*eq_letter, *asc_letter})
+        asc, partner = _ascending_pairs(block, slot)
+        i, j = block.letters[:, slot - 1], block.letters[:, slot]
+        eq, desc = np.flatnonzero(i == j), np.flatnonzero(i > j)
+        self.letters = sorted(set(i[i <= j].tolist()))
         col = {s: k for k, s in enumerate(self.letters)}  # letter axis of the S/T table
-        self.eq_col = tuple(col[s] for s in eq_letter)
-        self.asc_col = tuple(col[s] for s in asc_letter)
+        # Python ints, as apply writes row by row
+        self.asc, self.partner, self.eq, self.desc = (r.tolist() for r in (asc, partner, eq, desc))
+        self.asc_col, self.eq_col = ([col[s] for s in i[r].tolist()] for r in (asc, eq))
         self.b = b[[s - 1 for s in self.letters]]
 
     def apply(
@@ -135,13 +139,7 @@ def chain_factors(sigma: PermutationElem) -> list[tuple[int, int, int]]:
     permutation; the labels are the spectral indices sitting at slots
     (slot+1, slot) of the permutation *before* the swap.
     """
-    factors = []
-    for elem in sigma.chain():
-        if elem.is_identity:
-            continue
-        w = elem.pred.image
-        factors.append((elem.slot, w[elem.slot], w[elem.slot - 1]))
-    return factors
+    return [(e.slot, e.pred.image[e.slot], e.pred.image[e.slot - 1]) for e in sigma.chain()[1:]]
 
 
 def build_all_A(sp, rates, block: WordBlock) -> np.ndarray:
@@ -149,19 +147,18 @@ def build_all_A(sp, rates, block: WordBlock) -> np.ndarray:
 
     Walks :func:`core.enumerate_sn`, which lists every permutation after its
     predecessor, and applies one factor, the last of the permutation's
-    reduced word, to the predecessor's matrix: N! - 1 factor applications.
+    reduced word as the tree table of ``core`` lists it, to the predecessor's
+    matrix: N! - 1 factor applications.
     The identity gets the identity matrix.
     """
     xi, b = np.asarray(sp, dtype=complex), np.asarray(rates, dtype=float)
     actions = {slot: SlotAction(block, slot, b) for slot in range(1, block.word_length)}
-    perms = enumerate_sn(block.word_length)
-    pos = {elem.image: k for k, elem in enumerate(perms)}
+    parent, slot, beta, alpha = _tree_factors(block.word_length).tolist()
     ident = product_along_slots((), xi, b, block)[0]
-    amps = np.empty((len(perms),) + ident.shape, dtype=complex)
+    amps = np.empty((len(parent),) + ident.shape, dtype=complex)
     amps[0] = ident
-    for k, elem in enumerate(perms[1:], 1):
-        slot, beta, alpha = chain_factors(elem)[-1]
-        _step(actions[slot], xi, beta, alpha, amps[pos[elem.pred.image]], out=amps[k])
+    for k in range(1, len(parent)):
+        _step(actions[slot[k]], xi, beta[k], alpha[k], amps[parent[k]], out=amps[k])
     return amps
 
 
@@ -187,10 +184,11 @@ def product_along_slots(slots: Sequence[int], sp, rates, block: WordBlock) -> tu
     xi, b = np.asarray(sp, dtype=complex), np.asarray(rates, dtype=float)
     acc = np.zeros((block.dim,) * 2 + np.broadcast_shapes(xi.shape[1:], b.shape[1:]), dtype=complex)
     acc[np.arange(block.dim), np.arange(block.dim)] = 1.0
+    actions = {slot: SlotAction(block, slot, b) for slot in set(slots)}
     image = tuple(range(1, block.word_length + 1))
     for slot in slots:
         beta, alpha = image[slot], image[slot - 1]
-        _step(SlotAction(block, slot, b), xi, beta, alpha, acc, out=acc)
+        _step(actions[slot], xi, beta, alpha, acc, out=acc)
         image = image[: slot - 1] + (image[slot], image[slot - 1]) + image[slot + 1 :]
     return acc, image
 

@@ -492,8 +492,8 @@ def test_each_target_alone_matches_it_in_a_batch_reading_every_row(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_gather_chunks_keep_the_bits(monkeypatch, n):
-    # a budget of one target per chunk cuts a word row's targets into three or more chunks, and leaves
-    # every value's bits
+    # a budget of one item per chunk cuts the moment table into one chunk per distinct q and a word
+    # row's targets into three or more chunks, and leaves every value's bits
     from mstasep import bethe
 
     initial, tables = row_reading_targets(n)
@@ -509,7 +509,8 @@ def test_gather_chunks_keep_the_bits(monkeypatch, n):
 
     monkeypatch.setattr(bethe, "_chunks", one_per_chunk)
     chunked = transition_arrays(initial, *tables["window"], 0.3, rt, params=params)[0]
-    assert max(chunks) >= 3 and sum(chunks) == (nodes > 0).sum()
+    moments, *gathers = chunks  # the moment table is split first, then each word row's targets
+    assert moments >= 3 and max(gathers) >= 3 and sum(gathers) == (nodes > 0).sum()
     assert chunked.tobytes() == single.tobytes()
 
 

@@ -15,7 +15,7 @@ from mstasep import (
     enumerate_sn,
 )
 from helpers import inversions, reference_generator, reference_window_states, sector_size
-from mstasep.core import build_sector, validate_state, window_states, word_floors
+from mstasep.core import WordBlock, build_sector, validate_state, window_states, word_floors
 
 
 def test_rate_table_rejects_nonpositive():
@@ -139,6 +139,43 @@ def test_sector_invariants(n, data):
     for w in sec.words:
         assert sorted(w) == multiset
     assert len(set(sec.words)) == sec.dim
+
+
+def swap_table_blocks():
+    sectors = [
+        build_sector(ms)
+        for n in range(1, 7)
+        for ms in itertools.combinations_with_replacement(range(1, n + 1), n)
+    ]
+    union = WordBlock(build_sector([1, 1, 2]).words + build_sector([1, 2, 2]).words)
+    return sectors + [union, WordBlock([(1, 1), (1, 2), (2, 1), (2, 2)])]
+
+
+def test_swap_table_matches_swapping_each_word():
+    # every sector with N <= 6, a union of two sectors (its words out of lexicographic order) and the
+    # 4-word pair block: swaps[s, r] is the row of word r with slots (s, s + 1) exchanged, -1 if absent
+    for block in swap_table_blocks():
+        n = block.word_length
+        assert block.letters.dtype == block.swaps.dtype == np.int64
+        assert not block.letters.flags.writeable and not block.swaps.flags.writeable
+        assert block.letters.tolist() == [list(w) for w in block.words]
+        want = [[-1] * block.dim]
+        for s in range(1, n):
+            swapped = [w[: s - 1] + (w[s], w[s - 1]) + w[s + 1 :] for w in block.words]
+            want.append([block.lookup.get(w, -1) for w in swapped])
+        assert block.swaps.tolist() == want, block.words
+
+
+def test_swap_table_marks_words_a_block_lacks():
+    block = WordBlock([(1, 2, 3), (2, 1, 3)])  # built: only a slot's first use checks closure
+    assert block.swaps.tolist() == [[-1, -1], [1, 0], [-1, -1]]
+
+
+@pytest.mark.parametrize("words", [[(0, 1), (1, 0)], [(2**32, 1), (1, 2**32)]])
+def test_swap_table_rejects_words_it_cannot_code(words):
+    # a letter 0 would share its code with another word, and letters of 2**32 pass int64 at length 2
+    with pytest.raises(ValueError, match="cannot code words"):
+        WordBlock(words)
 
 
 def test_enumerate_sn_is_built_once_per_n():
