@@ -1,8 +1,8 @@
 """Multi-species TASEP with species-dependent jump rates.
 
 Exact finite-time transition probabilities via a spectral contour-integral
-representation, cross-checked against a continuous-time Markov chain built
-from the primitive jump rules.
+representation, each integral evaluated as a product of residues, cross-checked
+against a continuous-time Markov chain built from the primitive jump rules.
 
 The root exports the calls the README, the demos and the benchmark make, the
 types they pass or get back, and the exceptions those calls raise.  The
@@ -11,7 +11,6 @@ spectral point, word blocks) are imported from their modules.
 """
 
 from .bethe import (
-    ContourInvalid,
     NotConverged,
     OverflowRisk,
     ProbabilityResult,
@@ -38,7 +37,6 @@ from .oracle import (
 from .rmatrix import PoleOnContour, SpectralPoint, consistency_residuals, contour_bound
 
 __all__ = [
-    "ContourInvalid",
     "GeneratorWindow",
     "NonIncreasingPositions",
     "NotConverged",
@@ -63,4 +61,4 @@ __all__ = [
     "transition_probability",
 ]
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -51,13 +51,15 @@ the support :func:`core.word_floors` reaches (the rule
 sector rows, constants and per-axis distinct positions every later stage
 reads.  :func:`transition_matrix` wraps it for lists of states.
 
-A target's moments have size r^P on every term, P = sum(x) - sum(y) - N.  So
-positions are taken relative to the start's leftmost site, and the table
-holds scale^q M(q), scale = 2^c, c = -round(log2 r): each term, given the
-exact 2^(-c sum(a)), gains the exact 2^(cP), and the target's constant takes
-it back.  :class:`OverflowRisk` has three rules: N t/r past
-``OVERFLOW_EXPONENT`` and x - y_1 past int64, before any moment is built,
-and a value that is not finite, naming its first such target.
+A target's moments have size scale^(-P) on every term, P = sum(x) - sum(y) - N,
+where scale = 2^c is the smallest power of two at or above the largest rate, so
+that every beta_s = b_s / scale is at most 1.  So positions are taken relative
+to the start's leftmost site, and the table holds scale^q M(q): each term, given
+the exact 2^(-c sum(a)), gains the exact 2^(cP), and the target's constant takes
+it back.  :class:`OverflowRisk` has three rules: scale t past
+``OVERFLOW_EXPONENT``, where the series' terms (scale t)^k / k! leave the float
+range, and x - y_1 past int64, both before any moment is built, and a value that
+is not finite, naming its first such target.
 """
 
 from __future__ import annotations
@@ -89,11 +91,11 @@ from .core import (
     validate_state,
     word_codes,
 )
-from .rmatrix import contour_bound
 
 MAX_PARTICLES = 6
 
-# a term multiplies N moments, each up to about exp(t/radius): past this, their product overflows
+# the largest scale t a call accepts: u_k = (scale t)**k / k! peaks near exp(scale t), which passes
+# the float range just above 709
 OVERFLOW_EXPONENT = 700.0
 
 # target bytes for one chunk of an array of targets by terms or trials, and the most a term walk holds
@@ -106,28 +108,26 @@ _INT64 = np.iinfo(np.int64)
 _EPS = np.finfo(float).eps
 
 
-class ContourInvalid(ValueError):
-    """Contour radius conflicts with the pole locations of the integrand."""
-
-
 class NotConverged(RuntimeError):
     """The error bound of a value reaches the requested tolerance ``adapt_tol``."""
 
 
 class OverflowRisk(ArithmeticError):
-    """The N time factors overflow float64, a position x - y_1 int64, or a value is not finite."""
+    """scale t passes ``OVERFLOW_EXPONENT``, a position x - y_1 int64, or a value is not finite."""
 
 
 @dataclass(frozen=True)
 class SpectralParams:
-    """Contour radius and error tolerance.
+    """The error tolerance, and three fields that select nothing.
 
-    ``radius=None`` picks half the admissible bound at call time, once the
-    rates are known; the radius sets the power-of-two scale of the moments.
-    ``radius`` and ``adapt_tol`` must be finite positive real numbers (bools
-    raise TypeError).  ``nodes_per_dim`` and ``max_nodes`` select nothing and
-    stay only because the benchmark passes them; they are integers (bools and
-    floats raise TypeError), powers of two from 4 to ``MAX_NODES_PER_DIM``.
+    ``adapt_tol`` must be a finite positive real number (bools raise
+    TypeError): a value whose ``est_error`` reaches it raises
+    :class:`NotConverged`.  The moments' scale comes from the rates alone, so
+    ``radius``, ``nodes_per_dim`` and ``max_nodes`` select nothing.  They stay
+    only because the benchmark passes them, and are validated as before:
+    ``radius`` is None or a finite positive real number, and the node counts
+    are integers (bools and floats raise TypeError), powers of two from 4 to
+    ``MAX_NODES_PER_DIM``, ``max_nodes`` at least ``nodes_per_dim``.
     """
 
     radius: Optional[float] = None
@@ -156,7 +156,8 @@ class ProbabilityResult:
 
     ``value`` is a real number (a sum of products of real one-dimensional
     moments), reported without clamping so rounding stays visible.
-    ``est_error`` bounds |value - exact|: the series tails and all rounding.
+    ``est_error`` bounds |value - exact|: the series tails, all rounding, and
+    a target constant that falls below the float range.
     ``nodes_used`` is J, the series terms each moment of the call sums; a
     target outside the support is an exact 0 with ``est_error`` and
     ``nodes_used`` 0.
@@ -167,9 +168,14 @@ class ProbabilityResult:
     nodes_used: int
 
 
-def default_radius(rates: RateTable) -> float:
-    """Half the admissible contour bound: poles sit at relative distance >= 2."""
-    return 0.5 * contour_bound(rates)
+def _moment_scale(rates: RateTable) -> float:
+    """The smallest power of two at or above the largest rate, exactly: inf past the float range.
+
+    ``math.frexp`` writes b = m 2**e with 1/2 <= m < 1, and b is a power of two iff m = 1/2.
+    """
+    m, e = math.frexp(max(rates.rates))
+    c = e - (m == 0.5)
+    return math.ldexp(1.0, c) if c < 1024 else math.inf
 
 
 def rate_power_diag(positions, sector: WordBlock, rates) -> np.ndarray:
@@ -544,8 +550,9 @@ def transition_arrays(
     ``MAX_PARTICLES`` particles, or a term walk past its budget, raise ValueError.
 
     Every call evaluates once, its moments summing J = y_N - y_1 + 64 +
-    ceil(8 scale t) terms; an ``est_error`` that reaches ``adapt_tol`` raises
-    :class:`NotConverged`.
+    ceil(8 scale t) terms, scale the smallest power of two at or above the
+    largest rate; the first rule, scale t at most ``OVERFLOW_EXPONENT``, bounds
+    J.  An ``est_error`` that reaches ``adapt_tol`` raises :class:`NotConverged`.
     """
     params = params or SpectralParams()
     validate_state(initial, rates)
@@ -556,12 +563,12 @@ def transition_arrays(
     check_time(t)
     if n > MAX_PARTICLES:
         raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES})")
-    radius = params.radius if params.radius is not None else default_radius(rates)
-    bound = contour_bound(rates)
-    if not 0 < radius < bound:
-        raise ContourInvalid(f"radius {radius:g} outside (0, {bound:g}) for rates {rates.rates}")
-    if t > 0 and n * t / radius > OVERFLOW_EXPONENT:
-        raise OverflowRisk(f"N t/radius = {n * t / radius:g} would overflow the {n} time factors")
+    scale = _moment_scale(rates)
+    if not scale * t <= OVERFLOW_EXPONENT:  # also a scale past the float range, even at t = 0
+        raise OverflowRisk(
+            f"scale t = {scale:g} * {t:g} passes {OVERFLOW_EXPONENT:g}, past which the series' terms "
+            f"(scale t)**k / k! overflow; scale is the smallest power of two at or above the largest rate"
+        )
 
     # the target table: the support (a reachable word at or above its floor), and for the targets
     # inside it their sector rows, constants and the distinct values of each position axis with
@@ -587,11 +594,9 @@ def transition_arrays(
         # decay * prod_s b_s**d_s (d_s: summed displacement of species s), over the terms' scale**P
         b, eye = np.array(rates.rates), np.eye(rates.n_species)  # float sums of positions never wrap
         d = (eye[words[quad] - 1] * xq[..., None]).sum(axis=1) - y @ eye[np.array(initial.species) - 1]
-        decay = math.exp(-t * sum(map(rates.rate, initial.species)))
-        with np.errstate(all="ignore"):  # a tiny radius overflows scale**n: the value reports it
-            scale = np.exp2(-np.round(np.log2(radius)))
-            consts = decay * scale**n * np.prod((b / scale) ** d, axis=1)
-        overflow(np.full(len(xq), not np.isfinite(scale)), "overflows the spectral route: no float scale")
+        rate_t = t * sum(map(rates.rate, initial.species))
+        with np.errstate(all="ignore"):  # large rates overflow scale**n: the value reports it
+            consts = math.exp(-rate_t) * np.power(scale, n) * np.prod((b / scale) ** d, axis=1)
         # the terms a moment with q >= -span - 1 needs (every support target has x_1 >= y_1): in the
         # start's span and scale t alone, so a value has the same bits in any batch
         length = int(y[-1]) + 64 + math.ceil(8 * scale * t)
@@ -599,6 +604,13 @@ def transition_arrays(
         with np.errstate(all="ignore"):  # any other overflow shows in the value, and raises there
             total, bound = _series_values(y, axes, rows, scale * t, rates, scale, length, terms)
             value, errs[quad] = consts * total, consts * bound
+            # a constant below the normal range has lost its relative precision, and may be 0 where
+            # the value is not: there the exact value is at most the constant's size times the widened
+            # |terms|, multiplied as logarithms, and the value is off by at most that and itself
+            logs = np.column_stack([d * np.log(b / scale), np.full(len(d), n * math.log(scale) - rate_t)])
+            size = logs.sum(axis=1) + 1e-12 * (1 + np.abs(logs).sum(axis=1)) + np.log(np.abs(total) + bound)
+            low = ~(np.abs(consts) >= np.finfo(float).tiny)
+            errs[quad] = np.where(low, np.exp(size) + np.abs(value), errs[quad])
         overflow(~np.isfinite(value), "overflows the spectral route")
         if not errs.max() < params.adapt_tol:
             raise NotConverged(f"error bound {errs.max():.3e} reaches the tolerance {params.adapt_tol:.3e}")

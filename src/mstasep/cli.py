@@ -17,14 +17,14 @@ writes the rows from the returned columns.
 
 Exit codes: 0 success or pass, 1 verification failure, 2 configuration
 error (also an output path that cannot be written; more than six particles,
-or a contour radius or time the spectral route rejects (N t/radius past its
-overflow bound included), ``prob`` checking these before enumerating a
-window; a term walk past the spectral route's byte budget; a target too far
-from the start for int64, or one whose value overflows
-(:class:`bethe.OverflowRisk`); ``--samples`` below 1; a negative ``--seed``
-for ``simulate`` or ``verify``; a ``verify`` run with ``--trials`` below 1 or
-a ``--size`` outside its suite's range: yang-baxter and welldef 3 to 6,
-oracle 2 to 3, stochastic 1 to 4, boundary 2 to 5), 3 an error bound
+or a time the spectral route rejects (scale t past its overflow bound), and a
+``"window"`` whose position and word arrays would pass the spectral route's
+byte budget, ``prob`` checking these before enumerating a window; a term walk
+past that budget; a target too far from the start for int64, or one whose
+value overflows (:class:`bethe.OverflowRisk`); ``--samples`` below 1; a
+negative ``--seed`` for ``simulate`` or ``verify``; a ``verify`` run with
+``--trials`` below 1 or a ``--size`` outside its suite's range: yang-baxter
+and welldef 3 to 6, oracle 2 to 3, stochastic 1 to 4, boundary 2 to 5), 3 an error bound
 ``est_error`` that reaches ``adapt_tol`` (:class:`bethe.NotConverged`).
 """
 
@@ -50,6 +50,7 @@ from .core import (
     default_window,
     state_arrays,
     validate_state,
+    window_size,
     window_states,
 )
 from .rmatrix import build_all_A, contour_bound, relation_residual
@@ -137,9 +138,7 @@ def parse_config(text: str) -> JobConfig:
     spectral_obj = data.get("spectral", {})
     if not isinstance(spectral_obj, dict):
         raise ConfigError("spectral must be an object")
-    _require_keys(
-        spectral_obj, {"radius", "nodes_per_dim", "adapt_tol", "max_nodes"}, set(), "spectral"
-    )
+    _require_keys(spectral_obj, {"adapt_tol"}, set(), "spectral")
     try:
         spectral = bethe.SpectralParams(**spectral_obj)
     except (TypeError, ValueError) as exc:
@@ -174,11 +173,20 @@ def target_arrays(cfg: JobConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Explicit targets keep their config order.  ``"window"`` lists every state
     reachable from the start inside the default window, sorted by (positions,
-    species); the window's right edge past int64 raises ValueError.
+    species).  Before it lists them it counts them, and a window whose arrays
+    would pass the spectral route's byte budget raises ValueError naming the
+    count, as does the window's right edge past int64.
     """
+    n = len(cfg.initial)
     if isinstance(cfg.targets, tuple):
-        return state_arrays(cfg.targets, len(cfg.initial))
+        return state_arrays(cfg.targets, n)
     _, hi = default_window(cfg.initial, cfg.rates, cfg.time)
+    count = window_size(cfg.initial, hi)
+    if 16 * n * count > bethe._CHUNK_BUDGET_BYTES:  # two (T, N) int64 arrays
+        raise ValueError(
+            f"the window holds {count} states, whose position and word arrays would pass the budget "
+            f"of {bethe._CHUNK_BUDGET_BYTES:g} bytes; list fewer targets explicitly"
+        )
     return window_states(cfg.initial, hi)
 
 

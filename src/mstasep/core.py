@@ -292,12 +292,18 @@ def build_sector(multiset: Sequence[int]) -> WordBlock:
     """Sector (multiset block) for a species multiset with entries in 1..N.
 
     The block lists every distinct permutation of the multiset in
-    lexicographic order; its size is the multinomial coefficient.
+    lexicographic order; its size is the multinomial coefficient.  Each
+    multiset's block is built once and shared: a block's arrays are read-only.
     """
-    ms = sorted(int(s) for s in multiset)
+    ms = tuple(sorted(int(s) for s in multiset))
     n = len(ms)
     if any(not 1 <= s <= n for s in ms):
-        raise SpeciesOutOfRange(f"multiset {ms} has labels outside 1..{n}")
+        raise SpeciesOutOfRange(f"multiset {list(ms)} has labels outside 1..{n}")
+    return _sector(ms)
+
+
+@functools.cache
+def _sector(ms: tuple[int, ...]) -> WordBlock:
     return WordBlock(sorted(set(itertools.permutations(ms))))
 
 
@@ -451,6 +457,32 @@ def window_grid(initial: ParticleState, hi: int) -> tuple[np.ndarray, np.ndarray
     for j in range(len(initial)):
         reach &= rows[:, j, None] >= floor[:, j]
     return rows, words, reach
+
+
+def window_size(initial: ParticleState, hi: int) -> int:
+    """The number of states :func:`window_states` lists, counted exactly without listing them.
+
+    Per reachable word, u_i = x_i - i runs over the nondecreasing rows with u_i >= L_i, L the
+    running maximum of floor_i - i, and u_N <= hi - N + 1.  The bounds cut that range into
+    intervals; column by column, ``ways[i]`` counts the placements of the first i columns in
+    the intervals so far, and k columns share an interval of m values in C(m + k - 1, k) ways.
+    Python integers: no count wraps, however wide the window.
+    """
+    n, top, total = len(initial), hi - len(initial) + 1, 0
+    for floor in word_floors(initial).values():
+        low = list(itertools.accumulate((z - i for i, z in enumerate(floor)), max))
+        cuts = sorted({v for v in low if v <= top} | {top + 1})
+        ways = [1] + [0] * n
+        for lo, end in zip(cuts, cuts[1:]):
+            placed = ways[:]
+            for i in range(n):  # ways[i] times the columns i .. i + k - 1 placed in [lo, end)
+                for k in range(1, n - i + 1):
+                    if low[i + k - 1] > lo:
+                        break
+                    placed[i + k] += ways[i] * math.comb(end - lo + k - 1, k)
+            ways = placed
+        total += ways[n]
+    return total
 
 
 def window_states(initial: ParticleState, hi: int) -> tuple[np.ndarray, np.ndarray]:

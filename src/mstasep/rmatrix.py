@@ -182,9 +182,13 @@ def product_along_slots(slots: Sequence[int], sp, rates, block: WordBlock) -> tu
     :class:`PoleOnContour`.
     """
     xi, b = np.asarray(sp, dtype=complex), np.asarray(rates, dtype=float)
+    return _product(slots, xi, b, {slot: SlotAction(block, slot, b) for slot in set(slots)}, block)
+
+
+def _product(slots: Sequence[int], xi: np.ndarray, b: np.ndarray, actions: dict, block: WordBlock) -> tuple:
+    """:func:`product_along_slots` on arrays, with the block's ``SlotAction`` at each slot given."""
     acc = np.zeros((block.dim,) * 2 + np.broadcast_shapes(xi.shape[1:], b.shape[1:]), dtype=complex)
     acc[np.arange(block.dim), np.arange(block.dim)] = 1.0
-    actions = {slot: SlotAction(block, slot, b) for slot in set(slots)}
     image = tuple(range(1, block.word_length + 1))
     for slot in slots:
         beta, alpha = image[slot], image[slot - 1]
@@ -201,9 +205,11 @@ def all_sectors(n: int) -> list[WordBlock]:
 def relation_residual(relation: str, sp, rates, n: int) -> float:
     """Max entrywise residual of one relation of :func:`consistency_residuals`.
 
-    Memory grows like (n!)**2 complex numbers per batch entry; callers split large batches.
+    Memory grows like (n!)**2 complex numbers per batch entry; callers split large batches.  Each
+    sector's factor at each slot is built once per call and read by both sides of every pair.
     """
-    if len(np.asarray(sp)) < n:
+    xi, b = np.asarray(sp, dtype=complex), np.asarray(rates, dtype=float)
+    if len(xi) < n:
         raise ValueError("spectral point needs at least n entries")
     pairs = {
         "commutation": [((i, j), (j, i)) for i in range(1, n) for j in range(i + 2, n)],
@@ -211,10 +217,12 @@ def relation_residual(relation: str, sp, rates, n: int) -> float:
         "inverse": [((i, i), ()) for i in range(1, n)],
     }[relation]
     worst = 0.0
+    slots = {slot for pair in pairs for word in pair for slot in word}
     for block in all_sectors(n):
+        actions = {slot: SlotAction(block, slot, b) for slot in slots}
         for left, right in pairs:
-            lhs, _ = product_along_slots(left, sp, rates, block)
-            rhs, _ = product_along_slots(right, sp, rates, block)
+            lhs, _ = _product(left, xi, b, actions, block)
+            rhs, _ = _product(right, xi, b, actions, block)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

@@ -1,14 +1,15 @@
 """Shared draw helpers for randomized tests, and small references only tests use."""
 
 import csv
+import functools
 import importlib.util
 import io
 import itertools
 import json
 import math
 from collections import deque
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,20 @@ def validate_spectral_point(sp, rates):
     for z in sp.xi:
         if not abs(z) < bound:
             raise ValueError(f"|xi|={abs(z):g} outside the admissible disk (radius {bound:g})")
+
+
+def series_length(start, t, rates):
+    """J, the series terms each moment of a spectral call sums: y_N - y_1 + 64 + ceil(8 scale t).
+
+    scale is the smallest power of two at or above the largest rate, found here by halving and
+    doubling in exact rationals.
+    """
+    top, scale = Fraction(max(rates.rates)), Fraction(1)
+    while scale < top:
+        scale *= 2
+    while scale / 2 >= top:
+        scale /= 2
+    return start.positions[-1] - start.positions[0] + 64 + math.ceil(8 * scale * Fraction(t))
 
 
 def sector_size(multiset):
@@ -174,7 +189,7 @@ def canonical_config(cfg):
         else [
             {"positions": list(tg.positions), "species": list(tg.species)} for tg in cfg.targets
         ],
-        "spectral": asdict(cfg.spectral),
+        "spectral": {"adapt_tol": cfg.spectral.adapt_tol},
     }
     if cfg.output_format is not None or cfg.output_path is not None:
         out = {}
@@ -295,3 +310,46 @@ def exact_terms(word, rows, rates):
         for r in rows:
             terms.update({(r, axis, a, e): v for (a, e), v in column.get(r, {}).items()})
     return terms
+
+
+# a window's targets share their rows' terms and most of their moments
+@functools.cache
+def _row_terms_of(word, row, rates):
+    return exact_terms(word, [row], RateTable(rates))
+
+
+@functools.cache
+def _moment_of(q, e, rates, t):
+    return exact_moment(q, e, rates, t, 1.0)
+
+
+def exact_probability(start, target, t, rates):
+    """The transition probability from ``start`` to ``target`` at time t, and a bound on its error.
+
+    Returns ``(value, bound)`` as Fractions, |value - P| <= bound.  The sum over the terms of the
+    target's word row (:func:`exact_terms`) of c prod_d M(x_i - y_d - 1 + a_d, e_d), x_i the target
+    position axis d pairs with (:func:`exact_moment` at scale 1), times prod_s b_s**d_s, d_s the
+    summed displacement of species s, is exact up to the moments' series tails, which the bound
+    carries.  The decay exp(-t sum_l b_l) over the start's species is ``Decimal.exp`` at 60 digits,
+    correctly rounded from an argument rounded once, so the bound adds (|t sum b| + 1) 10**-58 of
+    the value.  A target in another species sector is an exact 0.
+    """
+    word, y, x = tuple(start.species), start.positions, target.positions
+    if sorted(target.species) != sorted(word):
+        return Fraction(0), Fraction(0)
+    row = sorted(set(itertools.permutations(word))).index(tuple(target.species))
+    total, tail = Fraction(0), Fraction(0)
+    for (_, axis, a, e), (c, _) in _row_terms_of(word, row, rates.rates).items():
+        moments = [_moment_of(x[axis[d]] - y[d] - 1 + a[d], e[d], rates.rates, t) for d in range(len(y))]
+        total += c * math.prod(m for m, _ in moments)
+        wide = math.prod(abs(m) + bound for m, bound in moments) - math.prod(abs(m) for m, _ in moments)
+        tail += abs(c) * wide
+    b = [Fraction(v) for v in rates.rates]
+    powers = math.prod(b[s - 1] ** xi for s, xi in zip(target.species, x))
+    powers /= math.prod(b[s - 1] ** yi for s, yi in zip(word, y))
+    rate = Fraction(t) * sum(b[s - 1] for s in word)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        decay = Fraction((-(Decimal(rate.numerator) / Decimal(rate.denominator))).exp())
+    value = decay * powers * total
+    return value, decay * abs(powers) * tail + abs(value) * (rate + 1) / 10**58

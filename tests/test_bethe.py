@@ -1,14 +1,22 @@
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import draw_point, draw_rates, exact_moment, exact_terms, reference_generator
+from helpers import (
+    draw_point,
+    draw_rates,
+    exact_moment,
+    exact_probability,
+    exact_terms,
+    reference_generator,
+    series_length,
+)
 from mstasep import (
-    ContourInvalid,
     NotConverged,
     OverflowRisk,
     ParticleState,
@@ -24,7 +32,7 @@ from mstasep import (
     transition_matrix,
     transition_probability,
 )
-from mstasep.bethe import bethe_sum, default_radius, rate_power_diag, transition_arrays
+from mstasep.bethe import bethe_sum, rate_power_diag, transition_arrays
 from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange, build_sector, window_states
 from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
 from mstasep.rmatrix import all_sectors, build_all_A
@@ -257,10 +265,10 @@ def test_support_is_the_reachable_set(monkeypatch, seed):
 
 def test_fixed_node_calls_take_the_gap_floor():
     # the name predates the series, which has no node floor: a 32-node rule aliased gap 64 (it gave
-    # -1.1e-15), and a call that asks for 32 nodes now gets the exact e^(-1.5) from J = 64 + 64 + 16 terms
+    # -1.1e-15), and a call that asks for 32 nodes now gets the exact e^(-1.5) from J = 64 + 64 + 8 terms
     start, rt = ParticleState((0, 64), (2, 1)), RateTable((1.0, 2.0))
     res = transition_probability(start, start, 0.5, rt, params=SpectralParams(nodes_per_dim=32, max_nodes=32))
-    assert abs(res.value - math.exp(-1.5)) < 1e-12 and res.nodes_used == 144
+    assert abs(res.value - math.exp(-1.5)) < 1e-12 and res.nodes_used == series_length(start, 0.5, rt)
 
 
 def test_batch_matches_single_calls_at_fixed_nodes():
@@ -521,7 +529,7 @@ def test_refinement_reports_error_and_converges():
     initial = ParticleState((0, 1), (2, 1))
     target = ParticleState((0, 2), (1, 2))
     res = transition_probability(initial, target, 0.8, rt)
-    assert 0 < res.est_error < 1e-12 and res.nodes_used == 1 + 64 + math.ceil(8 * 4 * 0.8)  # scale 4
+    assert 0 < res.est_error < 1e-12 and res.nodes_used == series_length(initial, 0.8, rt)
     res_low = transition_probability(initial, target, 0.8, rt, params=SpectralParams(nodes_per_dim=16))
     assert res_low == res
 
@@ -530,33 +538,16 @@ def test_empty_target_list():
     assert transition_matrix(ParticleState((0,), (1,)), [], 1.0, RateTable((1.0,))) == []
 
 
-def test_contour_invalid_raised():
-    rt = RateTable((1.0, 2.0))  # admissible bound: 0.5
-    with pytest.raises(ContourInvalid):
-        transition_probability(
-            ParticleState((0, 1), (1, 2)),
-            ParticleState((0, 1), (1, 2)),
-            0.5,
-            rt,
-            params=SpectralParams(radius=0.6),
-        )
-
-
 def test_overflow_guard_raised():
-    rt = RateTable((1.0,))
-    with pytest.raises(OverflowRisk):
-        transition_probability(
-            ParticleState((0,), (1,)),
-            ParticleState((0,), (1,)),
-            400.0,
-            rt,
-            params=SpectralParams(radius=0.4),
-        )
-    # at t = 0 a subnormal radius passes the time guard; its power-of-two scale overflows float64,
-    # and the spectral route names the target
-    start, params = ParticleState((0, 1), (2, 1)), SpectralParams(radius=1e-310, nodes_per_dim=32, max_nodes=32)
-    with pytest.raises(OverflowRisk, match=r"positions \(0, 1\).* overflows the spectral route"):
-        transition_probability(start, start, 0.0, RateTable((1.0, 1.2)), params=params)
+    # one species at rate 1 has scale 1: scale t = 701 passes the limit of 700, where the series' terms
+    # (scale t)**k / k! leave the float range
+    start = ParticleState((0,), (1,))
+    with pytest.raises(OverflowRisk, match="scale t = 1 \\* 701 passes 700"):
+        transition_probability(start, start, 701.0, RateTable((1.0,)))
+    # a rate at or above 2**1023 has no float scale: even at t = 0 the guard raises before any moment
+    start = ParticleState((0, 1), (2, 1))
+    with pytest.raises(OverflowRisk, match="scale t = inf \\* 0 passes 700"):
+        transition_probability(start, start, 0.0, RateTable((1.0, 1.5 * 2.0**1023)))
 
 
 def test_positions_beyond_int64_rejected():
@@ -569,11 +560,12 @@ def test_positions_beyond_int64_rejected():
 
 
 def test_far_target_is_an_exact_zero():
-    # (1/2)**2000 underflows in the target's constant: the value is below 1e-300, and exactly 0.0
-    res = transition_probability(
-        ParticleState((0, 1), (2, 1)), ParticleState((0, 2000), (1, 2)), 0.5, RateTable((1.0, 2.0))
-    )
-    assert res.value == 0.0 and res.est_error == 0.0
+    # the name predates the rate scale: the exact value, about (2 t)**1999 / 1999!, lies far below the
+    # float range, and the value returned is within its est_error of it
+    start, target, rt = ParticleState((0, 1), (2, 1)), ParticleState((0, 2000), (1, 2)), RateTable((1.0, 2.0))
+    res = transition_probability(start, target, 0.5, rt)
+    exact, bound = exact_probability(start, target, 0.5, rt)
+    assert 0 < exact < 1e-300 and abs(Fraction(res.value) - exact) <= Fraction(res.est_error) + bound
 
 
 def test_far_start_is_translated_to_the_origin():
@@ -605,13 +597,13 @@ def test_displacement_beyond_int64_raises_overflow_risk():
 
 
 def test_spread_start_returns_e_to_the_minus_one():
-    # a start spanning 2000 sites: each moment sums J = 2000 + 64 + 8 terms (radius 1/2, scale 2),
-    # whose scaled coefficients (1/2)**j underflow to exact zeros rather than overflow, and the exact
+    # a start spanning 2000 sites: each moment sums J = 2000 + 64 + 4 terms (scale 1), and the exact
     # value is exp(-t (b_1 + b_2)) = e^-1
-    start = ParticleState((0, 2000), (2, 1))
+    start, rt = ParticleState((0, 2000), (2, 1)), RateTable((1.0, 1.0))
     params = SpectralParams(nodes_per_dim=2048, max_nodes=2048)
-    res = transition_probability(start, start, 0.5, RateTable((1.0, 1.0)), params=params)
-    assert abs(res.value - math.exp(-1.0)) <= 1e-14 * math.exp(-1.0) and res.nodes_used == 2072
+    res = transition_probability(start, start, 0.5, rt, params=params)
+    assert abs(res.value - math.exp(-1.0)) <= 1e-14 * math.exp(-1.0)
+    assert res.nodes_used == series_length(start, 0.5, rt) == 2068
     assert abs(res.value - math.exp(-1.0)) <= res.est_error < 1e-11
 
 
@@ -622,7 +614,7 @@ def test_spread_start_returns_e_to_the_minus_one():
         ((0, 900), (0, 901), (2, 1), (1.0, 2.0), (2048, 2048), 0.5 * math.exp(-1.5)),
         ((0, 900), (0, 901), (2, 1), (1.0, 2.0), (1024, 2048), 0.5 * math.exp(-1.5)),
         ((0, 2000), (0, 2000), (1, 2), (1.0, 2.0), (2048, 2048), math.exp(-1.5)),
-        ((0, 2000), (0, 2000), (1, 2), (1.0, 1.5), (2048, 2048), math.exp(-1.25)),  # radius 1/3
+        ((0, 2000), (0, 2000), (1, 2), (1.0, 1.5), (2048, 2048), math.exp(-1.25)),
         ((0, 2100), (0, 2100), (1, 2), (1.0, 1.4), (4096, 4096), math.exp(-1.2)),
     ],
 )
@@ -634,33 +626,36 @@ def test_far_starts_are_exact(start, target, word, rates, params, exact):
     assert abs(res.value - exact) <= 1e-14 * exact
 
 
-def test_node_powers_past_the_float_range_raise_naming_the_target():
-    # the name predates the series.  Radius 0.71 lies inside the bound 1/1.4 and rounds to scale 1,
-    # so beta_1 = 1.4: the coefficients 1.4**j of 1/(1 - 1.4 xi) pass the float range at j = 2110,
-    # before the 2268 terms a 2200-site span needs, and the value is not finite
-    start = ParticleState((0, 2200), (1, 2))
-    params = SpectralParams(radius=0.71)
-    with pytest.raises(OverflowRisk, match=r"positions \(0, 2200\).* overflows the spectral route"):
-        transition_probability(start, start, 0.5, RateTable((1.4, 1.0)), params=params)
-    # at radius 0.25 sqrt(2), where a 4096-node rule overflowed, the coefficients shrink: e^(-1.2)
-    params = SpectralParams(radius=0.25 * math.sqrt(2))
-    res = transition_probability(ParticleState((0, 2100), (1, 2)), ParticleState((0, 2100), (1, 2)), 0.5,
-                                 RateTable((1.0, 1.4)), params=params)
-    assert abs(res.value - math.exp(-1.2)) <= 1e-14 * math.exp(-1.2)
+def test_far_start_with_a_rate_above_one_is_exact():
+    # a radius of 0.71 once gave this call scale 1, so beta_1 = 1.4: the coefficients 1.4**j passed the
+    # float range at j = 2110, before the 2272 terms a 2200-site span needs, and it raised OverflowRisk.
+    # The rate scale 2 keeps every beta at or below 1, and the call returns e^(-1.2)
+    start, rt = ParticleState((0, 2200), (1, 2)), RateTable((1.4, 1.0))
+    res = transition_probability(start, start, 0.5, rt)
+    assert abs(res.value - math.exp(-1.2)) <= 1e-14 * math.exp(-1.2) and res.nodes_used == 2272
 
 
-def test_time_guard_counts_every_factor(monkeypatch):
-    # t/radius = 400 passes one factor, but a term multiplies N = 2 moments of about exp(t/radius)
-    # each: N t/radius = 800 raises before any moment is built
+def test_scale_time_guard_raises_before_any_moment(monkeypatch):
+    # one particle at rate 1 has scale 1: t = 700 is the last time the guard admits, and there the call
+    # returns the Poisson probability of 700 hops; just past it the call raises naming the limit
+    # before any moment is built
     from mstasep import bethe
 
-    monkeypatch.setattr(bethe, "_series_values", lambda *args: pytest.fail("a moment was built"))
-    params = SpectralParams(radius=0.00125, nodes_per_dim=32, max_nodes=32)
-    with pytest.raises(OverflowRisk, match="N t/radius = 800"):
-        transition_probability(
-            ParticleState((0, 1), (2, 1)), ParticleState((0, 3), (1, 2)), 0.5, RateTable((1.0, 1.2)),
-            params=params,
-        )
+    start, rt = ParticleState((0,), (1,)), RateTable((1.0,))
+    built, series = [], bethe._series_values
+    monkeypatch.setattr(bethe, "_series_values", lambda *args: built.append(1) or series(*args))
+    for t in (699.0, 700.0):
+        res = transition_probability(start, ParticleState((700,), (1,)), t, rt)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = Decimal(-t).exp() * Decimal(t) ** 700 / math.factorial(700)
+        assert abs(Fraction(res.value) - Fraction(exact)) <= res.est_error < 1e-12
+        assert res.nodes_used == series_length(start, t, rt) == 64 + 8 * int(t)
+    assert len(built) == 2
+    for t in (math.nextafter(700.0, math.inf), 701.0):
+        with pytest.raises(OverflowRisk, match="passes 700, past which the series' terms"):
+            transition_probability(start, start, t, rt)
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("seed", range(9))
@@ -681,8 +676,7 @@ def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
     x = np.sort(np.array([rng.choice(8, size=n, replace=False) for _ in range(6)]), axis=1)
     rows = rng.integers(sector.dim, size=len(x))
     axes = [np.unique(col, return_inverse=True) for col in x.T]
-    radius = rng.uniform(0.2, 0.9) * contour_bound(rt)
-    c = -round(math.log2(radius))
+    c = int(rng.integers(1, 5))
     terms = bethe._row_terms(sector, sector.index(word), np.unique(rows), rt)
     plain, _ = bethe._series_values(y, axes, rows, 0.4, rt, 1.0, 90, terms)
     scaled, _ = bethe._series_values(y, axes, rows, 0.4 * 2.0**c, rt, 2.0**c, 90, terms)
@@ -703,10 +697,10 @@ def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
 )
 def test_moment_table_covers_the_exact_moments(q, e, rates, t):
     # each moment lies within its bound (third column less second) of the exact one, and its |.| plus
-    # that bound covers the exact |moment|: at scale 4, the default radius of both rate pairs
+    # that bound covers the exact |moment|, at the scale the rates give
     from mstasep import bethe
 
-    span, scale = 2000, 4.0
+    span, scale = 2000, bethe._moment_scale(RateTable(rates))
     length = span + 64 + math.ceil(8 * scale * t)
     table = bethe._moment_table(np.array(q), np.array([e]), scale * t, RateTable(rates), scale, span, length)
     for (m, a, w), qk in zip(table[:, 0].T, q):
@@ -804,7 +798,7 @@ def test_particle_count_gate():
     slow = RateTable((0.5,) * 5)
     res = transition_probability(state, state, 0.2, slow, params=SpectralParams(nodes_per_dim=8, max_nodes=8))
     assert abs(res.value - math.exp(-0.1)) <= res.est_error < 1e-12
-    assert res.nodes_used == 4 + 64 + 7  # scale 4 at the default radius 0.25
+    assert res.nodes_used == series_length(state, 0.2, slow) == 4 + 64 + 1  # scale 1/2
 
 
 def test_term_walk_past_the_budget_raises(monkeypatch):
@@ -835,19 +829,16 @@ def test_term_walk_past_the_budget_raises(monkeypatch):
 
 
 def test_near_guard_call_meets_the_error_contract():
-    # the contract of ROADMAP item 16: a finite value within est_error of the oracle, or a named error.
-    # At N t/radius = 680, just under the time guard, a 32-node rule returned -7.1e287 with est_error 0
-    rt = RateTable((1.0, 1.2))
+    # the contract of ROADMAP item 16: a finite value within est_error of the exact one, or a named
+    # error.  Rates (0.6, 0.3) have scale 1, so t = 680 is just under the guard on scale t; the start
+    # stays put with probability exp(-0.9 t), about 1.6e-266
+    rt = RateTable((0.6, 0.3))
     start = ParticleState((0, 1), (2, 1))
-    gen = build_generator(start, rt, default_window(start, rt, 0.5))
-    probs, leak = matrix_exponential_row(gen, start, 0.5)
-    assert leak < 1e-12
-    params = SpectralParams(radius=0.5 / 340, nodes_per_dim=32, max_nodes=32)
     try:
-        res = transition_probability(start, start, 0.5, rt, params=params)
-    except (ContourInvalid, NotConverged, OverflowRisk):
+        res = transition_probability(start, start, 680.0, rt)
+    except (NotConverged, OverflowRisk):
         return
-    assert math.isfinite(res.value) and abs(res.value - probs[gen.index[start]]) <= res.est_error + 1e-12
+    assert math.isfinite(res.value) and abs(res.value - math.exp(-0.9 * 680)) <= res.est_error
 
 
 def test_imaginary_parts_stay_small_over_window():
@@ -1014,8 +1005,9 @@ def test_transition_arrays_match_the_list_wrapper():
     assert value.tolist() == [r.value for r in results]
     assert est_error.tolist() == [r.est_error for r in results]
     # the second target lies left of the start, the third's word 321 is unreachable from 312; the
-    # others sum J = 3 + 64 + ceil(8 scale t) terms, scale 4 at the default radius 0.3125
-    assert nodes_used.tolist() == [r.nodes_used for r in results] == [80, 0, 0, 80]
+    # others sum J = 3 + 64 + ceil(8 scale t) terms, scale 2
+    used = series_length(start, 0.4, rt)
+    assert nodes_used.tolist() == [r.nodes_used for r in results] == [used, 0, 0, used]
     assert (est_error[[0, 3]] > 0).all() and (est_error[[1, 2]] == 0).all()
 
 
@@ -1026,19 +1018,20 @@ def test_transition_arrays_match_the_list_wrapper():
 def test_gapped_start_does_not_alias(gap, max_nodes, used):
     # neither particle moves with probability e^(-(1 + 2) t).  A 32/64 node pair aliased alike at gaps
     # 64 and 128, a 32/48 pair at 96 and 192, so the node ladder confirmed these gaps only at the `used`
-    # rung above them.  The series needs no rung: J = gap + 64 + 16 terms (scale 4) whatever
-    # max_nodes is, and it agrees with the literal `used`-node rule, which does not alias
+    # rung above them.  The series needs no rung: J = gap + 64 + 8 terms (scale 2) whatever
+    # max_nodes is, and it agrees with the literal `used`-node rule at half the admissible radius,
+    # which does not alias
     rt = RateTable((1.0, 2.0))
     start = ParticleState((0, gap), (2, 1))
     res = transition_probability(start, start, 0.5, rt, params=SpectralParams(max_nodes=max_nodes))
     assert abs(res.value - math.exp(-1.5)) <= res.est_error < 1e-11
-    assert res.nodes_used == gap + 80
-    literal = literal_grid_values(start, [start], 0.5, rt, used, default_radius(rt))[0]
+    assert res.nodes_used == series_length(start, 0.5, rt) == gap + 72
+    literal = literal_grid_values(start, [start], 0.5, rt, used, 0.5 * contour_bound(rt))[0]
     assert abs(res.value - literal.real) < 1e-8
 
 
 def test_large_time_window_matches_the_oracle():
-    # N = 2 at t = 6: each moment sums J = 1 + 64 + 8 * 4 * 6 terms (scale 4), every value within
+    # N = 2 at t = 6: each moment sums J = 1 + 64 + 8 * 2 * 6 terms (scale 2), every value within
     # adapt_tol of the oracle row, and within its est_error
     rt = RateTable((1.0, 2.0))
     start = ParticleState((0, 1), (2, 1))
@@ -1046,23 +1039,68 @@ def test_large_time_window_matches_the_oracle():
     probs, leak = matrix_exponential_row(gen, start, 6.0)
     assert leak < 1e-11
     value, errs, nodes = transition_arrays(start, gen.positions, gen.words, 6.0, rt)
-    assert (nodes == 257).all()
+    assert (nodes == series_length(start, 6.0, rt)).all()
     assert np.abs(value - probs).max() <= SpectralParams().adapt_tol
     assert (np.abs(value - probs) <= errs + 1e-12).all()
 
 
-@pytest.mark.parametrize("t", [8.0, 16.0])
+@pytest.mark.parametrize("t", [8.0, 16.0, 100.0, 150.0])
 def test_large_time_windows_meet_the_error_contract(t):
-    # at t = 8 a 256-node rule lost the default radius's roundoff floor and raised NotConverged; the
-    # series meets the contract on every state of the default window (4,556 and 10,100 states)
+    # at t = 8 a 256-node rule lost the roundoff floor of its radius and raised NotConverged; the
+    # series meets the contract on every state of the default window (4,556, 10,100, 124,962 and
+    # 235,710 states).  A radius capped t at 87.5 for these rates; their scale 2 admits t up to 350
     rt = RateTable((1.0, 2.0))
     start = ParticleState((0, 1), (2, 1))
     gen = build_generator(start, rt, default_window(start, rt, t))
     probs, leak = matrix_exponential_row(gen, start, t)
     assert leak < 1e-11
     value, errs, nodes = transition_arrays(start, gen.positions, gen.words, t, rt)
-    assert (nodes == 1 + 64 + 8 * 4 * int(t)).all()
+    assert (nodes == series_length(start, t, rt)).all()
     assert (np.abs(value - probs) <= errs + 1e-12).all()
+    assert abs(value.sum() - 1.0) < 1e-12
+
+
+def test_constants_below_the_float_range_keep_their_bound():
+    # at t = 160 a far target's constant, exp(-480) (1/2)**385 times powers of the scale, falls below
+    # the float range while its sum of terms is about 1e268: the value is 0.0, and est_error, from the
+    # constant's logarithm, still covers the exact 1.7e-56.  The other targets keep their constants
+    rt, start = RateTable((1.0, 2.0)), ParticleState((0, 1), (2, 1))
+    targets = [ParticleState((257, 386), w) for w in ((2, 1), (1, 2))] + [ParticleState((250, 330), (1, 2))]
+    results = transition_matrix(start, targets, 160.0, rt)
+    assert results[0].value == 0.0 and 0 < results[0].est_error < 1e-55
+    for target, res in zip(targets, results):
+        exact, bound = exact_probability(start, target, 160.0, rt)
+        assert abs(Fraction(res.value) - exact) <= Fraction(res.est_error) + bound
+
+
+def test_bulk_target_whose_value_overflows_is_named():
+    # at t = 180 the guard admits rates (1, 2) (scale t = 360), but the moments of a target in the
+    # bulk of the window pass the float range: the call raises naming it, and returns no value
+    rt, start = RateTable((1.0, 2.0)), ParticleState((0, 1), (2, 1))
+    bulk = ParticleState((325, 351), (1, 2))
+    with pytest.raises(OverflowRisk, match=r"target 1 \(positions \(325, 351\), species \(1, 2\)\) overflows"):
+        transition_matrix(start, [start, bulk], 180.0, rt)
+
+
+@pytest.mark.parametrize(
+    "rates, start, t, step",
+    [
+        # the whole window (2,862 states), which misses the oracle by up to 5e-13, above est_error: the
+        # oracle is the side that is off, the values lie within 1e-16 of the exact sums
+        ((0.01, 1.0), ((0, 1), (2, 1)), 10.0, 1),
+        # every 97th state of the benchmark's N = 3 window (19,656 states at rates drawn as it draws them)
+        ((1.0, 2.0, 1.3), ((0, 1, 2), (3, 2, 1)), 0.8, 97),
+    ],
+    ids=["slow-species-t10", "n3-window-t0.8"],
+)
+def test_values_lie_within_est_error_of_the_exact_sums(rates, start, t, step):
+    rt, start = RateTable(rates), ParticleState(*start)
+    positions, words = window_states(start, default_window(start, rt, t)[1])
+    positions, words = positions[::step], words[::step]
+    value, errs, _ = transition_arrays(start, positions, words, t, rt)
+    for x, w, v, e in zip(positions.tolist(), words.tolist(), value.tolist(), errs.tolist()):
+        exact, bound = exact_probability(start, ParticleState(tuple(x), tuple(w)), t, rt)
+        assert abs(Fraction(v) - exact) <= Fraction(e) + bound
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_config, reference_columns_text, reference_generator
+from helpers import canonical_config, reference_columns_text, reference_generator, series_length
 from mstasep import (
     ParticleState,
     RateTable,
@@ -59,7 +59,7 @@ def test_parse_minimal_config():
 
 
 def test_canonical_round_trip_is_byte_identical():
-    cfg = parse_config(minimal_config(spectral={"nodes_per_dim": 64}, output={"format": "json"}))
+    cfg = parse_config(minimal_config(spectral={"adapt_tol": 1e-9}, output={"format": "json"}))
     text = canonical_config(cfg)
     assert canonical_config(parse_config(text)) == text
 
@@ -466,6 +466,14 @@ def test_main_rejects_a_flag_its_verb_does_not_read(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
+def test_readme_job_configuration_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme.split("### Job configuration", 1)[1], re.S).group(1)
+    cfg = parse_config(block)
+    assert cfg.targets == "window" and cfg.output_format == "csv"
+    assert json.loads(block)["spectral"] == {"adapt_tol": cfg.spectral.adapt_tol}
+
+
 @pytest.mark.parametrize("verb", ["prob", "simulate", "verify"])
 def test_readme_synopsis_lists_each_verbs_flags(capsys, verb):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -479,9 +487,7 @@ def test_readme_synopsis_lists_each_verbs_flags(capsys, verb):
 
 
 def test_cmd_prob_not_converged_exit_code(tmp_path):
-    cfg = parse_config(
-        minimal_config(spectral={"nodes_per_dim": 4, "max_nodes": 8, "adapt_tol": 1e-18})
-    )
+    cfg = parse_config(minimal_config(spectral={"adapt_tol": 1e-18}))
     out_path = tmp_path / "never.csv"
     assert cmd_prob(cfg, out=str(out_path)) == 3
     assert not out_path.exists()
@@ -489,7 +495,7 @@ def test_cmd_prob_not_converged_exit_code(tmp_path):
 
 def test_cmd_prob_runs_gapped_starts(tmp_path):
     # a node floor used to refuse both jobs: a gap of 256 past the default max_nodes, and gap 64 at 32
-    # fixed nodes.  Each moment now sums J = gap + 64 + 16 terms (scale 4 at the default radius)
+    # fixed nodes.  Each moment now sums J = gap + 64 + 8 terms (scale 2)
     out_path = tmp_path / "rows.csv"
     wide = {"initial": {"positions": [0, 256], "species": [2, 1]}, "targets": "window"}
     cfg = parse_config(minimal_config(**wide))
@@ -497,33 +503,38 @@ def test_cmd_prob_runs_gapped_starts(tmp_path):
     rows = list(csv.DictReader(out_path.open(newline="")))
     gen = build_generator(cfg.initial, cfg.rates, default_window(cfg.initial, cfg.rates, cfg.time))
     probs, _ = matrix_exponential_row(gen, cfg.initial, cfg.time)
-    assert len(rows) == len(gen.states) and {int(r["nodes_used"]) for r in rows} == {256 + 80}
+    used = series_length(cfg.initial, cfg.time, cfg.rates)
+    assert len(rows) == len(gen.states) and {int(r["nodes_used"]) for r in rows} == {used} == {256 + 72}
     for r in rows:
         x, w = (tuple(map(int, r[k].split(sep))) for k, sep in (("positions", ";"), ("species", ",")))
         exact = probs[gen.index[ParticleState(x, w)]]
         assert abs(float(r["value"]) - exact) <= float(r["est_error"]) + 1e-12
     gapped = {"positions": [0, 64], "species": [2, 1]}
-    fixed = {"initial": gapped, "targets": [gapped], "spectral": {"nodes_per_dim": 32, "max_nodes": 32}}
-    assert cmd_prob(parse_config(minimal_config(**fixed)), out=str(out_path)) == EXIT_OK
+    cfg = parse_config(minimal_config(initial=gapped, targets=[gapped]))
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_OK
     (row,) = csv.DictReader(out_path.open(newline=""))
-    assert abs(float(row["value"]) - math.exp(-1.5)) < 1e-12 and int(row["nodes_used"]) == 64 + 80
+    assert abs(float(row["value"]) - math.exp(-1.5)) < 1e-12
+    assert int(row["nodes_used"]) == series_length(cfg.initial, cfg.time, cfg.rates) == 64 + 72
 
 
 @pytest.mark.parametrize(
     "patch",
     [
-        {"spectral": {"radius": 0.6}},  # outside the admissible disk (0.5) of rates (1, 2)
-        {"time": 1000.0},  # t/radius far past the overflow guard
+        {  # a window of 14,172,246 states: its position and word arrays pass the 2e8-byte budget
+            "rates": [1.0, 2.0, 1.5],
+            "initial": {"positions": [0, 1, 2], "species": [3, 2, 1]},
+            "time": 60.0,
+            "targets": "window",
+        },
+        {"time": 1000.0},  # scale t = 2000 far past the overflow guard
         {  # seven particles: past the particle limit of six
             "rates": [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2],
             "initial": {"positions": [0, 1, 2, 3, 4, 5, 6], "species": [7, 6, 5, 4, 3, 2, 1]},
             "targets": [{"positions": [0, 1, 2, 3, 4, 5, 6], "species": [1, 2, 3, 4, 5, 6, 7]}],
         },
-        {  # N t/radius = 2 * 30 / 0.05 = 1200: the time guard counts both factors
-            "rates": [1.0, 10.0],
-            "initial": {"positions": [0, 1], "species": [1, 2]},
-            "time": 30.0,
-            "targets": [{"positions": [0, 400], "species": [1, 2]}],
+        {  # scale t = 400 passes the guard, but this target's value is not finite
+            "time": 200.0,
+            "targets": [{"positions": [173, 389], "species": [1, 2]}],
         },
     ],
 )
@@ -583,12 +594,7 @@ def test_main_verify_and_prob_paths(tmp_path):
 def test_canonical_config_defaults_materialized():
     cfg = parse_config(minimal_config())
     data = json.loads(canonical_config(cfg))
-    assert data["spectral"] == {
-        "adapt_tol": 1e-08,
-        "max_nodes": 256,
-        "nodes_per_dim": 32,
-        "radius": None,
-    }
+    assert data["spectral"] == {"adapt_tol": 1e-08}
     assert "output" not in data
 
 
@@ -614,10 +620,7 @@ _CONFIG_PATHS = [
     ("targets", 0, "positions"),
     ("targets", 0, "species", 1),
     ("spectral",),
-    ("spectral", "radius"),
-    ("spectral", "nodes_per_dim"),
     ("spectral", "adapt_tol"),
-    ("spectral", "max_nodes"),
     ("output",),
     ("output", "format"),
     ("output", "path"),
@@ -641,7 +644,7 @@ _json_values = st.recursive(
 def test_parse_config_fuzz(substitutions):
     data = json.loads(
         minimal_config(
-            spectral={"radius": 0.2, "nodes_per_dim": 16, "adapt_tol": 1e-8, "max_nodes": 64},
+            spectral={"adapt_tol": 1e-8},
             output={"format": "csv", "path": "out.csv"},
         )
     )
@@ -731,11 +734,11 @@ def test_cmd_prob_guards_run_before_window_states(tmp_path, monkeypatch, capsys)
     out_path = tmp_path / "never.csv"
     assert cmd_prob(parse_config(json.dumps(job)), out=str(out_path)) == EXIT_CONFIG
     assert not out_path.exists()
-    assert "t/radius" in capsys.readouterr().err
-    # t/radius = 240 passes one time factor, but the grid multiplies N = 3 of them
-    assert cmd_prob(parse_config(json.dumps(dict(job, time=60))), out=str(out_path)) == EXIT_CONFIG
+    # scale t = 400 passes the time guard, but the window's 229,220,316 states would take 11 GB
+    assert "the window holds 229220316 states" in capsys.readouterr().err
+    assert cmd_prob(parse_config(json.dumps(dict(job, time=400))), out=str(out_path)) == EXIT_CONFIG
     assert not out_path.exists()
-    assert "N t/radius = 720" in capsys.readouterr().err
+    assert "scale t = 2 * 400 passes 700" in capsys.readouterr().err
     # the patch is live: a job that passes the guards reaches the enumerator
     job["time"] = 0.5
     with pytest.raises(AssertionError, match="window enumerated"):

@@ -15,7 +15,7 @@ from mstasep import (
     enumerate_sn,
 )
 from helpers import inversions, reference_generator, reference_window_states, sector_size
-from mstasep.core import WordBlock, build_sector, validate_state, window_states, word_floors
+from mstasep.core import WordBlock, build_sector, validate_state, window_size, window_states, word_floors
 
 
 def test_rate_table_rejects_nonpositive():
@@ -299,3 +299,29 @@ def test_window_states_edge_past_int64_rejected():
     start = ParticleState((2**63 - 3, 2**63 - 2), (2, 1))
     with pytest.raises(ValueError, match="int64"):
         window_states(start, 2**63 + 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_window_size_counts_the_listed_states(n, data):
+    sites = data.draw(st.lists(st.integers(-3, 12), min_size=n, max_size=n, unique=True))
+    word = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    start = ParticleState(tuple(sorted(sites)), tuple(word))
+    hi = max(sites) + data.draw(st.integers(-4, 8))
+    assert window_size(start, hi) == len(window_states(start, hi)[0])
+
+
+def test_window_size_counts_windows_too_wide_to_list():
+    # N particles of one species on sites 0 .. N - 1 reach every increasing row in [0, hi]: C(hi + 1, N)
+    for n in (1, 3, 6):
+        start = ParticleState(tuple(range(n)), (1,) * n)
+        assert window_size(start, 2**62) == math.comb(2**62 + 1, n)
+    # a start spread over 2**40 sites: the right particle on any x of [2**40, hi], the left on [0, x - 1]
+    start = ParticleState((0, 2**40), (1, 1))
+    assert window_size(start, 2**40 + 9) == sum(range(2**40, 2**40 + 10))
+
+
+def test_build_sector_builds_each_multiset_once():
+    assert build_sector([2, 1, 1]) is build_sector((1, 1, 2))
+    with pytest.raises(SpeciesOutOfRange):
+        build_sector([1, 4, 1])

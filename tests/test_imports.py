@@ -49,7 +49,7 @@ ROOT_EXPORTS = {
     "default_window", "matrix_exponential_row", "gillespie", "consistency_residuals",
     "contour_bound", "enumerate_sn",
     # the exceptions those calls raise
-    "ContourInvalid", "NotConverged", "OverflowRisk", "NonIncreasingPositions",
+    "NotConverged", "OverflowRisk", "NonIncreasingPositions",
     "SpeciesOutOfRange", "PoleOnContour", "WindowTooSmall", "WindowTooWide",
 }
 
@@ -93,7 +93,7 @@ def _readme_names():
     """(module, name) for each `module.name` in README.md and each name of its per-module import list.
 
     Only dotted names whose first part is ``mstasep`` or one of its modules count, so config keys
-    and attributes such as ``spectral.radius`` are left alone.
+    and attributes such as ``spectral.adapt_tol`` are left alone.
     """
     import mstasep
 

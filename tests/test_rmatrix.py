@@ -401,3 +401,24 @@ def test_batch_matches_loop_over_the_same_draws(n):
         name: max(consistency_residuals(sp, rt, n)[name] for sp, rt in zip(points, rates))
         for name in res
     }
+
+
+def test_relation_residual_builds_each_sectors_factors_once(monkeypatch):
+    # the braids of N = 4 read slots 1, 2 and 3 of each of the 35 sectors: 105 factors per call, not
+    # one per side of every pair
+    from mstasep import rmatrix
+
+    made = []
+
+    class Counted(rmatrix.SlotAction):
+        def __init__(self, block, slot, b):
+            made.append((id(block), slot))
+            super().__init__(block, slot, b)
+
+    rng = np.random.default_rng(7)
+    rt = draw_rates(rng, 4)
+    sp = draw_point(rng, 4, rt)
+    expected = rmatrix.relation_residual("yang_baxter", sp, rt, 4)
+    monkeypatch.setattr(rmatrix, "SlotAction", Counted)
+    assert rmatrix.relation_residual("yang_baxter", sp, rt, 4) == expected < 1e-12
+    assert len(made) == len(set(made)) == 35 * 3
