@@ -52,11 +52,14 @@ sector rows, constants and per-axis distinct positions every later stage
 reads.  :func:`transition_matrix` wraps it for lists of states.
 
 A target's moments have size scale^(-P) on every term, P = sum(x) - sum(y) - N,
-where scale = 2^c is the smallest power of two at or above the largest rate, so
-that every beta_s = b_s / scale is at most 1.  So positions are taken relative
+where scale = 2^c is the smallest power of two at or above the largest rate of a
+species the start holds (no other species enters the moments), so that every
+beta_s = b_s / scale they read is at most 1.  So positions are taken relative
 to the start's leftmost site, and the table holds scale^q M(q): each term, given
 the exact 2^(-c sum(a)), gains the exact 2^(cP), and the target's constant takes
-it back.  :class:`OverflowRisk` has three rules: scale t past
+it back.  A constant below the normal float range is taken as a logarithm, and
+the value as sign(sum) exp(log constant + log |sum|).  :class:`OverflowRisk`
+has three rules: scale t past
 ``OVERFLOW_EXPONENT``, where the series' terms (scale t)^k / k! leave the float
 range, and x - y_1 past int64, both before any moment is built, and a value that
 is not finite, naming its first such target.
@@ -106,6 +109,7 @@ MAX_NODES_PER_DIM = 4096
 
 _INT64 = np.iinfo(np.int64)
 _EPS = np.finfo(float).eps
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 class NotConverged(RuntimeError):
@@ -168,12 +172,14 @@ class ProbabilityResult:
     nodes_used: int
 
 
-def _moment_scale(rates: RateTable) -> float:
-    """The smallest power of two at or above the largest rate, exactly: inf past the float range.
+def _moment_scale(rates: RateTable, species: Sequence[int]) -> float:
+    """The smallest power of two at or above the largest rate of the given species, exactly.
 
-    ``math.frexp`` writes b = m 2**e with 1/2 <= m < 1, and b is a power of two iff m = 1/2.
+    Only the species a start holds enter its moments, so a faster species it lacks sets nothing.
+    ``math.frexp`` writes b = m 2**e with 1/2 <= m < 1, and b is a power of two iff m = 1/2; a
+    scale past the float range is inf.
     """
-    m, e = math.frexp(max(rates.rates))
+    m, e = math.frexp(max(map(rates.rate, set(species))))
     c = e - (m == 0.5)
     return math.ldexp(1.0, c) if c < 1024 else math.inf
 
@@ -428,7 +434,9 @@ def _moment_table(
     with |coefficients|, which bounds c and its rounding.  The third adds to the second bounds on
     the tail past J and on the rounding of the first.  Support targets have q >= -``span`` - 1.
     """
-    beta = np.array(rates.rates) / scale  # exact: scale is a power of two
+    # exact, as scale is a power of two; a species no signature holds has no factor, and its beta
+    # (which may pass the float range: its rate did not set the scale) is taken as 0
+    beta = np.where((poles != 0).any(axis=0), rates.rates, 0.0) / scale
     # each factor's binomial series, c_j / c_(j-1) = -beta (e - j + 1) / j, and their products
     steps = (poles[..., None] - np.arange(length - 1) + 0.0) * -beta[:, None] / np.arange(1, length)
     factors = np.cumprod(np.concatenate([np.ones((*poles.shape, 1)), steps], axis=-1), axis=-1)
@@ -551,8 +559,9 @@ def transition_arrays(
 
     Every call evaluates once, its moments summing J = y_N - y_1 + 64 +
     ceil(8 scale t) terms, scale the smallest power of two at or above the
-    largest rate; the first rule, scale t at most ``OVERFLOW_EXPONENT``, bounds
-    J.  An ``est_error`` that reaches ``adapt_tol`` raises :class:`NotConverged`.
+    largest rate of a species the start holds; the first rule, scale t at most
+    ``OVERFLOW_EXPONENT``, bounds J.  An ``est_error`` that reaches
+    ``adapt_tol`` raises :class:`NotConverged`.
     """
     params = params or SpectralParams()
     validate_state(initial, rates)
@@ -563,11 +572,12 @@ def transition_arrays(
     check_time(t)
     if n > MAX_PARTICLES:
         raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES})")
-    scale = _moment_scale(rates)
+    scale = _moment_scale(rates, initial.species)
     if not scale * t <= OVERFLOW_EXPONENT:  # also a scale past the float range, even at t = 0
         raise OverflowRisk(
             f"scale t = {scale:g} * {t:g} passes {OVERFLOW_EXPONENT:g}, past which the series' terms "
-            f"(scale t)**k / k! overflow; scale is the smallest power of two at or above the largest rate"
+            f"(scale t)**k / k! overflow; scale is the smallest power of two at or above the largest rate "
+            f"of a species the start holds"
         )
 
     # the target table: the support (a reachable word at or above its floor), and for the targets
@@ -591,26 +601,37 @@ def transition_arrays(
         overflow((x[quad] > _INT64.max + min(int(y[0]), 0)).any(axis=1), "is too far from the start for int64")
         xq, y = x[quad] - y[0], y - y[0]
         axes = [np.unique(col, return_inverse=True) for col in xq.T]
-        # decay * prod_s b_s**d_s (d_s: summed displacement of species s), over the terms' scale**P
-        b, eye = np.array(rates.rates), np.eye(rates.n_species)  # float sums of positions never wrap
+        # decay * scale**N * prod_s beta_s**d_s over the species s the start holds (d_s: their summed
+        # displacement), over the terms' scale**P; float sums of positions never wrap
+        held = np.unique(initial.species) - 1
+        beta, eye = np.array(rates.rates)[held] / scale, np.eye(rates.n_species)[:, held]
         d = (eye[words[quad] - 1] * xq[..., None]).sum(axis=1) - y @ eye[np.array(initial.species) - 1]
         rate_t = t * sum(map(rates.rate, initial.species))
         with np.errstate(all="ignore"):  # large rates overflow scale**n: the value reports it
-            consts = math.exp(-rate_t) * np.power(scale, n) * np.prod((b / scale) ** d, axis=1)
+            consts = math.exp(-rate_t) * np.power(scale, n) * np.prod(beta**d, axis=1)
         # the terms a moment with q >= -span - 1 needs (every support target has x_1 >= y_1): in the
         # start's span and scale t alone, so a value has the same bits in any batch
         length = int(y[-1]) + 64 + math.ceil(8 * scale * t)
         terms = _row_terms(sector, sector.index(initial.species), np.unique(rows), rates)
         with np.errstate(all="ignore"):  # any other overflow shows in the value, and raises there
             total, bound = _series_values(y, axes, rows, scale * t, rates, scale, length, terms)
-            value, errs[quad] = consts * total, consts * bound
+            value, err = consts * total, consts * bound
             # a constant below the normal range has lost its relative precision, and may be 0 where
-            # the value is not: there the exact value is at most the constant's size times the widened
-            # |terms|, multiplied as logarithms, and the value is off by at most that and itself
-            logs = np.column_stack([d * np.log(b / scale), np.full(len(d), n * math.log(scale) - rate_t)])
-            size = logs.sum(axis=1) + 1e-12 * (1 + np.abs(logs).sum(axis=1)) + np.log(np.abs(total) + bound)
+            # the value is not: there the value is sign(total) exp(log C + log |total|), log C summed
+            # as logarithms.  Each logarithm and sum rounds within a few eps of its size, so the
+            # exponent is off by at most eta = 64 eps (1 + the sizes), and the value by at most
+            # C (2 eta |total| + bound), C < exp(log C + eta); a subnormal result rounds by 2**-1074
             low = ~(np.abs(consts) >= np.finfo(float).tiny)
-            errs[quad] = np.where(low, np.exp(size) + np.abs(value), errs[quad])
+            if low.any():
+                logs = np.column_stack(
+                    [d[low] * np.log(beta), np.full((low.sum(), 2), (n * math.log(scale), -rate_t))]
+                )
+                log_c, mag = logs.sum(axis=1), np.log(np.abs(total[low]))
+                eta = 64 * _EPS * (1 + np.abs(logs).sum(axis=1) + np.where(np.isfinite(mag), np.abs(mag), 0.0))
+                spread = np.log(2 * eta * np.abs(total[low]) + bound[low])
+                value[low] = np.sign(total[low]) * np.exp(log_c + mag)
+                err[low] = np.exp(log_c + spread + eta + 8 * _EPS * np.abs(spread)) + 2 * _SUBNORMAL
+            errs[quad] = err
         overflow(~np.isfinite(value), "overflows the spectral route")
         if not errs.max() < params.adapt_tol:
             raise NotConverged(f"error bound {errs.max():.3e} reaches the tolerance {params.adapt_tol:.3e}")

@@ -515,12 +515,6 @@ def _suite_stochastic(size: int, seed: int, trials: int) -> float:
     return worst
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the leading axes, one per batch entry, so its bits ignore the batch size."""
-    a, b = (np.ascontiguousarray(np.moveaxis(m, -1, 0)) for m in (a, b))
-    return np.moveaxis(a @ b, 0, -1)
-
-
 def _boundary_residual(xi: np.ndarray, b: np.ndarray, base: np.ndarray, sector) -> float:
     """Worst adjacency residual of a batch of trials in one sector, relative to the summed |terms|."""
     amps = build_all_A(xi, b, sector)
@@ -531,15 +525,17 @@ def _boundary_residual(xi: np.ndarray, b: np.ndarray, base: np.ndarray, sector) 
         x[slot] = x[slot - 1] + 1  # adjacent pair at the tested slot
         merged = x.copy()
         merged[slot] = merged[slot - 1]
-        hop = oracle.hop_rate_diag(sector, b, slot + 1)
-        gain, loss = oracle.swap_gain_matrix(sector, b, slot), oracle.swap_loss_diag(sector, b, slot)
-        currents = gain + oracle.hop_rate_diag(sector, b, slot) - loss
-        lhs = _matmul(hop, bethe.bethe_sum(merged, xi, b, sector, amps))
-        rhs = _matmul(currents, bethe.bethe_sum(x, xi, b, sector, amps))
+        hop, stay, gain, partner = oracle.adjacent_rates(sector, b, slot)
+        hop, stay, gain = hop[:, None], stay[:, None], gain[:, None]  # row scalings of (dim, dim, batch)
+
+        def sides(sp, a):  # hop u(merged), and stay u(x) plus gain times the partner row of u(x)
+            u = bethe.bethe_sum(x, sp, b, sector, a)
+            return hop * bethe.bethe_sum(merged, sp, b, sector, a), stay * u + gain * u[partner]
+
+        lhs, rhs = sides(xi, amps)
         # the same sums over |terms|: rounding in lhs - rhs grows with these, not with the result
-        scale = _matmul(np.abs(hop), bethe.bethe_sum(merged, np.abs(xi), b, sector, mags))
-        scale += _matmul(np.abs(currents), bethe.bethe_sum(x, np.abs(xi), b, sector, mags))
-        res = np.abs(lhs - rhs).max(axis=(0, 1)) / np.abs(scale).max(axis=(0, 1))
+        scale = sum(sides(np.abs(xi), mags))
+        res = np.abs(lhs - rhs).max(axis=(0, 1)) / scale.max(axis=(0, 1))
         worst = max(worst, float(res.max()))
     return worst
 

@@ -4,11 +4,14 @@ The jump rules are encoded once, in :func:`_jump_masks`: a particle of
 species l hops one site right at rate b_l when the target site is empty, and
 trades places with a right neighbour of strictly smaller species at the same
 rate b_l.  From those masks this module builds the truncated-window
-generator, solves the forward equations by uniformization, and draws exact
-trajectories.
+generator, solves the forward equations by uniformization, draws exact
+trajectories, and gives the rates of the two-site boundary equation
+(:func:`adjacent_rates`), one per word row, that the spectral solution must
+satisfy where two particles sit next to each other.
 
-Both work on (S, N) int64 position and word tables.  The generator's states
-are the reachable cells of :func:`core.window_grid`, position rows by words,
+The generator and the stepper work on (S, N) int64 position and word
+tables.  The generator's states are the reachable cells of
+:func:`core.window_grid`, position rows by words,
 numbered in (positions, species) order by the grid's running count; a move's
 destination is read from a table by rank, the successor row of a hop or the
 partner word of a swap, and each generator row's columns come out ascending,
@@ -33,7 +36,6 @@ from .core import (
     ParticleState,
     RateTable,
     WordBlock,
-    _ascending_pairs,
     _swap_table,
     check_int,
     check_real,
@@ -401,39 +403,30 @@ def gillespie(
     }
 
 
-# Boundary-equation ingredients on a word block.  These never feed the
-# generator above (it works from the jump rules directly); they exist so the
-# spectral solution can be checked against the lattice equations it must
-# satisfy where particles sit next to each other.  Each takes the rates as a
-# RateTable or an (N, *batch) array and returns (dim, dim, *batch) matrices.
+def adjacent_rates(
+    block: WordBlock, rates, slot: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rates of the two-site boundary equation at a 1-based slot, one row per word of a block.
 
+    Where particles ``slot`` and ``slot + 1`` sit next to each other, the forward equation of a
+    word w reads hop[w] u(merged) = stay[w] u(x) + gain[w] u(x)[partner[w]]: ``hop`` is the right
+    particle's rate, ``stay`` the left particle's rate less ``loss``, what it loses where
+    :func:`_jump_masks` lets it swap, and ``gain = loss[partner]``, what w gains from the word with
+    the pair exchanged (the block's swap table, ``partner``).  This never feeds the generator
+    above; it lets the spectral solution be checked against the equations it must satisfy.
 
-def _diag(d: np.ndarray) -> np.ndarray:
-    return np.eye(len(d)).reshape((len(d),) * 2 + (1,) * (d.ndim - 1)) * d[:, None]
-
-
-def hop_rate_diag(block: WordBlock, rates, slot: int) -> np.ndarray:
-    """Diagonal matrix of the rate of the species at a 1-based slot."""
-    return _diag(np.asarray(rates, dtype=float)[block.letters[:, slot - 1] - 1])
-
-
-def swap_gain_matrix(block: WordBlock, rates, slot: int) -> np.ndarray:
-    """Current into a word from the word with slots (slot, slot+1) swapped.
-
-    Row w gains from swap(w) at the rate of the larger species now sitting
-    on the right, for ascending rows only.  A block not closed under the
-    exchange raises ValueError.
+    ``rates`` is a RateTable or an (N, *batch) array; hop, stay and gain are (dim, *batch) and
+    partner is (dim,).  A slot outside 1..N-1, or a block not closed under the exchange, raises
+    ValueError.
     """
-    b = np.asarray(rates, dtype=float)
-    asc, partner = _ascending_pairs(block, slot)
-    out = np.zeros((block.dim, block.dim) + b.shape[1:])
-    out[asc, partner] = b[block.letters[asc, slot] - 1]
-    return out
-
-
-def swap_loss_diag(block: WordBlock, rates, slot: int) -> np.ndarray:
-    """Current out of a word whose slot pair is descending (a swap can fire)."""
-    i, j = block.letters[:, slot - 1], block.letters[:, slot]
-    d = np.asarray(rates, dtype=float)[i - 1]
-    d[i <= j] = 0.0
-    return _diag(d)
+    if not 1 <= slot < block.word_length:
+        raise ValueError(f"slot {slot} outside 1..{block.word_length - 1}")
+    partner = block.swaps[slot]
+    if (partner < 0).any():
+        w = block.words[partner.argmin()]
+        raise ValueError(f"block lacks {w} swapped at slot {slot}: not closed under the exchange")
+    b, letters = np.asarray(rates, dtype=float), block.letters
+    _, swap = _jump_masks(np.broadcast_to(np.arange(block.word_length), letters.shape), letters)
+    left, hop = b[letters[:, slot - 1] - 1], b[letters[:, slot] - 1]
+    loss = np.where(swap[:, slot - 1].reshape(-1, *(1,) * (b.ndim - 1)), left, 0.0)
+    return hop, left - loss, loss[partner], partner

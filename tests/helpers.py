@@ -18,13 +18,14 @@ import scipy.sparse as sparse
 from mstasep import ParticleState, RateTable, SpectralPoint, contour_bound
 from mstasep.core import _increasing_rows, enumerate_sn, word_floors
 
-# the benchmark's goodness-of-fit criterion for sampled counts, so tests and benchmark judge alike
+# the benchmark's workloads, loaded from their file, and its goodness-of-fit criterion for sampled
+# counts, so tests and benchmark judge alike
 _spec = importlib.util.spec_from_file_location(
     "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
 )
-_workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_workloads)
-chi_square_pvalue = _workloads.chi_square_pvalue
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+chi_square_pvalue = workloads.chi_square_pvalue
 
 
 def draw_rates(rng, n, lo=0.5, hi=2.0):
@@ -46,18 +47,26 @@ def validate_spectral_point(sp, rates):
             raise ValueError(f"|xi|={abs(z):g} outside the admissible disk (radius {bound:g})")
 
 
-def series_length(start, t, rates):
-    """J, the series terms each moment of a spectral call sums: y_N - y_1 + 64 + ceil(8 scale t).
+def moment_scale(start, rates):
+    """The smallest power of two at or above the largest rate of a species the start holds.
 
-    scale is the smallest power of two at or above the largest rate, found here by halving and
-    doubling in exact rationals.
+    Found by halving and doubling in exact rationals, as a Fraction.
     """
-    top, scale = Fraction(max(rates.rates)), Fraction(1)
+    top, scale = Fraction(max(map(rates.rate, start.species))), Fraction(1)
     while scale < top:
         scale *= 2
     while scale / 2 >= top:
         scale /= 2
-    return start.positions[-1] - start.positions[0] + 64 + math.ceil(8 * scale * Fraction(t))
+    return scale
+
+
+def series_length(start, t, rates):
+    """J, the series terms each moment of a spectral call sums: y_N - y_1 + 64 + ceil(8 scale t).
+
+    scale is :func:`moment_scale`.
+    """
+    span = start.positions[-1] - start.positions[0]
+    return span + 64 + math.ceil(8 * moment_scale(start, rates) * Fraction(t))
 
 
 def sector_size(multiset):
@@ -230,19 +239,31 @@ def exact_moment(q, e, rates, t, scale):
                 else:  # over 1 - b xi
                     for j in range(1, length):
                         coef[j] += int(bs * den) * coef[j - 1]
-        total, size = Fraction(0), Fraction(0)
-        for j in range(max(0, -q - 1), length):
-            k = q + j + 1
-            term = Fraction(coef[j], den**j) * t**k / math.factorial(k)
-            total, size = total + term, size + abs(term)
-            if t == 0 or not order and not any(coef[j + 1 :]):  # only k = 0 counts, or no terms follow
-                return scale**q * total, Fraction(0)
-            if order:
-                rho = top * (j + 1 + order) / (j + 2) * t / (k + 2)
-                bound = lead * math.comb(j + order, order - 1) * top ** (j + 1)
-                bound *= t ** (k + 1) / math.factorial(k + 1)
-                if rho <= Fraction(1, 2) and bound * 2**200 <= max(size, Fraction(1, 2**1000)):
-                    return scale**q * total, scale**q * bound / (1 - rho)
+        j = max(0, -q - 1)
+        k = q + j + 1
+        if t == 0:  # only k = 0 counts
+            return scale**q * (Fraction(coef[j], den**j) if k == 0 else Fraction(0)), Fraction(0)
+        last = max(i for i, c in enumerate(coef) if c)
+        # the terms over one running denominator den**j td**k k!, in integers: one gcd at the end
+        tn, td = t.numerator, t.denominator
+        power, denom, total, size = tn**k, den**j * td**k * math.factorial(k), 0, 0
+        while j < length:
+            total, size = total + coef[j] * power, size + abs(coef[j]) * power
+            if not order and j >= last:  # no terms follow
+                return scale**q * Fraction(total, denom), Fraction(0)
+            rho = top * (j + 1 + order) / (j + 2) * t / (k + 2) if order else Fraction(1)
+            if rho <= Fraction(1, 2):
+                # the next term's bound, first compared in logarithms with a margin of 4 bits, then exactly
+                tail = math.log2(lead) + math.log2(math.comb(j + order, order - 1)) + (j + 1) * math.log2(top)
+                tail += (k + 1) * math.log2(t) - math.lgamma(k + 2) / math.log(2) + 200
+                if tail <= max(size.bit_length() - denom.bit_length(), -1000) + 4:
+                    bound = lead * math.comb(j + order, order - 1) * top ** (j + 1)
+                    bound *= t ** (k + 1) / math.factorial(k + 1)
+                    if bound * 2**200 <= max(Fraction(size, denom), Fraction(1, 2**1000)):
+                        return scale**q * Fraction(total, denom), scale**q * bound / (1 - rho)
+            j, k = j + 1, k + 1
+            step = den * td * k
+            power, denom, total, size = power * tn, denom * step, total * step, size * step
         length *= 2
 
 

@@ -28,7 +28,7 @@ from mstasep import (
 from mstasep.bethe import bethe_sum
 from mstasep.cli import cmd_prob, parse_config
 from mstasep.core import build_sector
-from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
+from mstasep.oracle import adjacent_rates
 from mstasep.rmatrix import all_sectors, build_all_A, product_along_slots
 
 
@@ -187,14 +187,10 @@ def test_a08_boundary_condition():
                 x[slot] = x[slot - 1] + 1
                 merged = list(x)
                 merged[slot] = merged[slot - 1]
-                lhs = hop_rate_diag(sector, rt, slot + 1) @ bethe_sum(
-                    merged, sp, rt, sector, amps
-                )
-                rhs = (
-                    swap_gain_matrix(sector, rt, slot)
-                    + hop_rate_diag(sector, rt, slot)
-                    - swap_loss_diag(sector, rt, slot)
-                ) @ bethe_sum(x, sp, rt, sector, amps)
+                hop, stay, gain, partner = adjacent_rates(sector, rt, slot)
+                u = bethe_sum(x, sp, rt, sector, amps)
+                lhs = hop[:, None] * bethe_sum(merged, sp, rt, sector, amps)
+                rhs = stay[:, None] * u + gain[:, None] * u[partner]
                 scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
                 worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
     assert worst < 1e-10

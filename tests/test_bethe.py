@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     draw_point,
@@ -13,6 +15,7 @@ from helpers import (
     exact_moment,
     exact_probability,
     exact_terms,
+    moment_scale,
     reference_generator,
     series_length,
 )
@@ -33,8 +36,15 @@ from mstasep import (
     transition_probability,
 )
 from mstasep.bethe import bethe_sum, rate_power_diag, transition_arrays
-from mstasep.core import NonIncreasingPositions, SpeciesOutOfRange, build_sector, window_states
-from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
+from mstasep.core import (
+    NonIncreasingPositions,
+    SpeciesOutOfRange,
+    build_sector,
+    window_size,
+    window_states,
+    word_floors,
+)
+from mstasep.oracle import adjacent_rates
 from mstasep.rmatrix import all_sectors, build_all_A
 
 
@@ -700,7 +710,7 @@ def test_moment_table_covers_the_exact_moments(q, e, rates, t):
     # that bound covers the exact |moment|, at the scale the rates give
     from mstasep import bethe
 
-    span, scale = 2000, bethe._moment_scale(RateTable(rates))
+    span, scale = 2000, bethe._moment_scale(RateTable(rates), range(1, len(rates) + 1))  # all species held
     length = span + 64 + math.ceil(8 * scale * t)
     table = bethe._moment_table(np.array(q), np.array([e]), scale * t, RateTable(rates), scale, span, length)
     for (m, a, w), qk in zip(table[:, 0].T, q):
@@ -912,8 +922,9 @@ def test_plane_wave_solves_free_lattice_equation(n, multiset):
                 shifted = list(x)
                 shifted[j - 1] -= 1
                 shifted_wave = plane_wave(shifted, sp, rt, sector, amp, elem.image)
-                rhs += hop_rate_diag(sector, rt, j) @ shifted_wave
-                rhs -= hop_rate_diag(sector, rt, j) @ u_here
+                rate = np.array(rt.rates)[sector.letters[:, j - 1] - 1, None]  # particle j's, row by row
+                rhs += rate * shifted_wave
+                rhs -= rate * u_here
             scale = max(np.max(np.abs(u_here)), 1e-30)
             assert np.max(np.abs(eps * u_here - rhs)) / scale < 1e-10
 
@@ -935,12 +946,10 @@ def test_bethe_sum_satisfies_adjacency_condition(n):
             x[slot] = x[slot - 1] + 1
             merged = list(x)
             merged[slot] = merged[slot - 1]
-            lhs = hop_rate_diag(sector, rt, slot + 1) @ bethe_sum(merged, sp, rt, sector, amps)
-            rhs = (
-                swap_gain_matrix(sector, rt, slot)
-                + hop_rate_diag(sector, rt, slot)
-                - swap_loss_diag(sector, rt, slot)
-            ) @ bethe_sum(x, sp, rt, sector, amps)
+            hop, stay, gain, partner = adjacent_rates(sector, rt, slot)
+            u = bethe_sum(x, sp, rt, sector, amps)
+            lhs = hop[:, None] * bethe_sum(merged, sp, rt, sector, amps)
+            rhs = stay[:, None] * u + gain[:, None] * u[partner]
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)
             assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
@@ -1062,14 +1071,56 @@ def test_large_time_windows_meet_the_error_contract(t):
 
 def test_constants_below_the_float_range_keep_their_bound():
     # at t = 160 a far target's constant, exp(-480) (1/2)**385 times powers of the scale, falls below
-    # the float range while its sum of terms is about 1e268: the value is 0.0, and est_error, from the
-    # constant's logarithm, still covers the exact 1.7e-56.  The other targets keep their constants
+    # the float range while its sum of terms is about 1e268: the value is formed from the constant's
+    # logarithm, and lies within est_error of the exact 1.73e-56, est_error within 1e-8 of it.  So do
+    # its neighbours'.  The last two targets keep their constants
     rt, start = RateTable((1.0, 2.0)), ParticleState((0, 1), (2, 1))
-    targets = [ParticleState((257, 386), w) for w in ((2, 1), (1, 2))] + [ParticleState((250, 330), (1, 2))]
+    low = [((257, 386), (2, 1)), ((256, 386), (2, 1)), ((257, 387), (2, 1)), ((258, 385), (2, 1))]
+    targets = [ParticleState(*tg) for tg in low + [((257, 386), (1, 2)), ((250, 330), (1, 2))]]
     results = transition_matrix(start, targets, 160.0, rt)
-    assert results[0].value == 0.0 and 0 < results[0].est_error < 1e-55
-    for target, res in zip(targets, results):
+    assert abs(results[0].value - 1.7303782521940157e-56) <= results[0].est_error
+    for k, (target, res) in enumerate(zip(targets, results)):
         exact, bound = exact_probability(start, target, 160.0, rt)
+        assert abs(Fraction(res.value) - exact) <= Fraction(res.est_error) + bound
+        if k < len(low):
+            assert res.est_error <= 1e-8 * exact
+
+
+def test_scale_comes_from_the_species_the_start_holds():
+    # a fast species the start lacks sets nothing: rates (0.01, 100) from word 11 take the scale
+    # 2**-6 from the rate 0.01, so t = 5 sums J = 1 + 64 + 1 terms (the largest rate's scale 128 took
+    # 5,185) and t = 40, past the old limit of 5.47, runs; each value lies within its est_error
+    rt, start, target = RateTable((0.01, 100.0)), ParticleState((0, 1), (1, 1)), ParticleState((3, 9), (1, 1))
+    for t, used in ((5.0, 66), (40.0, 70)):
+        res = transition_probability(start, target, t, rt)
+        assert res.nodes_used == series_length(start, t, rt) == used
+        exact, bound = exact_probability(start, target, t, rt)
+        assert abs(Fraction(res.value) - exact) <= Fraction(res.est_error) + bound
+        assert 0 < res.est_error < 1e-12 * exact
+    # the limit scale t <= 700 is now t <= 44,800, and its message names the rule
+    with pytest.raises(OverflowRisk, match="largest rate of a species the start holds"):
+        transition_probability(start, target, 44_801.0, rt)
+
+
+def test_absent_species_put_no_inf_or_nan_in_the_moments():
+    # rates (1e-300, 1e308) from word 11: the scale is 2**-996, so the absent species' 1e308 / scale
+    # would pass the float range.  The moment table's coefficient and tail lines, and the constants'
+    # logarithms, read only the species the start holds: nothing overflows or turns invalid
+    from mstasep import bethe
+
+    rt, start = RateTable((1e-300, 1e308)), ParticleState((0, 1), (1, 1))
+    scale = bethe._moment_scale(rt, start.species)
+    assert scale == 2.0**-996
+    poles = np.array([[0, 0], [-1, 0], [2, 0], [1, 0]])
+    with np.errstate(over="raise", invalid="raise"):
+        table = bethe._moment_table(np.arange(-2, 4), poles, scale, rt, scale, 1, 66)
+    assert np.isfinite(table).all()
+    # one hop of the right particle at rate 1e-300 in unit time, and a far target below the float
+    # range, whose constant takes the logarithmic path
+    targets = [ParticleState((0, 2), (1, 1)), ParticleState((5, 9), (1, 1))]
+    for target, res in zip(targets, transition_matrix(start, targets, 1.0, rt)):
+        exact, bound = exact_probability(start, target, 1.0, rt)
+        assert math.isfinite(res.value) and math.isfinite(res.est_error)
         assert abs(Fraction(res.value) - exact) <= Fraction(res.est_error) + bound
 
 
@@ -1101,6 +1152,43 @@ def test_values_lie_within_est_error_of_the_exact_sums(rates, start, t, step):
     for x, w, v, e in zip(positions.tolist(), words.tolist(), value.tolist(), errs.tolist()):
         exact, bound = exact_probability(start, ParticleState(tuple(x), tuple(w)), t, rt)
         assert abs(Fraction(v) - exact) <= Fraction(e) + bound
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_error_contract_across_the_accepted_range(data):
+    # N <= 3, rates in [0.01, 100] (the start may lack the fastest species), gaps of 1 to 4 sites, scale t
+    # up to 2.4 % past its limit of 700, and a support target up to 1.5 times the fastest held rate's
+    # mean run from its floor.  Each call returns a finite value within est_error, plus the reference's
+    # tolerance, of the oracle row where the window holds at most 2,000 states (its Poisson tail of
+    # 1e-12 and as much again for rounding), else of the exact sum; or raises a named exception
+    n = data.draw(st.integers(1, 3))
+    rates = RateTable(tuple(data.draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))))
+    word = tuple(data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n)))
+    gaps = data.draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
+    y = tuple(itertools.accumulate([0, *gaps]))
+    start = ParticleState(y, word)
+    t = data.draw(st.integers(0, 1024)) / 1000 * 700 / float(moment_scale(start, rates))
+    floors = word_floors(start)
+    w = data.draw(st.sampled_from(sorted(floors)))
+    run = max(map(rates.rate, word)) * t
+    x = []
+    for z, u in zip(floors[w], sorted(data.draw(st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n)))):
+        x.append(max(z + int(u * run), x[-1] + 1 if x else z))
+    target = ParticleState(tuple(x), w)
+    try:
+        res = transition_probability(start, target, t, rates)
+    except (OverflowRisk, NotConverged):
+        return
+    assert math.isfinite(res.value) and math.isfinite(res.est_error)
+    hi = default_window(start, rates, t)[1]
+    if x[-1] <= hi and window_size(start, hi) <= 2000:
+        gen = build_generator(start, rates, (y[0], hi))
+        probs, _ = matrix_exponential_row(gen, start, t)
+        assert abs(res.value - probs[gen.index[target]]) <= res.est_error + 2e-12
+    else:
+        exact, bound = exact_probability(start, target, t, rates)
+        assert abs(Fraction(res.value) - exact) <= Fraction(res.est_error) + bound
 
 
 @pytest.mark.parametrize(

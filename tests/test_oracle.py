@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chi_square_pvalue, reference_generator
+from helpers import _moves, chi_square_pvalue, reference_generator
 from mstasep import (
     ParticleState,
     RateTable,
@@ -20,7 +20,8 @@ from mstasep import (
 )
 from mstasep import oracle
 from mstasep.core import WordBlock, build_sector
-from mstasep.oracle import hop_rate_diag, swap_gain_matrix, swap_loss_diag
+from mstasep.oracle import adjacent_rates
+from mstasep.rmatrix import all_sectors
 
 B1, B2 = 0.8, 1.7
 RT2 = RateTable((B1, B2))
@@ -460,24 +461,66 @@ def test_gillespie_total_variation_against_expm():
 
 
 def test_boundary_matrices_match_two_particle_forward_equations():
-    # Full pair space, rows/cols 11, 12, 21, 22: the in/out swap currents and
-    # per-slot rate diagonals of the adjacent-pair forward equations.
+    # Full pair space, rows 11, 12, 21, 22: the rows of the adjacent-pair forward equations, and the
+    # in/out swap currents and per-slot rate diagonals they stand for as matrices
     rt = RateTable((B1, B2))
     block = WordBlock([(1, 1), (1, 2), (2, 1), (2, 2)])
-    r1 = hop_rate_diag(block, rt, 1)
-    r2 = hop_rate_diag(block, rt, 2)
-    gain = swap_gain_matrix(block, rt, 1)
-    loss = swap_loss_diag(block, rt, 1)
-    assert np.array_equal(r1, np.diag([B1, B1, B2, B2]))
-    assert np.array_equal(r2, np.diag([B1, B2, B1, B2]))
-    expected_gain = np.zeros((4, 4))
-    expected_gain[1, 2] = B2  # row 12 gains from 21 at the jumper's rate
-    assert np.array_equal(gain, expected_gain)
-    assert np.array_equal(loss, np.diag([0.0, 0.0, B2, 0.0]))
+    hop, stay, gain, partner = adjacent_rates(block, rt, 1)
+    assert np.array_equal(hop, [B1, B2, B1, B2])  # the right particle's rate
+    assert np.array_equal(stay, [B1, B1, 0.0, B2])  # the left one's, less 21's swap out
+    assert np.array_equal(gain, [0.0, B2, 0.0, 0.0])  # row 12 gains from 21 at the jumper's rate
+    assert partner.tolist() == [0, 2, 1, 3]
+    currents = np.diag(stay)
+    currents[np.arange(4), partner] += gain
+    expected = np.diag([B1, B1, B2, B2]) - np.diag([0.0, 0.0, B2, 0.0])
+    expected[1, 2] = B2
+    assert np.array_equal(currents, expected)
 
 
 def test_boundary_matrices_on_sector_block():
     sec = build_sector([1, 2])
     rt = RateTable((B1, B2))
-    assert np.array_equal(swap_gain_matrix(sec, rt, 1), np.array([[0.0, B2], [0.0, 0.0]]))
-    assert np.array_equal(swap_loss_diag(sec, rt, 1), np.diag([0.0, B2]))
+    hop, stay, gain, partner = adjacent_rates(sec, rt, 1)
+    assert np.array_equal(hop, [B2, B1]) and np.array_equal(stay, [B1, 0.0])
+    assert np.array_equal(gain, [B2, 0.0]) and partner.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_adjacent_rates_match_the_jump_rules(n):
+    # at every slot of every sector, with the particles on contiguous sites, a row's swap out (the
+    # left rate less stay) and swap in (gain) are the rates of the moves that the state-by-state
+    # reference reads from the jump rules, and hop is the right particle's rate
+    rt = RateTable(tuple(np.linspace(0.7, 1.9, n).tolist()))
+    x = tuple(range(n))
+    for block in all_sectors(n):
+        swaps = {  # each word's swaps: the moves that keep the positions
+            w: {s.species: r for r, s in _moves(ParticleState(x, w), rt) if s.positions == x} for w in block.words
+        }
+        for slot in range(1, n):
+            hop, stay, gain, partner = adjacent_rates(block, rt, slot)
+            for k, w in enumerate(block.words):
+                other = block.words[partner[k]]
+                assert other == w[: slot - 1] + (w[slot], w[slot - 1]) + w[slot + 1 :]
+                assert hop[k] == rt.rate(w[slot]) and stay[k] + swaps[w].get(other, 0.0) == rt.rate(w[slot - 1])
+                assert gain[k] == swaps[other].get(w, 0.0)
+
+
+def test_adjacent_rates_take_a_batch_of_rates():
+    # an (N, batch) rate array gives each trial's rows, bit for bit, as its own RateTable does
+    rates = np.random.default_rng(3).uniform(0.5, 2.0, size=(3, 5))
+    block = build_sector([1, 2, 2])
+    for slot in (1, 2):
+        batch = adjacent_rates(block, rates, slot)
+        for k in range(rates.shape[1]):
+            alone = adjacent_rates(block, RateTable(tuple(rates[:, k].tolist())), slot)
+            assert all(np.array_equal(a[:, k], b) for a, b in zip(batch[:3], alone[:3]))
+            assert np.array_equal(batch[3], alone[3])
+
+
+def test_adjacent_rates_reject_bad_slots_and_unclosed_blocks():
+    rt = RateTable((B1, B2))
+    with pytest.raises(ValueError, match=r"block lacks \(1, 2\) swapped at slot 1: not closed"):
+        adjacent_rates(WordBlock([(1, 2), (2, 2)]), rt, 1)
+    for slot in (0, 2):
+        with pytest.raises(ValueError, match="outside 1..1"):
+            adjacent_rates(build_sector([1, 2]), rt, slot)
