@@ -21,12 +21,15 @@ pairs with axis d.  A value is sum_sigma sum_terms c prod_d M(q_d, e_d), one
 evaluation per call (the tests check it against the literal trapezoid sum
 over node tuples, where that has converged).
 
-The terms come from one walk per call over ``enumerate_sn`` (:func:`_row_terms`):
-S maps a term to minus itself with e_beta + 1 and e_alpha - 1 at the letter's
-species, T to b times it with a_beta + 1 and minus b times it with a_alpha + 1,
-each with e_alpha - 1, and a descending row negates.  Rows are classed, and
-paired with their swapped partners, by the letters and swap table of the
-:class:`core.WordBlock` the dense path reads, and each permutation carries
+The terms come from one walk per call over ``enumerate_sn`` (:func:`_row_terms`),
+which counts signs and reads no rate: S maps a term to minus itself with
+e_beta + 1 and e_alpha - 1 at the letter's species, T to itself with a_beta + 1
+and to minus itself with a_alpha + 1, each with e_alpha - 1, and a descending
+row negates.  Each T also brings its letter's rate, so a term's coefficient is
+an integer count times prod_s b_s^(k_s), k_s = -sum_d e_ds, and like terms
+cancel exactly.  Rows are classed, and paired with their swapped partners, by
+the letters and swap table of the :class:`core.WordBlock` the dense path
+reads, and each permutation carries
 only the rows some target row depends on (:func:`_needed_rows`).  The
 walk takes one inversion level at a time (:func:`_levels`), N(N-1)/2 array
 passes: each pass pairs every child with its parent's terms and keeps the
@@ -37,8 +40,9 @@ level the walk counts the bytes it would then hold (its tables, the target
 rows' terms with the merge's copies, the parent level, and the new level with
 its indices and moves) and raises past ``_CHUNK_BUDGET_BYTES``; its traced
 peak stays within twice that count and 32 kB of Python objects.  A call
-builds one moment per pole signature and distinct q (:func:`_moment_table`)
-and gathers each target's terms, their coefficients and moment offsets formed
+builds one moment per pole signature and distinct q (:func:`_moment_table`),
+which counts its bytes first and raises ValueError past the same budget, and
+gathers each target's terms, their coefficients and moment offsets formed
 once for all rows, in chunks under that budget.  Each moment sums J terms,
 J fixed by the start's span and scale t, and each target its terms, in a
 fixed order, so a value has the same bits on repeated calls, alone or in a
@@ -53,16 +57,19 @@ reads.  :func:`transition_matrix` wraps it for lists of states.
 
 A target's moments have size scale^(-P) on every term, P = sum(x) - sum(y) - N,
 where scale = 2^c is the smallest power of two at or above the largest rate of a
-species the start holds (no other species enters the moments), so that every
-beta_s = b_s / scale they read is at most 1.  So positions are taken relative
-to the start's leftmost site, and the table holds scale^q M(q): each term, given
-the exact 2^(-c sum(a)), gains the exact 2^(cP), and the target's constant takes
-it back.  A constant below the normal float range is taken as a logarithm, and
-the value as sign(sum) exp(log constant + log |sum|).  :class:`OverflowRisk`
-has three rules: scale t past
-``OVERFLOW_EXPONENT``, where the series' terms (scale t)^k / k! leave the float
-range, and x - y_1 past int64, both before any moment is built, and a value that
-is not finite, naming its first such target.
+species the start holds (no other species enters the moments).  A call forms
+beta_s = b_s / scale once, at most 1 for the species the start holds and 0 for
+the others, and the moments, the terms' weights and the constants all read it.
+So positions are taken relative to the start's leftmost site, and the table
+holds scale^q M(q): each term's count, weighed by prod_s beta_s^(k_s) (its rates
+and the exact 2^(-c sum(a)) in one factor, as sum_s k_s = sum_d a_d), gains the
+exact 2^(cP), and the target's constant takes it back.  Products that fall
+below the normal float range keep a bound: the widened ones are floored there.
+A constant below the normal float range is taken as a logarithm, and the value
+as sign(sum) exp(log constant + log |sum|).  :class:`OverflowRisk` has three
+rules: scale t past ``OVERFLOW_EXPONENT``, where the series' terms
+(scale t)^k / k! leave the float range, and x - y_1 past int64, both before any
+moment is built, and a value that is not finite, naming its first such target.
 """
 
 from __future__ import annotations
@@ -109,6 +116,7 @@ MAX_NODES_PER_DIM = 4096
 
 _INT64 = np.iinfo(np.int64)
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 _SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
@@ -179,7 +187,7 @@ def _moment_scale(rates: RateTable, species: Sequence[int]) -> float:
     ``math.frexp`` writes b = m 2**e with 1/2 <= m < 1, and b is a power of two iff m = 1/2; a
     scale past the float range is inf.
     """
-    m, e = math.frexp(max(map(rates.rate, set(species))))
+    m, e = math.frexp(rates.fastest(species))
     c = e - (m == 0.5)
     return math.ldexp(1.0, c) if c < 1024 else math.inf
 
@@ -337,32 +345,35 @@ def _fields(key: np.ndarray, at: np.ndarray, bits: int) -> np.ndarray:
     return out
 
 
-def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[np.ndarray, dict]:
+def _row_terms(sector: WordBlock, nu_idx: int, rows, species: int) -> tuple[np.ndarray, dict]:
     """The terms of each target row of sum_sigma A_sigma e_nu, and their pole signatures.
 
-    Returns ``(poles, terms)``.  ``terms[r]`` is ``(coef, a, sig, axis)``, one (K,) and three
-    (K, N) arrays, for each of ``rows``: term k is coef[k] prod_d xi_d**a[k, d]
-    prod_s (1 - b_s xi_d)**poles[sig[k, d], s], and its axis d pairs with target axis
-    axis[k, d].  Terms are listed permutation by permutation in ``enumerate_sn`` order.
+    Returns ``(poles, terms)``, ``poles`` a (signatures, ``species``) table.  ``terms[r]`` is
+    ``(coef, a, sig, axis)``, one (K,) and three (K, N) int64 arrays, for each of ``rows``: term k
+    is coef[k] prod_s b_s**k_s prod_d xi_d**a[k, d] (1 - b_s xi_d)**poles[sig[k, d], s], with
+    k_s = -sum_d poles[sig[k, d], s], and its axis d pairs with target axis axis[k, d].  Terms are
+    listed permutation by permutation in ``enumerate_sn`` order.  No rate is read: each T brings one
+    b_s and one power of (1 - b_s xi) less, so a term's rates follow from its exponents (and
+    sum_s k_s = sum_d a[k, d]); the walk counts signs, and like terms cancel exactly.
 
-    The walk builds one level of :func:`_levels` at a time, a coefficient array and an array of
-    packed keys (:func:`_key_layout`) grouped by permutation.  A child pairs with each of its
-    parent's terms three times, once per pass, and keeps the pairs its tables mark: S on the rows it
-    needs, T's two terms on the partners of the ascending ones.  So a child lists its S terms in
-    parent order, then T's b xi_beta terms, then its -b xi_alpha terms, and like terms merge in that
-    order.  Before it builds a level the walk counts what it would then hold: its tables, three times
-    the target rows' terms so far (they, and the final merge's two copies), the parent level, 17
-    bytes per pair and, per new term, 32 bytes of indices and twice its bytes (the term, and the move
-    that builds it).  Past ``_CHUNK_BUDGET_BYTES`` it raises ValueError; its traced peak stays within
-    twice that count and 32 kB of Python objects (the smallest walks count a few kB).
+    The walk builds one level of :func:`_levels` at a time, a sign array and an array of packed keys
+    (:func:`_key_layout`) grouped by permutation.  A child pairs with each of its parent's terms
+    three times, once per pass, and keeps the pairs its tables mark: S on the rows it needs, T's two
+    terms on the partners of the ascending ones.  So a child lists its S terms in parent order, then
+    T's b xi_beta terms, then its -b xi_alpha terms.  Before it builds a level the walk counts what
+    it would then hold: its tables, three times the target rows' terms so far (they, and the final
+    merge's two copies), the parent level, 17 bytes per pair and, per new term, 32 bytes of indices
+    and twice its bytes (the term, and the move that builds it).  Past ``_CHUNK_BUDGET_BYTES`` it
+    raises ValueError; its traced peak stays within twice that count and 32 kB of Python objects
+    (the smallest walks count a few kB).
     """
-    n, dim, species, nperm = sector.word_length, sector.dim, rates.n_species, math.factorial(sector.word_length)
+    n, dim, nperm = sector.word_length, sector.dim, math.factorial(sector.word_length)
     (_, slot, beta, alpha), bounds, axes, steps = _levels(n)
     present = tuple(sorted(set(sector.words[0])))
     width, a_at, e_at, identity, moves = _key_layout(n, present, species)
     # flat tables by (row, permutation, pass): whether a parent term on the row yields a term, its
-    # header, and its move (a row of ``moves``), which also picks its factor -1, b_s or -b_s.  S moves by
-    # the row's left letter at the slot (0 if it descends), T by its right one, its ascending partner's left
+    # header, and its move (a row of ``moves``).  S moves by the row's left letter at the slot (0 if it
+    # descends), T by its right one, its ascending partner's left
     left, right = sector.letters[:, slot - 1], sector.letters[:, slot]
     need = _needed_rows(sector, rows)
     code, per_pass = (beta * (n + 1) + alpha) * (species + 1), (n + 1) ** 2 * (species + 1)
@@ -374,12 +385,12 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
     move[..., 1] = per_pass + code + right
     move[..., 2] = move[..., 1] + per_pass
     take, head, move = take.ravel(), head.ravel(), move.ravel()
-    b = np.array((0.0, *rates.rates))
-    gain = np.repeat([np.full_like(b, -1.0), b, -b], (n + 1) ** 2, axis=0).ravel()
+    gain = np.repeat([-1, 1, -1], per_pass)  # one sign per pass: S or a descending row, T's two terms
     is_target = np.zeros(dim, dtype=bool)
     is_target[rows] = True
     is_target = np.repeat(is_target, nperm)  # by header
-    coef, key, size = np.ones(1), np.array([[nu_idx * nperm, *identity[1:]]]), np.ones(1, dtype=np.int64)
+    coef, size = np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    key = np.array([[nu_idx * nperm, *identity[1:]]])
     kept, tables, cols = [], take.nbytes + head.nbytes + move.nbytes + need.nbytes, key.shape[1]
     for lo, hi, step in zip(bounds[:-1], bounds[1:], itertools.chain([None], steps)):
         if step is not None:
@@ -406,7 +417,7 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
     coef, key = (np.concatenate(part) for part in zip(*kept))
     kept.clear()
     first, at = unique_rows(key)
-    coef = np.bincount(at, weights=coef, minlength=len(first))
+    coef = np.bincount(at, weights=coef, minlength=len(first)).astype(np.int64)  # exact in float
     coef, key = coef[coef != 0], key[first[coef != 0]]
     # one signature per (term, axis): the packed blocks sort like the wide rows
     depth, labels = n * (n - 1) // 2, np.array(present)
@@ -424,19 +435,26 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, rates: RateTable) -> tuple[
 
 
 def _moment_table(
-    q: np.ndarray, poles: np.ndarray, st: float, rates: RateTable, scale: float, span: int, length: int
+    q: np.ndarray, poles: np.ndarray, st: float, beta: np.ndarray, scale: float, span: int, length: int
 ) -> np.ndarray:
     """scale**q M(q, e) at each q for every pole signature e, its |.| and a bound: (3, sig, q).
 
-    With c_j the coefficients of prod_s (1 - beta_s xi)**e_s, beta = b / scale, and u_k =
-    (scale t)**k / k! (0 for k < 0), the first column is sum_(j < J) c_j u_(q+j+1) / scale, J =
-    ``length``.  The second sums |c|_j u_(q+j+1) / scale, |c| the product of the factors' series
-    with |coefficients|, which bounds c and its rounding.  The third adds to the second bounds on
-    the tail past J and on the rounding of the first.  Support targets have q >= -``span`` - 1.
+    With c_j the coefficients of prod_s (1 - beta_s xi)**e_s, ``beta`` = b / scale (0 at a species
+    the start lacks, which no signature holds), and u_k = (scale t)**k / k! (0 for k < 0), the first
+    column is sum_(j < J) c_j u_(q+j+1) / scale, J = ``length``.  The second sums |c|_j u_(q+j+1) /
+    scale, |c| the product of the factors' series with |coefficients|, which bounds c and its
+    rounding.  The third adds to the second bounds on the tail past J and on the rounding of the
+    first.  Support targets have q >= -``span`` - 1.  A table whose arrays would pass
+    ``_CHUNK_BUDGET_BYTES`` (each signature's factor series and their copies, the coefficients, and
+    the u_k padded by the span and J) raises ValueError before any is built.
     """
-    # exact, as scale is a power of two; a species no signature holds has no factor, and its beta
-    # (which may pass the float range: its rate did not set the scale) is taken as 0
-    beta = np.where((poles != 0).any(axis=0), rates.rates, 0.0) / scale
+    top = max(math.ceil(math.e**2 * st), 746)  # u_k is 0 past k = top, see below
+    nbytes = 8 * length * len(poles) * (3 * len(beta) + 2) + 8 * (span + top + length)
+    if nbytes > _CHUNK_BUDGET_BYTES:
+        raise ValueError(
+            f"the moment table for a start spanning {span} sites (J = {length}) passes its budget of "
+            f"{_CHUNK_BUDGET_BYTES:g} bytes"
+        )
     # each factor's binomial series, c_j / c_(j-1) = -beta (e - j + 1) / j, and their products
     steps = (poles[..., None] - np.arange(length - 1) + 0.0) * -beta[:, None] / np.arange(1, length)
     factors = np.cumprod(np.concatenate([np.ones((*poles.shape, 1)), steps], axis=-1), axis=-1)
@@ -448,7 +466,6 @@ def _moment_table(
         for s in np.flatnonzero(nonzero[k])[1:]:
             c[0], c[1] = np.convolve(c[0], f[s])[:length], np.convolve(c[1], np.abs(f[s]))[:length]
     # u where it is not 0: past k = e**2 st, u_k < e**-k, so from k = 746 on it rounds to 0
-    top = max(math.ceil(math.e**2 * st), 746)
     u = np.cumprod(np.concatenate([[1.0], st / np.arange(1, top + 1)]))
     padded = np.concatenate([np.zeros(span + 1), u, np.zeros(length + 1)])  # u_k at padded[span + 1 + k]
     first = np.minimum(q, top) + span + 2
@@ -469,8 +486,8 @@ def _moment_table(
     # k = q + j + 1 <= q + J, and under 48 times in its product and the pairwise sum.  A c_j or u_k
     # below the normal range loses at most tiny times the other: J tiny (max u + max |c| + 1)
     # bounds what underflow drops from a moment
-    roundings = (rates.n_species + 4) * length + 2 * np.maximum(q + 1, 0) + 2 * rates.n_species + 64
-    tail += length * np.finfo(float).tiny * (u.max() + coef[:, 1].max(axis=1) + 1)
+    roundings = (len(beta) + 4) * length + 2 * np.maximum(q + 1, 0) + 2 * len(beta) + 64
+    tail += length * _TINY * (u.max() + coef[:, 1].max(axis=1) + 1)
     out = np.empty((3, len(poles), len(q)))
     for part in _chunks(len(q), coef.nbytes + 8 * length):
         # each moment sums its J terms along one contiguous axis: the order depends on J alone
@@ -485,7 +502,7 @@ def _series_values(
     axes: list[tuple[np.ndarray, np.ndarray]],
     rows: np.ndarray,
     st: float,
-    rates: RateTable,
+    beta: np.ndarray,
     scale: float,
     length: int,
     terms: tuple[np.ndarray, dict],
@@ -495,7 +512,9 @@ def _series_values(
     Positions are relative to the start's leftmost site: ``y`` is the start's, ``axes[i]`` the
     distinct i-th target positions with each target's index into them.  ``rows`` are the targets'
     word rows and ``terms`` is :func:`_row_terms` of them.  The moments are those of
-    :func:`_moment_table` at ``st`` = scale t, one per distinct q, each ``length`` terms long.
+    :func:`_moment_table` at ``st`` = scale t and ``beta`` = b / scale, one per distinct q, each
+    ``length`` terms long.  A term's count is weighed by prod_s beta_s**k_s: its rates prod_s b_s**k_s
+    and the exact scale**(-sum(a)) of its scaled powers xi**a in one factor, as sum_s k_s = sum(a).
     """
     poles, terms = terms
     coef, a, sig = (np.concatenate(part) for part in list(zip(*terms.values()))[:3])
@@ -504,14 +523,25 @@ def _series_values(
     q = sites - y[:, None, None] - 1 + np.arange(a_len)[:, None]  # (N, a_len, sites)
     distinct, at = np.unique(q, return_inverse=True)
     # tables[k, sig, d, a, p]: the distinct target positions p of every axis, one after another
-    tables = _moment_table(distinct, poles, st, rates, scale, int(y[-1]), length)[:, :, at.reshape(q.shape)]
+    tables = _moment_table(distinct, poles, st, beta, scale, int(y[-1]), length)[:, :, at.reshape(q.shape)]
     start = np.cumsum([0] + [len(ux) for ux, _ in axes[:-1]])
     index = np.stack([ix + s for (_, ix), s in zip(axes, start)], axis=1)  # (targets, N) into sites
     sums, shape, tables = np.zeros((3, len(rows))), tables.shape[1:], tables.reshape(3, -1)
     # every row's terms at once: where each term's moments start, and its coefficient
     base = np.ravel_multi_index((sig, np.arange(len(y)), a, 0), shape).T[:, None]
-    c = coef * scale ** -a.sum(axis=1)  # the exact 2**(-c sum(a)) of the scaled powers
-    c = np.stack([c, np.abs(c), np.abs(c)])[:, None]  # the value's, and the |terms| of both bounds
+    # each term's weight prod_s beta_s**k_s, k_s = -sum_d e_ds at the (at most N) species a signature
+    # holds: 0 <= k_s <= D = N(N - 1)/2, so k sums as the base-256 digits of one int64 per signature,
+    # and beta_s**k is read from a table multiplied out, so that a power-of-two scale moves no mantissa
+    depth = len(y) * (len(y) - 1) // 2
+    held = np.flatnonzero((poles != 0).any(axis=0))
+    shifts = 8 * np.arange(len(held))
+    code = -poles[:, held] @ (1 << shifts)
+    k = sum(code[col] for col in sig.T)
+    powers = np.cumprod(np.column_stack([np.ones(len(held))] + [beta[held]] * depth), axis=1)
+    weight = math.prod((powers[i].take(k >> f & 255) for i, f in enumerate(shifts)), start=1.0)
+    # the value's coefficients, and the |terms| of both bounds (the widened one's weight at least tiny)
+    size = np.abs(coef)
+    c = np.stack([coef * weight, size * weight, size * np.maximum(weight, _TINY)])[:, None]
     ends = np.cumsum([len(axis) for _, _, _, axis in terms.values()]).tolist()
     order = np.argsort(rows, kind="stable")  # each row's targets in increasing order
     cuts = np.searchsorted(rows[order], [list(terms), [r + 1 for r in terms]]).tolist()
@@ -523,9 +553,15 @@ def _series_values(
             ix += base[..., span]
             # (N, 3, targets, terms): each column's N moments multiplied in axis order
             moments = np.take(tables, ix, axis=1).swapaxes(0, 1)
-            sums[:, sel[part]] = (functools.reduce(np.multiply, moments) * c[..., span]).sum(axis=-1)
-    # widening every moment by its bound widens |terms| by at least the terms' error; the product,
-    # the coefficient, the sum over terms and the constant round fewer than 128 times
+            product = moments[0]  # a view of the gather's own array, multiplied in place
+            for factor in (*moments[1:], c[..., span]):
+                product *= factor
+                # a product below the normal range loses up to 2**-1075, 2**-53 of the widened one's floor
+                np.maximum(product[2], _TINY, out=product[2])
+            sums[:, sel[part]] = product.sum(axis=-1)
+    # widening every moment by its bound widens |terms| by at least the terms' error.  The products,
+    # the weight, the sum over terms and the constant round fewer than 112 times, and what underflow
+    # in the products and the weight drops is under 16 eps of the widened |terms|, floored at tiny
     value, tight, wide = sums
     return value, wide - tight + 128 * _EPS * wide
 
@@ -601,30 +637,34 @@ def transition_arrays(
         overflow((x[quad] > _INT64.max + min(int(y[0]), 0)).any(axis=1), "is too far from the start for int64")
         xq, y = x[quad] - y[0], y - y[0]
         axes = [np.unique(col, return_inverse=True) for col in xq.T]
+        # beta = b / scale, exact, at the species the start holds and 0 at the others (whose b / scale
+        # may pass the float range): the moments, the terms' weights and the constants read it
+        held = np.unique(initial.species) - 1
+        beta, eye = np.zeros(rates.n_species), np.eye(rates.n_species)[:, held]
+        beta[held] = np.array(rates.rates)[held] / scale
         # decay * scale**N * prod_s beta_s**d_s over the species s the start holds (d_s: their summed
         # displacement), over the terms' scale**P; float sums of positions never wrap
-        held = np.unique(initial.species) - 1
-        beta, eye = np.array(rates.rates)[held] / scale, np.eye(rates.n_species)[:, held]
         d = (eye[words[quad] - 1] * xq[..., None]).sum(axis=1) - y @ eye[np.array(initial.species) - 1]
         rate_t = t * sum(map(rates.rate, initial.species))
         with np.errstate(all="ignore"):  # large rates overflow scale**n: the value reports it
-            consts = math.exp(-rate_t) * np.power(scale, n) * np.prod(beta**d, axis=1)
+            consts = math.exp(-rate_t) * np.power(scale, n) * np.prod(beta[held] ** d, axis=1)
         # the terms a moment with q >= -span - 1 needs (every support target has x_1 >= y_1): in the
         # start's span and scale t alone, so a value has the same bits in any batch
         length = int(y[-1]) + 64 + math.ceil(8 * scale * t)
-        terms = _row_terms(sector, sector.index(initial.species), np.unique(rows), rates)
+        terms = _row_terms(sector, sector.index(initial.species), np.unique(rows), rates.n_species)
         with np.errstate(all="ignore"):  # any other overflow shows in the value, and raises there
-            total, bound = _series_values(y, axes, rows, scale * t, rates, scale, length, terms)
-            value, err = consts * total, consts * bound
+            total, bound = _series_values(y, axes, rows, scale * t, beta, scale, length, terms)
+            # both products may fall below the normal range, where each rounds by up to 2**-1075
+            value, err = consts * total, consts * bound + 2 * _SUBNORMAL
             # a constant below the normal range has lost its relative precision, and may be 0 where
             # the value is not: there the value is sign(total) exp(log C + log |total|), log C summed
             # as logarithms.  Each logarithm and sum rounds within a few eps of its size, so the
             # exponent is off by at most eta = 64 eps (1 + the sizes), and the value by at most
             # C (2 eta |total| + bound), C < exp(log C + eta); a subnormal result rounds by 2**-1074
-            low = ~(np.abs(consts) >= np.finfo(float).tiny)
+            low = ~(np.abs(consts) >= _TINY)
             if low.any():
                 logs = np.column_stack(
-                    [d[low] * np.log(beta), np.full((low.sum(), 2), (n * math.log(scale), -rate_t))]
+                    [d[low] * np.log(beta[held]), np.full((low.sum(), 2), (n * math.log(scale), -rate_t))],
                 )
                 log_c, mag = logs.sum(axis=1), np.log(np.abs(total[low]))
                 eta = 64 * _EPS * (1 + np.abs(logs).sum(axis=1) + np.where(np.isfinite(mag), np.abs(mag), 0.0))

@@ -98,6 +98,10 @@ class RateTable:
         """Rate of a 1-based species label."""
         return self.rates[species - 1]
 
+    def fastest(self, species: Iterable[int]) -> float:
+        """The largest rate among 1-based species labels: a start's sets its moment scale and window."""
+        return max(map(self.rate, species))
+
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The rates as an (N,) array: batched code takes a table or an (N, *batch) array."""
         return np.array(self.rates, dtype=dtype)
@@ -386,11 +390,12 @@ def default_window(initial: ParticleState, rates: RateTable, t: float) -> tuple[
     """Window sized so the mass beyond the right edge is negligible.
 
     The rightmost particle's displacement is dominated by a Poisson count
-    at the largest rate; ten standard deviations plus a constant margin
-    push the tail below 1e-9.  ``t`` is checked by :func:`check_time`.
+    at the largest rate of a species the start holds (no other species
+    moves); ten standard deviations plus a constant margin push the tail
+    below 1e-9.  ``t`` is checked by :func:`check_time`.
     """
     check_time(t)
-    bmax = max(rates.rates)
+    bmax = rates.fastest(initial.species)
     margin = math.ceil(bmax * t + 10.0 * math.sqrt(bmax * t) + 10.0)
     return min(initial.positions), max(initial.positions) + margin
 

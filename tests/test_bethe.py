@@ -310,13 +310,16 @@ def test_threads_do_not_change_values():
 
 
 def term_values(poles, terms, sp, rates, n):
-    """Each permutation's term sums at one spectral point, {(axis pairing, row): value}."""
+    """Each permutation's term sums at one spectral point, {(axis pairing, row): value}.
+
+    A term's count carries the rates prod_s b_s**k_s, k_s = -sum_d e_ds.
+    """
     xi, b = np.array(sp.xi), np.array(rates.rates)
     pole_values = np.prod((1.0 - b * xi[:, None, None]) ** poles[None], axis=2)  # (N, signatures)
     out = {}
     for r, (coef, a, sig, axis) in terms.items():
         for c, ak, sk, ax in zip(coef, a, sig, axis):
-            value = c * np.prod(xi**ak * pole_values[np.arange(n), sk])
+            value = c * np.prod(b ** -poles[sk].sum(axis=0)) * np.prod(xi**ak * pole_values[np.arange(n), sk])
             out[tuple(ax), r] = out.get((tuple(ax), r), 0.0) + value
     return out
 
@@ -337,7 +340,7 @@ def test_row_terms_evaluate_to_the_amplitude_entries(n, start):
     sp = draw_point(rng, n, rt)
     sector = build_sector(word)
     nu = sector.index(word)
-    got = term_values(*_row_terms(sector, nu, np.arange(sector.dim), rt), sp, rt, n)
+    got = term_values(*_row_terms(sector, nu, np.arange(sector.dim), rt.n_species), sp, rt, n)
     amps = build_all_A(sp, rt, sector)
     for elem, amp in zip(enumerate_sn(n), amps):
         axis = tuple(np.argsort(elem.image).tolist())  # axis d pairs with the target axis sigma maps to d
@@ -346,7 +349,7 @@ def test_row_terms_evaluate_to_the_amplitude_entries(n, start):
             assert abs(got.get((axis, r), 0.0) - want) <= 1e-13 * abs(want)
     assert {axis for axis, _ in got} <= {tuple(np.argsort(e.image).tolist()) for e in enumerate_sn(n)}
     if start == "ascending":
-        poles, terms = _row_terms(sector, nu, np.arange(sector.dim), rt)
+        poles, terms = _row_terms(sector, nu, np.arange(sector.dim), rt.n_species)
         assert {r: len(v[0]) for r, v in terms.items() if len(v[0])} == {nu: math.factorial(n)}
 
 
@@ -369,28 +372,27 @@ def test_row_terms_evaluate_to_the_amplitude_entries(n, start):
 )
 def test_row_terms_match_the_exact_terms(word, rows):
     # the walk against helpers.exact_terms, a walk of dicts in exact rationals that shares no code with
-    # it: the same keys, each coefficient within a few ulps of the exact one.  Float products of the
-    # rates taken in different orders can leave a term whose exact contributions cancel, at a small
-    # fraction of an eps of their size (eight of them in the N = 5 case)
+    # it: the same keys, none whose exact contributions cancel, and each integer count times
+    # prod_s b_s**k_s, k_s = -sum_d e_ds, equal to the exact coefficient
     from mstasep.bethe import _row_terms
 
     rt = draw_rates(np.random.default_rng(sum(word) + len(word)), len(word))
     sector = build_sector(word)
     rows = list(range(sector.dim)) if rows is None else rows
-    poles, terms = _row_terms(sector, sector.index(word), np.array(rows), rt)
+    poles, terms = _row_terms(sector, sector.index(word), np.array(rows), rt.n_species)
     exact = exact_terms(word, rows, rt)
     got = {
         (r, tuple(ax), tuple(ak), tuple(map(tuple, poles[sk].tolist()))): c
         for r, (coef, a, sig, axis) in terms.items()
         for c, ak, sk, ax in zip(coef.tolist(), a.tolist(), sig, axis.tolist())
     }
-    assert {key for key, (value, _) in exact.items() if value} <= got.keys() <= exact.keys()
-    for key, c in got.items():
-        value, size = exact[key]
-        if value:
-            assert abs(Fraction(c) - value) <= 4 * Fraction(math.ulp(float(value)))
-        else:
-            assert abs(c) <= np.finfo(float).eps * size
+    assert got.keys() == {key for key, (value, _) in exact.items() if value}
+    b = [Fraction(v) for v in rt.rates]
+    for (r, ax, ak, e), c in got.items():
+        assert type(c) is int
+        k = [-sum(col) for col in zip(*e)]
+        assert sum(k) == sum(ak)
+        assert c * math.prod(bs**ks for bs, ks in zip(b, k)) == exact[r, ax, ak, e][0]
 
 
 def row_reading_targets(n):
@@ -480,8 +482,8 @@ def test_rows_left_unformed_are_never_read(n, which):
     rt = draw_rates(np.random.default_rng(80 + n), n)
     sector, rows = target_rows(initial, *tables[which], rt)
     nu = sector.index(initial.species)
-    poles, terms = _row_terms(sector, nu, np.array(rows), rt)
-    all_poles, all_terms = _row_terms(sector, nu, np.arange(sector.dim), rt)
+    poles, terms = _row_terms(sector, nu, np.array(rows), rt.n_species)
+    all_poles, all_terms = _row_terms(sector, nu, np.arange(sector.dim), rt.n_species)
     assert sorted(terms) == rows
     for r in rows:
         (coef, a, sig, axis), (all_coef, all_a, all_sig, all_axis) = terms[r], all_terms[r]
@@ -671,9 +673,9 @@ def test_scale_time_guard_raises_before_any_moment(monkeypatch):
 @pytest.mark.parametrize("seed", range(9))
 def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
     # every term of a target carries the same scale**P, P = sum(x) - sum(y) - N.  The coefficients are
-    # products of ratios beta (e - j + 1) / j and u_k one of ratios scale t / i, so each term of a
-    # moment is its unscaled value times 2**(c (q + 1)), exactly: the scaled sum is the unscaled one
-    # times 2**(cP)
+    # products of ratios beta (e - j + 1) / j, u_k one of ratios scale t / i and the weights products
+    # of beta, so each term of a moment is its unscaled value times 2**(c (q + 1)) and each weight
+    # times 2**(-c sum(a)), exactly: the scaled sum is the unscaled one times 2**(cP)
     from mstasep import bethe
 
     rng = np.random.default_rng(seed)
@@ -687,9 +689,10 @@ def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
     rows = rng.integers(sector.dim, size=len(x))
     axes = [np.unique(col, return_inverse=True) for col in x.T]
     c = int(rng.integers(1, 5))
-    terms = bethe._row_terms(sector, sector.index(word), np.unique(rows), rt)
-    plain, _ = bethe._series_values(y, axes, rows, 0.4, rt, 1.0, 90, terms)
-    scaled, _ = bethe._series_values(y, axes, rows, 0.4 * 2.0**c, rt, 2.0**c, 90, terms)
+    terms = bethe._row_terms(sector, sector.index(word), np.unique(rows), rt.n_species)
+    b = np.array(rt.rates)
+    plain, _ = bethe._series_values(y, axes, rows, 0.4, b, 1.0, 90, terms)
+    scaled, _ = bethe._series_values(y, axes, rows, 0.4 * 2.0**c, b / 2.0**c, 2.0**c, 90, terms)
     powers = x.sum(axis=1) - y.sum() - n
     assert np.array_equal(scaled, np.ldexp(plain, c * powers))
 
@@ -712,7 +715,7 @@ def test_moment_table_covers_the_exact_moments(q, e, rates, t):
 
     span, scale = 2000, bethe._moment_scale(RateTable(rates), range(1, len(rates) + 1))  # all species held
     length = span + 64 + math.ceil(8 * scale * t)
-    table = bethe._moment_table(np.array(q), np.array([e]), scale * t, RateTable(rates), scale, span, length)
+    table = bethe._moment_table(np.array(q), np.array([e]), scale * t, np.array(rates) / scale, scale, span, length)
     for (m, a, w), qk in zip(table[:, 0].T, q):
         exact, tail = exact_moment(qk, e, rates, t, scale)
         assert abs(Fraction(m) - exact) <= Fraction(w) - Fraction(a) + tail
@@ -1102,19 +1105,26 @@ def test_scale_comes_from_the_species_the_start_holds():
         transition_probability(start, target, 44_801.0, rt)
 
 
-def test_absent_species_put_no_inf_or_nan_in_the_moments():
+def test_absent_species_put_no_inf_or_nan_in_the_moments(monkeypatch):
     # rates (1e-300, 1e308) from word 11: the scale is 2**-996, so the absent species' 1e308 / scale
-    # would pass the float range.  The moment table's coefficient and tail lines, and the constants'
-    # logarithms, read only the species the start holds: nothing overflows or turns invalid
+    # would pass the float range.  The call's one beta is 0 there, so the moment table's coefficient
+    # and tail lines, the terms' weights and the constants' logarithms read only the species the
+    # start holds: nothing overflows or turns invalid
     from mstasep import bethe
 
     rt, start = RateTable((1e-300, 1e308)), ParticleState((0, 1), (1, 1))
     scale = bethe._moment_scale(rt, start.species)
     assert scale == 2.0**-996
-    poles = np.array([[0, 0], [-1, 0], [2, 0], [1, 0]])
-    with np.errstate(over="raise", invalid="raise"):
-        table = bethe._moment_table(np.arange(-2, 4), poles, scale, rt, scale, 1, 66)
-    assert np.isfinite(table).all()
+    betas, table = [], bethe._moment_table
+
+    def checked(q, poles, st, beta, *rest):
+        betas.append(beta.tolist())
+        with np.errstate(over="raise", invalid="raise"):
+            out = table(q, poles, st, beta, *rest)
+        assert np.isfinite(out).all()
+        return out
+
+    monkeypatch.setattr(bethe, "_moment_table", checked)
     # one hop of the right particle at rate 1e-300 in unit time, and a far target below the float
     # range, whose constant takes the logarithmic path
     targets = [ParticleState((0, 2), (1, 1)), ParticleState((5, 9), (1, 1))]
@@ -1122,6 +1132,34 @@ def test_absent_species_put_no_inf_or_nan_in_the_moments():
         exact, bound = exact_probability(start, target, 1.0, rt)
         assert math.isfinite(res.value) and math.isfinite(res.est_error)
         assert abs(Fraction(res.value) - exact) <= Fraction(res.est_error) + bound
+    assert betas == [[1e-300 / scale, 0.0]]
+
+
+def test_products_below_the_float_range_keep_their_bound():
+    # rates (1, 2), start (0, 1) word 21, t = 0.5: both targets lie in the support, but their moments'
+    # products underflow to 0 (exact values about 1e-792 and 1e-1362).  Both bound columns underflowed
+    # with them and est_error was 0; the widened products are floored at the normal range and the
+    # constant's product may round to a subnormal, so est_error covers the exact value
+    rt, start = RateTable((1.0, 2.0)), ParticleState((0, 1), (2, 1))
+    targets = [ParticleState((120, 260), (2, 1)), ParticleState((200, 400), (2, 1))]
+    for target, res in zip(targets, transition_matrix(start, targets, 0.5, rt)):
+        exact, bound = exact_probability(start, target, 0.5, rt)
+        assert 0 < exact < Fraction(1, 10**790) and res.nodes_used == 73
+        assert 0 < res.est_error and abs(Fraction(res.value) - exact) <= Fraction(res.est_error) + bound
+
+
+def test_moment_table_past_the_budget_raises_before_it_is_built():
+    # a start spanning 10**9 sites needs J = 10**9 + 72 terms per moment: the table counts its bytes
+    # first and raises naming the span and J, holding under 1 MB (at a span of 10**6 it took 137 MB)
+    rt, start = RateTable((1.0, 2.0)), ParticleState((0, 10**9), (2, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"spanning 1000000000 sites \(J = 1000000072\) passes its budget"):
+            transition_probability(start, ParticleState((0, 10**9 + 1), (2, 1)), 0.5, rt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_bulk_target_whose_value_overflows_is_named():
@@ -1250,7 +1288,7 @@ def test_term_walk_holds_at_most_twice_its_budget(monkeypatch, word, step):
 
     def walk(budget):
         monkeypatch.setattr(bethe, "_CHUNK_BUDGET_BYTES", budget)
-        return bethe._row_terms(sector, sector.index(word), rows, rt)
+        return bethe._row_terms(sector, sector.index(word), rows, rt.n_species)
 
     lo, hi = 1e4, 1e8
     with pytest.raises(ValueError, match="passes its budget"):

@@ -582,6 +582,31 @@ def test_main_prob_term_walk_past_the_budget_exit_code(tmp_path, monkeypatch, ca
     assert err.startswith("config error: ") and "2 word rows passes its budget of 4096 bytes" in err
 
 
+def test_main_prob_moment_table_past_the_budget_exit_code(tmp_path, capsys):
+    # a start spanning 10**9 sites: the moment table would sum J = 10**9 + 72 terms per moment, so it
+    # raises naming the span and J before it allocates, and prob exits 2 with no traceback
+    far = {"positions": [0, 10**9], "species": [2, 1]}
+    cfg = parse_config(minimal_config(initial=far, targets=[{"positions": [0, 10**9 + 1], "species": [2, 1]}]))
+    out_path = tmp_path / "never.csv"
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_CONFIG
+    assert not out_path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the moment table for a start spanning 1000000000 sites (J = 1000000072)")
+
+
+def test_cmd_prob_window_is_sized_by_the_species_the_start_holds(tmp_path):
+    # rates (0.01, 100) from word 11: only the slow species moves, so the window ends at site 18 with
+    # 171 states (sized by the fastest rate of the table it ended at 4,644 with 10,785,690 states,
+    # past the byte budget, and prob exited 2), and its values sum to 1 up to its leak and rounding
+    job = {"rates": [0.01, 100.0], "initial": {"positions": [0, 1], "species": [1, 1]}, "time": 40.0}
+    cfg = parse_config(json.dumps({**job, "targets": "window"}))
+    assert default_window(cfg.initial, cfg.rates, cfg.time) == (0, 18)
+    out_path = tmp_path / "window.csv"
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_OK
+    values = [float(r["value"]) for r in csv.DictReader(out_path.open(newline=""))]
+    assert len(values) == 171 and abs(math.fsum(values) - 1) < 1e-12
+
+
 def test_main_verify_and_prob_paths(tmp_path):
     assert main(["verify", "welldef", "--trials", "2"]) == EXIT_OK
     cfg_path = tmp_path / "job.json"
