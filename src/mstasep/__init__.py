@@ -61,4 +61,4 @@ __all__ = [
     "transition_probability",
 ]
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -55,18 +55,21 @@ the support :func:`core.word_floors` reaches (the rule
 sector rows, constants and per-axis distinct positions every later stage
 reads.  :func:`transition_matrix` wraps it for lists of states.
 
-A target's moments have size scale^(-P) on every term, P = sum(x) - sum(y) - N,
-where scale = 2^c is the smallest power of two at or above the largest rate of a
-species the start holds (no other species enters the moments).  A call forms
-beta_s = b_s / scale once, at most 1 for the species the start holds and 0 for
-the others, and the moments, the terms' weights and the constants all read it.
-So positions are taken relative to the start's leftmost site, and the table
-holds scale^q M(q): each term's count, weighed by prod_s beta_s^(k_s) (its rates
-and the exact 2^(-c sum(a)) in one factor, as sum_s k_s = sum_d a_d), gains the
-exact 2^(cP), and the target's constant takes it back.  Products that fall
-below the normal float range keep a bound: the widened ones are floored there.
-A constant below the normal float range is taken as a logarithm, and the value
-as sign(sum) exp(log constant + log |sum|).  :class:`OverflowRisk` has three
+Multiplying every rate by lambda and dividing t by lambda only changes the
+clock, so a call reads the rates and t only through st = scale t and
+beta_s = b_s / scale, both formed once: scale = 2^c is the smallest power of two
+at or above the largest rate of a species the start holds, and beta_s is at most
+1 there and 0 for the others (no other species enters the moments).  The table
+holds the moments in units of the scale, scale^(q+1) M(q), and each term's count
+is weighed by prod_s beta_s^(k_s) (its rates and the exact scale^(-sum(a)) in one
+factor, as sum_s k_s = sum_d a_d), so every term of a target gains the exact
+scale^P, P = sum(x) - sum(y), which its constant e^(-st sum_i beta_(s_i))
+prod_s beta_s^(d_s) takes back.  Positions are taken relative to the start's
+leftmost site, and a call returns the same bits for (2^k b, 2^-k t) as for
+(b, t) wherever those are exact.  Products that fall below the normal float
+range keep a bound: the widened ones are floored there.  A constant below the
+normal float range is taken as a logarithm, and the value as
+sign(sum) exp(log constant + log |sum|).  :class:`OverflowRisk` has three
 rules: scale t past ``OVERFLOW_EXPONENT``, where the series' terms
 (scale t)^k / k! leave the float range, and x - y_1 past int64, both before any
 moment is built, and a value that is not finite, naming its first such target.
@@ -435,18 +438,19 @@ def _row_terms(sector: WordBlock, nu_idx: int, rows, species: int) -> tuple[np.n
 
 
 def _moment_table(
-    q: np.ndarray, poles: np.ndarray, st: float, beta: np.ndarray, scale: float, span: int, length: int
+    q: np.ndarray, poles: np.ndarray, st: float, beta: np.ndarray, span: int, length: int
 ) -> np.ndarray:
-    """scale**q M(q, e) at each q for every pole signature e, its |.| and a bound: (3, sig, q).
+    """scale**(q+1) M(q, e), the moment in units of the scale, at each q for every pole signature e,
+    its |.| and a bound: (3, sig, q).
 
     With c_j the coefficients of prod_s (1 - beta_s xi)**e_s, ``beta`` = b / scale (0 at a species
-    the start lacks, which no signature holds), and u_k = (scale t)**k / k! (0 for k < 0), the first
-    column is sum_(j < J) c_j u_(q+j+1) / scale, J = ``length``.  The second sums |c|_j u_(q+j+1) /
-    scale, |c| the product of the factors' series with |coefficients|, which bounds c and its
-    rounding.  The third adds to the second bounds on the tail past J and on the rounding of the
-    first.  Support targets have q >= -``span`` - 1.  A table whose arrays would pass
-    ``_CHUNK_BUDGET_BYTES`` (each signature's factor series and their copies, the coefficients, and
-    the u_k padded by the span and J) raises ValueError before any is built.
+    the start lacks, which no signature holds), and u_k = st**k / k! (0 for k < 0), st = scale t, the
+    first column is sum_(j < J) c_j u_(q+j+1), J = ``length``.  The second sums |c|_j u_(q+j+1), |c|
+    the product of the factors' series with |coefficients|, which bounds c and its rounding.  The
+    third adds to the second bounds on the tail past J and on the rounding of the first.  Support
+    targets have q >= -``span`` - 1.  A table whose arrays would pass ``_CHUNK_BUDGET_BYTES`` (each
+    signature's factor series and their copies, the coefficients, and the u_k padded by the span and
+    J) raises ValueError before any is built.
     """
     top = max(math.ceil(math.e**2 * st), 746)  # u_k is 0 past k = top, see below
     nbytes = 8 * length * len(poles) * (3 * len(beta) + 2) + 8 * (span + top + length)
@@ -494,7 +498,7 @@ def _moment_table(
         windows = padded[first[part, None] + np.arange(length)]  # u_(q+1) .. u_(q+J) of each q
         m, a = (coef[:, :, None, :] * windows).sum(axis=-1).swapaxes(0, 1)
         out[:, :, part] = m, a, a * (1 + _EPS * roundings[part]) + tail[:, None]
-    return out / scale
+    return out
 
 
 def _series_values(
@@ -503,7 +507,6 @@ def _series_values(
     rows: np.ndarray,
     st: float,
     beta: np.ndarray,
-    scale: float,
     length: int,
     terms: tuple[np.ndarray, dict],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +517,8 @@ def _series_values(
     word rows and ``terms`` is :func:`_row_terms` of them.  The moments are those of
     :func:`_moment_table` at ``st`` = scale t and ``beta`` = b / scale, one per distinct q, each
     ``length`` terms long.  A term's count is weighed by prod_s beta_s**k_s: its rates prod_s b_s**k_s
-    and the exact scale**(-sum(a)) of its scaled powers xi**a in one factor, as sum_s k_s = sum(a).
+    and the exact scale**(-sum(a)) of its scaled powers xi**a in one factor, as sum_s k_s = sum(a).  So
+    a target's sum is scale**P times its value over the constant, P = sum(x) - sum(y).
     """
     poles, terms = terms
     coef, a, sig = (np.concatenate(part) for part in list(zip(*terms.values()))[:3])
@@ -523,7 +527,7 @@ def _series_values(
     q = sites - y[:, None, None] - 1 + np.arange(a_len)[:, None]  # (N, a_len, sites)
     distinct, at = np.unique(q, return_inverse=True)
     # tables[k, sig, d, a, p]: the distinct target positions p of every axis, one after another
-    tables = _moment_table(distinct, poles, st, beta, scale, int(y[-1]), length)[:, :, at.reshape(q.shape)]
+    tables = _moment_table(distinct, poles, st, beta, int(y[-1]), length)[:, :, at.reshape(q.shape)]
     start = np.cumsum([0] + [len(ux) for ux, _ in axes[:-1]])
     index = np.stack([ix + s for (_, ix), s in zip(axes, start)], axis=1)  # (targets, N) into sites
     sums, shape, tables = np.zeros((3, len(rows))), tables.shape[1:], tables.reshape(3, -1)
@@ -609,7 +613,8 @@ def transition_arrays(
     if n > MAX_PARTICLES:
         raise ValueError(f"{n} particles unsupported (limit {MAX_PARTICLES})")
     scale = _moment_scale(rates, initial.species)
-    if not scale * t <= OVERFLOW_EXPONENT:  # also a scale past the float range, even at t = 0
+    st = scale * t
+    if not st <= OVERFLOW_EXPONENT:  # also a scale past the float range, even at t = 0
         raise OverflowRisk(
             f"scale t = {scale:g} * {t:g} passes {OVERFLOW_EXPONENT:g}, past which the series' terms "
             f"(scale t)**k / k! overflow; scale is the smallest power of two at or above the largest rate "
@@ -642,18 +647,18 @@ def transition_arrays(
         held = np.unique(initial.species) - 1
         beta, eye = np.zeros(rates.n_species), np.eye(rates.n_species)[:, held]
         beta[held] = np.array(rates.rates)[held] / scale
-        # decay * scale**N * prod_s beta_s**d_s over the species s the start holds (d_s: their summed
+        # decay * prod_s beta_s**d_s over the species s the start holds (d_s: their summed
         # displacement), over the terms' scale**P; float sums of positions never wrap
         d = (eye[words[quad] - 1] * xq[..., None]).sum(axis=1) - y @ eye[np.array(initial.species) - 1]
-        rate_t = t * sum(map(rates.rate, initial.species))
-        with np.errstate(all="ignore"):  # large rates overflow scale**n: the value reports it
-            consts = math.exp(-rate_t) * np.power(scale, n) * np.prod(beta[held] ** d, axis=1)
+        decay = st * sum(beta[s - 1] for s in initial.species)
+        with np.errstate(all="ignore"):  # beta_s**d_s with d_s < 0 may overflow: the value reports it
+            consts = math.exp(-decay) * np.prod(beta[held] ** d, axis=1)
         # the terms a moment with q >= -span - 1 needs (every support target has x_1 >= y_1): in the
         # start's span and scale t alone, so a value has the same bits in any batch
-        length = int(y[-1]) + 64 + math.ceil(8 * scale * t)
+        length = int(y[-1]) + 64 + math.ceil(8 * st)
         terms = _row_terms(sector, sector.index(initial.species), np.unique(rows), rates.n_species)
         with np.errstate(all="ignore"):  # any other overflow shows in the value, and raises there
-            total, bound = _series_values(y, axes, rows, scale * t, beta, scale, length, terms)
+            total, bound = _series_values(y, axes, rows, st, beta, length, terms)
             # both products may fall below the normal range, where each rounds by up to 2**-1075
             value, err = consts * total, consts * bound + 2 * _SUBNORMAL
             # a constant below the normal range has lost its relative precision, and may be 0 where
@@ -663,9 +668,7 @@ def transition_arrays(
             # C (2 eta |total| + bound), C < exp(log C + eta); a subnormal result rounds by 2**-1074
             low = ~(np.abs(consts) >= _TINY)
             if low.any():
-                logs = np.column_stack(
-                    [d[low] * np.log(beta[held]), np.full((low.sum(), 2), (n * math.log(scale), -rate_t))],
-                )
+                logs = np.column_stack([d[low] * np.log(beta[held]), np.full(low.sum(), -decay)])
                 log_c, mag = logs.sum(axis=1), np.log(np.abs(total[low]))
                 eta = 64 * _EPS * (1 + np.abs(logs).sum(axis=1) + np.where(np.isfinite(mag), np.abs(mag), 0.0))
                 spread = np.log(2 * eta * np.abs(total[low]) + bound[low])

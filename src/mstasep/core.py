@@ -392,10 +392,13 @@ def default_window(initial: ParticleState, rates: RateTable, t: float) -> tuple[
     The rightmost particle's displacement is dominated by a Poisson count
     at the largest rate of a species the start holds (no other species
     moves); ten standard deviations plus a constant margin push the tail
-    below 1e-9.  ``t`` is checked by :func:`check_time`.
+    below 1e-9.  ``t`` is checked by :func:`check_time`; a b_max t past the
+    float range raises ValueError.
     """
     check_time(t)
     bmax = rates.fastest(initial.species)
+    if bmax * t == math.inf:
+        raise ValueError(f"b_max t = {bmax:g} * {t:g} passes the float range")
     margin = math.ceil(bmax * t + 10.0 * math.sqrt(bmax * t) + 10.0)
     return min(initial.positions), max(initial.positions) + margin
 

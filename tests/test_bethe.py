@@ -672,10 +672,10 @@ def test_scale_time_guard_raises_before_any_moment(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(9))
 def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
-    # every term of a target carries the same scale**P, P = sum(x) - sum(y) - N.  The coefficients are
+    # every term of a target carries the same scale**P, P = sum(x) - sum(y).  The coefficients are
     # products of ratios beta (e - j + 1) / j, u_k one of ratios scale t / i and the weights products
-    # of beta, so each term of a moment is its unscaled value times 2**(c (q + 1)) and each weight
-    # times 2**(-c sum(a)), exactly: the scaled sum is the unscaled one times 2**(cP)
+    # of beta, so each moment is its unscaled value times 2**(c (q + 1)) and each weight times
+    # 2**(-c sum(a)), exactly: the scaled sum is the unscaled one times 2**(cP)
     from mstasep import bethe
 
     rng = np.random.default_rng(seed)
@@ -691,9 +691,9 @@ def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
     c = int(rng.integers(1, 5))
     terms = bethe._row_terms(sector, sector.index(word), np.unique(rows), rt.n_species)
     b = np.array(rt.rates)
-    plain, _ = bethe._series_values(y, axes, rows, 0.4, b, 1.0, 90, terms)
-    scaled, _ = bethe._series_values(y, axes, rows, 0.4 * 2.0**c, b / 2.0**c, 2.0**c, 90, terms)
-    powers = x.sum(axis=1) - y.sum() - n
+    plain, _ = bethe._series_values(y, axes, rows, 0.4, b, 90, terms)
+    scaled, _ = bethe._series_values(y, axes, rows, 0.4 * 2.0**c, b / 2.0**c, 90, terms)
+    powers = x.sum(axis=1) - y.sum()
     assert np.array_equal(scaled, np.ldexp(plain, c * powers))
 
 
@@ -709,15 +709,15 @@ def test_power_of_two_scale_keeps_the_grid_mantissas(seed):
     ],
 )
 def test_moment_table_covers_the_exact_moments(q, e, rates, t):
-    # each moment lies within its bound (third column less second) of the exact one, and its |.| plus
-    # that bound covers the exact |moment|, at the scale the rates give
+    # each moment, in units of the scale the rates give (scale**(q+1) M), lies within its bound (third
+    # column less second) of the exact one, and its |.| plus that bound covers the exact |moment|
     from mstasep import bethe
 
     span, scale = 2000, bethe._moment_scale(RateTable(rates), range(1, len(rates) + 1))  # all species held
     length = span + 64 + math.ceil(8 * scale * t)
-    table = bethe._moment_table(np.array(q), np.array([e]), scale * t, np.array(rates) / scale, scale, span, length)
+    table = bethe._moment_table(np.array(q), np.array([e]), scale * t, np.array(rates) / scale, span, length)
     for (m, a, w), qk in zip(table[:, 0].T, q):
-        exact, tail = exact_moment(qk, e, rates, t, scale)
+        exact, tail = (Fraction(scale) * part for part in exact_moment(qk, e, rates, t, scale))
         assert abs(Fraction(m) - exact) <= Fraction(w) - Fraction(a) + tail
         assert abs(exact) <= Fraction(w) + tail
 
@@ -1108,8 +1108,8 @@ def test_scale_comes_from_the_species_the_start_holds():
 def test_absent_species_put_no_inf_or_nan_in_the_moments(monkeypatch):
     # rates (1e-300, 1e308) from word 11: the scale is 2**-996, so the absent species' 1e308 / scale
     # would pass the float range.  The call's one beta is 0 there, so the moment table's coefficient
-    # and tail lines, the terms' weights and the constants' logarithms read only the species the
-    # start holds: nothing overflows or turns invalid
+    # and tail lines, the terms' weights and the constants read only the species the start holds:
+    # nothing overflows or turns invalid
     from mstasep import bethe
 
     rt, start = RateTable((1e-300, 1e308)), ParticleState((0, 1), (1, 1))
@@ -1125,14 +1125,59 @@ def test_absent_species_put_no_inf_or_nan_in_the_moments(monkeypatch):
         return out
 
     monkeypatch.setattr(bethe, "_moment_table", checked)
-    # one hop of the right particle at rate 1e-300 in unit time, and a far target below the float
-    # range, whose constant takes the logarithmic path
+    # one hop of the right particle at rate 1e-300 in unit time, and a far target whose value lies
+    # far below the float range
     targets = [ParticleState((0, 2), (1, 1)), ParticleState((5, 9), (1, 1))]
     for target, res in zip(targets, transition_matrix(start, targets, 1.0, rt)):
         exact, bound = exact_probability(start, target, 1.0, rt)
         assert math.isfinite(res.value) and math.isfinite(res.est_error)
         assert abs(Fraction(res.value) - exact) <= Fraction(res.est_error) + bound
     assert betas == [[1e-300 / scale, 0.0]]
+
+
+@pytest.mark.parametrize("t", [0.7, 0.0])
+@pytest.mark.parametrize(
+    "rates, start, hi",
+    [((1.0, 1.3), ((0, 2), (2, 1)), 12), ((1.0, 1.3, 1.9), ((0, 1, 3), (3, 1, 2)), 8)],
+    ids=["n2", "n3"],
+)
+def test_a_call_reads_the_rates_and_time_only_through_beta_and_scale_t(rates, start, hi, t):
+    # rates times 2**k and t times 2**-k only change the clock: beta = b / scale and st = scale t keep
+    # their bits, and so does every value and est_error of the window (143 and 243 targets), for k from
+    # -1000 to 1000.  While each moment carried the scale, the N = 3 window held this only for k in
+    # [-325, 300] and raised OverflowRisk outside it.  At t = 0 the start's value is exactly 1
+    start = ParticleState(*start)
+    positions, words = window_states(start, hi)
+    value, errs, _ = transition_arrays(start, positions, words, t, RateTable(rates))
+    for k in range(-1000, 1001, 25):
+        scaled = RateTable(tuple(math.ldexp(b, k) for b in rates))
+        other, other_errs, _ = transition_arrays(start, positions, words, math.ldexp(t, -k), scaled)
+        assert np.array_equal(other, value) and np.array_equal(other_errs, errs)
+    if t == 0:
+        at = (positions == start.positions).all(axis=1) & (words == start.species).all(axis=1)
+        assert value[at].tolist() == [1.0]
+
+
+@pytest.mark.parametrize(
+    "rates, start, t",
+    [
+        ((1e300, 1.5e300, 2e300), ((0, 1, 2), (3, 2, 1)), 1e-300),  # raised OverflowRisk
+        ((1e100, 1.5e100, 2e100), ((0, 1, 2), (3, 2, 1)), 1e-100),  # raised NotConverged (bound 2e-7)
+        ((1e-300, 1e308), ((0, 1), (1, 1)), 0.0),  # each raised OverflowRisk naming the start
+        ((1e-300, 1e308), ((0, 1), (1, 1)), 1.0),
+        ((8e307, 8.9e307), ((0, 1), (2, 1)), 1e-307),  # 8 scale t formed inf: a raw OverflowError
+    ],
+)
+def test_rates_far_from_one_match_the_oracle(rates, start, t):
+    # the size of the rates sets no limit: the call reads only beta and scale t, so each whole window
+    # meets the error contract against the oracle row and sums to 1
+    rt, start = RateTable(rates), ParticleState(*start)
+    gen = build_generator(start, rt, default_window(start, rt, t))
+    probs, leak = matrix_exponential_row(gen, start, t)
+    assert leak < 1e-11
+    value, errs, _ = transition_arrays(start, gen.positions, gen.words, t, rt)
+    assert (np.abs(value - probs) <= errs + 1e-12).all() and errs.max() < 1e-12
+    assert abs(math.fsum(value) - 1) < 1e-12
 
 
 def test_products_below_the_float_range_keep_their_bound():

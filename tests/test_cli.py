@@ -607,6 +607,36 @@ def test_cmd_prob_window_is_sized_by_the_species_the_start_holds(tmp_path):
     assert len(values) == 171 and abs(math.fsum(values) - 1) < 1e-12
 
 
+def test_main_prob_runs_rates_next_to_the_float_maximum(tmp_path):
+    # rates (8e307, 8.9e307) at t = 1e-307 take the scale 2**1023: J's 8 scale t once formed
+    # 8 * 2**1023 = inf first, and prob ended in a traceback.  The call reads only scale t and
+    # beta, and each value matches the oracle row (the start's 4.57533877e-08) within est_error
+    start = {"positions": [0, 1], "species": [2, 1]}
+    targets = [start, {"positions": [0, 1], "species": [1, 2]}, {"positions": [3, 7], "species": [2, 1]}]
+    job = {"rates": [8e307, 8.9e307], "initial": start, "time": 1e-307, "targets": targets}
+    cfg_path, out_path = tmp_path / "job.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(job))
+    assert main(["prob", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_OK
+    rows = list(csv.DictReader(out_path.open(newline="")))
+    assert float(rows[0]["value"]) == 4.5753387694458114e-08
+    cfg = parse_config(cfg_path.read_text())
+    gen = build_generator(cfg.initial, cfg.rates, default_window(cfg.initial, cfg.rates, cfg.time))
+    probs, _ = matrix_exponential_row(gen, cfg.initial, cfg.time)
+    for target, row in zip(cfg.targets, rows):
+        assert abs(float(row["value"]) - probs[gen.index[target]]) <= float(row["est_error"]) + 1e-12
+
+
+def test_cmd_prob_window_of_a_start_whose_held_rates_are_tiny(tmp_path):
+    # rates (1e-300, 1e308) from word 11 at t = 1 take the scale 2**-996.  While each moment carried
+    # scale**q, the start itself overflowed and prob exited 2; now the 66 rows sum to 1, the start's 1
+    job = {"rates": [1e-300, 1e308], "initial": {"positions": [0, 1], "species": [1, 1]}, "time": 1.0}
+    cfg = parse_config(json.dumps({**job, "targets": "window"}))
+    out_path = tmp_path / "window.csv"
+    assert cmd_prob(cfg, out=str(out_path)) == EXIT_OK
+    values = [float(r["value"]) for r in csv.DictReader(out_path.open(newline=""))]
+    assert len(values) == 66 and values[0] == 1.0 and abs(math.fsum(values) - 1) < 1e-12
+
+
 def test_main_verify_and_prob_paths(tmp_path):
     assert main(["verify", "welldef", "--trials", "2"]) == EXIT_OK
     cfg_path = tmp_path / "job.json"

@@ -91,6 +91,12 @@ def test_default_window_checks_the_time(t, error):
         default_window(ParticleState((0, 1), (2, 1)), RateTable((1.0, 2.0)), t)
 
 
+def test_default_window_past_the_float_range_raises():
+    # rates (8e307, 8.9e307) at t = 10: b_max t is inf, which math.ceil turned into a raw OverflowError
+    with pytest.raises(ValueError, match=r"b_max t = 8\.9e\+307 \* 10 passes the float range"):
+        default_window(ParticleState((0, 1), (2, 1)), RateTable((8e307, 8.9e307)), 10.0)
+
+
 def test_build_sector_two_species():
     sec = build_sector([1, 2])
     assert sec.words == ((1, 2), (2, 1))
